@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Benchmark the compiled GF(p) rank kernel against the numpy fallback.
 
-The rank of seeded random square matrices over GF(31991) is the hot
-operation of every verification sweep; this script times both kernels on
-the matrix orders the suites actually produce (27, 36, 63, 126, 165) and
-on a full end-to-end sweep.
+The rank of seeded random square matrices over GF(31991) is one of the
+three layers of every verification sweep (with drawing and building the
+matrices); this script times both kernels on the matrix orders the suites
+produce (27, 36, 63, 126, 165) and on a full end-to-end sweep.
 
 Usage: python benchmarks/bench_rank.py [--repeats 50]
 """

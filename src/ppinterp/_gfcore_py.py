@@ -1,7 +1,7 @@
 """Pure-Python (numpy) row-reduction kernel over GF(p).
 
 Fallback for the compiled ppinterp._gfcore extension; identical contract.
-Entries stay below p < 2**16, so products fit comfortably in int64.
+Entries stay below p < MAX_PRIME = 2**26, so products fit comfortably in int64.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 Exit codes: 0 when everything passes (or a prediction/solution was
 produced), 1 on a mathematical failure (SUSPECT verdict, singular or
-inconsistent system), 2 on usage errors.
+inconsistent system), 2 on usage errors, including a prime too small to
+draw the requested random data.
 
 Reports are JSON by default (CSV via --format csv).  Timing lives in a
 separate "timing" section so that rerunning with the same --seed yields a
@@ -19,6 +20,7 @@ import sys
 
 from . import interp, theory, verify
 from .gf import DEFAULT_PRIME, check_modulus
+from .schemes import DegenerateDrawError
 from .verify import DEFAULT_SEED, TrialPolicy
 
 SCHEMA_VERSION = 1
@@ -36,8 +38,8 @@ def _add_common(parser):
     parser.add_argument("--trials", type=int, default=3)
 
 
-def _policy(args) -> TrialPolicy:
-    check_modulus(args.prime, max_degree=6)
+def _policy(args, max_degree: int) -> TrialPolicy:
+    check_modulus(args.prime, max_degree=max_degree)
     return TrialPolicy(trials=args.trials, prime=args.prime, seed=args.seed)
 
 
@@ -164,13 +166,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    policy = _policy(args)
+    policy = _policy(args, 2)
     reports = verify.verify_tables(policy, args.n)
     return _emit_reports(args, reports)
 
 
 def cmd_props(args) -> int:
-    policy = _policy(args)
+    policy = _policy(args, 3)
     which = args.prop
     try:
         if which == "4.5":
@@ -201,13 +203,17 @@ def cmd_props(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    policy = _policy(args)
     has_case = args.a is not None or args.lengths is not None
+    if has_case and (args.n is None or args.d is None):
+        print("a single case needs -n and -d", file=sys.stderr)
+        return USAGE_ERROR
+    if has_case:
+        policy = _policy(args, args.d)
+    else:
+        policy = _policy(args, max(d for suite, d in verify.SUITE_DEGREES.items()
+                                   if args.suite in ("all", suite)))
     try:
         if has_case:
-            if args.n is None or args.d is None:
-                print("a single case needs -n and -d", file=sys.stderr)
-                return USAGE_ERROR
             reports = [verify.verify_generic(policy, args.n, args.d,
                                              a=args.a, lengths=args.lengths)]
         else:
@@ -276,7 +282,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:
+    except (ValueError, DegenerateDrawError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
 

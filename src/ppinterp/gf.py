@@ -12,6 +12,14 @@ from fractions import Fraction
 
 DEFAULT_PRIME = 31991
 
+# Exclusive upper bound on every working prime.  The int64 paths (the batched
+# build and both rank kernels) hold canonical residues in [0, p); their widest
+# expression is the direction combination ``combo @ jac`` of the build, a sum
+# of nv products of two residues, at most nv*(p-1)**2.  That must stay below
+# 2**63: p < 2**26 gives nv*(p-1)**2 < nv*2**52, which holds for up to
+# nv = 2048 variables (the word-size reasoning of FFLAS-FFPACK).
+MAX_PRIME = 2**26
+
 
 class ZeroInverseError(ZeroDivisionError):
     """Raised when the inverse of 0 mod p is requested."""
@@ -43,13 +51,15 @@ def is_prime(n: int) -> bool:
 
 
 def check_modulus(p: int, max_degree: int | None = None) -> int:
-    """Validate a working prime: odd, prime, and larger than any degree in use.
+    """Validate a working prime: odd, prime, below MAX_PRIME, above any degree in use.
 
     The degree bound keeps finite-difference style derivative checks exact
     (distinct interpolation nodes 0..d mod p).
     """
     if p % 2 == 0 or not is_prime(p):
         raise ValueError(f"modulus must be an odd prime, got {p}")
+    if p >= MAX_PRIME:
+        raise ValueError(f"prime {p} must be below 2**26 for exact int64 arithmetic")
     if max_degree is not None and p <= max_degree:
         raise ValueError(f"prime {p} must exceed the working degree {max_degree}")
     return p

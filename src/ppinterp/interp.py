@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 
 from . import linalg, theory
-from .gf import as_fraction, inv_mod, scalar_to_json
+from .gf import as_fraction, check_modulus, inv_mod, scalar_to_json
 from .monomials import AFFINE, build_basis
 from .schemes import InterpolationProblem, condition_matrix_affine, condition_rhs
 
@@ -105,6 +105,7 @@ def solve(prob: InterpolationProblem, prime: int | None = None,
         prime = prob.prime
     basis = build_basis(AFFINE, prob.n, prob.d)
     if prime is not None:
+        check_modulus(prime)
         prob = _reduce_problem(prob, prime)
         matrix = condition_matrix_affine(prob, basis, prime)
         rhs = condition_rhs(prob)

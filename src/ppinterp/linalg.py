@@ -5,9 +5,12 @@ Matrices are plain sequences of rows (or numpy int arrays).  Pass
 arithmetic on int/Fraction entries.  Elimination always pivots on the
 first nonzero entry in column order, so results are deterministic.
 
-The GF(p) rank is the hot operation of the whole package; it dispatches to
-the compiled kernel when the extension is built and the numpy fallback
-otherwise (``KERNEL`` says which one is active).
+The GF(p) rank of the verification sweeps dispatches to the compiled
+kernel when the extension is built and the numpy fallback otherwise
+(``KERNEL`` says which one is active).  It is one of three layers of a sweep,
+beside drawing the instances and building their condition matrices; which
+one dominates depends on the suite and the kernel.  Its int64 arithmetic
+needs ``prime < MAX_PRIME``.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import os
 from fractions import Fraction
 
 import numpy as np
+
+from .gf import MAX_PRIME
 
 if os.environ.get("PPINTERP_PURE"):
     from ._gfcore_py import rank_mod as _rank_mod
@@ -49,12 +54,26 @@ def _shape(rows):
 
 def rank(matrix, prime: int | None = None) -> int:
     """Row rank by exact Gaussian elimination."""
-    if prime is not None:
-        arr = np.asarray(matrix, dtype=np.int64)
-        if arr.ndim != 2 or arr.size == 0:
-            return 0
-        return _rank_mod(arr, prime)
+    if prime is None:
+        return rank_rows(matrix)
+    if prime >= MAX_PRIME:
+        raise ValueError(f"prime {prime} must be below 2**26 for the int64 rank kernel")
+    arr = np.asarray(matrix, dtype=np.int64)
+    if arr.ndim != 2 or arr.size == 0:
+        return 0
+    return _rank_mod(arr, prime)
+
+
+def rank_rows(matrix, prime: int | None = None) -> int:
+    """Row rank by elimination on Python rows: Fractions over Q, ints mod ``prime``.
+
+    Exact for a prime of any size.  On the few-row matrices of the draws'
+    direction checks it is also cheaper than :func:`rank`, whose kernel pays
+    a fixed numpy cost per call.
+    """
     rows, m, n = _shape(matrix)
+    if prime is not None:
+        rows = [[int(a) % prime for a in row] for row in rows]
     r = 0
     for c in range(n):
         if r == m:
@@ -63,11 +82,21 @@ def rank(matrix, prime: int | None = None) -> int:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        lead = Fraction(rows[r][c])
+        top = rows[r]
+        if prime is None:
+            lead = Fraction(top[c])
+        else:
+            inv = pow(top[c], -1, prime)
         for i in range(r + 1, m):
-            if rows[i][c] != 0:
-                f = Fraction(rows[i][c]) / lead
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            x = rows[i][c]
+            if x == 0:
+                continue
+            if prime is None:
+                f = Fraction(x) / lead
+                rows[i] = [a - f * b for a, b in zip(rows[i], top)]
+            else:
+                f = x * inv % prime
+                rows[i] = [(a - f * b) % prime for a, b in zip(rows[i], top)]
         r += 1
     return r
 

@@ -23,11 +23,13 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import index
 
 import numpy as np
 
 from .gf import DEFAULT_PRIME
-from .linalg import rank
+from .linalg import rank, rank_rows
 from .monomials import (
     AFFINE,
     HOMOGENEOUS,
@@ -47,37 +49,80 @@ class DegenerateDrawError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# fast GF(p) evaluation/jacobian rows (vectorized over the monomials)
+# batched GF(p) evaluation: values and jacobians of a monomial basis
 
-def _pow_table(point, d, p):
-    t = np.ones((point.size, d + 1), dtype=np.int64)
-    for e in range(1, d + 1):
-        t[:, e] = t[:, e - 1] * point % p
-    return t
+@lru_cache(maxsize=64)
+def _slot_layout(basis: MonomialBasis):
+    """The basis's monomials as products of d factor slots, as read-only arrays.
+
+    Returns (exps, var, j, s, k, e).  ``exps`` is the (M, nv) exponent array.
+    Slot s of monomial j holds the variable ``var[j, s]``, in ascending order;
+    a monomial of degree below d fills its last slots with the extra variable
+    nv, whose coordinate is 1.  ``(j, s)`` list, for each variable ``k`` that a
+    monomial involves, the first of its slots, and ``e`` its exponent.
+    """
+    nv = basis.nvars
+    exps = np.array(basis.exponents, dtype=np.int64).reshape(len(basis), nv)
+    deg = exps.sum(axis=1)
+    var = np.full((len(basis), int(deg.max(initial=0))), nv, dtype=np.int64)
+    rows = np.repeat(np.arange(len(basis)), deg)
+    cols = np.arange(rows.size) - np.repeat(np.cumsum(deg) - deg, deg)
+    var[rows, cols] = np.repeat(np.tile(np.arange(nv), len(basis)), exps.ravel())
+    j, s = np.nonzero(var != np.insert(var[:, :-1], 0, -1, axis=1))
+    j, s = j[s < deg[j]], s[s < deg[j]]
+    k = var[j, s]
+    layout = (exps, var, j, s, k, exps[j, k])
+    for a in layout:
+        a.flags.writeable = False
+    return layout
 
 
-def _eval_row_mod(exps, powtab, p):
-    row = np.ones(exps.shape[0], dtype=np.int64)
-    for v in range(exps.shape[1]):
-        row = row * powtab[v, exps[:, v]] % p
-    return row
+def _monomial_rows_mod(basis: MonomialBasis, points, p):
+    """Values (C, M) and jacobians (C, nv, M) of the basis at C points, mod p.
+
+    ``points`` is the (C, nv) array of support points; ``jac[c, k, j]`` is
+    d(x^e_j)/dx_k at point c.  Every entry is a canonical residue, so the
+    result equals the exact symbolic rows reduced mod p.  One power-free pass:
+    gather each monomial's slot coordinates, take prefix and suffix products
+    over the d slots, and apply the product rule at the first slot of every
+    variable (the exponent counts the equal terms of its run).
+    """
+    _, var, j, s, k, e = _slot_layout(basis)
+    n_pts, nv = points.shape
+    if nv * (p - 1) ** 2 >= 2**63:
+        raise ValueError(f"prime {p} is too large for exact int64 rows in {nv} variables")
+    x = np.ones((n_pts, nv + 1), dtype=np.int64)
+    x[:, :nv] = points % p
+    slot = x[:, var.T]
+    d = var.shape[1]
+    prefix = np.ones((n_pts, d + 1, len(basis)), dtype=np.int64)
+    suffix = np.ones_like(prefix)
+    for t in range(d):
+        prefix[:, t + 1] = prefix[:, t] * slot[:, t] % p
+        suffix[:, d - 1 - t] = suffix[:, d - t] * slot[:, d - 1 - t] % p
+    jac = np.zeros((n_pts, nv, len(basis)), dtype=np.int64)
+    jac[:, k, j] = prefix[:, s, j] * suffix[:, s + 1, j] % p * e % p
+    return prefix[:, d], jac
 
 
-def _jacobian_mod(exps, powtab, p):
-    nv = exps.shape[1]
-    jac = np.empty((nv, exps.shape[0]), dtype=np.int64)
-    for k in range(nv):
-        ek = exps[:, k]
-        row = ek * powtab[k, np.maximum(ek - 1, 0)] % p
-        for v in range(nv):
-            if v != k:
-                row = row * powtab[v, exps[:, v]] % p
-        jac[k] = row
-    return jac
+def _stack_rows(values, jac, with_value, combos, p):
+    """Per point i in order: its value row if ``with_value[i]``, then ``combos[i] @ jac[i]``.
 
-
-def _basis_exponent_array(basis: MonomialBasis):
-    return np.array(basis.exponents, dtype=np.int64)
+    ``combos[i]`` is a (possibly empty) list of coefficient rows over the nv
+    partial derivatives; every product is reduced mod p.
+    """
+    n_pts, nv, _ = jac.shape
+    coeffs = np.array([row for c in combos for row in c], dtype=np.int64).reshape(-1, nv)
+    owner = [i for i, c in enumerate(combos) for _ in c]
+    mixed = np.einsum("rk,rkm->rm", coeffs, jac[owner]) % p
+    order = []
+    nxt = n_pts
+    for i, c in enumerate(combos):
+        if with_value[i]:
+            order.append(i)
+        order.extend(range(nxt, nxt + len(c)))
+        nxt += len(c)
+    return np.concatenate([values, mixed])[order]
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +217,9 @@ def _draw_point(rng, n, prime, zeroed):
 
 
 def _combo_rank(combo, prime, columns=None):
-    m = [list(r) for r in combo]
     if columns is not None:
-        m = [[r[j] for j in columns] for r in m]
-    return rank(m, prime)
+        combo = [[r[j] for j in columns] for r in combo]
+    return rank_rows(combo, prime)
 
 
 def random_instance(n, specs, subspaces=(), prime=DEFAULT_PRIME, seed=0) -> SchemeInstance:
@@ -203,7 +247,9 @@ def random_instance(n, specs, subspaces=(), prime=DEFAULT_PRIME, seed=0) -> Sche
             if point not in seen_points:
                 break
         else:
-            raise DegenerateDrawError("could not draw distinct support points")
+            raise DegenerateDrawError(
+                f"could not draw distinct support points over GF({prime})"
+            )
         seen_points.add(point)
 
         if s.support == GENERAL:
@@ -222,32 +268,11 @@ def random_instance(n, specs, subspaces=(), prime=DEFAULT_PRIME, seed=0) -> Sche
                 if _combo_rank(combo, prime, check_cols) == n_rows:
                     break
             else:
-                raise DegenerateDrawError("could not draw independent directions")
+                raise DegenerateDrawError(
+                    f"could not draw independent directions over GF({prime})"
+                )
         instances.append(ComponentInstance(s, point, combo))
     return SchemeInstance(n, prime, seed, subspaces, tuple(instances))
-
-
-def _component_rows(comp, exps, basis, subspaces, prime):
-    spec = comp.spec
-    point = np.array(comp.point, dtype=np.int64)
-    powtab = _pow_table(point, basis.d, prime)
-    if spec.support != GENERAL:
-        zeroed = subspaces[spec.support].zeroed
-        if any(all(e[i] == 0 for i in zeroed) for e in basis.exponents):
-            raise ValueError(
-                "components on a subspace need a basis of forms vanishing on it"
-            )
-        if spec.residual == 0:
-            return np.empty((0, exps.shape[0]), dtype=np.int64)
-        jac = _jacobian_mod(exps, powtab, prime)
-        return np.array(comp.combo, dtype=np.int64) @ jac % prime
-    if spec.length == basis.n + 1:
-        return _jacobian_mod(exps, powtab, prime)
-    rows = [_eval_row_mod(exps, powtab, prime)]
-    if comp.combo is not None:
-        jac = _jacobian_mod(exps, powtab, prime)
-        rows.extend(np.array(comp.combo, dtype=np.int64) @ jac % prime)
-    return np.vstack(rows)
 
 
 def condition_matrix_projective(instance: SchemeInstance, basis: MonomialBasis):
@@ -259,15 +284,26 @@ def condition_matrix_projective(instance: SchemeInstance, basis: MonomialBasis):
     """
     if basis.mode != HOMOGENEOUS or basis.n != instance.n:
         raise ValueError("basis/scheme mismatch")
-    exps = _basis_exponent_array(basis)
-    blocks = [
-        _component_rows(c, exps, basis, instance.subspaces, instance.prime)
-        for c in instance.components
-    ]
-    blocks = [b for b in blocks if b.shape[0]]
-    if not blocks:
+    exps = _slot_layout(basis)[0]
+    comps = instance.components
+    for idx in sorted({c.spec.support for c in comps} - {GENERAL}):
+        zeroed = sorted(instance.subspaces[idx].zeroed)
+        if not exps[:, zeroed].any(axis=1).all():
+            raise ValueError(
+                "components on a subspace need a basis of forms vanishing on it"
+            )
+    if not comps:
         return np.empty((0, len(basis)), dtype=np.int64)
-    return np.vstack(blocks)
+    points = np.array([c.point for c in comps], dtype=np.int64)
+    values, jac = _monomial_rows_mod(basis, points, instance.prime)
+    full = np.eye(basis.nvars, dtype=np.int64)
+    with_value, combos = [], []
+    for c in comps:
+        free = c.spec.support == GENERAL
+        whole = free and c.spec.length == basis.nvars
+        with_value.append(free and not whole)
+        combos.append(full if whole else c.combo or ())
+    return _stack_rows(values, jac, with_value, combos, instance.prime)
 
 
 def expected_row_count(specs) -> int:
@@ -339,19 +375,34 @@ class InterpolationProblem:
 
 def condition_matrix_affine(prob: InterpolationProblem, basis: MonomialBasis | None = None,
                             prime: int | None = None):
-    """One evaluation row per point followed by its directional-derivative rows."""
+    """One evaluation row per point followed by its directional-derivative rows.
+
+    Exact over Q through ``eval_row``/``derivative_row``; with a prime the
+    rows come from one batched evaluation and are lists of residues.
+    """
     if basis is None:
         basis = build_basis(AFFINE, prob.n, prob.d)
     if basis.mode != AFFINE or basis.n != prob.n or basis.d != prob.d:
         raise ValueError("basis/problem mismatch")
     if prime is None:
         prime = prob.prime
-    rows = []
-    for pt, ds in zip(prob.points, prob.directions):
-        rows.append(eval_row(basis, pt, prime))
-        for v in ds:
-            rows.append(derivative_row(basis, pt, v, prime))
-    return rows
+    if prime is None:
+        rows = []
+        for pt, ds in zip(prob.points, prob.directions):
+            rows.append(eval_row(basis, pt))
+            for v in ds:
+                rows.append(derivative_row(basis, pt, v))
+        return rows
+    if any(not any(v) for ds in prob.directions for v in ds):
+        raise ValueError("zero direction")
+    if not prob.points:
+        return []
+    # residues must be integers: index() refuses a Fraction instead of truncating it
+    points = np.array([[index(x) % prime for x in pt] for pt in prob.points], dtype=np.int64)
+    values, jac = _monomial_rows_mod(basis, points, prime)
+    directions = [[[index(x) % prime for x in v] for v in ds] for ds in prob.directions]
+    rows = _stack_rows(values, jac, [True] * len(prob.points), directions, prime)
+    return rows.tolist()
 
 
 def condition_rhs(prob: InterpolationProblem) -> list:
@@ -374,7 +425,7 @@ def random_affine_problem(n, d, a_profile, prime=DEFAULT_PRIME, seed=0) -> Inter
             if pt not in seen:
                 break
         else:
-            raise DegenerateDrawError("could not draw distinct points")
+            raise DegenerateDrawError(f"could not draw distinct points over GF({prime})")
         seen.add(pt)
         points.append(list(pt))
     directions = []
@@ -386,7 +437,9 @@ def random_affine_problem(n, d, a_profile, prime=DEFAULT_PRIME, seed=0) -> Inter
             if rank(ds, prime) == a:
                 break
         else:
-            raise DegenerateDrawError("could not draw independent directions")
+            raise DegenerateDrawError(
+                f"could not draw independent directions over GF({prime})"
+            )
         directions.append(ds)
     return InterpolationProblem(n, d, points, directions, prime=prime)
 

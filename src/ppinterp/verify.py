@@ -513,8 +513,11 @@ def verify_generic(policy: TrialPolicy, n: int, d: int, a=None, lengths=None) ->
     return report
 
 
+SWEEP_DEGREES = (3, 5)
+
+
 def sweep_nonexceptional(policy: TrialPolicy, count: int = 200,
-                         n_range=(1, 4), d_range=(3, 5)) -> list:
+                         n_range=(1, 4), d_range=SWEEP_DEGREES) -> list:
     """Seeded random profiles away from the exception list: rank must be full.
 
     Configurations satisfy sum(a_i + 1) <= C(n+d, d), so the measured rank
@@ -588,6 +591,16 @@ def quadric_bruteforce(policy: TrialPolicy, ns=(1, 2, 3, 4), extra_degree: int =
 # suite aggregation
 
 SUITES = ("tables", "ah", "p8", "base", "sweep", "quadrics")
+
+# highest polynomial degree each suite measures; the working prime must exceed it
+SUITE_DEGREES = {
+    "tables": 2,
+    "ah": max(d for _, d, _ in AH_EXCEPTION_SCHEMES.values()),
+    "p8": 3,
+    "base": 3,
+    "sweep": SWEEP_DEGREES[1],
+    "quadrics": 2,
+}
 
 
 def run_suite(policy: TrialPolicy, which: str = "all", deep: bool = False) -> list:

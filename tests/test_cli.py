@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from ppinterp import verify
 from ppinterp.cli import main
+from ppinterp.schemes import DegenerateDrawError
 
 
 def run_cli(capsys, *argv):
@@ -176,3 +178,50 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     doc = json.loads(target.read_text())
     assert doc["all_pass"] is True
+
+
+MERSENNE_61 = str(2**61 - 1)  # prime, but far past the int64 word-size bound
+
+
+def test_oversized_prime_refused(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "verify", "-n", "2", "-d", "4", "-a", "2,2,2,2,2",
+                           "--prime", MERSENNE_61)
+    assert code == 2 and "2**26" in err
+    problem = {
+        "n": 1, "d": 3, "mode": "affine",
+        "points": [[0], [1]], "directions": [[[1]], [[1]]], "values": [[0, 1], [1, 1]],
+    }
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    code, out, err = run_cli(capsys, "solve", str(path), "--field", "gf",
+                             "--prime", MERSENNE_61)
+    assert code == 2 and out == "" and "2**26" in err
+    path.write_text(json.dumps(dict(problem, prime=2**61 - 1)))
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 2 and out == "" and "2**26" in err
+
+
+def test_prime_checked_against_the_run_degree(capsys):
+    # the prime must exceed the degree the run measures, not a fixed 6
+    code, _, err = run_cli(capsys, "verify", "-n", "2", "-d", "8", "-a", "0", "--prime", "7")
+    assert code == 2 and "degree 8" in err
+    code, _, err = run_cli(capsys, "verify", "--suite", "sweep", "--prime", "5")
+    assert code == 2 and "degree 5" in err
+    code, out, _ = run_cli(capsys, "tables", "-n", "3", "--prime", "5", "--trials", "1")
+    assert code in (0, 1) and json.loads(out)["config"]["prime"] == 5
+
+
+def test_degenerate_draw_is_a_usage_error(monkeypatch, capsys):
+    # twelve distinct points cannot exist in GF(11)
+    code, _, err = run_cli(capsys, "verify", "-n", "1", "-d", "7",
+                           "-a", ",".join(["0"] * 12), "--prime", "11")
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: could not draw distinct points")
+
+    def degenerate(*args, **kwargs):
+        raise DegenerateDrawError("could not draw independent directions over GF(11)")
+
+    monkeypatch.setattr(verify, "random_instance", degenerate)
+    for argv in (("tables", "-n", "3"), ("props", "--prop", "4.6")):
+        code, _, err = run_cli(capsys, *argv, "--prime", "11")
+        assert code == 2 and err.startswith("error: could not draw"), argv

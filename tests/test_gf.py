@@ -6,6 +6,7 @@ import pytest
 
 from ppinterp.gf import (
     DEFAULT_PRIME,
+    MAX_PRIME,
     ZeroInverseError,
     as_fraction,
     check_modulus,
@@ -65,10 +66,16 @@ def test_default_prime_is_odd_prime():
     check_modulus(P, max_degree=6)
 
 
-@pytest.mark.parametrize("bad", [1, 2, 9, 15, 31989])
+@pytest.mark.parametrize("bad", [1, 2, 9, 15, 31989, 2**61 - 1])
 def test_check_modulus_rejects(bad):
     with pytest.raises(ValueError):
         check_modulus(bad)
+
+
+def test_check_modulus_word_size_bound():
+    # the largest prime below MAX_PRIME passes
+    assert check_modulus(67108859) == 67108859
+    assert not any(is_prime(q) for q in range(67108861, MAX_PRIME))
 
 
 def test_check_modulus_degree_bound():

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 from ppinterp import linalg
 from ppinterp._gfcore_py import rank_mod as rank_mod_py
-from ppinterp.gf import DEFAULT_PRIME
+from ppinterp.gf import DEFAULT_PRIME, MAX_PRIME
 from ppinterp.linalg import (
     InconsistentSystemError,
     SingularSystemError,
     nullspace_dim,
     rank,
+    rank_rows,
     solve_any,
     solve_square,
 )
@@ -56,13 +57,21 @@ def test_rank_transpose():
 
 
 def test_kernel_parity():
-    # compiled and fallback kernels must agree entry for entry
+    # the active kernel (compiled when built) and the numpy fallback, each
+    # against Python-int elimination
     rng = random.Random(23)
     for _ in range(100):
         m = rng.randint(1, 12)
         n = rng.randint(1, 12)
-        a = np.array([[rng.randrange(P) for _ in range(n)] for _ in range(m)])
-        assert linalg._rank_mod(a, P) == rank_mod_py(a, P)
+        a = [[rng.randrange(P) for _ in range(n)] for _ in range(m)]
+        # low-rank products too, so that deficient ranks are exercised
+        if rng.random() < 0.5:
+            k = rng.randint(1, min(m, n))
+            b = [[rng.randrange(P) for _ in range(k)] for _ in range(m)]
+            c = [[rng.randrange(P) for _ in range(n)] for _ in range(k)]
+            a = [[sum(x * y for x, y in zip(row, col)) % P for col in zip(*c)] for row in b]
+        for kernel in (linalg._rank_mod, rank_mod_py):
+            assert kernel(np.array(a, dtype=np.int64), P) == rank_rows(a, P)
 
 
 def test_rational_rank_with_fractions():
@@ -161,6 +170,40 @@ def test_rank_scaling_invariance_hypothesis(rows, scale):
     b = a.copy()
     b[0] = b[0] * scale % P
     assert rank(a, P) == rank(b, P)
+
+
+# the largest prime below MAX_PRIME, where the int64 kernels have the least headroom
+WORD_PRIMES = (3, P, 65521, 67108859)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(WORD_PRIMES).flatmap(
+        lambda p: st.tuples(
+            st.just(p),
+            st.integers(1, 7).flatmap(
+                lambda n: st.lists(
+                    st.lists(st.sampled_from((0, 1, p - 1, p // 2)) | st.integers(0, p - 1),
+                             min_size=n, max_size=n),
+                    min_size=1, max_size=7,
+                )
+            ),
+        )
+    )
+)
+def test_rank_matches_python_int_elimination_up_to_max_prime(case):
+    p, rows = case
+    assert rank(rows, p) == rank_rows(rows, p)
+
+
+def test_rank_refuses_primes_beyond_word_size():
+    # 2**61 - 1 is prime, but (p-1)**2 overflows int64 and the rank came out wrong
+    big = 2**61 - 1
+    with pytest.raises(ValueError, match="2\\*\\*26"):
+        rank([[1, 2], [3, 4]], big)
+    with pytest.raises(ValueError):
+        nullspace_dim([[1, 2]], MAX_PRIME)
+    assert rank_rows([[1, 2], [2, 4]], big) == 1
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,14 +1,20 @@
+import hashlib
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppinterp.gf import DEFAULT_PRIME
 from ppinterp.linalg import nullspace_dim, rank
 from ppinterp.monomials import (
+    AFFINE,
     HOMOGENEOUS,
     CoordinateSubspace,
     build_basis,
+    derivative_row,
     eval_row,
     jacobian_block,
     vanishing_basis,
@@ -174,36 +180,140 @@ def test_row_count_accounting_random_specs():
         assert m.shape[0] == expected_row_count(specs) == deg - absorbed
 
 
+def exact_projective_rows(inst, basis):
+    """The projective build assembled from the exact symbolic rows, mod p."""
+    p = inst.prime
+    rows = []
+    for comp in inst.components:
+        jac = jacobian_block(basis, comp.point, prime=p)
+        if comp.spec.support == GENERAL:
+            if comp.spec.length == basis.nvars:
+                rows += jac
+                continue
+            rows.append(eval_row(basis, comp.point, prime=p))
+        for combo in comp.combo or ():
+            rows.append([sum(c * jac[k][j] for k, c in enumerate(combo)) % p
+                         for j in range(len(basis))])
+    return rows
+
+
+def assert_projective_build_exact(inst, basis):
+    m = condition_matrix_projective(inst, basis)
+    rows = exact_projective_rows(inst, basis)
+    assert m.dtype == np.int64 and m.shape == (len(rows), len(basis))
+    assert m.tolist() == rows
+
+
 def test_fast_rows_match_exact_rows():
     # the vectorized GF(p) builder agrees with the exact symbolic rows
     basis = vanishing_basis(8, 3, (L, M))
     specs = [ComponentSpec(9), ComponentSpec(6), ComponentSpec(9, 0, 3),
-             ComponentSpec(8, 1, 2), ComponentSpec(1)]
-    inst = random_instance(8, specs, (L, M), P, seed=11)
-    m = condition_matrix_projective(inst, basis)
-    r = 0
-    for comp in inst.components:
-        jac = jacobian_block(basis, comp.point, prime=P)
-        if comp.spec.support != GENERAL:
-            for combo in comp.combo:
-                row = [sum(c * jac[k][j] for k, c in enumerate(combo)) % P
-                       for j in range(len(basis))]
-                assert m[r].tolist() == row
-                r += 1
-        else:
-            if comp.spec.length == 9:
-                for k in range(9):
-                    assert m[r].tolist() == jac[k]
-                    r += 1
-            else:
-                assert m[r].tolist() == eval_row(basis, comp.point, prime=P)
-                r += 1
-                for combo in comp.combo or ():
-                    row = [sum(c * jac[k][j] for k, c in enumerate(combo)) % P
-                           for j in range(len(basis))]
-                    assert m[r].tolist() == row
-                    r += 1
-    assert r == m.shape[0]
+             ComponentSpec(8, 1, 2), ComponentSpec(1), ComponentSpec(5, 0, 0),
+             ComponentSpec(2, 1, 1)]
+    assert_projective_build_exact(random_instance(8, specs, (L, M), P, seed=11), basis)
+
+
+@st.composite
+def projective_cases(draw):
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(0, 5))
+    coords = draw(st.permutations(range(n + 1)))
+    subspaces = []
+    while coords and len(subspaces) < 2 and draw(st.booleans()):
+        codim = draw(st.integers(1, min(n, len(coords))))
+        subspaces.append(CoordinateSubspace(coords[:codim]))
+        coords = coords[codim:]
+    specs = []
+    for _ in range(draw(st.integers(0, 6))):
+        if not subspaces or draw(st.integers(0, 2)) == 0:
+            specs.append(ComponentSpec(draw(st.integers(1, n + 1))))
+            continue
+        # residual r needs max(1, r) <= length <= n - 2 + r (ComponentSpec.validate)
+        idx = draw(st.integers(0, len(subspaces) - 1))
+        r = draw(st.integers(0, min(3, subspaces[idx].codim)))
+        if max(1, r) <= min(n + 1, n - 2 + r):
+            length = draw(st.integers(max(1, r), min(n + 1, n - 2 + r)))
+            specs.append(ComponentSpec(length, idx, r))
+    return n, d, tuple(subspaces), specs, draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(projective_cases())
+def test_projective_build_equals_exact_rows(case):
+    # free, double and subspace components (residual 0 included), empty instances
+    n, d, subspaces, specs, seed = case
+    if subspaces:
+        basis = vanishing_basis(n, d, subspaces)
+    else:
+        basis = build_basis(HOMOGENEOUS, n, d)
+    inst = random_instance(n, specs, subspaces, P, seed=seed)
+    assert_projective_build_exact(inst, basis)
+
+
+@pytest.mark.parametrize("prime", [P, 67108859])
+def test_projective_build_p8_three_subspaces_equals_exact_rows(prime):
+    # 67108859 is the largest prime below MAX_PRIME: the int64 build is exact there
+    from ppinterp.verify import specs_on_subspace
+
+    basis = vanishing_basis(8, 3, (L, M, N))
+    specs = (specs_on_subspace(8, 0, (1, 1, 1)) + specs_on_subspace(8, 1, (0, 2, 3))
+             + specs_on_subspace(8, 2, (2, 0, 1)))
+    for seed in range(3):
+        assert_projective_build_exact(random_instance(8, specs, (L, M, N), prime, seed), basis)
+
+
+def exact_affine_rows(prob, prime):
+    basis = build_basis(AFFINE, prob.n, prob.d)
+    rows = []
+    for pt, ds in zip(prob.points, prob.directions):
+        rows.append(eval_row(basis, pt, prime))
+        rows += [derivative_row(basis, pt, v, prime) for v in ds]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, 5), st.lists(st.integers(0, n), max_size=8),
+    st.integers(0, 2**32 - 1))))
+def test_affine_build_equals_exact_rows(case):
+    n, d, a, seed = case
+    prob = random_affine_problem(n, d, a, P, seed=seed)
+    rows = condition_matrix_affine(prob, prime=P)
+    assert rows == exact_affine_rows(prob, P)
+    assert all(type(v) is int for row in rows for v in row)
+
+
+def test_affine_build_reduces_entries_and_rejects_zero_directions():
+    big = 2**70 + 3
+    prob = InterpolationProblem(2, 4, [[-3, big], [5, -big]],
+                                [[[-1, big], [P, 2]], [[0, -7]]])
+    assert condition_matrix_affine(prob, prime=P) == exact_affine_rows(prob, P)
+    assert condition_matrix_affine(InterpolationProblem(2, 3, [], []), prime=P) == []
+    with pytest.raises(ValueError, match="zero direction"):
+        condition_matrix_affine(InterpolationProblem(2, 3, [[1, 2]], [[[0, 0]]]), prime=P)
+    # a rational entry is not a residue: refused rather than truncated to 0
+    with pytest.raises(TypeError):
+        condition_matrix_affine(InterpolationProblem(1, 2, [[Fraction(1, 2)]], [[]]), prime=P)
+
+
+def test_random_instance_draw_stream_is_pinned():
+    # digest of these draws as the first release made them: the draw stream
+    # (and with it every report's cases payload) must not drift
+    from ppinterp.verify import P8_SUBSPACES, specs_free, specs_on_subspace
+
+    draws = [
+        random_instance(8, specs_on_subspace(8, 0, (1, 1, 1)) + specs_on_subspace(8, 1, (0, 2, 3))
+                        + specs_on_subspace(8, 2, (2, 0, 1)), P8_SUBSPACES, P, seed=101),
+        random_instance(8, specs_on_subspace(8, 0, (2, 1, 0)) + specs_on_subspace(8, 1, (1, 1, 1))
+                        + specs_free(8, (2, 1, 0, 1, 1, 0, 0, 0, 2)), (L, M), P, seed=2**63 + 5),
+        random_instance(5, specs_on_subspace(5, 0, (1, 2, 1))
+                        + specs_free(5, (3, 1, 1, 0, 1, 2)), (L, M), P, seed=7),
+        random_instance(3, [ComponentSpec(l) for l in (4, 3, 2, 1, 1)], (), 65521, seed=3),
+    ]
+    blob = repr([[(c.point, c.combo) for c in inst.components] for inst in draws])
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "294025f2bcbb56e0435d2a1d221d4f741e21e4fd7e4ca90f97a5db318cf481fa"
+    )
 
 
 def test_on_subspace_requires_vanishing_basis():
