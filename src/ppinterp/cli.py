@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -35,7 +36,7 @@ def _add_common(parser):
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", help="write the report to this path instead of stdout")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--trials", type=int, default=3)
+    parser.add_argument("--trials", type=int, default=3, help="trials per case, at least 1")
 
 
 def _policy(args, max_degree: int) -> TrialPolicy:
@@ -174,6 +175,9 @@ def cmd_tables(args) -> int:
 def cmd_props(args) -> int:
     policy = _policy(args, 3)
     which = args.prop
+    if which in ("4.7", "4.13", "base") and args.n > 5 and not args.deep:
+        print(f"n={args.n} is behind --deep (combinatorial blow-up)", file=sys.stderr)
+        return USAGE_ERROR
     try:
         if which == "4.5":
             reports = verify.verify_prop45(policy)
@@ -181,21 +185,16 @@ def cmd_props(args) -> int:
             reports = verify.verify_remark46(policy)
         elif which == "4.8":
             reports = verify.verify_prop48_leftovers(policy, sample=args.sample)
-        elif which in ("4.7", "4.13", "base"):
-            if args.n > 5 and not args.deep:
-                print(f"n={args.n} is behind --deep (combinatorial blow-up)",
-                      file=sys.stderr)
-                return USAGE_ERROR
+        elif which == "4.7":
+            reports = [r for r in verify.verify_base_two_subspaces(policy, args.n)
+                       if r.case.startswith("4.7 ")]
+        elif which == "4.13":
+            reports = verify.verify_base_one_subspace(policy, args.n)
+        elif which == "base":
             reports = verify.verify_props47_413_base(policy, args.n)
-            if which != "base":
-                reports = [r for r in reports if r.case.startswith(which + " ")]
         else:  # all
-            reports = (verify.verify_prop45(policy) + verify.verify_remark46(policy)
-                       + verify.verify_prop48_leftovers(policy, sample=args.sample)
-                       + verify.verify_props47_413_base(policy, 5))
-            if args.deep:
-                for n in (6, 7):
-                    reports += verify.verify_props47_413_base(policy, n)
+            reports = (verify.run_suite(policy, "p8", sample=args.sample)
+                       + verify.run_suite(policy, "base", deep=args.deep))
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
@@ -210,8 +209,8 @@ def cmd_verify(args) -> int:
     if has_case:
         policy = _policy(args, args.d)
     else:
-        policy = _policy(args, max(d for suite, d in verify.SUITE_DEGREES.items()
-                                   if args.suite in ("all", suite)))
+        policy = _policy(args, max(degree for name, (degree, _) in verify.SUITES.items()
+                                   if args.suite in ("all", name)))
     try:
         if has_case:
             reports = [verify.verify_generic(policy, args.n, args.d,
@@ -266,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_props)
 
     p = sub.add_parser("verify", help="run a verification suite or one generic case")
-    p.add_argument("--suite", choices=("all",) + verify.SUITES, default="all")
+    p.add_argument("--suite", choices=("all", *verify.SUITES), default="all")
     p.add_argument("-n", type=int)
     p.add_argument("-d", type=int)
     p.add_argument("-a", type=_parse_profile)
@@ -278,8 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, DegenerateDrawError) as err:

@@ -20,7 +20,6 @@ probability about 1/p, so a handful of retries is already overkill.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -186,10 +185,6 @@ def scheme_degree(specs) -> int:
     return sum(s.length for s in specs)
 
 
-def type_of(specs, n: int) -> tuple:
-    return tuple(sum(1 for s in specs if s.length == i) for i in range(1, n + 2))
-
-
 def degree_bookkeeping(specs, subspaces, which) -> tuple:
     """(deg X, deg(X cap S), deg(X:S)) for S a subspace index or an iterable of them.
 
@@ -214,12 +209,6 @@ def _draw_point(rng, n, prime, zeroed):
         pt = [0 if i in zeroed else rng.randrange(prime) for i in range(n + 1)]
         if any(pt):
             return tuple(pt)
-
-
-def _combo_rank(combo, prime, columns=None):
-    if columns is not None:
-        combo = [[r[j] for j in columns] for r in combo]
-    return rank_rows(combo, prime)
 
 
 def random_instance(n, specs, subspaces=(), prime=DEFAULT_PRIME, seed=0) -> SchemeInstance:
@@ -265,7 +254,10 @@ def random_instance(n, specs, subspaces=(), prime=DEFAULT_PRIME, seed=0) -> Sche
                     tuple(rng.randrange(prime) for _ in range(n + 1))
                     for _ in range(n_rows)
                 )
-                if _combo_rank(combo, prime, check_cols) == n_rows:
+                checked = combo if check_cols is None else [
+                    [r[j] for j in check_cols] for r in combo
+                ]
+                if rank_rows(checked, prime) == n_rows:
                     break
             else:
                 raise DegenerateDrawError(
@@ -481,8 +473,3 @@ def scheme_from_json(doc):
         doc.get("seed", 0),
         doc.get("d"),
     )
-
-
-def load_scheme(path):
-    with open(path) as fh:
-        return scheme_from_json(json.load(fh))

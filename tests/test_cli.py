@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -225,3 +226,64 @@ def test_degenerate_draw_is_a_usage_error(monkeypatch, capsys):
     for argv in (("tables", "-n", "3"), ("props", "--prop", "4.6")):
         code, _, err = run_cli(capsys, *argv, "--prime", "11")
         assert code == 2 and err.startswith("error: could not draw"), argv
+
+
+# cases digests of cheap commands as the first release made them, one per
+# harness path: rank, dim with and without the cone bound, the exceptional
+# rank branch, the quadric enumeration and the partition-case generator
+PINNED_CASES = (
+    ("verify -n 3 -d 3 -a 3,3,3,3,3", 0, 1,
+     "de2d30a734b1b55e11798f0babb356fb6bd20b78a272bcec67d9675a8b012735"),
+    ("tables -n 3", 0, 8,
+     "b58cbcfa25ecebf108a88d7b879cdb9a8f0f33fb62f355570cde0bb715da7efc"),
+    ("verify --suite ah", 0, 5,
+     "c21fbe0bfe56006bff5299305df5aaf84b2ce8fb5604e8d0367cc2c2749e9982"),
+    ("verify -n 2 -d 4 -a 2,2,2,2,2", 0, 1,
+     "60e406f6b1144042f5074aeca394e3a14989266f37faa597a6c458d0e5b2c370"),
+    ("verify --suite quadrics", 0, 4,
+     "71fe672ad6610d7787e5a1521eb2bfc292dda928c3d8f8992b96da51b7ac437b"),
+    ("props --prop 4.6", 0, 3,
+     "97b82c5bc09d41d859d1887ee281bab3f234756c7f0140cf87677e067fed9dee"),
+    ("props --prop 4.8 --sample 2", 0, 18,
+     "d8bf5a7a49b6d1eb0d2fcd85669f9b63cfef8f9da0b22a9944d47b0259cae1d5"),
+)
+
+
+@pytest.mark.parametrize("command,code,count,digest", PINNED_CASES,
+                         ids=[c[0] for c in PINNED_CASES])
+def test_cases_payload_is_pinned(capsys, command, code, count, digest):
+    rc, out, _ = run_cli(capsys, *command.split())
+    cases = json.loads(out)["cases"]
+    blob = json.dumps(cases, sort_keys=True, separators=(",", ":"))
+    assert (rc, len(cases)) == (code, count)
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "ah", "--trials", "0"),
+    ("verify", "-n", "2", "-d", "4", "-a", "2,2,2,2,2", "--trials", "-3"),
+])
+def test_trials_below_one_refused(capsys, argv):
+    # a deficiency claim with no measurement must not PASS
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "trials" in err
+
+
+def test_props_413_is_the_base_subset(capsys):
+    _, base, _ = run_cli(capsys, "props", "--prop", "base")
+    code, only, _ = run_cli(capsys, "props", "--prop", "4.13")
+    subset = [c for c in json.loads(base)["cases"] if c["case"].startswith("4.13 ")]
+    assert code == 0 and len(subset) == 301
+    assert json.loads(only)["cases"] == subset
+
+
+def test_parser_built_once(monkeypatch, capsys):
+    from ppinterp import cli
+
+    def refuse():
+        raise AssertionError("parser rebuilt")
+
+    run_cli(capsys, "verify", "--suite", "ah", "--trials", "1")
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    code, _, _ = run_cli(capsys, "verify", "--suite", "ah", "--trials", "1")
+    assert code == 0

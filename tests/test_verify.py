@@ -163,6 +163,12 @@ def test_measured_never_exceeds_target():
         run_rank_case(POLICY, "guard2", 3, build)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_trial_policy_needs_a_trial(trials):
+    with pytest.raises(ValueError, match="trials"):
+        TrialPolicy(trials=trials)
+
+
 def test_run_suite_unknown():
     with pytest.raises(ValueError):
         verify.run_suite(POLICY, "nope")
