@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled GF(p) rank kernel against the numpy fallback.
+"""Benchmark the GF(p) rank paths: Python rows, the numpy kernel, the compiled one.
 
-The rank of seeded random square matrices over GF(31991) is one of the
-three layers of every verification sweep (with drawing and building the
-matrices); this script times both kernels on the matrix orders the suites
-produce (27, 36, 63, 126, 165) and on a full end-to-end sweep.
+The rank of seeded random matrices over GF(31991) is one of the three
+layers of every verification sweep (with drawing and building the
+matrices).  This script times both kernels on the matrix orders the suites
+produce (27, 36, 63, 126, 165) and on a full end-to-end sweep.  At the small
+orders (k x (k+1) for k = 3..21: the draws' direction checks and the
+smallest condition matrices) it also times ``linalg.rank_rows`` beside the
+kernels, with the work m*n*min(m, n) that ``linalg._ROWS_WORK`` is set
+against: ``linalg.rank`` eliminates on Python rows up to that work.
 
-Usage: python benchmarks/bench_rank.py [--repeats 50]
+Usage: python benchmarks/bench_rank.py [--repeats 20] [--mats 10]
 """
 
 import argparse
@@ -17,6 +21,7 @@ import numpy as np
 
 from ppinterp._gfcore_py import rank_mod as rank_py
 from ppinterp.gf import DEFAULT_PRIME
+from ppinterp.linalg import _ROWS_WORK, rank_rows
 
 try:
     from ppinterp._gfcore import rank_mod as rank_cy
@@ -24,11 +29,12 @@ except ImportError:
     rank_cy = None
 
 SIZES = (27, 36, 63, 126, 165)
+SMALL = (3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 17, 21)
 
 
-def random_matrix(rng, size):
+def random_matrix(rng, size, cols=None):
     return np.array(
-        [[rng.randrange(DEFAULT_PRIME) for _ in range(size)] for _ in range(size)],
+        [[rng.randrange(DEFAULT_PRIME) for _ in range(cols or size)] for _ in range(size)],
         dtype=np.int64,
     )
 
@@ -41,6 +47,21 @@ def bench_kernel(fn, mats, repeats):
             fn(m, DEFAULT_PRIME)
         best = min(best, time.perf_counter() - t0)
     return best / len(mats)
+
+
+def bench_small(rng, args):
+    """Python rows against the kernels on k x (k+1) matrices; rows get the kernels' input."""
+    print(f"\nsmall orders (linalg._ROWS_WORK = {_ROWS_WORK})")
+    header = f"{'shape':>7} {'work':>6} {'rows (us)':>10} {'numpy (us)':>11}"
+    if rank_cy is not None:
+        header += f" {'cython (us)':>12}"
+    print(header)
+    for k in SMALL:
+        mats = [random_matrix(rng, k, k + 1) for _ in range(args.mats)]
+        times = [bench_kernel(fn, mats, args.repeats) * 1e6
+                 for fn in (rank_rows, rank_py, rank_cy) if fn is not None]
+        print(f"{f'{k}x{k + 1}':>7} {k * (k + 1) * k:>6} "
+              + " ".join(f"{t:>{w}.1f}" for t, w in zip(times, (10, 11, 12))))
 
 
 def bench_suite():
@@ -75,6 +96,7 @@ def main():
     if rank_cy is None:
         print("compiled kernel not built; numpy fallback only "
               "(pip install -e . --no-build-isolation to build it)")
+    bench_small(rng, args)
 
     cases, dt = bench_suite()
     from ppinterp.linalg import KERNEL

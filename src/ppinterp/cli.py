@@ -143,7 +143,7 @@ def cmd_predict(args) -> int:
 def cmd_solve(args) -> int:
     try:
         prob = interp.load_problem(args.problem)
-    except (OSError, ValueError, KeyError) as err:
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as err:
         print(f"error reading problem: {err}", file=sys.stderr)
         return USAGE_ERROR
     prime = args.prime if args.field == "gf" else None
@@ -186,8 +186,7 @@ def cmd_props(args) -> int:
         elif which == "4.8":
             reports = verify.verify_prop48_leftovers(policy, sample=args.sample)
         elif which == "4.7":
-            reports = [r for r in verify.verify_base_two_subspaces(policy, args.n)
-                       if r.case.startswith("4.7 ")]
+            reports = verify.verify_base_two_subspaces(policy, args.n, props=("4.7",))
         elif which == "4.13":
             reports = verify.verify_base_one_subspace(policy, args.n)
         elif which == "base":

@@ -189,7 +189,7 @@ def problem_from_json(doc) -> InterpolationProblem:
         raise ValueError("only affine problems are solvable")
     prime = doc.get("prime")
     if prime is not None:
-        conv = lambda v: int(v) % prime
+        conv = lambda v: _residue(v, prime)
     else:
         conv = as_fraction
     points = [[conv(x) for x in p] for p in doc["points"]]

@@ -28,7 +28,7 @@ from operator import index
 import numpy as np
 
 from .gf import DEFAULT_PRIME
-from .linalg import rank, rank_rows
+from .linalg import rank
 from .monomials import (
     AFFINE,
     HOMOGENEOUS,
@@ -257,7 +257,7 @@ def random_instance(n, specs, subspaces=(), prime=DEFAULT_PRIME, seed=0) -> Sche
                 checked = combo if check_cols is None else [
                     [r[j] for j in check_cols] for r in combo
                 ]
-                if rank_rows(checked, prime) == n_rows:
+                if rank(checked, prime) == n_rows:
                     break
             else:
                 raise DegenerateDrawError(

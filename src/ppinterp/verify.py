@@ -294,15 +294,17 @@ def _two_subspace_triples(n: int):
             yield l, lm - l, f
 
 
-def verify_base_two_subspaces(policy: TrialPolicy, n: int) -> list:
+def verify_base_two_subspaces(policy: TrialPolicy, n: int, props=("4.7", "4.8")) -> list:
     """Cubic rank checks in P^n over two disjoint codimension-3 subspaces plus a
-    free part: 9(n-1) conditions (Props. 4.7 and 4.8)."""
+    free part: 9(n-1) conditions (Props. 4.7 and 4.8, or those in ``props``)."""
     if n < 5:
         raise ValueError("base cases start at n = 5")
     basis = vanishing_basis(n, 3, BASE_SUBSPACES)
     reports = []
     for l, m, f in _two_subspace_triples(n):
         prop = "4.7" if f <= 3 * n + 6 else "4.8"
+        if prop not in props:
+            continue
         families = [_on_subspace("L", n, 0, l), _on_subspace("M", n, 1, m), _free_part(n, f)]
         reports += _partition_cases(policy, n, BASE_SUBSPACES, basis,
                                     f"{prop} n={n} ({l},{m},{f})", families)

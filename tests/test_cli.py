@@ -1,4 +1,7 @@
+import contextlib
+import functools
 import hashlib
+import io
 import json
 
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from ppinterp import verify
 from ppinterp.cli import main
 from ppinterp.schemes import DegenerateDrawError
+from ppinterp.verify import _partition_cases
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +88,67 @@ def test_solve_singular_exits_one(tmp_path, capsys):
 def test_solve_missing_file(capsys):
     code, _, err = run_cli(capsys, "solve", "/nonexistent/problem.json")
     assert code == 2
+
+
+@pytest.mark.parametrize("bad", [
+    {"points": [[0], [1.9]], "prime": 31991},       # was truncated to 1
+    {"values": [[1], [True]], "prime": 31991},      # was read as 1
+    {"points": [[0], [1.9]]},                       # was a TypeError traceback
+    {"points": [[0], ["1/7"]], "prime": 7},         # no residue mod 7
+], ids=["float-mod-p", "bool-mod-p", "float-over-q", "no-residue"])
+def test_problem_file_scalars_are_exact_or_refused(tmp_path, capsys, bad):
+    problem = {"n": 1, "d": 1, "mode": "affine", "points": [[0], [1]],
+               "directions": [[], []], "values": [[1], [2]], **bad}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error reading problem:")
+
+
+# `ppinterp solve` outputs as the Fraction Gauss-Jordan solver made them
+SOLVE_PROBLEMS = {
+    # three points of the plane with one derivative each: 6 = C(4, 2) conditions
+    "unique": {"n": 2, "d": 2, "mode": "affine",
+               "points": [[0, 0], ["1/2", 3], [-2, "5/3"]],
+               "directions": [[[1, 0]], [[1, "-1/4"]], [[2, 1]]],
+               "values": [[1, "2/3"], [-1, 0], ["7/5", 4]]},
+    # three conditions on six coefficients: free coefficients are 0
+    "any": {"n": 2, "d": 2, "mode": "affine",
+            "points": [["1/3", 2], [4, -1]], "directions": [[[1, 1]], []],
+            "values": [["-3/2", 5], [2]]},
+    # coincident points: square and not exceptional, but singular
+    "degenerate": {"n": 1, "d": 2, "mode": "affine",
+                   "points": [[0], ["1/2"], ["1/2"]], "directions": [[], [], []],
+                   "values": [[1], [2], [3]]},
+    # two double points of the plane: exceptional for conics, values unreachable
+    "exceptional": {"n": 2, "d": 2, "mode": "affine",
+                    "points": [[0, 0], [1, "2/3"]],
+                    "directions": [[[1, 0], [0, 1]], [[1, 0], [0, 1]]],
+                    "values": [[1, 2, 3], ["1/2", -1, 4]]},
+}
+PINNED_SOLVES = (
+    ("unique", "rational", 0, "dd6c53dabdff38894ead2d18731eac556431c485d9630cf3b7a7b90f49a0ed39"),
+    ("unique", "gf", 0, "a7bf32bdec112a72a3cc087f70ebe8e06c5286ae93fd3ea0c8473deedbe8158d"),
+    ("any", "rational", 0, "421a6e72ebbda3182a302f58a25edb407437b9dce00a371dfd518af22acd0576"),
+    ("any", "gf", 0, "c023662ea9fca359e0304488e37c3fce0a7dfc48933aa76cda785527a350b94b"),
+    ("degenerate", "rational", 1,
+     "5ac2fdf227bf5fe1010e5c7b2cb34e923c8e8027906014d79d856f462b14e91f"),
+    ("degenerate", "gf", 1, "5ac2fdf227bf5fe1010e5c7b2cb34e923c8e8027906014d79d856f462b14e91f"),
+    ("exceptional", "rational", 1,
+     "f7ac7720181360b8872d094e106b0c5184a26c1c2ac4af017934c31e6f92d902"),
+    ("exceptional", "gf", 1, "f7ac7720181360b8872d094e106b0c5184a26c1c2ac4af017934c31e6f92d902"),
+)
+
+
+@pytest.mark.parametrize("name,field,code,digest", PINNED_SOLVES,
+                         ids=[f"{name}-{field}" for name, field, _, _ in PINNED_SOLVES])
+def test_solve_output_is_pinned(tmp_path, capsys, name, field, code, digest):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(SOLVE_PROBLEMS[name]))
+    rc, out, _ = run_cli(capsys, "solve", str(path), "--field", field)
+    assert rc == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_tables_p3_json(capsys):
@@ -269,12 +334,36 @@ def test_trials_below_one_refused(capsys, argv):
     assert code == 2 and out == "" and "trials" in err
 
 
+@functools.cache
+def _base_cases():
+    # one `props --prop base` run (about 8 s) shared by the subset tests
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["props", "--prop", "base"]) == 0
+    return json.loads(out.getvalue())["cases"]
+
+
 def test_props_413_is_the_base_subset(capsys):
-    _, base, _ = run_cli(capsys, "props", "--prop", "base")
     code, only, _ = run_cli(capsys, "props", "--prop", "4.13")
-    subset = [c for c in json.loads(base)["cases"] if c["case"].startswith("4.13 ")]
+    subset = [c for c in _base_cases() if c["case"].startswith("4.13 ")]
     assert code == 0 and len(subset) == 301
     assert json.loads(only)["cases"] == subset
+
+
+def test_props_47_is_the_base_subset(capsys, monkeypatch):
+    subset = [c for c in _base_cases() if c["case"].startswith("4.7 ")]
+    # the 4.8 triples are skipped, not run and then filtered out
+    prefixes = []
+
+    def spy(policy, n, subspaces, basis, prefix, families, sample=None):
+        prefixes.append(prefix)
+        return _partition_cases(policy, n, subspaces, basis, prefix, families, sample)
+
+    monkeypatch.setattr(verify, "_partition_cases", spy)
+    code, only, _ = run_cli(capsys, "props", "--prop", "4.7")
+    assert code == 0 and len(subset) == 1621
+    assert json.loads(only)["cases"] == subset
+    assert prefixes and all(p.startswith("4.7 ") for p in prefixes)
 
 
 def test_parser_built_once(monkeypatch, capsys):

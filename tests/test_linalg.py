@@ -1,7 +1,4 @@
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -192,8 +189,10 @@ WORD_PRIMES = (3, P, 65521, 67108859)
     )
 )
 def test_rank_matches_python_int_elimination_up_to_max_prime(case):
+    # the kernels directly: rank() itself sends matrices this small to rank_rows
     p, rows = case
-    assert rank(rows, p) == rank_rows(rows, p)
+    for kernel in (linalg._rank_mod, rank_mod_py):
+        assert kernel(np.array(rows, dtype=np.int64), p) == rank_rows(rows, p)
 
 
 def test_rank_refuses_primes_beyond_word_size():
@@ -221,10 +220,126 @@ def test_solve_square_exact_or_singular_hypothesis(rows):
         assert sum(c * v for c, v in zip(row, x)) == b
 
 
-def test_pure_python_kernel_selection():
-    env = dict(os.environ, PPINTERP_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from ppinterp.linalg import KERNEL; print(KERNEL)"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "python"
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (2, 2), (4, 5), (10, 10), (11, 11),
+                                   (20, 21)])
+def test_rank_picks_its_path_by_work(monkeypatch, shape):
+    m, n = shape
+    seen = []
+    monkeypatch.setattr(linalg, "_rank_mod", lambda a, p: seen.append(a.shape) or rank_mod_py(a, p))
+    assert rank(np.eye(m, n, dtype=np.int64), P) == min(m, n)
+    assert rank(np.eye(m, n, dtype=np.int64).tolist(), P) == min(m, n)
+    kernel = m * n * min(m, n) > linalg._ROWS_WORK
+    assert seen == ([shape, shape] if kernel else [])
+    # the rationals never reach the int64 kernel
+    eye = [[Fraction(v) for v in row] for row in np.eye(m, n, dtype=int).tolist()]
+    assert rank(eye) == min(m, n)
+    assert len(seen) == (2 if kernel else 0)
+
+
+def test_prime_path_refuses_non_integer_entries():
+    # a Fraction used to be truncated by int() before reduction mod p
+    with pytest.raises(TypeError):
+        rank_rows([[Fraction(1, 2), 1]], P)
+    with pytest.raises(TypeError):
+        solve_square([[Fraction(1, 2)]], [1], P)
+
+
+def _gauss_jordan(matrix, rhs):
+    """Reference: Fraction Gauss-Jordan; (rank, solution with free variables 0 or None)."""
+    n = len(matrix[0])
+    rows = [[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [a / rows[r][c] for a in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = row[c]
+                rows[i] = [a - f * b for a, b in zip(row, rows[r])]
+        pivots.append(c)
+    if any(row[n] for row in rows[len(pivots):]):
+        return len(pivots), None
+    x = [Fraction(0)] * n
+    for row, c in zip(rows, pivots):
+        x[c] = row[n]
+    return len(pivots), x
+
+
+def test_fraction_free_pivots_are_minors():
+    # dividing each update by the previous pivot keeps every entry a minor of
+    # the input, so the last pivot of a square matrix is its determinant
+    rng = random.Random(41)
+    for _ in range(100):
+        n = rng.randint(1, 7)
+        a = [[rng.randint(-9, 9) if rng.random() < 0.8 else 0 for _ in range(n)]
+             for _ in range(n)]
+        rows = [row[:] for row in a]
+        pivots = linalg._echelon(rows, n, None)
+        det = Fraction(1)
+        m = [[Fraction(v) for v in row] for row in a]
+        for c in range(n):
+            piv = next((i for i in range(c, n) if m[i][c]), None)
+            if piv is None:
+                det = 0
+                break
+            m[c], m[piv] = m[piv], m[c]
+            det *= m[c][c] if piv == c else -m[c][c]
+            for i in range(c + 1, n):
+                f = m[i][c] / m[c][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+        assert (len(pivots) == n) == (det != 0)
+        if det:
+            assert abs(rows[n - 1][n - 1]) == abs(det)
+
+
+SCALARS = st.integers(-4, 4) | st.fractions(-4, 4, max_denominator=5)
+
+
+@st.composite
+def rational_systems(draw):
+    """Rectangular or square, full rank or a product of rank k, maybe a zero column,
+    with a reachable or an arbitrary right-hand side."""
+    m = draw(st.integers(1, 6))
+    n = m if draw(st.booleans()) else draw(st.integers(1, 6))
+    cells = lambda rows, cols: draw(st.lists(st.lists(SCALARS, min_size=cols, max_size=cols),
+                                             min_size=rows, max_size=rows))
+    if draw(st.booleans()):
+        a = cells(m, n)
+    else:
+        k = draw(st.integers(0, min(m, n)))
+        b, c = cells(m, k), cells(k, n)
+        a = [[sum((row[t] * c[t][j] for t in range(k)), Fraction(0)) for j in range(n)]
+             for row in b]
+    zero = draw(st.none() | st.integers(0, n - 1))
+    if zero is not None:
+        for row in a:
+            row[zero] = 0
+    if draw(st.booleans()):
+        x0 = cells(1, n)[0]
+        rhs = [sum((v * w for v, w in zip(row, x0)), Fraction(0)) for row in a]
+    else:
+        rhs = cells(1, m)[0]
+    return a, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_systems())
+def test_fraction_free_elimination_matches_gauss_jordan(system):
+    a, rhs = system
+    r, x = _gauss_jordan(a, rhs)
+    assert rank(a) == r
+    if x is None:
+        with pytest.raises(InconsistentSystemError):
+            solve_any(a, rhs)
+    else:
+        assert solve_any(a, rhs) == x
+    if len(a) == len(a[0]):
+        if r < len(a):
+            with pytest.raises(SingularSystemError):
+                solve_square(a, rhs)
+        else:
+            assert solve_square(a, rhs) == x
