@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark the GF(p) rank paths: Python rows, the numpy kernel, the compiled one.
+"""Benchmark the exact elimination paths: GF(p) rank kernels and both solvers.
 
 The rank of seeded random matrices over GF(31991) is one of the three
 layers of every verification sweep (with drawing and building the
@@ -10,18 +10,34 @@ smallest condition matrices) it also times ``linalg.rank_rows`` beside the
 kernels, with the work m*n*min(m, n) that ``linalg._ROWS_WORK`` is set
 against: ``linalg.rank`` eliminates on Python rows up to that work.
 
+The solvers get two tables.  Over GF(p), Python-row elimination
+(``_echelon`` and its back-substitution) against ``echelon_mod`` and the
+numpy back-substitution on random square systems, which sets
+``linalg._SOLVE_ROWS_WORK``.  Over Q, Bareiss against Dixon lifting on the
+integer rows of seeded square interpolation problems of orders 10-126
+(small integers and two-digit fractions), which sets ``linalg._DIXON_ORDER``;
+``--big`` adds orders 120-126 with 15-bit integer coordinates.  Both
+paths must return the same solution.
+
 Usage: python benchmarks/bench_rank.py [--repeats 20] [--mats 10]
+                                       [--bareiss-max 66] [--big]
 """
 
 import argparse
 import random
 import time
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 
+from ppinterp import interp, linalg
+from ppinterp._gfcore_py import echelon_mod
 from ppinterp._gfcore_py import rank_mod as rank_py
 from ppinterp.gf import DEFAULT_PRIME
 from ppinterp.linalg import _ROWS_WORK, rank_rows
+from ppinterp.monomials import AFFINE, build_basis
+from ppinterp.schemes import InterpolationProblem, condition_matrix_affine
 
 try:
     from ppinterp._gfcore import rank_mod as rank_cy
@@ -30,6 +46,13 @@ except ImportError:
 
 SIZES = (27, 36, 63, 126, 165)
 SMALL = (3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 17, 21)
+GF_SOLVE_ORDERS = (4, 6, 8, 9, 10, 11, 12, 16, 21, 45, 66, 126)
+# (n, d) of the rational solves: orders C(n+d, d) = 4, 6, 8, 10, 12, 15, 21, 28, 36, 45,
+# 56, 66, 84, 126.  Double points fill each order, so (n, d) avoids the
+# Alexander-Hirschowitz exceptions, where those systems are always singular.
+Q_SHAPES = ((1, 3), (1, 5), (1, 7), (2, 3), (1, 11), (1, 14), (2, 5), (2, 6), (2, 7), (2, 8),
+            (3, 5), (2, 10), (3, 6), (4, 5))
+Q_BIG_SHAPES = ((2, 14), (3, 7), (4, 5), (5, 4))
 
 
 def random_matrix(rng, size, cols=None):
@@ -73,10 +96,105 @@ def bench_suite():
     return len(reports), dt
 
 
+def _best(fn, repeats):
+    best, out = float("inf"), None
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - t0)
+    return best, out
+
+
+def _gf_rows(rows, n):
+    rows = [r[:] for r in rows]
+    pivots = linalg._echelon(rows, n, DEFAULT_PRIME)
+    return linalg._back_substitute(rows, pivots, n, DEFAULT_PRIME)
+
+
+def _gf_numpy(rows, n):
+    reduced, pivots = echelon_mod(np.array(rows, dtype=np.int64), n, DEFAULT_PRIME)
+    return linalg._back_substitute_mod(reduced, pivots, n, DEFAULT_PRIME)[:, 0].tolist()
+
+
+def bench_solve_gf(rng, args):
+    """Python rows against echelon_mod on random square systems [A | b] mod p."""
+    print(f"\nGF(p) solve (linalg._SOLVE_ROWS_WORK = {linalg._SOLVE_ROWS_WORK})")
+    print(f"{'order':>6} {'work':>8} {'rows (ms)':>10} {'echelon_mod (ms)':>17}")
+    for n in GF_SOLVE_ORDERS:
+        rows = random_matrix(rng, n, n + 1).tolist()
+        t_rows, x_rows = _best(lambda: _gf_rows(rows, n), args.repeats)
+        t_np, x_np = _best(lambda: _gf_numpy(rows, n), args.repeats)
+        assert x_rows == x_np, n
+        print(f"{n:>6} {n ** 3:>8} {t_rows * 1e3:>10.3f} {t_np * 1e3:>17.3f}")
+
+
+def _scalar(rng, kind):
+    if kind == "int":
+        return rng.randint(-9, 9)
+    if kind == "int15":
+        return rng.randint(-(2**15) + 1, 2**15 - 1)
+    return Fraction(rng.choice((-1, 1)) * rng.randint(10, 99), rng.randint(10, 99))
+
+
+def square_problem(rng, n, d, kind):
+    """A seeded square problem, nonsingular mod the default prime (hence over Q).
+
+    Double points (n directions) fill the order, plus one point with fewer
+    directions for the remainder.
+    """
+    order = comb(n + d, d)
+    full, rest = divmod(order, n + 1)
+    profile = [n] * full + ([rest - 1] if rest else [])
+    for _ in range(50):
+        prob = InterpolationProblem(
+            n, d,
+            [[_scalar(rng, kind) for _ in range(n)] for _ in profile],
+            [[[_scalar(rng, kind) for _ in range(n)] for _ in range(a)] for a in profile],
+            [[_scalar(rng, kind) for _ in range(a + 1)] for a in profile],
+        )
+        reduced = interp._reduce_problem(prob, DEFAULT_PRIME)
+        try:
+            matrix = condition_matrix_affine(reduced)
+        except ValueError:  # a zero direction mod p
+            continue
+        if linalg.rank(matrix, DEFAULT_PRIME) == order:
+            return prob
+    raise ValueError(f"no nonsingular draw for n={n}, d={d}")
+
+
+def bench_solve_q(rng, args, shapes, kinds):
+    """Bareiss against Dixon on the integer rows the rational solve builds."""
+    print(f"\nrational solve (linalg._DIXON_ORDER = {linalg._DIXON_ORDER}; "
+          f"Bareiss only up to order {args.bareiss_max})")
+    print(f"{'n':>2} {'d':>3} {'order':>6} {'kind':>6} {'bareiss (s)':>12} {'dixon (s)':>10}")
+    for n, d in shapes:
+        order = comb(n + d, d)
+        for kind in kinds:
+            prob = square_problem(rng, n, d, kind)
+            rows, rhs = interp._rational_system(prob, build_basis(AFFINE, n, d))
+            aug = [row + [b] for row, b in zip(rows, rhs)]
+            repeats = 1 if order > 45 else 3
+            t_dx, x_dx = _best(lambda: linalg._dixon(aug, order), repeats)
+            assert x_dx is not None, (n, d, kind)
+            line = f"{n:>2} {d:>3} {order:>6} {kind:>6} "
+            if order <= args.bareiss_max:
+                t_br, x_br = _best(
+                    lambda: linalg._solve([r[:] for r in aug], order, None, True), repeats)
+                assert x_br == x_dx, (n, d, kind)
+                line += f"{t_br:>12.4f}"
+            else:
+                line += f"{'-':>12}"
+            print(line + f" {t_dx:>10.4f}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=20)
     parser.add_argument("--mats", type=int, default=10, help="matrices per size")
+    parser.add_argument("--bareiss-max", type=int, default=66,
+                        help="largest order that the rational table also runs Bareiss at")
+    parser.add_argument("--big", action="store_true",
+                        help="add rational solves at orders 120-126 with 15-bit coordinates")
     args = parser.parse_args()
 
     rng = random.Random(1)
@@ -97,6 +215,10 @@ def main():
         print("compiled kernel not built; numpy fallback only "
               "(pip install -e . --no-build-isolation to build it)")
     bench_small(rng, args)
+    bench_solve_gf(rng, args)
+    bench_solve_q(rng, args, Q_SHAPES, ("int", "frac"))
+    if args.big:
+        bench_solve_q(rng, args, Q_BIG_SHAPES, ("int15",))
 
     cases, dt = bench_suite()
     from ppinterp.linalg import KERNEL

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -146,11 +147,15 @@ def cmd_solve(args) -> int:
     except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as err:
         print(f"error reading problem: {err}", file=sys.stderr)
         return USAGE_ERROR
-    prime = args.prime if args.field == "gf" else None
-    if args.field == "auto":
-        prime = prob.prime
+    # the field is chosen here: a file's "prime" applies only to --field auto
+    if args.field == "rational":
+        prob = dataclasses.replace(prob, prime=None)
+    prime = args.prime if args.field == "gf" else prob.prime
     try:
         result = interp.predict_then_solve(prob, prime)
+    except interp.NoResidueError as err:
+        print(f"error reading problem: {err}", file=sys.stderr)
+        return USAGE_ERROR
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR

@@ -17,7 +17,12 @@ from math import comb
 from . import linalg, theory
 from .gf import as_fraction, check_modulus, inv_mod, scalar_to_json
 from .monomials import AFFINE, build_basis
-from .schemes import InterpolationProblem, condition_matrix_affine, condition_rhs
+from .schemes import (
+    InterpolationProblem,
+    _affine_rows_exact,
+    condition_matrix_affine,
+    condition_rhs,
+)
 
 
 class SingularProblemError(linalg.SingularSystemError):
@@ -31,6 +36,10 @@ class SingularProblemError(linalg.SingularSystemError):
 
 class InconsistentProblemError(linalg.InconsistentSystemError):
     """The assigned values admit no polynomial of the requested degree."""
+
+
+class NoResidueError(ValueError):
+    """A problem scalar has no residue mod the chosen prime: the prime divides its denominator."""
 
 
 @dataclass
@@ -64,8 +73,8 @@ class Interpolant:
 def _residue(v, p: int) -> int:
     # rationals embed in GF(p) as num * den^-1 when p does not divide den
     f = as_fraction(v)
-    if f.denominator == 1:
-        return f.numerator % p
+    if f.denominator % p == 0:
+        raise NoResidueError(f"{f} has no residue mod {p}")
     return f.numerator * inv_mod(f.denominator, p) % p
 
 
@@ -77,6 +86,23 @@ def _reduce_problem(prob: InterpolationProblem, p: int) -> InterpolationProblem:
         [[_residue(x, p) for x in vs] for vs in prob.values],
         prime=p,
     )
+
+
+def _rational_system(prob: InterpolationProblem, basis):
+    """Integer rows and right-hand side of the problem over Q.
+
+    The rows are ``_affine_rows_exact``'s; each right-hand side is scaled by
+    its row's scale, and a row whose scaled value is not an integer is
+    multiplied through by that value's denominator.
+    """
+    rows, scales = _affine_rows_exact(prob, basis)
+    rhs = []
+    for row, scale, b in zip(rows, scales, condition_rhs(prob)):
+        b = as_fraction(b) * scale
+        if b.denominator != 1:
+            row[:] = [a * b.denominator for a in row]
+        rhs.append(b.numerator)
+    return rows, rhs
 
 
 def diagnose_profile(n: int, d: int, a) -> str:
@@ -110,9 +136,7 @@ def solve(prob: InterpolationProblem, prime: int | None = None,
         matrix = condition_matrix_affine(prob, basis, prime)
         rhs = condition_rhs(prob)
     else:
-        matrix = [[as_fraction(v) for v in row]
-                  for row in condition_matrix_affine(prob, basis)]
-        rhs = [as_fraction(v) for v in condition_rhs(prob)]
+        matrix, rhs = _rational_system(prob, basis)
 
     if mode == "unique":
         if len(matrix) != len(basis):
@@ -185,18 +209,17 @@ def residuals(prob: InterpolationProblem, f: Interpolant) -> list:
 # JSON problem shape: {n, d, mode, points, directions, values, prime?}
 
 def problem_from_json(doc) -> InterpolationProblem:
+    """The problem with exact scalars; a ``"prime"`` is recorded, and the solve reduces."""
     if doc.get("mode", AFFINE) != AFFINE:
         raise ValueError("only affine problems are solvable")
-    prime = doc.get("prime")
-    if prime is not None:
-        conv = lambda v: _residue(v, prime)
-    else:
-        conv = as_fraction
-    points = [[conv(x) for x in p] for p in doc["points"]]
-    directions = [[[conv(x) for x in v] for v in ds] for ds in doc["directions"]]
+    points = [[as_fraction(x) for x in p] for p in doc["points"]]
+    directions = [[[as_fraction(x) for x in v] for v in ds] for ds in doc["directions"]]
     values = doc.get("values")
     if values is not None:
-        values = [[conv(x) for x in vs] for vs in values]
+        values = [[as_fraction(x) for x in vs] for vs in values]
+    prime = doc.get("prime")
+    if prime is not None and (isinstance(prime, bool) or not isinstance(prime, int)):
+        raise TypeError(f"prime must be an integer, got {prime!r}")
     return InterpolationProblem(doc["n"], doc["d"], points, directions, values, prime)
 
 

@@ -10,7 +10,8 @@ deterministic.  Over Q it is fraction-free (Bareiss 1968): each row is first
 scaled by the lcm of its denominators, and every update divides exactly by
 the previous pivot.  Over GF(p) the same update is reduced mod p.  The
 elimination makes no ``Fraction`` and no modular inverse; only the solvers'
-back-substitution does.
+back-substitution does.  Its numpy twin ``echelon_mod`` pivots by the same
+rule, so both give the same pivots and the same solution.
 
 :func:`rank` picks its own path: over Q, and over GF(p) for matrices whose
 work m*n*min(m, n) is at most ``_ROWS_WORK``, it runs :func:`_echelon`;
@@ -18,16 +19,30 @@ larger GF(p) matrices (the condition matrices of the verification sweeps)
 go to the compiled kernel when the extension is built and the numpy
 fallback otherwise (``KERNEL`` says which one is active).  The kernels'
 int64 arithmetic needs ``prime < MAX_PRIME``, which ``rank`` checks first.
+
+The solvers pick theirs the same way.  Over GF(p), systems above
+``_SOLVE_ROWS_WORK`` are eliminated by ``echelon_mod`` and solved by one
+numpy back-substitution.  Over Q, nonsingular square systems of order at
+least ``_DIXON_ORDER`` are solved by Dixon's p-adic lifting (Numer. Math. 40,
+1982): A is inverted once modulo a word-size prime p, each lift solves
+A x = r mod p and divides r - A x by p, and rational reconstruction (von zur
+Gathen and Gerhard, Modern Computer Algebra, ch. 5) turns the p-adic
+approximation into numerators over one common denominator.  A candidate is
+returned only once ``A num == den b`` holds in Python integers.  Everything
+else -- singular systems, ``solve_any``, small orders, and the rare system
+that is singular modulo both lifting primes -- goes through :func:`_echelon`,
+which alone decides singularity and consistency.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import index
+from math import isqrt, lcm
+from operator import index, mul
 
 import numpy as np
 
+from ._gfcore_py import echelon_mod
 from .gf import MAX_PRIME
 
 try:
@@ -44,6 +59,28 @@ except ImportError:  # extension not built
 # and Python rows beat it up to about 10x10; the compiled kernel beats them at
 # every order (benchmarks/bench_rank.py times all three).
 _ROWS_WORK = 0 if KERNEL == "cython" else 1000
+
+# Largest work m*n*min(m, n) of a GF(p) system that the solvers eliminate on
+# Python rows rather than by echelon_mod.  benchmarks/bench_rank.py, 2-vCPU
+# Xeon, numpy 2.4, random square systems mod 31991: the two tie at order 16
+# (0.53 vs 0.49 ms); rows win 3.9x at order 4, echelon_mod 6.8x at order 45 and
+# 12x at order 126.
+_SOLVE_ROWS_WORK = 4096
+
+# Smallest order that solve_square over Q lifts p-adically rather than
+# eliminating by Bareiss.  benchmarks/bench_rank.py, same machine, integer rows
+# of seeded square interpolation problems (entries in [-9, 9] or two-digit
+# fractions): Bareiss wins at order 21 (1.0 vs 1.1 ms and 4.9 vs 6.4 ms), Dixon
+# at order 28 (2.8 vs 2.3 ms and 17.5 vs 11.5 ms), and Dixon is 8-13x faster at
+# order 66.
+_DIXON_ORDER = 25
+
+# The lifting primes: the two largest primes below 2**26.  Each lift multiplies
+# A, split into signed limbs of _LIMB_BITS bits, and the inverse mod p by a
+# digit vector in int64; both sums of n products stay below 2**63 while
+# n * (2**26 - 1)**2 < 2**63, which covers n * (p - 1)**2 < 2**63.
+_DIXON_PRIMES = (67108859, 67108837)
+_LIMB_BITS = 26
 
 
 class SingularSystemError(ValueError):
@@ -68,6 +105,9 @@ def _int_rows(rows, prime):
         return [[index(a) % prime for a in row] for row in rows]
     out = []
     for row in rows:
+        if all(type(a) is int for a in row):
+            out.append(row)
+            continue
         row = [Fraction(a) for a in row]
         scale = lcm(*(a.denominator for a in row))
         out.append([a.numerator * (scale // a.denominator) for a in row])
@@ -128,15 +168,6 @@ def nullspace_dim(matrix, prime: int | None = None) -> int:
     return n - rank(matrix, prime)
 
 
-def _reduce(matrix, rhs, prime):
-    """Echelon form of the augmented system; returns (rows, pivots, columns)."""
-    rows, m, n = _shape(matrix)
-    if len(rhs) != m:
-        raise ValueError("right-hand side length mismatch")
-    rows = _int_rows([row + [b] for row, b in zip(rows, rhs)], prime)
-    return rows, _echelon(rows, n, prime), n
-
-
 def _back_substitute(rows, pivots, n, prime):
     """The solution with free variables 0 of consistent echelon rows.
 
@@ -153,14 +184,178 @@ def _back_substitute(rows, pivots, n, prime):
     return x if prime is not None else [Fraction(v, scale) for v in x]
 
 
+def _back_substitute_mod(rows, pivots, n, p):
+    """Solutions mod p, free variables 0, of the unit-pivot rows ``[U | B]`` of echelon_mod.
+
+    One solution column per column of B.  Pivot k, last first, is final once
+    the pivots after it are eliminated from its row; it is then eliminated
+    from the rows above, one product per entry.
+    """
+    x = rows[:len(pivots), n:].copy()
+    for k in range(len(pivots) - 1, 0, -1):
+        f = rows[:k, pivots[k]]
+        if f.any():
+            x[:k] = (x[:k] - f[:, None] * x[k]) % p
+    out = np.zeros((n, x.shape[1]), dtype=np.int64)
+    out[pivots] = x
+    return out
+
+
+def _inverse_mod(a, n, p):
+    """A^-1 mod p of the (n, n) residues ``a``, or None when A is singular mod p."""
+    rows, pivots = echelon_mod(np.hstack([a, np.eye(n, dtype=np.int64)]), n, p)
+    return _back_substitute_mod(rows, pivots, n, p) if len(pivots) == n else None
+
+
+def _limbs(a, n):
+    """A as a stack of ``(n, n)`` int64 limbs, least significant first: A = sum_j A_j 2**(26 j).
+
+    Limb j of an entry is the sign of the entry times bits 26j..26j+25 of its
+    magnitude, so every limb lies strictly between -2**26 and 2**26.
+    """
+    flat = [v for row in a for v in row]
+    width = max(v.bit_length() for v in flat)
+    count = max(1, -(-width // _LIMB_BITS))
+    neg = np.array([v < 0 for v in flat])
+    mags = [abs(v) for v in flat] if neg.any() else flat
+    mask = (1 << _LIMB_BITS) - 1
+    out = np.empty((count, n * n), dtype=np.int64)
+    for j in range(count):
+        shift = j * _LIMB_BITS
+        out[j] = [(v >> shift) & mask for v in mags]
+    out[:, neg] *= -1
+    return out.reshape(count * n, n), count
+
+
+def _rat_recon(u, m, nbound, dbound):
+    """(a, b) with a = b*u mod m, |a| <= nbound and 0 < b <= dbound, or None.
+
+    The extended Euclidean algorithm on (m, u), stopped at the first
+    remainder within ``nbound`` (von zur Gathen and Gerhard, section 5.10).
+    """
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > nbound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 < 0:
+        r1, t1 = -r1, -t1
+    if t1 == 0 or t1 > dbound:
+        return None
+    return r1, t1
+
+
+def _reconstruct(residues, m):
+    """Numerators and one common denominator that match ``residues`` mod m, or None.
+
+    Numerators and the denominator are bounded by sqrt(m/2), which makes the
+    answer unique when one exists.  The denominator found so far usually
+    clears the next component already, so most components cost one product.
+    """
+    bound = isqrt(m >> 1)
+    half = m >> 1
+    den, nums = 1, []
+    for u in residues:
+        v = u * den % m
+        if v > half:
+            v -= m
+        if abs(v) > bound:
+            got = _rat_recon(v % m, m, bound, bound // den)
+            if got is None:
+                return None
+            v, e = got
+            nums = [t * e for t in nums]
+            den *= e
+        nums.append(v)
+    return nums, den
+
+
+def _dixon(rows, n):
+    """Solution of the integer system ``[A | b]`` by p-adic lifting, or None.
+
+    None when A is singular modulo both lifting primes, when n is too large
+    for exact int64 products, or when the lift passes the Hadamard bound
+    without a certified candidate.  Reconstruction is tried each time the
+    modulus p**k grows by a quarter of its bit length, and once more past the
+    bound 2*H**2, where H bounds det A and every Cramer numerator; there a
+    solution is certain to be found if A is nonsingular.
+    """
+    if n * ((1 << _LIMB_BITS) - 1) ** 2 >= 2**63:
+        return None
+    a = [row[:n] for row in rows]
+    b = [row[n] for row in rows]
+    for p in _DIXON_PRIMES:
+        inv = _inverse_mod(np.array([[v % p for v in row] for row in a], dtype=np.int64), n, p)
+        if inv is not None:
+            break
+    else:
+        return None
+    limbs, count = _limbs(a, n)
+    h2 = 1
+    for row, bi in zip(a, b):
+        h2 *= sum(v * v for v in row) + bi * bi
+    limit = (2 * h2).bit_length()
+    residual, approx, pk = np.array(b, dtype=object), np.zeros(n, dtype=object), 1
+    next_try = p.bit_length()
+    while True:
+        digit = inv @ (residual % p).astype(np.int64) % p
+        parts = (limbs @ digit).reshape(count, n).astype(object)
+        product = parts[-1]
+        for part in parts[-2::-1]:
+            product = (product << _LIMB_BITS) + part
+        residual = (residual - product) // p
+        approx += digit.astype(object) * pk
+        pk *= p
+        bits = pk.bit_length()
+        if bits < next_try and bits <= limit:
+            continue
+        candidate = _reconstruct(approx.tolist(), pk)
+        if candidate is not None:
+            nums, den = candidate
+            if all(sum(map(mul, row, nums)) == den * bi for row, bi in zip(a, b)):
+                return [Fraction(v, den) for v in nums]
+        if bits > limit:
+            return None
+        next_try = bits + bits // 4
+
+
+def _augmented(matrix, rhs, prime):
+    """The integer rows ``[A | b]`` of the system and its column count."""
+    rows, m, n = _shape(matrix)
+    if len(rhs) != m:
+        raise ValueError("right-hand side length mismatch")
+    return _int_rows([row + [b] for row, b in zip(rows, rhs)], prime), n
+
+
+def _solve(rows, n, prime, square):
+    """Forward elimination of ``[A | b]`` and the solution with free variables 0."""
+    m = len(rows)
+    in_numpy = prime is not None and prime < MAX_PRIME and m * n * min(m, n) > _SOLVE_ROWS_WORK
+    if in_numpy:
+        rows, pivots = echelon_mod(np.array(rows, dtype=np.int64), n, prime)
+        unreached = rows[len(pivots):, n].any()
+    else:
+        pivots = _echelon(rows, n, prime)
+        unreached = any(row[n] for row in rows[len(pivots):])
+    if square and len(pivots) < n:
+        raise SingularSystemError(f"rank {len(pivots)} < order {n}")
+    if unreached:
+        raise InconsistentSystemError("no polynomial satisfies the assigned data")
+    if in_numpy:
+        return _back_substitute_mod(rows, pivots, n, prime)[:, 0].tolist()
+    return _back_substitute(rows, pivots, n, prime)
+
+
 def solve_square(matrix, rhs, prime: int | None = None) -> list:
     """Unique solution of a nonsingular square system; SingularSystemError otherwise."""
     if len(matrix) and len(matrix) != len(matrix[0]):
         raise ValueError(f"square system expected, got {len(matrix)}x{len(matrix[0])}")
-    rows, pivots, n = _reduce(matrix, rhs, prime)
-    if len(pivots) < n:
-        raise SingularSystemError(f"rank {len(pivots)} < order {n}")
-    return _back_substitute(rows, pivots, n, prime)
+    rows, n = _augmented(matrix, rhs, prime)
+    if prime is None and n >= _DIXON_ORDER:
+        x = _dixon(rows, n)
+        if x is not None:
+            return x
+    return _solve(rows, n, prime, square=True)
 
 
 def solve_any(matrix, rhs, prime: int | None = None) -> list:
@@ -168,7 +363,5 @@ def solve_any(matrix, rhs, prime: int | None = None) -> list:
 
     Raises InconsistentSystemError when no solution exists.
     """
-    rows, pivots, n = _reduce(matrix, rhs, prime)
-    if any(row[n] for row in rows[len(pivots):]):
-        raise InconsistentSystemError("no polynomial satisfies the assigned data")
-    return _back_substitute(rows, pivots, n, prime)
+    rows, n = _augmented(matrix, rhs, prime)
+    return _solve(rows, n, prime, square=False)

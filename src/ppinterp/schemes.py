@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from operator import index
 
 import numpy as np
@@ -32,11 +34,8 @@ from .linalg import rank
 from .monomials import (
     AFFINE,
     HOMOGENEOUS,
-    CoordinateSubspace,
     MonomialBasis,
     build_basis,
-    derivative_row,
-    eval_row,
 )
 
 MAX_REDRAWS = 16
@@ -76,32 +75,83 @@ def _slot_layout(basis: MonomialBasis):
     return layout
 
 
-def _monomial_rows_mod(basis: MonomialBasis, points, p):
-    """Values (C, M) and jacobians (C, nv, M) of the basis at C points, mod p.
+def _monomial_rows(basis: MonomialBasis, points, p):
+    """Values (C, M) and jacobians (C, nv, M) of the basis at C points.
 
     ``points`` is the (C, nv) array of support points; ``jac[c, k, j]`` is
-    d(x^e_j)/dx_k at point c.  Every entry is a canonical residue, so the
-    result equals the exact symbolic rows reduced mod p.  One power-free pass:
-    gather each monomial's slot coordinates, take prefix and suffix products
-    over the d slots, and apply the product rule at the first slot of every
-    variable (the exponent counts the equal terms of its run).
+    d(x^e_j)/dx_k at point c.  With a prime every entry is a canonical
+    residue in int64, so the result equals the exact symbolic rows reduced
+    mod p; with ``p=None`` the points are an object array of Python ints and
+    the rows are exact.  One power-free pass: gather each monomial's slot
+    coordinates, take prefix and suffix products over the d slots, and apply
+    the product rule at the first slot of every variable (the exponent counts
+    the equal terms of its run).
     """
     _, var, j, s, k, e = _slot_layout(basis)
     n_pts, nv = points.shape
-    if nv * (p - 1) ** 2 >= 2**63:
+    if p is None:
+        dtype, red, e = object, (lambda a: a), e.astype(object)
+    elif nv * (p - 1) ** 2 >= 2**63:
         raise ValueError(f"prime {p} is too large for exact int64 rows in {nv} variables")
-    x = np.ones((n_pts, nv + 1), dtype=np.int64)
-    x[:, :nv] = points % p
+    else:
+        dtype, red = np.int64, (lambda a: a % p)
+    x = np.ones((n_pts, nv + 1), dtype=dtype)
+    x[:, :nv] = red(points)
     slot = x[:, var.T]
     d = var.shape[1]
-    prefix = np.ones((n_pts, d + 1, len(basis)), dtype=np.int64)
+    prefix = np.ones((n_pts, d + 1, len(basis)), dtype=dtype)
     suffix = np.ones_like(prefix)
     for t in range(d):
-        prefix[:, t + 1] = prefix[:, t] * slot[:, t] % p
-        suffix[:, d - 1 - t] = suffix[:, d - t] * slot[:, d - 1 - t] % p
-    jac = np.zeros((n_pts, nv, len(basis)), dtype=np.int64)
-    jac[:, k, j] = prefix[:, s, j] * suffix[:, s + 1, j] % p * e % p
+        prefix[:, t + 1] = red(prefix[:, t] * slot[:, t])
+        suffix[:, d - 1 - t] = red(suffix[:, d - t] * slot[:, d - 1 - t])
+    jac = np.zeros((n_pts, nv, len(basis)), dtype=dtype)
+    jac[:, k, j] = red(red(prefix[:, s, j] * suffix[:, s + 1, j]) * e)
     return prefix[:, d], jac
+
+
+@lru_cache(maxsize=64)
+def _homogenised(basis: MonomialBasis) -> MonomialBasis:
+    """The affine basis with each exponent e written as (e, d - |e|), in the same order."""
+    d = basis.d
+    return MonomialBasis(HOMOGENEOUS, basis.n, d,
+                         tuple(e + (d - sum(e),) for e in basis.exponents))
+
+
+def _check_directions(prob):
+    if any(not any(v) for ds in prob.directions for v in ds):
+        raise ValueError("zero direction")
+
+
+def _affine_rows_exact(prob, basis: MonomialBasis):
+    """Integer condition rows over Q and the positive scale that divides each out.
+
+    Point c is written X/D with D the lcm of its denominators, and the
+    homogenised basis is evaluated at (X, D) in Python ints: x^e = X^e
+    D^(d-|e|) / D^d, so the value row is the exact row times D^d.  The partial
+    d/dX_k of the homogenised monomial is D^(d-1) d(x^e)/dx_k, so a direction
+    V/E (E the lcm of its denominators) gives V @ jac, the exact derivative
+    row times D^(d-1) E.  Row scaling does not change a solution.
+    """
+    _check_directions(prob)
+    if not prob.points:
+        return [], []
+    n, d = prob.n, prob.d
+    points = [[Fraction(x) for x in pt] for pt in prob.points]
+    dens = [lcm(*(x.denominator for x in pt)) for pt in points]
+    coords = np.array([[x.numerator * (den // x.denominator) for x in pt] + [den]
+                       for pt, den in zip(points, dens)], dtype=object)
+    values, jac = _monomial_rows(_homogenised(basis), coords, None)
+    rows, scales = [], []
+    for c, (den, ds) in enumerate(zip(dens, prob.directions)):
+        rows.append(values[c].tolist())
+        scales.append(den**d)
+        for v in ds:
+            v = [Fraction(t) for t in v]
+            common = lcm(*(t.denominator for t in v))
+            combo = np.array([t.numerator * (common // t.denominator) for t in v], dtype=object)
+            rows.append((combo @ jac[c, :n]).tolist())
+            scales.append(den ** max(d - 1, 0) * common)
+    return rows, scales
 
 
 def _stack_rows(values, jac, with_value, combos, p):
@@ -287,7 +337,7 @@ def condition_matrix_projective(instance: SchemeInstance, basis: MonomialBasis):
     if not comps:
         return np.empty((0, len(basis)), dtype=np.int64)
     points = np.array([c.point for c in comps], dtype=np.int64)
-    values, jac = _monomial_rows_mod(basis, points, instance.prime)
+    values, jac = _monomial_rows(basis, points, instance.prime)
     full = np.eye(basis.nvars, dtype=np.int64)
     with_value, combos = [], []
     for c in comps:
@@ -327,8 +377,9 @@ class InterpolationProblem:
     """Points, per-point direction sets, and optionally the assigned values.
 
     ``values[i]`` holds the value at the i-th point followed by one assigned
-    directional derivative per direction.  Entries are exact scalars (ints,
-    Fractions, or residues when ``prime`` is set).
+    directional derivative per direction.  Entries are exact scalars (ints
+    or Fractions); ``prime``, when set, is the field the problem asks for, and
+    the solver reduces the scalars mod it.
     """
 
     n: int
@@ -369,8 +420,9 @@ def condition_matrix_affine(prob: InterpolationProblem, basis: MonomialBasis | N
                             prime: int | None = None):
     """One evaluation row per point followed by its directional-derivative rows.
 
-    Exact over Q through ``eval_row``/``derivative_row``; with a prime the
-    rows come from one batched evaluation and are lists of residues.
+    Both fields evaluate the basis in one batched pass.  Over Q the rows are
+    exact (the integer rows of ``_affine_rows_exact`` with their scales
+    divided out); with a prime they are lists of residues.
     """
     if basis is None:
         basis = build_basis(AFFINE, prob.n, prob.d)
@@ -379,19 +431,14 @@ def condition_matrix_affine(prob: InterpolationProblem, basis: MonomialBasis | N
     if prime is None:
         prime = prob.prime
     if prime is None:
-        rows = []
-        for pt, ds in zip(prob.points, prob.directions):
-            rows.append(eval_row(basis, pt))
-            for v in ds:
-                rows.append(derivative_row(basis, pt, v))
-        return rows
-    if any(not any(v) for ds in prob.directions for v in ds):
-        raise ValueError("zero direction")
+        rows, scales = _affine_rows_exact(prob, basis)
+        return [row if s == 1 else [Fraction(a, s) for a in row] for row, s in zip(rows, scales)]
+    _check_directions(prob)
     if not prob.points:
         return []
     # residues must be integers: index() refuses a Fraction instead of truncating it
     points = np.array([[index(x) % prime for x in pt] for pt in prob.points], dtype=np.int64)
-    values, jac = _monomial_rows_mod(basis, points, prime)
+    values, jac = _monomial_rows(basis, points, prime)
     directions = [[[index(x) % prime for x in v] for v in ds] for ds in prob.directions]
     rows = _stack_rows(values, jac, [True] * len(prob.points), directions, prime)
     return rows.tolist()
@@ -434,42 +481,3 @@ def random_affine_problem(n, d, a_profile, prime=DEFAULT_PRIME, seed=0) -> Inter
             )
         directions.append(ds)
     return InterpolationProblem(n, d, points, directions, prime=prime)
-
-
-# ---------------------------------------------------------------------------
-# JSON shape for scheme specs
-
-def scheme_to_json(n, specs, subspaces, prime, seed, d=None) -> dict:
-    doc = {
-        "n": n,
-        "prime": prime,
-        "seed": seed,
-        "components": [
-            {
-                "length": s.length,
-                "support": s.support if s.support == GENERAL else int(s.support),
-                **({"residual": s.residual} if s.support != GENERAL else {}),
-            }
-            for s in specs
-        ],
-        "subspaces": [{"zeroed": sorted(s.zeroed)} for s in subspaces],
-    }
-    if d is not None:
-        doc["d"] = d
-    return doc
-
-
-def scheme_from_json(doc):
-    specs = tuple(
-        ComponentSpec(c["length"], c.get("support", GENERAL), c.get("residual"))
-        for c in doc["components"]
-    )
-    subspaces = tuple(CoordinateSubspace(s["zeroed"]) for s in doc.get("subspaces", []))
-    return (
-        doc["n"],
-        specs,
-        subspaces,
-        doc.get("prime", DEFAULT_PRIME),
-        doc.get("seed", 0),
-        doc.get("d"),
-    )

@@ -95,7 +95,8 @@ def test_solve_missing_file(capsys):
     {"values": [[1], [True]], "prime": 31991},      # was read as 1
     {"points": [[0], [1.9]]},                       # was a TypeError traceback
     {"points": [[0], ["1/7"]], "prime": 7},         # no residue mod 7
-], ids=["float-mod-p", "bool-mod-p", "float-over-q", "no-residue"])
+    {"prime": "31991"},                             # a prime must be an integer
+], ids=["float-mod-p", "bool-mod-p", "float-over-q", "no-residue", "string-prime"])
 def test_problem_file_scalars_are_exact_or_refused(tmp_path, capsys, bad):
     problem = {"n": 1, "d": 1, "mode": "affine", "points": [[0], [1]],
                "directions": [[], []], "values": [[1], [2]], **bad}
@@ -104,6 +105,44 @@ def test_problem_file_scalars_are_exact_or_refused(tmp_path, capsys, bad):
     code, out, err = run_cli(capsys, "solve", str(path))
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error reading problem:")
+
+
+def test_rational_field_ignores_the_file_prime(tmp_path, capsys):
+    # the slope 1/2 used to come back as its residue 15996 mod the file's prime
+    problem = {"n": 1, "d": 1, "mode": "affine", "points": [[0], [2]],
+               "directions": [[], []], "values": [[1], [2]], "prime": 31991}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    code, out, _ = run_cli(capsys, "solve", str(path), "--field", "rational")
+    assert code == 0
+    f = json.loads(out)["interpolant"]
+    assert f["coefficients"] == [1, "1/2"] and f["prime"] is None
+    code, out, _ = run_cli(capsys, "solve", str(path))
+    assert json.loads(out)["interpolant"]["coefficients"] == [1, 15996]
+
+
+def test_gf_field_reduces_the_exact_scalars(tmp_path, capsys):
+    # 1/2 used to be reduced mod the file's 31991 first and then mod 7
+    problem = {"n": 1, "d": 1, "mode": "affine", "points": [[0], [1]],
+               "directions": [[], []], "values": [["1/2"], [1]], "prime": 31991}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    code, out, _ = run_cli(capsys, "solve", str(path), "--field", "gf", "--prime", "7")
+    assert code == 0
+    f = json.loads(out)["interpolant"]
+    assert f["coefficients"] == [4, 4] and f["prime"] == 7
+
+
+def test_denominator_divisible_by_the_chosen_prime_exits_two(tmp_path, capsys):
+    problem = {"n": 1, "d": 1, "mode": "affine", "points": [[0], [1]],
+               "directions": [[], []], "values": [["1/7"], [1]]}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    code, out, err = run_cli(capsys, "solve", str(path), "--field", "gf", "--prime", "7")
+    assert code == 2 and out == ""
+    assert err == "error reading problem: 1/7 has no residue mod 7\n"
+    code, out, _ = run_cli(capsys, "solve", str(path), "--field", "gf", "--prime", "11")
+    assert code == 0 and json.loads(out)["interpolant"]["prime"] == 11
 
 
 # `ppinterp solve` outputs as the Fraction Gauss-Jordan solver made them

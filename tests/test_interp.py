@@ -243,6 +243,18 @@ def test_problem_json_round_trip(tmp_path):
     assert solve(back).coefficients == solve(prob).coefficients
 
 
+def test_problem_file_keeps_exact_scalars_and_records_the_prime():
+    doc = {"n": 1, "d": 1, "points": [[0], ["1/3"]], "directions": [[], []],
+           "values": [["1/2"], [1]], "prime": 31991}
+    prob = problem_from_json(doc)
+    assert prob.points == [[0], [Fraction(1, 3)]]
+    assert prob.values == [[Fraction(1, 2)], [1]]
+    assert prob.prime == 31991
+    assert solve(prob).prime == 31991
+    # f = 1/2 + 3x/2, and 1/2 = 4, 3/2 = 5 mod 7
+    assert solve(prob, prime=7).coefficients == [4, 5]
+
+
 def test_interpolant_json_scalars():
     f = Interpolant(1, 1, [Fraction(1, 2), Fraction(2)], None)
     doc = f.to_json()

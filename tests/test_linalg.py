@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppinterp import linalg
+from ppinterp._gfcore_py import echelon_mod
 from ppinterp._gfcore_py import rank_mod as rank_mod_py
 from ppinterp.gf import DEFAULT_PRIME, MAX_PRIME
 from ppinterp.linalg import (
@@ -343,3 +345,156 @@ def test_fraction_free_elimination_matches_gauss_jordan(system):
                 solve_square(a, rhs)
         else:
             assert solve_square(a, rhs) == x
+
+
+# ---------------------------------------------------------------------------
+# Dixon lifting over Q and the echelon_mod path over GF(p)
+
+def _augment(a, rhs):
+    return linalg._int_rows([list(row) + [b] for row, b in zip(a, rhs)], None)
+
+
+def _bareiss(a, rhs):
+    return linalg._solve(_augment(a, rhs), len(a), None, square=True)
+
+
+@st.composite
+def nonsingular_rational_systems(draw):
+    """Square systems just above the Dixon cut: integer or Fraction entries."""
+    n = draw(st.integers(linalg._DIXON_ORDER, linalg._DIXON_ORDER + 3))
+    scalars = draw(st.sampled_from([
+        st.integers(-2**40, 2**40),
+        st.integers(-9, 9),
+        st.fractions(-99, 99, max_denominator=99),
+    ]))
+    a = draw(st.lists(st.lists(scalars, min_size=n, max_size=n), min_size=n, max_size=n))
+    rhs = draw(st.lists(scalars, min_size=n, max_size=n))
+    return a, rhs
+
+
+@settings(max_examples=30, deadline=None)
+@given(nonsingular_rational_systems())
+def test_dixon_matches_bareiss(system):
+    a, rhs = system
+    try:
+        expected = _bareiss(a, rhs)
+    except SingularSystemError:
+        with pytest.raises(SingularSystemError):
+            solve_square(a, rhs)
+        return
+    assert linalg._dixon(_augment(a, rhs), len(a)) == expected
+    assert solve_square(a, rhs) == expected
+
+
+def _diagonal_system(lead):
+    n = linalg._DIXON_ORDER
+    a = [[lead if i == j == 0 else int(i == j) + (j == i + 1) for j in range(n)]
+         for i in range(n)]
+    rhs = list(range(1, n + 1))
+    return a, rhs
+
+
+@pytest.mark.parametrize("lead", [67108859, 67108859 * 67108837],
+                         ids=["singular-mod-first-prime", "singular-mod-both-primes"])
+def test_singular_mod_the_lifting_primes_but_not_over_q(lead):
+    a, rhs = _diagonal_system(lead)
+    x = solve_square(a, rhs)
+    assert x == _bareiss(a, rhs)
+    for row, b in zip(a, rhs):
+        assert sum(c * v for c, v in zip(row, x)) == b
+    # the next prime down lifts the first; Bareiss takes the second
+    assert (linalg._dixon(_augment(a, rhs), len(a)) is None) == (lead % 67108837 == 0)
+
+
+def test_singular_over_q_raises_the_bareiss_error():
+    n = linalg._DIXON_ORDER + 3
+    rng = random.Random(51)
+    a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n - 1)]
+    a.append([x + 2 * y for x, y in zip(a[0], a[1])])
+    rhs = [rng.randint(-9, 9) for _ in range(n)]
+    with pytest.raises(SingularSystemError) as dixon_path:
+        solve_square(a, rhs)
+    with pytest.raises(SingularSystemError) as bareiss:
+        _bareiss(a, rhs)
+    assert str(dixon_path.value) == str(bareiss.value) == f"rank {n - 1} < order {n}"
+
+
+def test_a_wrong_reconstruction_is_never_returned(monkeypatch):
+    rng = random.Random(52)
+    n = linalg._DIXON_ORDER + 2
+    a = [[Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(n)] for _ in range(n)]
+    rhs = [Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(n)]
+    expected = _bareiss(a, rhs)
+    proposed = []
+
+    def wrong(residues, m):
+        # the true numerators, but the last one off by one
+        den = lcm(*(x.denominator for x in expected))
+        nums = [int(x * den) for x in expected]
+        nums[-1] += 1
+        proposed.append(m)
+        return nums, den
+
+    monkeypatch.setattr(linalg, "_reconstruct", wrong)
+    assert linalg._dixon(_augment(a, rhs), n) is None
+    assert proposed, "the candidate was never proposed"
+    assert solve_square(a, rhs) == expected
+
+
+SMALL_P = 7
+
+
+@st.composite
+def gf_systems(draw):
+    """Square, rank-deficient and inconsistent systems over GF(7)."""
+    m = draw(st.integers(1, 12))
+    n = m if draw(st.booleans()) else draw(st.integers(1, 12))
+    residues = st.integers(0, SMALL_P - 1)
+    if draw(st.booleans()):
+        a = draw(st.lists(st.lists(residues, min_size=n, max_size=n), min_size=m, max_size=m))
+    else:
+        k = draw(st.integers(0, min(m, n)))
+        b = draw(st.lists(st.lists(residues, min_size=k, max_size=k), min_size=m, max_size=m))
+        c = draw(st.lists(st.lists(residues, min_size=n, max_size=n), min_size=k, max_size=k))
+        a = [[sum(row[t] * c[t][j] for t in range(k)) % SMALL_P for j in range(n)] for row in b]
+    rhs = draw(st.lists(residues, min_size=m, max_size=m))
+    return a, rhs
+
+
+def _outcome(solver, *args):
+    try:
+        return solver(*args)
+    except (SingularSystemError, InconsistentSystemError) as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gf_systems())
+def test_echelon_mod_matches_rows_elimination(system):
+    a, rhs = system
+    n = len(a[0])
+    rows = [row + [b] for row, b in zip(a, rhs)]
+    reduced, pivots = echelon_mod(np.array(rows, dtype=np.int64), n, SMALL_P)
+    assert pivots == linalg._echelon(rows, n, SMALL_P)
+    consistent = not any(row[n] for row in rows[len(pivots):])
+    assert consistent == (not reduced[len(pivots):, n].any())
+    if consistent:
+        assert (linalg._back_substitute_mod(reduced, pivots, n, SMALL_P)[:, 0].tolist()
+                == linalg._back_substitute(rows, pivots, n, SMALL_P))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gf_systems())
+def test_gf_solvers_agree_on_both_sides_of_the_cut(system):
+    a, rhs = system
+    cut = linalg._SOLVE_ROWS_WORK
+    outcomes = []
+    for work in (10**9, -1):  # all on Python rows, then all by echelon_mod
+        linalg._SOLVE_ROWS_WORK = work
+        try:
+            outcomes.append([_outcome(solve_any, a, rhs, SMALL_P)]
+                            + ([_outcome(solve_square, a, rhs, SMALL_P)]
+                               if len(a) == len(a[0]) else []))
+        finally:
+            linalg._SOLVE_ROWS_WORK = cut
+    assert outcomes[0] == outcomes[1]

@@ -21,6 +21,7 @@ from ppinterp.monomials import (
 )
 from ppinterp.schemes import (
     GENERAL,
+    _affine_rows_exact,
     ComponentSpec,
     DegenerateDrawError,
     InterpolationProblem,
@@ -32,8 +33,6 @@ from ppinterp.schemes import (
     hilbert_function,
     random_affine_problem,
     random_instance,
-    scheme_from_json,
-    scheme_to_json,
 )
 
 P = DEFAULT_PRIME
@@ -296,6 +295,34 @@ def test_affine_build_reduces_entries_and_rejects_zero_directions():
         condition_matrix_affine(InterpolationProblem(1, 2, [[Fraction(1, 2)]], [[]]), prime=P)
 
 
+RATIONALS = st.integers(-5, 5) | st.fractions(-5, 5, max_denominator=7)
+
+
+@st.composite
+def rational_affine_problems(draw):
+    """Rational points (zero coordinates included) with nonzero rational directions."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(0, 6))
+    vector = st.lists(RATIONALS, min_size=n, max_size=n)
+    points = draw(st.lists(vector, max_size=4))
+    directions = [draw(st.lists(vector.filter(any), max_size=n)) for _ in points]
+    return InterpolationProblem(n, d, points, directions)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_affine_problems())
+def test_homogenised_integer_rows_equal_exact_rows(prob):
+    # the rational build evaluates the homogenised basis at (X, D) in Python
+    # ints; dividing out each row's scale gives eval_row/derivative_row exactly
+    basis = build_basis(AFFINE, prob.n, prob.d)
+    rows, scales = _affine_rows_exact(prob, basis)
+    assert all(type(v) is int for row in rows for v in row)
+    assert all(type(s) is int and s > 0 for s in scales)
+    exact = exact_affine_rows(prob, None)
+    assert [[Fraction(v, s) for v in row] for row, s in zip(rows, scales)] == exact
+    assert condition_matrix_affine(prob) == exact
+
+
 def test_random_instance_draw_stream_is_pinned():
     # digest of these draws as the first release made them: the draw stream
     # (and with it every report's cases payload) must not drift
@@ -407,17 +434,3 @@ def test_subprofile_of_independent_scheme_fills_rows():
     m = condition_matrix_projective(inst, basis)
     assert m.shape[0] < len(basis)
     assert rank(m, P) == m.shape[0]
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def test_scheme_json_round_trip():
-    specs = (ComponentSpec(9), ComponentSpec(8, 0, 2))
-    doc = scheme_to_json(8, specs, (L,), P, 77, d=3)
-    n, specs2, subs2, prime2, seed2, d2 = scheme_from_json(doc)
-    assert (n, prime2, seed2, d2) == (8, P, 77, 3)
-    assert specs2 == specs
-    assert subs2 == (L,)
-    assert doc["components"][0] == {"length": 9, "support": "general"}
-    assert doc["components"][1] == {"length": 8, "support": 0, "residual": 2}
