@@ -12,15 +12,14 @@ against: ``linalg.rank`` eliminates on Python rows up to that work.
 
 The solvers get two tables.  Over GF(p), Python-row elimination
 (``_echelon`` and its back-substitution) against ``echelon_mod`` and the
-numpy back-substitution on random square systems, which sets
-``linalg._SOLVE_ROWS_WORK``.  Over Q, Bareiss against Dixon lifting on the
-integer rows of seeded square interpolation problems of orders 10-126
+numpy back-substitution, which the GF(p) solvers use at every order, on
+random square systems.  Over Q, Bareiss against Dixon lifting on the
+integer rows of seeded square interpolation problems of orders 4-126
 (small integers and two-digit fractions), which sets ``linalg._DIXON_ORDER``;
 ``--big`` adds orders 120-126 with 15-bit integer coordinates.  Both
 paths must return the same solution.
 
-Usage: python benchmarks/bench_rank.py [--repeats 20] [--mats 10]
-                                       [--bareiss-max 66] [--big]
+Usage: python benchmarks/bench_rank.py [--repeats 20] [--mats 10] [--big]
 """
 
 import argparse
@@ -37,7 +36,7 @@ from ppinterp._gfcore_py import rank_mod as rank_py
 from ppinterp.gf import DEFAULT_PRIME
 from ppinterp.linalg import _ROWS_WORK, rank_rows
 from ppinterp.monomials import AFFINE, build_basis
-from ppinterp.schemes import InterpolationProblem, condition_matrix_affine
+from ppinterp.schemes import InterpolationProblem, condition_matrix_affine, integer_system_affine
 
 try:
     from ppinterp._gfcore import rank_mod as rank_cy
@@ -53,6 +52,9 @@ GF_SOLVE_ORDERS = (4, 6, 8, 9, 10, 11, 12, 16, 21, 45, 66, 126)
 Q_SHAPES = ((1, 3), (1, 5), (1, 7), (2, 3), (1, 11), (1, 14), (2, 5), (2, 6), (2, 7), (2, 8),
             (3, 5), (2, 10), (3, 6), (4, 5))
 Q_BIG_SHAPES = ((2, 14), (3, 7), (4, 5), (5, 4))
+# Largest order the rational tables also solve by Bareiss: it takes 11-38 s a
+# system at orders 120-126, where Dixon takes under 2 s.
+BAREISS_MAX = 66
 
 
 def random_matrix(rng, size, cols=None):
@@ -118,7 +120,7 @@ def _gf_numpy(rows, n):
 
 def bench_solve_gf(rng, args):
     """Python rows against echelon_mod on random square systems [A | b] mod p."""
-    print(f"\nGF(p) solve (linalg._SOLVE_ROWS_WORK = {linalg._SOLVE_ROWS_WORK})")
+    print("\nGF(p) solve")
     print(f"{'order':>6} {'work':>8} {'rows (ms)':>10} {'echelon_mod (ms)':>17}")
     for n in GF_SOLVE_ORDERS:
         rows = random_matrix(rng, n, n + 1).tolist()
@@ -162,22 +164,22 @@ def square_problem(rng, n, d, kind):
     raise ValueError(f"no nonsingular draw for n={n}, d={d}")
 
 
-def bench_solve_q(rng, args, shapes, kinds):
+def bench_solve_q(rng, shapes, kinds):
     """Bareiss against Dixon on the integer rows the rational solve builds."""
     print(f"\nrational solve (linalg._DIXON_ORDER = {linalg._DIXON_ORDER}; "
-          f"Bareiss only up to order {args.bareiss_max})")
+          f"Bareiss only up to order {BAREISS_MAX})")
     print(f"{'n':>2} {'d':>3} {'order':>6} {'kind':>6} {'bareiss (s)':>12} {'dixon (s)':>10}")
     for n, d in shapes:
         order = comb(n + d, d)
         for kind in kinds:
             prob = square_problem(rng, n, d, kind)
-            rows, rhs = interp._rational_system(prob, build_basis(AFFINE, n, d))
+            rows, rhs = integer_system_affine(prob, build_basis(AFFINE, n, d))
             aug = [row + [b] for row, b in zip(rows, rhs)]
             repeats = 1 if order > 45 else 3
             t_dx, x_dx = _best(lambda: linalg._dixon(aug, order), repeats)
             assert x_dx is not None, (n, d, kind)
             line = f"{n:>2} {d:>3} {order:>6} {kind:>6} "
-            if order <= args.bareiss_max:
+            if order <= BAREISS_MAX:
                 t_br, x_br = _best(
                     lambda: linalg._solve([r[:] for r in aug], order, None, True), repeats)
                 assert x_br == x_dx, (n, d, kind)
@@ -191,8 +193,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=20)
     parser.add_argument("--mats", type=int, default=10, help="matrices per size")
-    parser.add_argument("--bareiss-max", type=int, default=66,
-                        help="largest order that the rational table also runs Bareiss at")
     parser.add_argument("--big", action="store_true",
                         help="add rational solves at orders 120-126 with 15-bit coordinates")
     args = parser.parse_args()
@@ -216,9 +216,9 @@ def main():
               "(pip install -e . --no-build-isolation to build it)")
     bench_small(rng, args)
     bench_solve_gf(rng, args)
-    bench_solve_q(rng, args, Q_SHAPES, ("int", "frac"))
+    bench_solve_q(rng, Q_SHAPES, ("int", "frac"))
     if args.big:
-        bench_solve_q(rng, args, Q_BIG_SHAPES, ("int15",))
+        bench_solve_q(rng, Q_BIG_SHAPES, ("int15",))
 
     cases, dt = bench_suite()
     from ppinterp.linalg import KERNEL

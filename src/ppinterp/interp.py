@@ -19,9 +19,9 @@ from .gf import as_fraction, check_modulus, inv_mod, scalar_to_json
 from .monomials import AFFINE, build_basis
 from .schemes import (
     InterpolationProblem,
-    _affine_rows_exact,
     condition_matrix_affine,
     condition_rhs,
+    integer_system_affine,
 )
 
 
@@ -88,23 +88,6 @@ def _reduce_problem(prob: InterpolationProblem, p: int) -> InterpolationProblem:
     )
 
 
-def _rational_system(prob: InterpolationProblem, basis):
-    """Integer rows and right-hand side of the problem over Q.
-
-    The rows are ``_affine_rows_exact``'s; each right-hand side is scaled by
-    its row's scale, and a row whose scaled value is not an integer is
-    multiplied through by that value's denominator.
-    """
-    rows, scales = _affine_rows_exact(prob, basis)
-    rhs = []
-    for row, scale, b in zip(rows, scales, condition_rhs(prob)):
-        b = as_fraction(b) * scale
-        if b.denominator != 1:
-            row[:] = [a * b.denominator for a in row]
-        rhs.append(b.numerator)
-    return rows, rhs
-
-
 def diagnose_profile(n: int, d: int, a) -> str:
     """Name the structural reason a square system can be singular, if any."""
     if d == 2:
@@ -136,7 +119,7 @@ def solve(prob: InterpolationProblem, prime: int | None = None,
         matrix = condition_matrix_affine(prob, basis, prime)
         rhs = condition_rhs(prob)
     else:
-        matrix, rhs = _rational_system(prob, basis)
+        matrix, rhs = integer_system_affine(prob, basis)
 
     if mode == "unique":
         if len(matrix) != len(basis):

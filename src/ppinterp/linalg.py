@@ -20,18 +20,18 @@ go to the compiled kernel when the extension is built and the numpy
 fallback otherwise (``KERNEL`` says which one is active).  The kernels'
 int64 arithmetic needs ``prime < MAX_PRIME``, which ``rank`` checks first.
 
-The solvers pick theirs the same way.  Over GF(p), systems above
-``_SOLVE_ROWS_WORK`` are eliminated by ``echelon_mod`` and solved by one
-numpy back-substitution.  Over Q, nonsingular square systems of order at
+The solvers pick theirs by field.  Over GF(p) with ``prime < MAX_PRIME``,
+systems are eliminated by ``echelon_mod`` and solved by one numpy
+back-substitution.  Over Q, nonsingular square systems of order at
 least ``_DIXON_ORDER`` are solved by Dixon's p-adic lifting (Numer. Math. 40,
 1982): A is inverted once modulo a word-size prime p, each lift solves
 A x = r mod p and divides r - A x by p, and rational reconstruction (von zur
 Gathen and Gerhard, Modern Computer Algebra, ch. 5) turns the p-adic
 approximation into numerators over one common denominator.  A candidate is
 returned only once ``A num == den b`` holds in Python integers.  Everything
-else -- singular systems, ``solve_any``, small orders, and the rare system
-that is singular modulo both lifting primes -- goes through :func:`_echelon`,
-which alone decides singularity and consistency.
+else over Q -- singular systems, ``solve_any``, small orders, and the rare
+system that is singular modulo both lifting primes -- goes through
+:func:`_echelon`, which alone decides singularity and consistency there.
 """
 
 from __future__ import annotations
@@ -60,19 +60,12 @@ except ImportError:  # extension not built
 # every order (benchmarks/bench_rank.py times all three).
 _ROWS_WORK = 0 if KERNEL == "cython" else 1000
 
-# Largest work m*n*min(m, n) of a GF(p) system that the solvers eliminate on
-# Python rows rather than by echelon_mod.  benchmarks/bench_rank.py, 2-vCPU
-# Xeon, numpy 2.4, random square systems mod 31991: the two tie at order 16
-# (0.53 vs 0.49 ms); rows win 3.9x at order 4, echelon_mod 6.8x at order 45 and
-# 12x at order 126.
-_SOLVE_ROWS_WORK = 4096
-
 # Smallest order that solve_square over Q lifts p-adically rather than
-# eliminating by Bareiss.  benchmarks/bench_rank.py, same machine, integer rows
-# of seeded square interpolation problems (entries in [-9, 9] or two-digit
-# fractions): Bareiss wins at order 21 (1.0 vs 1.1 ms and 4.9 vs 6.4 ms), Dixon
-# at order 28 (2.8 vs 2.3 ms and 17.5 vs 11.5 ms), and Dixon is 8-13x faster at
-# order 66.
+# eliminating by Bareiss.  benchmarks/bench_rank.py (run recorded in
+# BENCH_6.json, 2-vCPU Xeon, numpy 2.4), integer rows of seeded square
+# interpolation problems (entries in [-9, 9] or two-digit fractions): Bareiss
+# wins at order 21 (1.1 vs 1.4 ms and 4.4 vs 5.7 ms), Dixon at order 28 (2.9 vs
+# 2.1 ms and 13.4 vs 12.4 ms), and Dixon is 9-19x faster at order 66.
 _DIXON_ORDER = 25
 
 # The lifting primes: the two largest primes below 2**26.  Each lift multiplies
@@ -329,10 +322,10 @@ def _augmented(matrix, rhs, prime):
 
 def _solve(rows, n, prime, square):
     """Forward elimination of ``[A | b]`` and the solution with free variables 0."""
-    m = len(rows)
-    in_numpy = prime is not None and prime < MAX_PRIME and m * n * min(m, n) > _SOLVE_ROWS_WORK
+    in_numpy = prime is not None and prime < MAX_PRIME
     if in_numpy:
-        rows, pivots = echelon_mod(np.array(rows, dtype=np.int64), n, prime)
+        rows, pivots = echelon_mod(np.array(rows, dtype=np.int64).reshape(len(rows), n + 1),
+                                   n, prime)
         unreached = rows[len(pivots):, n].any()
     else:
         pivots = _echelon(rows, n, prime)

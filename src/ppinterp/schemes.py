@@ -29,7 +29,7 @@ from operator import index
 
 import numpy as np
 
-from .gf import DEFAULT_PRIME
+from .gf import DEFAULT_PRIME, as_fraction
 from .linalg import rank
 from .monomials import (
     AFFINE,
@@ -451,6 +451,23 @@ def condition_rhs(prob: InterpolationProblem) -> list:
     for vals in prob.values:
         rhs.extend(vals)
     return rhs
+
+
+def integer_system_affine(prob: InterpolationProblem, basis: MonomialBasis):
+    """Integer rows and right-hand side over Q with the solutions of the exact system.
+
+    The rows are ``_affine_rows_exact``'s; each right-hand side is scaled by
+    its row's scale, and a row whose scaled value is not an integer is
+    multiplied through by that value's denominator.
+    """
+    rows, scales = _affine_rows_exact(prob, basis)
+    rhs = []
+    for row, scale, b in zip(rows, scales, condition_rhs(prob)):
+        b = as_fraction(b) * scale
+        if b.denominator != 1:
+            row[:] = [a * b.denominator for a in row]
+        rhs.append(b.numerator)
+    return rows, rhs
 
 
 def random_affine_problem(n, d, a_profile, prime=DEFAULT_PRIME, seed=0) -> InterpolationProblem:

@@ -478,23 +478,13 @@ def test_echelon_mod_matches_rows_elimination(system):
     assert pivots == linalg._echelon(rows, n, SMALL_P)
     consistent = not any(row[n] for row in rows[len(pivots):])
     assert consistent == (not reduced[len(pivots):, n].any())
+    # the public solvers, which eliminate by echelon_mod, against Python rows
     if consistent:
-        assert (linalg._back_substitute_mod(reduced, pivots, n, SMALL_P)[:, 0].tolist()
-                == linalg._back_substitute(rows, pivots, n, SMALL_P))
-
-
-@settings(max_examples=100, deadline=None)
-@given(gf_systems())
-def test_gf_solvers_agree_on_both_sides_of_the_cut(system):
-    a, rhs = system
-    cut = linalg._SOLVE_ROWS_WORK
-    outcomes = []
-    for work in (10**9, -1):  # all on Python rows, then all by echelon_mod
-        linalg._SOLVE_ROWS_WORK = work
-        try:
-            outcomes.append([_outcome(solve_any, a, rhs, SMALL_P)]
-                            + ([_outcome(solve_square, a, rhs, SMALL_P)]
-                               if len(a) == len(a[0]) else []))
-        finally:
-            linalg._SOLVE_ROWS_WORK = cut
-    assert outcomes[0] == outcomes[1]
+        x = linalg._back_substitute(rows, pivots, n, SMALL_P)
+        assert linalg._back_substitute_mod(reduced, pivots, n, SMALL_P)[:, 0].tolist() == x
+    else:
+        x = (InconsistentSystemError, "no polynomial satisfies the assigned data")
+    assert _outcome(solve_any, a, rhs, SMALL_P) == x
+    if len(a) == n:
+        singular = (SingularSystemError, f"rank {len(pivots)} < order {n}")
+        assert _outcome(solve_square, a, rhs, SMALL_P) == (singular if len(pivots) < n else x)
