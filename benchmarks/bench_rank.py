@@ -8,7 +8,10 @@ produce (27, 36, 63, 126, 165) and on a full end-to-end sweep.  At the small
 orders (k x (k+1) for k = 3..21: the draws' direction checks and the
 smallest condition matrices) it also times ``linalg.rank_rows`` beside the
 kernels, with the work m*n*min(m, n) that ``linalg._ROWS_WORK`` is set
-against: ``linalg.rank`` eliminates on Python rows up to that work.
+against: ``linalg.rank`` eliminates on Python rows up to that work.  On
+stacks of the sweeps' square orders (27, 36, 46, 63) it times the batched
+full-rank screen ``full_rank_mod`` and ``linalg.ranks`` against ranking each
+matrix alone, which sets the routing rule in ``linalg.ranks``.
 
 The solvers get two tables.  Over GF(p), Python-row elimination
 (``_echelon`` and its back-substitution) against ``echelon_mod`` and the
@@ -31,7 +34,7 @@ from math import comb
 import numpy as np
 
 from ppinterp import interp, linalg
-from ppinterp._gfcore_py import echelon_mod
+from ppinterp._gfcore_py import echelon_mod, full_rank_mod
 from ppinterp._gfcore_py import rank_mod as rank_py
 from ppinterp.gf import DEFAULT_PRIME
 from ppinterp.linalg import _ROWS_WORK, rank_rows
@@ -45,6 +48,10 @@ except ImportError:
 
 SIZES = (27, 36, 63, 126, 165)
 SMALL = (3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 17, 21)
+# Square orders of the cubic sweeps' condition matrices, and the stack size:
+# a trial round of a sweep ranks tens to a few hundred matrices of one shape.
+SCREEN_ORDERS = (27, 36, 46, 63)
+SCREEN_STACK = 64
 GF_SOLVE_ORDERS = (4, 6, 8, 9, 10, 11, 12, 16, 21, 45, 66, 126)
 # (n, d) of the rational solves: orders C(n+d, d) = 4, 6, 8, 10, 12, 15, 21, 28, 36, 45,
 # 56, 66, 84, 126.  Double points fill each order, so (n, d) avoids the
@@ -87,6 +94,26 @@ def bench_small(rng, args):
                  for fn in (rank_rows, rank_py, rank_cy) if fn is not None]
         print(f"{f'{k}x{k + 1}':>7} {k * (k + 1) * k:>6} "
               + " ".join(f"{t:>{w}.1f}" for t, w in zip(times, (10, 11, 12))))
+
+
+def bench_screen(rng, args):
+    """The batched screen against ranking each matrix alone, per matrix of a stack."""
+    print(f"\nfull-rank screen, stacks of {SCREEN_STACK} (us per matrix)")
+    header = f"{'order':>6} {'screen':>8} {'ranks':>8} {'numpy':>8}"
+    if rank_cy is not None:
+        header += f" {'cython':>8}"
+    print(header)
+    for order in SCREEN_ORDERS:
+        mats = [random_matrix(rng, order) for _ in range(SCREEN_STACK)]
+        stack = np.array(mats)
+        expected = [rank_py(m, DEFAULT_PRIME) for m in mats]
+        assert linalg.ranks(mats, DEFAULT_PRIME) == expected
+        assert full_rank_mod(stack, DEFAULT_PRIME).tolist() == [r == order for r in expected]
+        t_screen, _ = _best(lambda: full_rank_mod(stack, DEFAULT_PRIME), args.repeats)
+        t_ranks, _ = _best(lambda: linalg.ranks(mats, DEFAULT_PRIME), args.repeats)
+        times = [t_screen / SCREEN_STACK, t_ranks / SCREEN_STACK]
+        times += [bench_kernel(fn, mats, args.repeats) for fn in (rank_py, rank_cy) if fn]
+        print(f"{order:>6} " + " ".join(f"{t * 1e6:>8.0f}" for t in times))
 
 
 def bench_suite():
@@ -215,6 +242,7 @@ def main():
         print("compiled kernel not built; numpy fallback only "
               "(pip install -e . --no-build-isolation to build it)")
     bench_small(rng, args)
+    bench_screen(rng, args)
     bench_solve_gf(rng, args)
     bench_solve_q(rng, Q_SHAPES, ("int", "frac"))
     if args.big:

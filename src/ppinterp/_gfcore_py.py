@@ -2,7 +2,8 @@
 
 Fallback for the compiled ppinterp._gfcore extension; identical ``rank_mod``
 contract.  ``echelon_mod`` exists only here: the exact solvers use it for
-their GF(p) eliminations whichever rank kernel is active.
+their GF(p) eliminations whichever rank kernel is active.  ``full_rank_mod``,
+also only here, screens a stack of same-shape matrices for full rank at once.
 Entries stay below p < MAX_PRIME = 2**26, so products fit comfortably in int64.
 """
 
@@ -54,3 +55,55 @@ def rank_mod(a, p: int) -> int:
     """Rank of an integer matrix over GF(p)."""
     arr = np.asarray(a)
     return len(echelon_mod(arr, arr.shape[1] if arr.ndim == 2 else 0, p)[1])
+
+
+def full_rank_mod(stack, p: int):
+    """Whether each matrix of a ``(B, m, n)`` integer stack has rank ``min(m, n)`` mod p.
+
+    A wide stack is transposed first, so every matrix has at least as many
+    rows as columns and is of full rank iff each column c finds a pivot in
+    rows c and below.  The stack is worked in ``(m, n, B)`` layout, the batch
+    the contiguous inner axis, so each numpy call serves every matrix.  Each
+    matrix pivots on its first nonzero entry in the column (``argmax`` and a
+    gathered row swap); a matrix with none there is not of full rank, and
+    what its elimination goes on to compute is never read.
+
+    The update ``lead*row - f*top`` runs in float64 and is reduced to the
+    symmetric residue ``t - p*rint(t/p)``.  Entries start in [0, p) and stay
+    below p in absolute value, with p < 2**26, so |t| < 2 p**2 < 2**53 and
+    every product and difference is exact.  The rounded quotient ``t*(1/p)``
+    is within 2**-25 of t/p, so a multiple of p is always reduced to exactly
+    0; any other t lands within p/2 + 2 of 0.  A reduction by ``floor``
+    instead would read some multiples of p as p, a nonzero pivot, and
+    over-report the rank.
+    """
+    a = np.asarray(stack)
+    if a.ndim != 3:
+        raise ValueError("expected a (B, m, n) stack")
+    if a.shape[1] < a.shape[2]:
+        a = a.transpose(0, 2, 1)
+    batch, m, n = a.shape
+    full = np.ones(batch, dtype=bool)
+    if a.size == 0:
+        return full
+    a = np.ascontiguousarray((a % p).transpose(1, 2, 0), dtype=np.float64)
+    inv = 1.0 / p
+    lanes = np.arange(batch)
+    scratch = np.empty((m - 1, n - 1, batch))
+    for c in range(n):
+        col = a[c:, c] != 0
+        full &= col.any(axis=0)
+        piv = c + col.argmax(axis=0)
+        if (piv != c).any():
+            top = a[piv, c:, lanes]  # (B, n - c): each matrix's pivot row
+            a[piv, c:, lanes] = a[c, c:].T
+            a[c, c:] = top.T
+        t, q = a[c + 1:, c + 1:], scratch[c:, c:]
+        t *= a[c, c]
+        np.multiply(a[c + 1:, c, None], a[c, c + 1:], out=q)
+        t -= q
+        np.multiply(t, inv, out=q)
+        np.rint(q, out=q)
+        q *= p
+        t -= q
+    return full

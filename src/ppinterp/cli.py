@@ -6,7 +6,8 @@ inconsistent system), 2 on usage errors, including a prime too small to
 draw the requested random data.
 
 Reports are JSON by default (CSV via --format csv).  Timing lives in a
-separate "timing" section so that rerunning with the same --seed yields a
+separate "timing" section, and the kernel and versions that produced the
+report in "config", so that rerunning with the same --seed yields a
 byte-identical "cases" payload.
 """
 
@@ -18,9 +19,12 @@ import dataclasses
 import functools
 import io
 import json
+import platform
 import sys
 
-from . import interp, theory, verify
+import numpy as np
+
+from . import __version__, interp, linalg, theory, verify
 from .gf import DEFAULT_PRIME, check_modulus
 from .schemes import DegenerateDrawError
 from .verify import DEFAULT_SEED, TrialPolicy
@@ -63,6 +67,10 @@ def _report_doc(args, reports) -> dict:
             "seed": getattr(args, "seed", None),
             "trials": getattr(args, "trials", None),
             "deep": getattr(args, "deep", False),
+            "kernel": linalg.KERNEL,
+            "version": __version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
         },
         "cases": [r.to_json() for r in reports],
         "all_pass": all(r.passed for r in reports),

@@ -19,6 +19,7 @@ from .gf import as_fraction, check_modulus, inv_mod, scalar_to_json
 from .monomials import AFFINE, build_basis
 from .schemes import (
     InterpolationProblem,
+    _affine_rows_mod,
     condition_matrix_affine,
     condition_rhs,
     integer_system_affine,
@@ -116,7 +117,7 @@ def solve(prob: InterpolationProblem, prime: int | None = None,
     if prime is not None:
         check_modulus(prime)
         prob = _reduce_problem(prob, prime)
-        matrix = condition_matrix_affine(prob, basis, prime)
+        matrix = _affine_rows_mod(prob, basis, prime)
         rhs = condition_rhs(prob)
     else:
         matrix, rhs = integer_system_affine(prob, basis)
@@ -136,7 +137,7 @@ def solve(prob: InterpolationProblem, prime: int | None = None,
                 f"no unique interpolant: {diag}",
             ) from None
     elif mode == "any":
-        if not matrix:
+        if not len(matrix):
             zero = 0 if prime is not None else Fraction(0)
             return Interpolant(prob.n, prob.d, [zero] * len(basis), prime)
         try:

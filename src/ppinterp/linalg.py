@@ -19,6 +19,10 @@ larger GF(p) matrices (the condition matrices of the verification sweeps)
 go to the compiled kernel when the extension is built and the numpy
 fallback otherwise (``KERNEL`` says which one is active).  The kernels'
 int64 arithmetic needs ``prime < MAX_PRIME``, which ``rank`` checks first.
+:func:`ranks` takes many matrices at once: on the numpy kernel it screens
+GF(p) matrices of a shared shape together for full rank
+(``full_rank_mod``) and sends only the ones it does not certify to
+:func:`rank`.
 
 The solvers pick theirs by field.  Over GF(p) with ``prime < MAX_PRIME``,
 systems are eliminated by ``echelon_mod`` and solved by one numpy
@@ -36,13 +40,14 @@ system that is singular modulo both lifting primes -- goes through
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import index, mul
 
 import numpy as np
 
-from ._gfcore_py import echelon_mod
+from ._gfcore_py import echelon_mod, full_rank_mod
 from .gf import MAX_PRIME
 
 try:
@@ -59,6 +64,16 @@ except ImportError:  # extension not built
 # and Python rows beat it up to about 10x10; the compiled kernel beats them at
 # every order (benchmarks/bench_rank.py times all three).
 _ROWS_WORK = 0 if KERNEL == "cython" else 1000
+
+# Cells m*n*B of one full_rank_mod call in ranks(): a same-shape group is
+# screened in even chunks of at most this many cells, so the screen's float64
+# stack and its scratch stay about 2 MB each whatever the group size.
+# benchmarks/bench_rank.py (runs recorded in BENCH_7.json, 2-vCPU Xeon, numpy
+# 2.4), stacks of 64 seeded residue matrices of orders 27, 36, 46 and 63: the
+# screen takes 72, 175, 263 and 747 us per matrix, echelon_mod alone 432, 741,
+# 1060 and 1976 us.  The compiled kernel ranks one matrix in 40, 86, 165 and
+# 402 us, about twice as fast as the screen, so on it ranks() calls rank().
+_SCREEN_CELLS = 1 << 18
 
 # Smallest order that solve_square over Q lifts p-adically rather than
 # eliminating by Bareiss.  benchmarks/bench_rank.py (run recorded in
@@ -138,15 +153,45 @@ def _echelon(rows, ncols, prime):
     return pivots
 
 
-def rank(matrix, prime: int | None = None) -> int:
-    """Row rank by exact elimination, on Python rows or in the GF(p) kernel."""
+def _check_prime(prime):
     if prime is not None and prime >= MAX_PRIME:
         raise ValueError(f"prime {prime} must be below 2**26 for the int64 rank kernel")
+
+
+def rank(matrix, prime: int | None = None) -> int:
+    """Row rank by exact elimination, on Python rows or in the GF(p) kernel."""
+    _check_prime(prime)
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     if prime is None or m * n * min(m, n) <= _ROWS_WORK:
         return rank_rows(matrix, prime)
     return _rank_mod(np.asarray(matrix, dtype=np.int64), prime)
+
+
+def ranks(matrices, prime: int | None = None) -> list:
+    """The exact rank of each matrix, as :func:`rank` gives it.
+
+    On the numpy kernel, GF(p) integer matrices that share their shape with
+    another one are screened together by ``full_rank_mod``; a matrix it
+    certifies has rank min(m, n), and every other matrix goes to ``rank``.
+    """
+    _check_prime(prime)
+    out = [None] * len(matrices)
+    if prime is not None and KERNEL != "cython":
+        groups = defaultdict(list)
+        for i, matrix in enumerate(matrices):
+            groups[len(matrix), len(matrix[0]) if len(matrix) else 0].append(i)
+        for (m, n), group in groups.items():
+            if len(group) < 2:
+                continue
+            count = max(1, -(-len(group) * m * n // _SCREEN_CELLS))
+            for part in np.array_split(np.array(group), count):
+                stack = np.array([matrices[i] for i in part])
+                if stack.dtype.kind not in "iu":  # Fractions, floats, huge ints: rank decides
+                    continue
+                for i in part[full_rank_mod(stack, prime)]:
+                    out[i] = min(m, n)
+    return [rank(matrix, prime) if r is None else r for matrix, r in zip(matrices, out)]
 
 
 def rank_rows(matrix, prime: int | None = None) -> int:
@@ -313,10 +358,20 @@ def _dixon(rows, n):
 
 
 def _augmented(matrix, rhs, prime):
-    """The integer rows ``[A | b]`` of the system and its column count."""
-    rows, m, n = _shape(matrix)
+    """The integer rows ``[A | b]`` of the system and its column count.
+
+    An integer-dtype array over GF(p) with p < MAX_PRIME is reduced by one
+    ``% prime`` and stays an int64 array, as ``echelon_mod`` takes it; any
+    other matrix is read entry by entry.
+    """
+    array = (prime is not None and prime < MAX_PRIME and isinstance(matrix, np.ndarray)
+             and matrix.ndim == 2 and matrix.dtype.kind in "iu")
+    rows, m, n = (matrix, *matrix.shape) if array else _shape(matrix)
     if len(rhs) != m:
         raise ValueError("right-hand side length mismatch")
+    if array:
+        b = np.array([index(v) % prime for v in rhs], dtype=np.int64)
+        return np.column_stack([(matrix % prime).astype(np.int64), b]), n
     return _int_rows([row + [b] for row, b in zip(rows, rhs)], prime), n
 
 
@@ -324,7 +379,7 @@ def _solve(rows, n, prime, square):
     """Forward elimination of ``[A | b]`` and the solution with free variables 0."""
     in_numpy = prime is not None and prime < MAX_PRIME
     if in_numpy:
-        rows, pivots = echelon_mod(np.array(rows, dtype=np.int64).reshape(len(rows), n + 1),
+        rows, pivots = echelon_mod(np.asarray(rows, dtype=np.int64).reshape(len(rows), n + 1),
                                    n, prime)
         unreached = rows[len(pivots):, n].any()
     else:

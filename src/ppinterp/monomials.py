@@ -19,6 +19,7 @@ numeric.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 AFFINE = "affine"
@@ -64,8 +65,12 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
+@lru_cache(maxsize=64)
 def build_basis(mode: str, n: int, d: int) -> MonomialBasis:
-    """All exponent vectors of the requested mode, in graded-lex order."""
+    """All exponent vectors of the requested mode, in graded-lex order.
+
+    Cached: a sweep's cases share one (immutable) basis object.
+    """
     if n < 1 or d < 0:
         raise ValueError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
     if mode == AFFINE:

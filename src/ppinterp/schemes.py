@@ -433,15 +433,19 @@ def condition_matrix_affine(prob: InterpolationProblem, basis: MonomialBasis | N
     if prime is None:
         rows, scales = _affine_rows_exact(prob, basis)
         return [row if s == 1 else [Fraction(a, s) for a in row] for row, s in zip(rows, scales)]
+    return _affine_rows_mod(prob, basis, prime).tolist()
+
+
+def _affine_rows_mod(prob: InterpolationProblem, basis: MonomialBasis, prime: int):
+    """The condition rows mod ``prime`` as one int64 array of residues."""
     _check_directions(prob)
     if not prob.points:
-        return []
+        return np.empty((0, len(basis)), dtype=np.int64)
     # residues must be integers: index() refuses a Fraction instead of truncating it
     points = np.array([[index(x) % prime for x in pt] for pt in prob.points], dtype=np.int64)
     values, jac = _monomial_rows(basis, points, prime)
     directions = [[[index(x) % prime for x in v] for v in ds] for ds in prob.directions]
-    rows = _stack_rows(values, jac, [True] * len(prob.points), directions, prime)
-    return rows.tolist()
+    return _stack_rows(values, jac, [True] * len(prob.points), directions, prime)
 
 
 def condition_rhs(prob: InterpolationProblem) -> list:

@@ -12,7 +12,9 @@ resulting condition matrix.  Rank is lower semicontinuous in the data, so
   quadrics).
 
 Per-case seeds are derived as sha256(root_seed:label:trial), so cases are
-independent jobs and execution order never changes any measurement.
+independent jobs and execution order never changes any measurement.  The
+trial loop uses this: it runs a sweep's cases together, trial round by trial
+round, and ranks each round's matrices in one ``linalg.ranks`` call.
 """
 
 from __future__ import annotations
@@ -24,9 +26,11 @@ import time
 from dataclasses import dataclass, field
 from math import comb
 
+import numpy as np
+
 from . import theory
 from .gf import DEFAULT_PRIME
-from .linalg import nullspace_dim, rank
+from .linalg import ranks
 from .monomials import CoordinateSubspace, build_basis, vanishing_basis, HOMOGENEOUS
 from .schemes import (
     ComponentSpec,
@@ -37,6 +41,11 @@ from .schemes import (
 )
 
 DEFAULT_SEED = 1000003
+
+# Cases the trial loop takes at a time: about this many condition matrices
+# are alive at once, whatever the size of the sweep.  At 256 the peak RSS of
+# the small-cases benchmark pass (the 200-case affine sweep) rose by 2 MB.
+ROUND_CASES = 128
 
 PASS = "PASS"
 SUSPECT = "SUSPECT"
@@ -95,18 +104,42 @@ def child_seed(root_seed: int, label: str, trial: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _trials(policy: TrialPolicy, label: str, measure, stop=None):
-    """``measure(seed)`` for each trial's child seed, ending after a value equal to ``stop``.
+def _trials(policy: TrialPolicy, jobs):
+    """The measured ranks of ``(label, build, stop)`` jobs, yielded in job order.
 
-    Returns the measured values (at least one) and the milliseconds taken.
+    Trial t of a job ranks ``build(child_seed(seed, label, t))``, and the job
+    ends after a rank equal to its ``stop`` (None: it runs every trial).  Jobs
+    are taken ``ROUND_CASES`` at a time, and each trial round ranks the
+    matrices of the jobs still running in one ``linalg.ranks`` call.  Yields,
+    per job, the job, its ranks (at least one) and its milliseconds: its own
+    draw and build time plus an equal share of each of its rounds' ranking
+    time.  ``jobs`` may be a generator, so only a batch's builders are alive.
     """
-    t0 = time.perf_counter()
-    values = []
-    for t in range(policy.trials):
-        values.append(measure(child_seed(policy.seed, label, t)))
-        if values[-1] == stop:
-            break
-    return values, (time.perf_counter() - t0) * 1000.0
+    jobs = iter(jobs)
+    while batch := list(itertools.islice(jobs, ROUND_CASES)):
+        measured = [[] for _ in batch]
+        seconds = [0.0] * len(batch)
+        running = range(len(batch))
+        for t in range(policy.trials):
+            matrices = []
+            for i in running:
+                label, build, _ = batch[i]
+                t0 = time.perf_counter()
+                # kept as an array: Python-int rows would take about 4x the memory
+                matrices.append(np.asarray(build(child_seed(policy.seed, label, t))))
+                seconds[i] += time.perf_counter() - t0
+            t0 = time.perf_counter()
+            values = ranks(matrices, policy.prime)
+            share = (time.perf_counter() - t0) / len(running)
+            for i, r in zip(running, values):
+                stop = batch[i][2]
+                assert stop is None or r <= stop, "measured rank above the theoretical bound"
+                measured[i].append(r)
+                seconds[i] += share
+            running = [i for i in running if measured[i][-1] != batch[i][2]]
+            if not running:
+                break
+        yield from zip(batch, measured, (s * 1000.0 for s in seconds))
 
 
 def _report(policy, label, kind, predicted, measured, ok, ms, note="", extra=None) -> CaseReport:
@@ -116,23 +149,34 @@ def _report(policy, label, kind, predicted, measured, ok, ms, note="", extra=Non
     )
 
 
+def _rank_cases(policy: TrialPolicy, jobs) -> list:
+    """Full-rank claims, ``(label, build, target)`` jobs run together.
+
+    A case PASSes iff some trial reaches its target rank.
+    """
+    return [_report(policy, label, "rank", target, measured, measured[-1] == target, ms)
+            for (label, _, target), measured, ms in _trials(policy, jobs)]
+
+
 def run_rank_case(policy: TrialPolicy, label: str, target: int, build, extra=None) -> CaseReport:
     """Full-rank claim: PASS iff some trial reaches the target rank."""
-
-    def measure(seed):
-        r = rank(build(seed), policy.prime)
-        assert r <= target, "measured rank above the theoretical bound"
-        return r
-
-    measured, ms = _trials(policy, label, measure, stop=target)
-    return _report(policy, label, "rank", target, measured, measured[-1] == target, ms,
-                   extra=extra)
+    [report] = _rank_cases(policy, [(label, build, target)])
+    report.extra = extra or {}
+    return report
 
 
 def run_dim_case(policy: TrialPolicy, label: str, claimed: int, build,
                  lower_bound: int | None = None, extra=None) -> CaseReport:
     """Deficiency claim: PASS iff every trial measures the claimed nullity."""
-    measured, ms = _trials(policy, label, lambda seed: nullspace_dim(build(seed), policy.prime))
+    columns = []
+
+    def sized(seed):
+        matrix = build(seed)
+        columns.append(len(matrix[0]) if len(matrix) else 0)
+        return matrix
+
+    [(_, measured, ms)] = _trials(policy, [(label, sized, None)])
+    measured = [n - r for n, r in zip(columns, measured)]
     if lower_bound is not None and lower_bound >= claimed:
         note = (
             f"dim <= {claimed} certified by {policy.trials} random instances;"
@@ -203,8 +247,8 @@ def _free_part(n: int, degree: int):
 
 
 def _partition_cases(policy: TrialPolicy, n: int, subspaces, basis, prefix: str, families,
-                     sample=None):
-    """One full-rank case per combination of the families' partitions.
+                     sample=None) -> list:
+    """One full-rank case per combination of the families' partitions, run together.
 
     ``families`` are (tag, partitions, specs-of) triples, as made by
     :func:`_on_subspace` and :func:`_free_part`; a case's label is ``prefix``
@@ -216,13 +260,16 @@ def _partition_cases(policy: TrialPolicy, n: int, subspaces, basis, prefix: str,
     if sample is not None and sample[0] < len(combos):
         count, key = sample
         combos = random.Random(child_seed(policy.seed, key, 0)).sample(combos, count)
-    for combo in combos:
-        label = " ".join([prefix] + [
-            f"{tag}={','.join(map(str, part))}" for (tag, _, _), part in zip(families, combo)
-        ])
-        specs = [s for (_, _, specs_of), part in zip(families, combo) for s in specs_of(part)]
-        yield run_rank_case(policy, label, len(basis),
-                            _projective_builder(n, specs, subspaces, basis, policy.prime))
+
+    def jobs():
+        for combo in combos:
+            label = " ".join([prefix] + [
+                f"{tag}={','.join(map(str, part))}" for (tag, _, _), part in zip(families, combo)
+            ])
+            specs = [s for (_, _, specs_of), part in zip(families, combo) for s in specs_of(part)]
+            yield label, _projective_builder(n, specs, subspaces, basis, policy.prime), len(basis)
+
+    return _rank_cases(policy, jobs())
 
 
 def verify_prop45(policy: TrialPolicy) -> list:
@@ -456,6 +503,13 @@ def verify_ah_exceptions(policy: TrialPolicy) -> list:
 # ---------------------------------------------------------------------------
 # user-driven generic verification and the random sweep
 
+def _affine_builder(n, d, a, prime):
+    def build(seed):
+        return condition_matrix_affine(random_affine_problem(n, d, a, prime, seed), prime=prime)
+
+    return build
+
+
 def verify_generic(policy: TrialPolicy, n: int, d: int, a=None, lengths=None) -> CaseReport:
     """Predicted vs measured rank for one configuration.
 
@@ -473,17 +527,13 @@ def verify_generic(policy: TrialPolicy, n: int, d: int, a=None, lengths=None) ->
     else:
         profile = tuple(sorted(a, reverse=True))
         label = f"generic n={n} d={d} a={','.join(map(str, profile))}"
-
-        def builder(seed):
-            prob = random_affine_problem(n, d, profile, policy.prime, seed)
-            return condition_matrix_affine(prob, prime=policy.prime)
-
+        builder = _affine_builder(n, d, profile, policy.prime)
     prediction = theory.predict_profile(n, d, profile)
     expected = prediction.expected_codim
     if not prediction.exceptional:
         report = run_rank_case(policy, label, expected, builder)
     else:
-        measured, ms = _trials(policy, label, lambda seed: rank(builder(seed), policy.prime))
+        [(_, measured, ms)] = _trials(policy, [(label, builder, None)])
         report = _report(
             policy, label, "rank", expected, measured, all(r < expected for r in measured), ms,
             note=f"deficient pattern {prediction.exception_id}:"
@@ -501,12 +551,12 @@ def sweep_nonexceptional(policy: TrialPolicy, count: int = 200,
     """Seeded random profiles away from the exception list: rank must be full.
 
     Configurations satisfy sum(a_i + 1) <= C(n+d, d), so the measured rank
-    must equal the condition count in every case.
+    must equal the condition count in every case.  The cases run together.
     """
     rng = random.Random(child_seed(policy.seed, "sweep-config", 0))
-    reports = []
+    cases = []
     idx = 0
-    while len(reports) < count:
+    while len(cases) < count:
         n = rng.randint(*n_range)
         d = rng.randint(*d_range)
         cap = comb(n + d, d)
@@ -521,13 +571,8 @@ def sweep_nonexceptional(policy: TrialPolicy, count: int = 200,
         target = sum(x + 1 for x in a)
         label = f"sweep#{idx:03d} n={n} d={d} a={','.join(map(str, a))}"
         idx += 1
-
-        def builder(seed, n=n, d=d, a=tuple(a)):
-            prob = random_affine_problem(n, d, a, policy.prime, seed)
-            return condition_matrix_affine(prob, prime=policy.prime)
-
-        reports.append(run_rank_case(policy, label, target, builder))
-    return reports
+        cases.append((label, _affine_builder(n, d, tuple(a), policy.prime), target))
+    return _rank_cases(policy, cases)
 
 
 def quadric_bruteforce(policy: TrialPolicy, ns=(1, 2, 3, 4), extra_degree: int = 3) -> list:
@@ -541,15 +586,12 @@ def quadric_bruteforce(policy: TrialPolicy, ns=(1, 2, 3, 4), extra_degree: int =
         t0 = time.perf_counter()
         dim = comb(n + 2, 2)
         profiles = theory._profiles_up_to(n, dim + extra_degree)
-        mismatches = []
-        for prof in profiles:
-            predicted = theory.predict_quadric_scheme(n, prof).independent
-            expected_rank = min(sum(prof), dim)
-            build = _general_scheme_builder(n, prof, 2, policy.prime)
-            ranks, _ = _trials(policy, f"bf P{n} {prof}",
-                               lambda seed: rank(build(seed), policy.prime), stop=expected_rank)
-            if (ranks[-1] == expected_rank) != predicted:
-                mismatches.append(prof)
+        jobs = ((f"bf P{n} {prof}", _general_scheme_builder(n, prof, 2, policy.prime),
+                 min(sum(prof), dim)) for prof in profiles)
+        mismatches = [
+            prof for prof, ((_, _, full), measured, _) in zip(profiles, _trials(policy, jobs))
+            if (measured[-1] == full) != theory.predict_quadric_scheme(n, prof).independent
+        ]
         reports.append(_report(
             policy, f"quadric brute force P{n} deg<= {dim + extra_degree}", "enumeration",
             len(profiles), [len(profiles) - len(mismatches)], not mismatches,

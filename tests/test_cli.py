@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from ppinterp import verify
+from ppinterp import linalg, verify
 from ppinterp.cli import main
 from ppinterp.schemes import DegenerateDrawError
 from ppinterp.verify import _partition_cases
@@ -330,6 +330,71 @@ def test_degenerate_draw_is_a_usage_error(monkeypatch, capsys):
     for argv in (("tables", "-n", "3"), ("props", "--prop", "4.6")):
         code, _, err = run_cli(capsys, *argv, "--prime", "11")
         assert code == 2 and err.startswith("error: could not draw"), argv
+
+
+def test_degenerate_draw_in_a_batched_round_is_a_usage_error(monkeypatch, capsys):
+    # the tenth draw of the first 4.5 triple fails while its round is half built
+    draws = []
+    real = verify.random_instance
+
+    def flaky(*args, **kwargs):
+        draws.append(args)
+        if len(draws) == 10:
+            raise DegenerateDrawError("could not draw independent directions over GF(31991)")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "random_instance", flaky)
+    code, out, err = run_cli(capsys, "props", "--prop", "4.5")
+    assert code == 2 and out == "" and len(draws) == 10
+    assert err.count("\n") == 1 and err.startswith("error: could not draw")
+
+
+def _one_at_a_time(policy, jobs):
+    """The trial loop without batching: each case alone, one rank call per trial."""
+    for job in jobs:
+        label, build, stop = job
+        measured = []
+        for t in range(policy.trials):
+            matrix = build(verify.child_seed(policy.seed, label, t))
+            measured.append(linalg.rank(matrix, policy.prime))
+            if measured[-1] == stop:
+                break
+        yield job, measured, 0.0
+
+
+def _sampled_partition_cases(policy, n, subspaces, basis, prefix, families, sample=None):
+    # a seeded subset of each family product, so `--prop 4.13` stays cheap
+    return _partition_cases(policy, n, subspaces, basis, prefix, families, (12, prefix))
+
+
+@pytest.mark.parametrize("prime", ["31991", "5"])
+@pytest.mark.parametrize("argv", [("props", "--prop", "4.6"), ("props", "--prop", "4.13"),
+                                  ("verify", "--suite", "quadrics")], ids=" ".join)
+def test_batched_runner_equals_one_case_at_a_time(monkeypatch, capsys, argv, prime):
+    monkeypatch.setattr(verify, "_partition_cases", _sampled_partition_cases)
+    code, out, _ = run_cli(capsys, *argv, "--prime", prime)
+    batched = json.loads(out)["cases"]
+    monkeypatch.setattr(verify, "_trials", _one_at_a_time)
+    alone_code, out, _ = run_cli(capsys, *argv, "--prime", prime)
+    assert (code, batched) == (alone_code, json.loads(out)["cases"])
+    if argv[-1] == "4.13":
+        assert len(batched) == 60
+        # at p = 5 many draws are deficient, so cases run their second and third trials
+        lengths = {len(c["measured"]) for c in batched}
+        assert lengths == ({1} if prime == "31991" else {1, 2, 3})
+
+
+def test_report_names_kernel_and_versions(capsys):
+    import platform
+
+    import numpy as np
+
+    from ppinterp import __version__
+
+    _, out, _ = run_cli(capsys, "verify", "--suite", "ah", "--trials", "1")
+    config = json.loads(out)["config"]
+    assert (config["kernel"], config["version"], config["numpy"], config["python"]) == (
+        linalg.KERNEL, __version__, np.__version__, platform.python_version())
 
 
 # cases digests of cheap commands as the first release made them, one per

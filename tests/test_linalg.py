@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from math import lcm
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppinterp import linalg
-from ppinterp._gfcore_py import echelon_mod
+from ppinterp._gfcore_py import echelon_mod, full_rank_mod
 from ppinterp._gfcore_py import rank_mod as rank_mod_py
 from ppinterp.gf import DEFAULT_PRIME, MAX_PRIME
 from ppinterp.linalg import (
@@ -488,3 +489,111 @@ def test_echelon_mod_matches_rows_elimination(system):
     if len(a) == n:
         singular = (SingularSystemError, f"rank {len(pivots)} < order {n}")
         assert _outcome(solve_square, a, rhs, SMALL_P) == (singular if len(pivots) < n else x)
+
+
+# ---------------------------------------------------------------------------
+# the batched full-rank screen
+
+SCREEN_PRIMES = (3, 31991, 67108859)
+
+
+@st.composite
+def residue_stacks(draw):
+    """Same-shape stacks mod p: random members, products of rank-k factors,
+    and columns that are zero in every member; wide, tall, square and 1x1."""
+    p = draw(st.sampled_from(SCREEN_PRIMES))
+    m, n = draw(st.sampled_from([(1, 1), (1, 4), (4, 1), (3, 7), (7, 3), (6, 6)])
+                | st.tuples(st.integers(1, 8), st.integers(1, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            k = draw(st.integers(0, min(m, n)))
+            a = rng.integers(0, p, size=(m, k)) @ rng.integers(0, p, size=(k, n)) % p
+        else:
+            a = rng.integers(0, p, size=(m, n))
+        members.append(a)
+    stack = np.array(members, dtype=np.int64)
+    stack[:, :, draw(st.lists(st.integers(0, n - 1), max_size=2))] = 0
+    return p, stack
+
+
+@settings(max_examples=300, deadline=None)
+@given(residue_stacks())
+def test_full_rank_screen_matches_rows_elimination(case):
+    p, stack = case
+    full = min(stack.shape[1:])
+    expected = [rank_rows(a.tolist(), p) for a in stack]
+    assert full_rank_mod(stack, p).tolist() == [r == full for r in expected]
+    assert linalg.ranks(list(stack), p) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(residue_stacks(), min_size=1, max_size=4))
+def test_ranks_of_mixed_shapes_match_rows_elimination(cases):
+    # one prime per call: groups of one and several shapes in the same call
+    p = cases[0][0]
+    matrices = [a % p for _, stack in cases for a in stack]
+    matrices += [a.tolist() for a in matrices[:2]]
+    assert linalg.ranks(matrices, p) == [rank_rows(a, p) for a in matrices]
+
+
+def test_screen_reads_multiples_of_p_near_2_52_as_zero():
+    # The singular members' first updates are (p-1)**2 - 1 = p(p-2) and
+    # (p-1)(p-2) - 2 = p(p-3), just below 2**52.  At p = 67104601, 1/p rounds
+    # down and t*(1/p) lands below the quotient, so a reduction by floor would
+    # read these multiples of p as p, a nonzero pivot, and certify them.
+    p = 67104601
+    t = (p - 1) ** 2 - 1
+    assert t % p == 0 and t - p * math.floor(t * (1.0 / p)) == p
+    for p in (67104601, 67108859):
+        square = np.array([[[p - 1, 1], [1, p - 1]], [[p - 1, 2], [1, p - 2]],
+                           [[p - 1, 1], [1, p - 2]]], dtype=np.int64)
+        assert full_rank_mod(square, p).tolist() == [False, False, True]
+        assert linalg.ranks(list(square), p) == [1, 1, 2]
+        wide = np.array([[[p - 1, 1, 0], [1, p - 1, 0]], [[p - 1, 1, 1], [1, p - 1, 0]]],
+                        dtype=np.int64)
+        assert full_rank_mod(wide, p).tolist() == [False, True]
+        assert linalg.ranks(list(wide), p) == [1, 2]
+
+
+def test_ranks_screens_only_numpy_gf_groups(monkeypatch):
+    screened = []
+    monkeypatch.setattr(linalg, "full_rank_mod",
+                        lambda stack, p: screened.append(stack.shape) or full_rank_mod(stack, p))
+    eye, other = np.eye(4, dtype=np.int64), np.eye(3, 5, dtype=np.int64)
+    assert linalg.ranks([eye, other, eye.tolist()], P) == [4, 3, 4]
+    assert screened == [(2, 4, 4)]  # the 3x5 is alone in its shape
+    # over Q, on the compiled kernel and for non-integer entries rank decides
+    screened.clear()
+    fractions = [[Fraction(1, 2), 0], [0, 1]]
+    assert linalg.ranks([eye.tolist(), eye.tolist()]) == [4, 4]
+    with pytest.raises(TypeError):
+        linalg.ranks([fractions, fractions], P)
+    monkeypatch.setattr(linalg, "KERNEL", "cython")
+    assert linalg.ranks([eye, eye], P) == [4, 4]
+    assert screened == []
+    with pytest.raises(ValueError, match="2\\*\\*26"):
+        linalg.ranks([eye, eye], MAX_PRIME + 1)
+
+
+def test_ranks_chunks_large_groups(monkeypatch):
+    screened = []
+    monkeypatch.setattr(linalg, "_SCREEN_CELLS", 100)
+    monkeypatch.setattr(linalg, "full_rank_mod",
+                        lambda stack, p: screened.append(len(stack)) or full_rank_mod(stack, p))
+    stack = [np.eye(5, dtype=np.int64)] * 9
+    assert linalg.ranks(stack, P) == [5] * 9
+    assert screened == [3, 3, 3]
+
+
+def test_gf_solvers_take_integer_arrays():
+    rng = np.random.default_rng(3)
+    a = rng.integers(0, P, size=(6, 6))
+    rhs = rng.integers(0, P, size=6).tolist()
+    for solver in (solve_square, solve_any):
+        x = solver(a, rhs, P)
+        assert x == solver(a.tolist(), rhs, P)
+        assert x == solver(a.astype(np.int32) - P, rhs, P)  # reduced by one % p
+        with pytest.raises(TypeError):
+            solver(a.astype(float), rhs, P)

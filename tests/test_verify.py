@@ -172,3 +172,31 @@ def test_trial_policy_needs_a_trial(trials):
 def test_run_suite_unknown():
     with pytest.raises(ValueError):
         verify.run_suite(POLICY, "nope")
+
+
+def test_trials_runs_rounds_of_batched_jobs(monkeypatch):
+    import numpy as np
+
+    calls = []
+    real = verify.ranks
+    monkeypatch.setattr(verify, "ranks", lambda ms, p: calls.append(len(ms)) or real(ms, p))
+    monkeypatch.setattr(verify, "ROUND_CASES", 2)
+    seeds = []
+
+    def build(rank):
+        def make(seed):
+            seeds.append(seed)
+            return np.diag([1] * rank + [0] * (4 - rank)).astype(np.int64)
+        return make
+
+    jobs = [("full", build(4), 4), ("short", build(3), 4), ("dim", build(2), None)]
+    results = list(verify._trials(POLICY, iter(jobs)))
+    assert [job for job, _, _ in results] == jobs
+    assert [measured for _, measured, _ in results] == [[4], [3, 3, 3], [2, 2, 2]]
+    assert all(ms > 0 for _, _, ms in results)
+    # two rounds of full/short, then the short case alone; dim in a batch of its own
+    assert calls == [2, 1, 1, 1, 1, 1]
+    assert sorted(seeds) == sorted(child_seed(POLICY.seed, label, t)
+                                   for label, t in [("full", 0), ("short", 0), ("short", 1),
+                                                    ("short", 2), ("dim", 0), ("dim", 1),
+                                                    ("dim", 2)])
