@@ -11,7 +11,11 @@ kernels, with the work m*n*min(m, n) that ``linalg._ROWS_WORK`` is set
 against: ``linalg.rank`` eliminates on Python rows up to that work.  On
 stacks of the sweeps' square orders (27, 36, 46, 63) it times the batched
 full-rank screen ``full_rank_mod`` and ``linalg.ranks`` against ranking each
-matrix alone, which sets the routing rule in ``linalg.ranks``.
+matrix alone, which sets the routing rule in ``linalg.ranks``.  On 128
+seeded instances of the cubic sweeps at each of these orders it times the
+batched draw and build ``schemes.condition_matrices_projective`` against
+drawing and building each instance alone, and checks that both give the
+same bytes.
 
 The solvers get two tables.  Over GF(p), Python-row elimination
 (``_echelon`` and its back-substitution) against ``echelon_mod`` and the
@@ -39,7 +43,14 @@ from ppinterp._gfcore_py import rank_mod as rank_py
 from ppinterp.gf import DEFAULT_PRIME
 from ppinterp.linalg import _ROWS_WORK, rank_rows
 from ppinterp.monomials import AFFINE, build_basis
-from ppinterp.schemes import InterpolationProblem, condition_matrix_affine, integer_system_affine
+from ppinterp.schemes import (
+    InterpolationProblem,
+    condition_matrices_projective,
+    condition_matrix_affine,
+    condition_matrix_projective,
+    integer_system_affine,
+    random_instance,
+)
 
 try:
     from ppinterp._gfcore import rank_mod as rank_cy
@@ -52,6 +63,8 @@ SMALL = (3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 17, 21)
 # a trial round of a sweep ranks tens to a few hundred matrices of one shape.
 SCREEN_ORDERS = (27, 36, 46, 63)
 SCREEN_STACK = 64
+# Instances per batched draw and build: one trial round (verify.ROUND_CASES).
+DRAW_STACK = 128
 GF_SOLVE_ORDERS = (4, 6, 8, 9, 10, 11, 12, 16, 21, 45, 66, 126)
 # (n, d) of the rational solves: orders C(n+d, d) = 4, 6, 8, 10, 12, 15, 21, 28, 36, 45,
 # 56, 66, 84, 126.  Double points fill each order, so (n, d) avoids the
@@ -114,6 +127,61 @@ def bench_screen(rng, args):
         times = [t_screen / SCREEN_STACK, t_ranks / SCREEN_STACK]
         times += [bench_kernel(fn, mats, args.repeats) for fn in (rank_py, rank_cy) if fn]
         print(f"{order:>6} " + " ".join(f"{t * 1e6:>8.0f}" for t in times))
+
+
+def _sweep_groups():
+    """(order, n, subspaces, families) of one cubic sweep per condition-matrix order.
+
+    The first Prop. 4.5 triple (27 columns), the P^5 base sweeps on two
+    subspaces (36) and on one (46, alpha = 0), and the first Prop. 4.8 triple (63).
+    """
+    from ppinterp.verify import (
+        BASE_SUBSPACES, P8_LEFTOVER_TRIPLES, P8_SUBSPACES, P8_TRIPLES, _free_part,
+        _on_subspace, _two_subspace_triples,
+    )
+
+    l5, m5, f5 = next(_two_subspace_triples(5))
+    l8, m8, f8 = P8_LEFTOVER_TRIPLES[0]
+    return [
+        (27, 8, P8_SUBSPACES, [_on_subspace("", 8, i, x) for i, x in enumerate(P8_TRIPLES[0])]),
+        (36, 5, BASE_SUBSPACES, [_on_subspace("", 5, 0, l5), _on_subspace("", 5, 1, m5),
+                                 _free_part(5, f5)]),
+        (46, 5, BASE_SUBSPACES[:1], [_on_subspace("", 5, 0, 10), _free_part(5, 36)]),
+        (63, 8, P8_SUBSPACES[:2], [_on_subspace("", 8, 0, l8), _on_subspace("", 8, 1, m8),
+                                   _free_part(8, f8)]),
+    ]
+
+
+def bench_draw_build(rng, args):
+    """The batched draw and build of a trial round against one instance at a time."""
+    from ppinterp.monomials import vanishing_basis
+
+    print(f"\ndraw and build, {DRAW_STACK} seeded sweep instances (us per instance)")
+    print(f"{'order':>6} {'batched':>8} {'alone':>8} {'speedup':>8}")
+    for order, n, subspaces, families in _sweep_groups():
+        basis = vanishing_basis(n, 3, subspaces)
+        assert len(basis) == order
+        draws = []
+        for _ in range(DRAW_STACK):
+            parts = [rng.choice(family_parts) for _, family_parts, _ in families]
+            specs = tuple(s for (_, _, specs_of), part in zip(families, parts)
+                          for s in specs_of(part))
+            draws.append((specs, rng.randrange(2**64)))
+
+        def alone():
+            return [condition_matrix_projective(
+                random_instance(n, specs, subspaces, DEFAULT_PRIME, seed), basis)
+                for specs, seed in draws]
+
+        def batched():
+            return condition_matrices_projective(n, subspaces, basis, DEFAULT_PRIME, draws)
+
+        t_alone, expected = _best(alone, args.repeats)
+        t_batched, got = _best(batched, args.repeats)
+        assert [(m.dtype, m.shape, m.tobytes()) for m in got] == [
+            (m.dtype, m.shape, m.tobytes()) for m in expected]
+        print(f"{order:>6} {t_batched / DRAW_STACK * 1e6:>8.0f}"
+              f" {t_alone / DRAW_STACK * 1e6:>8.0f} {t_alone / t_batched:>7.1f}x")
 
 
 def bench_suite():
@@ -243,6 +311,7 @@ def main():
               "(pip install -e . --no-build-isolation to build it)")
     bench_small(rng, args)
     bench_screen(rng, args)
+    bench_draw_build(rng, args)
     bench_solve_gf(rng, args)
     bench_solve_q(rng, Q_SHAPES, ("int", "frac"))
     if args.big:

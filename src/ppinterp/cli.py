@@ -110,9 +110,18 @@ def _emit_reports(args, reports) -> int:
         _emit(args, json.dumps(_report_doc(args, reports), indent=2, sort_keys=True))
     for r in reports:
         if not r.passed:
-            print(f"FAIL {r.case}: measured {r.measured}, predicted {r.predicted}",
-                  file=sys.stderr)
+            print(_fail_line(r), file=sys.stderr)
     return 0 if all(r.passed for r in reports) else MATH_ERROR
+
+
+def _fail_line(r) -> str:
+    """What a failed case measured, and the root seed, prime and child seeds that replay it."""
+    line = (f"FAIL {r.case}: measured {r.measured}, predicted {r.predicted};"
+            f" replay: --seed {r.seed} --prime {r.prime}")
+    if r.kind != "enumeration":  # trial t of the case drew from child_seed(seed, case, t)
+        seeds = [verify.child_seed(r.seed, r.case, t) for t in range(len(r.measured))]
+        line += f", child seeds {seeds}"
+    return line
 
 
 def _parse_profile(text):

@@ -158,14 +158,43 @@ def _check_prime(prime):
         raise ValueError(f"prime {prime} must be below 2**26 for the int64 rank kernel")
 
 
+def _check_dtype(matrix):
+    """Refuse a numpy array whose dtype holds no exact integers (float, bool, complex, ...)."""
+    if isinstance(matrix, np.ndarray) and matrix.dtype.kind not in "iuO":
+        raise TypeError(f"rank over GF(p) needs integer entries, not dtype {matrix.dtype}")
+
+
+def _int64_array(matrix, prime):
+    """The integer matrix (or stack) as an int64 array congruent to it mod ``prime``.
+
+    A uint64 array is reduced first, so an entry above 2**63 is not wrapped;
+    narrower integer arrays are widened; any other entries go through
+    ``operator.index``, which refuses a float or a Fraction instead of
+    truncating it.
+    """
+    _check_dtype(matrix)
+    a = np.asarray(matrix)
+    if a.dtype == np.uint64:
+        return (a % prime).astype(np.int64)
+    if a.dtype.kind in "iu":
+        return a.astype(np.int64, copy=False)
+    return np.array(_int_rows(a.tolist(), prime), dtype=np.int64).reshape(a.shape)
+
+
 def rank(matrix, prime: int | None = None) -> int:
-    """Row rank by exact elimination, on Python rows or in the GF(p) kernel."""
+    """Row rank by exact elimination, on Python rows or in the GF(p) kernel.
+
+    Over GF(p) the entries must be integers: a float, bool or complex array,
+    or a float or Fraction entry, raises TypeError on either path.
+    """
     _check_prime(prime)
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     if prime is None or m * n * min(m, n) <= _ROWS_WORK:
+        if prime is not None:
+            _check_dtype(matrix)
         return rank_rows(matrix, prime)
-    return _rank_mod(np.asarray(matrix, dtype=np.int64), prime)
+    return _rank_mod(_int64_array(matrix, prime), prime)
 
 
 def ranks(matrices, prime: int | None = None) -> list:
@@ -189,7 +218,7 @@ def ranks(matrices, prime: int | None = None) -> list:
                 stack = np.array([matrices[i] for i in part])
                 if stack.dtype.kind not in "iu":  # Fractions, floats, huge ints: rank decides
                     continue
-                for i in part[full_rank_mod(stack, prime)]:
+                for i in part[full_rank_mod(_int64_array(stack, prime), prime)]:
                     out[i] = min(m, n)
     return [rank(matrix, prime) if r is None else r for matrix, r in zip(matrices, out)]
 

@@ -29,7 +29,8 @@ from operator import index
 
 import numpy as np
 
-from .gf import DEFAULT_PRIME, as_fraction
+from ._gfcore_py import full_rank_mod
+from .gf import DEFAULT_PRIME, MAX_PRIME, as_fraction, is_prime
 from .linalg import rank
 from .monomials import (
     AFFINE,
@@ -154,24 +155,27 @@ def _affine_rows_exact(prob, basis: MonomialBasis):
     return rows, scales
 
 
-def _stack_rows(values, jac, with_value, combos, p):
-    """Per point i in order: its value row if ``with_value[i]``, then ``combos[i] @ jac[i]``.
+def _stack_rows(values, jac, with_value, coeffs, owner, p):
+    """Per point i in order: its value row if ``with_value[i]``, then its combination rows.
 
-    ``combos[i]`` is a (possibly empty) list of coefficient rows over the nv
-    partial derivatives; every product is reduced mod p.
+    Row r of the (R, nv) residues ``coeffs`` belongs to point ``owner[r]``
+    (nondecreasing) and becomes ``coeffs[r] @ jac[owner[r]]`` mod p.  The
+    product is summed over the nv partials one at a time, so it never holds
+    more than (R, M) entries; the sum stays below nv*(p-1)**2, which
+    ``_monomial_rows`` keeps under 2**63.
     """
-    n_pts, nv, _ = jac.shape
-    coeffs = np.array([row for c in combos for row in c], dtype=np.int64).reshape(-1, nv)
-    owner = [i for i, c in enumerate(combos) for _ in c]
-    mixed = np.einsum("rk,rkm->rm", coeffs, jac[owner]) % p
-    order = []
-    nxt = n_pts
-    for i, c in enumerate(combos):
-        if with_value[i]:
-            order.append(i)
-        order.extend(range(nxt, nxt + len(c)))
-        nxt += len(c)
-    return np.concatenate([values, mixed])[order]
+    n_pts, nv, m = jac.shape
+    value = np.asarray(with_value, dtype=bool)
+    per_point = np.bincount(owner, minlength=n_pts)
+    start = np.cumsum(value + per_point) - value - per_point  # first output row of each point
+    out = np.empty((value.sum() + len(owner), m), dtype=np.int64)
+    out[start[value]] = values[value]
+    mixed = np.zeros((len(owner), m), dtype=np.int64)
+    for k in range(nv):
+        mixed += coeffs[:, k, None] * jac[owner, k]
+    first = np.cumsum(per_point) - per_point  # first combination row of each point
+    out[start[owner] + value[owner] + np.arange(len(owner)) - first[owner]] = mixed % p
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -326,26 +330,236 @@ def condition_matrix_projective(instance: SchemeInstance, basis: MonomialBasis):
     """
     if basis.mode != HOMOGENEOUS or basis.n != instance.n:
         raise ValueError("basis/scheme mismatch")
-    exps = _slot_layout(basis)[0]
     comps = instance.components
     for idx in sorted({c.spec.support for c in comps} - {GENERAL}):
-        zeroed = sorted(instance.subspaces[idx].zeroed)
-        if not exps[:, zeroed].any(axis=1).all():
+        if not _vanishes(basis, instance.subspaces[idx]):
             raise ValueError(
                 "components on a subspace need a basis of forms vanishing on it"
             )
-    if not comps:
-        return np.empty((0, len(basis)), dtype=np.int64)
-    points = np.array([c.point for c in comps], dtype=np.int64)
-    values, jac = _monomial_rows(basis, points, instance.prime)
-    full = np.eye(basis.nvars, dtype=np.int64)
-    with_value, combos = [], []
+    nv = basis.nvars
+    full = np.eye(nv, dtype=np.int64).tolist()
+    with_value, coeffs, per_point = [], [], []
     for c in comps:
         free = c.spec.support == GENERAL
-        whole = free and c.spec.length == basis.nvars
+        whole = free and c.spec.length == nv
         with_value.append(free and not whole)
-        combos.append(full if whole else c.combo or ())
-    return _stack_rows(values, jac, with_value, combos, instance.prime)
+        rows = full if whole else c.combo or ()
+        coeffs += rows
+        per_point.append(len(rows))
+    points = np.array([c.point for c in comps], dtype=np.int64).reshape(-1, nv)
+    owner = np.repeat(np.arange(len(comps)), per_point)
+    return _projective_rows(basis, points, np.array(with_value, dtype=bool),
+                            np.array(coeffs, dtype=np.int64).reshape(-1, nv), owner,
+                            instance.prime)
+
+
+def _vanishes(basis: MonomialBasis, sub) -> bool:
+    """Whether every form of ``basis`` vanishes on the coordinate subspace ``sub``."""
+    return bool(_slot_layout(basis)[0][:, sorted(sub.zeroed)].any(axis=1).all())
+
+
+def _projective_rows(basis, points, with_value, coeffs, owner, p):
+    """The stacked rows of (C, nv) support points: see :func:`_stack_rows`."""
+    if not len(points):
+        return np.empty((0, len(basis)), dtype=np.int64)
+    values, jac = _monomial_rows(basis, points, p)
+    return _stack_rows(values, jac, with_value, coeffs, owner, p)
+
+
+def _randbelow_stream(rng: random.Random, p: int, count: int):
+    """The next ``count`` values of ``rng.randrange(p)``, as a uint32 array.
+
+    ``randrange(p)`` takes ``getrandbits(k)``, k = p.bit_length(), until a
+    value is below p.  For k <= 32 each ``getrandbits(k)`` is one 32-bit
+    Mersenne Twister word shifted right by 32 - k, and ``getrandbits(32 * w)``
+    is w consecutive words, the first least significant; so one bulk call,
+    shifted and filtered, gives the same values.
+    """
+    k = p.bit_length()
+    parts, got = [], 0
+    while got < count:
+        need = count - got
+        words = (need << k) // p + need // 8 + 8
+        raw = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"),
+                            dtype="<u4") >> (32 - k)
+        parts.append(raw[raw < p])
+        got += parts[-1].size
+    return np.concatenate(parts)[:count] if parts else np.empty(0, np.uint32)
+
+
+@lru_cache(maxsize=None)
+def _stream_is_randrange() -> bool:
+    """Whether :func:`_randbelow_stream` replays ``randrange`` on this Python."""
+    for p in (5, DEFAULT_PRIME):
+        rng = random.Random(7)
+        if _randbelow_stream(random.Random(7), p, 64).tolist() != [
+                rng.randrange(p) for _ in range(64)]:
+            return False
+    return True
+
+
+# Cells (points x nv x M) of the jacobian stack that one chunk of
+# condition_matrices_projective evaluates; _monomial_rows holds about twice
+# that again in scratch.  On 128 seeded P^8 sweep instances of order 63
+# (2-vCPU Xeon, numpy 2.4) a chunk cap of 2**15 to 2**19 cells built them
+# equally fast and 2**14 about 20% slower; the peak RSS of one small-cases
+# benchmark pass (the quadric brute force, whose tiny matrices make many
+# points per chunk) was 37.3, 37.6 and 38.8 MB at 2**14, 2**15 and 2**16,
+# against 37.1 MB drawing one instance at a time.
+_BUILD_CELLS = 1 << 15
+
+
+def condition_matrices_projective(n, subspaces, basis: MonomialBasis, prime, draws) -> list:
+    """The condition matrix of each ``(specs, seed)`` draw, drawn and built together.
+
+    Entry i equals ``condition_matrix_projective(random_instance(n, specs,
+    subspaces, prime, seed), basis)`` in dtype, shape and bytes.  Each seed's
+    stream is read in one bulk call and laid out as :func:`random_instance`
+    uses it when it redraws nothing; the draws are then checked together
+    (nonzero and distinct points, combinations independent on their checked
+    columns).  A draw that fails a check, or that this path does not take
+    (a prime that is not a prime below MAX_PRIME, an invalid spec or
+    subspace, a basis not vanishing where it must), is drawn and built again
+    by the sequential path, which alone redraws and raises.  Accepted draws
+    are built in chunks of about ``_BUILD_CELLS`` jacobian cells.
+    """
+    subspaces = tuple(subspaces)
+    draws = [(tuple(specs), seed) for specs, seed in draws]
+    out = [None] * len(draws)
+    take, table, counts = _batchable(n, subspaces, basis, prime, draws)
+    if take:
+        layout = _draw_layout(n, subspaces, table, counts, [draws[i][1] for i in take], prime)
+        for i, matrix, ok in zip(take, _build_chunks(basis, prime, counts, layout), layout[-1]):
+            if ok:
+                out[i] = matrix
+    return [
+        condition_matrix_projective(random_instance(n, specs, subspaces, prime, seed), basis)
+        if m is None else m
+        for m, (specs, seed) in zip(out, draws)
+    ]
+
+
+def _batchable(n, subspaces, basis, prime, draws):
+    """The draws the batched path takes, their components' table and per-draw counts.
+
+    A table row is (length, support, residual) with support -1 for a free
+    component and residual 0 where there is none; rows follow the taken
+    draws' components in order.
+    """
+    nv = n + 1
+    if (not isinstance(prime, int) or not 2 <= prime < MAX_PRIME or not is_prime(prime)
+            or basis.mode != HOMOGENEOUS or basis.n != n
+            or any(sub.codim > n or not sub.zeroed <= set(range(nv)) for sub in subspaces)
+            or not _stream_is_randrange()):
+        return [], None, None
+    vanishes = [_vanishes(basis, sub) for sub in subspaces]
+    kinds, code = [], {}  # id(spec) -> index of its table row, or -1: the sequential path takes it
+    for specs, _ in draws:
+        for s in specs:
+            if id(s) in code:
+                continue
+            try:
+                s.validate(n, len(subspaces))
+            except ValueError:
+                code[id(s)] = -1
+                continue
+            if s.support == GENERAL:
+                kinds.append((s.length, -1, 0))
+            elif vanishes[s.support]:
+                kinds.append((s.length, s.support, s.residual))
+            else:
+                code[id(s)] = -1
+                continue
+            code[id(s)] = len(kinds) - 1
+    take, codes, counts = [], [], []
+    for i, (specs, _) in enumerate(draws):
+        row = [code[id(s)] for s in specs]
+        if -1 not in row:
+            take.append(i)
+            codes += row
+            counts.append(len(row))
+    table = np.array(kinds, dtype=np.int64).reshape(-1, 3)[np.array(codes, dtype=np.int64)]
+    return take, table, np.array(counts, dtype=np.int64)
+
+
+def _draw_layout(n, subspaces, table, counts, seeds, p):
+    """Draw the components of ``table`` from each seed's stream and check them together.
+
+    A draw's components take, one after the other, their point's coordinates
+    off its subspace and then their combination rows of n+1 entries each:
+    the values :func:`random_instance` reads when it redraws nothing.  The
+    rows of a double point are the unit vectors, read from the identity
+    block appended to the values.  Returns, in draw order, ``draw`` (C,):
+    the draw of each component; ``points`` (C, nv); ``with_value`` (C,);
+    ``owner`` (R,): the component of each combination row, nondecreasing;
+    ``start`` (R,): where each row's nv coefficients start in ``values``;
+    ``values``; and ``ok`` (B,): whether each draw passed every check.
+    """
+    nv = n + 1
+    length, sup, residual = table.T
+    zmask = np.zeros((len(subspaces) + 1, nv), dtype=bool)  # row -1: free components
+    for i, sub in enumerate(subspaces):
+        zmask[i, sorted(sub.zeroed)] = True
+    zero = zmask[sup]
+    free = sup < 0
+    whole = free & (length == nv)
+    n_rows = np.where(free, np.where(whole, 0, length - 1), residual)
+    own = nv - zero.sum(axis=1)  # coordinates the point draws
+    block = own + n_rows * nv
+    draw = np.repeat(np.arange(len(seeds)), counts)
+    per_draw = np.bincount(draw, weights=block, minlength=len(seeds)).astype(np.int64)
+    values = np.concatenate([_randbelow_stream(random.Random(seed), p, k)
+                             for seed, k in zip(seeds, per_draw.tolist())]
+                            + [np.eye(nv, dtype=np.uint32).ravel(), np.zeros(1, np.uint32)])
+    eye_at = values.size - 1 - nv * nv
+    off = np.cumsum(block) - block
+    points = values[np.where(zero, -1, off[:, None] + np.cumsum(~zero, axis=1) - 1)]
+
+    n_mixed = n_rows + whole * nv
+    owner = np.repeat(np.arange(len(table)), n_mixed)
+    j = np.arange(owner.size) - np.repeat(np.cumsum(n_mixed) - n_mixed, n_mixed)
+    start = np.where(whole[owner], eye_at, (off + own)[owner]) + j * nv
+
+    bad = np.zeros(len(seeds), dtype=bool)
+    bad[draw[~points.any(axis=1)]] = True
+    order = np.lexsort(np.vstack([points.T, draw]))
+    pts, drw = points[order], draw[order]
+    bad[drw[1:][(drw[1:] == drw[:-1]) & (pts[1:] == pts[:-1]).all(axis=1)]] = True
+    groups = n_rows * (len(subspaces) + 1) + sup + 1  # by (rows, support)
+    for key in sorted(set(groups[n_rows > 0].tolist())):
+        r, s = divmod(key, len(subspaces) + 1)
+        g = np.flatnonzero(groups == key)
+        cols = np.arange(nv) if s == 0 else np.array(sorted(subspaces[s - 1].zeroed))
+        if r > cols.size:  # never independent: the sequential path raises
+            bad[draw[g]] = True
+            continue
+        stack = values[(off + own)[g, None, None] + np.arange(r)[:, None] * nv + cols]
+        bad[draw[g[~full_rank_mod(stack, p)]]] = True
+    return draw, points, free & ~whole, owner, start, values, ~bad
+
+
+def _build_chunks(basis, p, counts, layout) -> list:
+    """Each draw's condition matrix, built ``_BUILD_CELLS`` jacobian cells at a time."""
+    draw, points, with_value, owner, start, values, _ = layout
+    n_draws, nv = len(counts), basis.nvars
+    mixed = np.bincount(draw[owner], minlength=n_draws)
+    rows = np.bincount(draw, weights=with_value, minlength=n_draws).astype(np.int64) + mixed
+    cells = (counts * nv * len(basis)).tolist()
+    comp_end, mixed_end = np.cumsum(counts).tolist(), np.cumsum(mixed).tolist()
+    out, lo = [], 0
+    while lo < n_draws:
+        hi, size = lo + 1, cells[lo]
+        while hi < n_draws and size + cells[hi] <= _BUILD_CELLS:
+            size += cells[hi]
+            hi += 1
+        ca, cb = comp_end[lo] - int(counts[lo]), comp_end[hi - 1]
+        ra, rb = mixed_end[lo] - int(mixed[lo]), mixed_end[hi - 1]
+        matrix = _projective_rows(basis, points[ca:cb], with_value[ca:cb],
+                                  values[start[ra:rb, None] + np.arange(nv)],
+                                  owner[ra:rb] - ca, p)
+        out += np.split(matrix, np.cumsum(rows[lo:hi - 1]))
+        lo = hi
+    return out
 
 
 def expected_row_count(specs) -> int:
@@ -444,8 +658,10 @@ def _affine_rows_mod(prob: InterpolationProblem, basis: MonomialBasis, prime: in
     # residues must be integers: index() refuses a Fraction instead of truncating it
     points = np.array([[index(x) % prime for x in pt] for pt in prob.points], dtype=np.int64)
     values, jac = _monomial_rows(basis, points, prime)
-    directions = [[[index(x) % prime for x in v] for v in ds] for ds in prob.directions]
-    return _stack_rows(values, jac, [True] * len(prob.points), directions, prime)
+    coeffs = np.array([[index(x) % prime for x in v] for ds in prob.directions for v in ds],
+                      dtype=np.int64).reshape(-1, prob.n)
+    owner = np.repeat(np.arange(len(points)), [len(ds) for ds in prob.directions])
+    return _stack_rows(values, jac, np.ones(len(points), dtype=bool), coeffs, owner, prime)
 
 
 def condition_rhs(prob: InterpolationProblem) -> list:

@@ -14,7 +14,11 @@ resulting condition matrix.  Rank is lower semicontinuous in the data, so
 Per-case seeds are derived as sha256(root_seed:label:trial), so cases are
 independent jobs and execution order never changes any measurement.  The
 trial loop uses this: it runs a sweep's cases together, trial round by trial
-round, and ranks each round's matrices in one ``linalg.ranks`` call.
+round, draws and builds a round's scheme instances together
+(``schemes.condition_matrices_projective``) and ranks the round's matrices in
+one ``linalg.ranks`` call.  A case's ``millis`` is therefore amortised: an
+equal share of its group's draw and build time and of its rounds' ranking
+time.
 """
 
 from __future__ import annotations
@@ -23,17 +27,26 @@ import hashlib
 import itertools
 import random
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
 from . import theory
 from .gf import DEFAULT_PRIME
 from .linalg import ranks
-from .monomials import CoordinateSubspace, build_basis, vanishing_basis, HOMOGENEOUS
+from .monomials import (
+    HOMOGENEOUS,
+    CoordinateSubspace,
+    MonomialBasis,
+    build_basis,
+    vanishing_basis,
+)
 from .schemes import (
     ComponentSpec,
+    condition_matrices_projective,
     condition_matrix_affine,
     condition_matrix_projective,
     random_affine_problem,
@@ -109,11 +122,15 @@ def _trials(policy: TrialPolicy, jobs):
 
     Trial t of a job ranks ``build(child_seed(seed, label, t))``, and the job
     ends after a rank equal to its ``stop`` (None: it runs every trial).  Jobs
-    are taken ``ROUND_CASES`` at a time, and each trial round ranks the
-    matrices of the jobs still running in one ``linalg.ranks`` call.  Yields,
-    per job, the job, its ranks (at least one) and its milliseconds: its own
-    draw and build time plus an equal share of each of its rounds' ranking
-    time.  ``jobs`` may be a generator, so only a batch's builders are alive.
+    are taken ``ROUND_CASES`` at a time.  In each trial round, the running
+    :class:`ProjectiveDraw` jobs that share ``(n, subspaces, basis, prime)``
+    are drawn and built in one ``condition_matrices_projective`` call; a
+    group of one and every other job call their own ``build``.  The round's
+    matrices are then ranked in one ``linalg.ranks`` call.  Yields, per job,
+    the job, its ranks (at least one) and its milliseconds: its own draw and
+    build time, or an equal share of its group's, plus an equal share of each
+    of its rounds' ranking time.  ``jobs`` may be a generator, so only a
+    batch's builders are alive.
     """
     jobs = iter(jobs)
     while batch := list(itertools.islice(jobs, ROUND_CASES)):
@@ -121,15 +138,31 @@ def _trials(policy: TrialPolicy, jobs):
         seconds = [0.0] * len(batch)
         running = range(len(batch))
         for t in range(policy.trials):
-            matrices = []
+            matrices, groups = {}, defaultdict(list)
             for i in running:
                 label, build, _ = batch[i]
+                seed = child_seed(policy.seed, label, t)
+                if isinstance(build, ProjectiveDraw):
+                    groups[build.n, build.subspaces, build.basis, build.prime].append((i, seed))
+                    continue
                 t0 = time.perf_counter()
                 # kept as an array: Python-int rows would take about 4x the memory
-                matrices.append(np.asarray(build(child_seed(policy.seed, label, t))))
+                matrices[i] = np.asarray(build(seed))
                 seconds[i] += time.perf_counter() - t0
+            for key, members in groups.items():
+                t0 = time.perf_counter()
+                if len(members) == 1:  # alone, one draw is faster than the batched path
+                    [(i, seed)] = members
+                    built = [batch[i][1](seed)]
+                else:
+                    built = condition_matrices_projective(
+                        *key, [(batch[i][1].specs, seed) for i, seed in members])
+                share = (time.perf_counter() - t0) / len(members)
+                for (i, _), matrix in zip(members, built):
+                    matrices[i] = matrix
+                    seconds[i] += share
             t0 = time.perf_counter()
-            values = ranks(matrices, policy.prime)
+            values = ranks([matrices[i] for i in running], policy.prime)
             share = (time.perf_counter() - t0) / len(running)
             for i, r in zip(running, values):
                 stop = batch[i][2]
@@ -227,12 +260,29 @@ def specs_free(n: int, xo_vector) -> list:
     return out
 
 
-def _projective_builder(n, specs, subspaces, basis, prime):
-    def build(seed):
-        inst = random_instance(n, specs, subspaces, prime, seed)
-        return condition_matrix_projective(inst, basis)
+class ProjectiveDraw(NamedTuple):
+    """The builder of a random scheme's condition matrices, one per seed.
 
-    return build
+    Calling it draws and builds one instance.  :func:`_trials` builds a
+    round's draws that share ``(n, subspaces, basis, prime)`` together, by
+    ``condition_matrices_projective``, which gives the same matrices.
+    """
+
+    n: int
+    specs: tuple
+    subspaces: tuple
+    basis: MonomialBasis
+    prime: int
+
+    def __call__(self, seed):
+        inst = random_instance(self.n, self.specs, self.subspaces, self.prime, seed)
+        return condition_matrix_projective(inst, self.basis)
+
+
+def _general_scheme(n, lengths, d, prime) -> ProjectiveDraw:
+    """Free components of the given lengths in P^n, against every degree-d form."""
+    return ProjectiveDraw(n, tuple(ComponentSpec(l) for l in lengths), (),
+                          build_basis(HOMOGENEOUS, n, d), prime)
 
 
 def _on_subspace(tag: str, n: int, idx: int, degree: int):
@@ -267,7 +317,7 @@ def _partition_cases(policy: TrialPolicy, n: int, subspaces, basis, prefix: str,
                 f"{tag}={','.join(map(str, part))}" for (tag, _, _), part in zip(families, combo)
             ])
             specs = [s for (_, _, specs_of), part in zip(families, combo) for s in specs_of(part)]
-            yield label, _projective_builder(n, specs, subspaces, basis, policy.prime), len(basis)
+            yield label, ProjectiveDraw(n, tuple(specs), subspaces, basis, policy.prime), len(basis)
 
     return _rank_cases(policy, jobs())
 
@@ -290,19 +340,19 @@ def verify_prop45(policy: TrialPolicy) -> list:
 def verify_remark46(policy: TrialPolicy) -> list:
     """The boundary cases around the triple list: (0,0,27) works, (0,6,21) does not."""
     basis = vanishing_basis(8, 3, P8_SUBSPACES)
-    dp = lambda idx, k: [ComponentSpec(9, idx, 3)] * k
+    dp = lambda idx, k: (ComponentSpec(9, idx, 3),) * k
     reports = [
         run_rank_case(
             policy, "4.6 (0,0,27)", 27,
-            _projective_builder(8, dp(2, 9), P8_SUBSPACES, basis, policy.prime),
+            ProjectiveDraw(8, dp(2, 9), P8_SUBSPACES, basis, policy.prime),
         ),
         run_dim_case(
             policy, "4.6 (0,6,21)", 2,
-            _projective_builder(8, dp(1, 2) + dp(2, 7), P8_SUBSPACES, basis, policy.prime),
+            ProjectiveDraw(8, dp(1, 2) + dp(2, 7), P8_SUBSPACES, basis, policy.prime),
         ),
         run_rank_case(
             policy, "4.6 (0,6,18) subscheme", 24,
-            _projective_builder(8, dp(1, 2) + dp(2, 6), P8_SUBSPACES, basis, policy.prime),
+            ProjectiveDraw(8, dp(1, 2) + dp(2, 6), P8_SUBSPACES, basis, policy.prime),
         ),
     ]
     return reports
@@ -434,17 +484,6 @@ EXPECTED_QUADRIC_EXCEPTIONS = {
 }
 
 
-def _general_scheme_builder(n, lengths, d, prime):
-    basis = build_basis(HOMOGENEOUS, n, d)
-    specs = [ComponentSpec(l) for l in lengths]
-
-    def build(seed):
-        inst = random_instance(n, specs, (), prime, seed)
-        return condition_matrix_projective(inst, basis)
-
-    return build
-
-
 def verify_tables(policy: TrialPolicy, n: int) -> list:
     """Regenerate the degree-2 exception list for P^n and measure every dim."""
     fixture = EXPECTED_QUADRIC_EXCEPTIONS[n]
@@ -470,7 +509,7 @@ def verify_tables(policy: TrialPolicy, n: int) -> list:
             }
         reports.append(run_dim_case(
             policy, f"P{n} {','.join(map(str, prof))}", dim,
-            _general_scheme_builder(n, prof, 2, policy.prime),
+            _general_scheme(n, prof, 2, policy.prime),
             lower_bound=theory.best_cone_lower_bound(n, prof),
             extra=extra,
         ))
@@ -495,7 +534,7 @@ def verify_ah_exceptions(policy: TrialPolicy) -> list:
     for tag, (n, d, lengths) in AH_EXCEPTION_SCHEMES.items():
         reports.append(run_dim_case(
             policy, f"1.1{tag} n={n} d={d}", 1,
-            _general_scheme_builder(n, lengths, d, policy.prime),
+            _general_scheme(n, lengths, d, policy.prime),
         ))
     return reports
 
@@ -523,7 +562,7 @@ def verify_generic(policy: TrialPolicy, n: int, d: int, a=None, lengths=None) ->
         lengths = tuple(sorted(lengths, reverse=True))
         profile = tuple(l - 1 for l in lengths)
         label = f"generic n={n} d={d} lengths={','.join(map(str, lengths))}"
-        builder = _general_scheme_builder(n, lengths, d, policy.prime)
+        builder = _general_scheme(n, lengths, d, policy.prime)
     else:
         profile = tuple(sorted(a, reverse=True))
         label = f"generic n={n} d={d} a={','.join(map(str, profile))}"
@@ -586,7 +625,7 @@ def quadric_bruteforce(policy: TrialPolicy, ns=(1, 2, 3, 4), extra_degree: int =
         t0 = time.perf_counter()
         dim = comb(n + 2, 2)
         profiles = theory._profiles_up_to(n, dim + extra_degree)
-        jobs = ((f"bf P{n} {prof}", _general_scheme_builder(n, prof, 2, policy.prime),
+        jobs = ((f"bf P{n} {prof}", _general_scheme(n, prof, 2, policy.prime),
                  min(sum(prof), dim)) for prof in profiles)
         mismatches = [
             prof for prof, ((_, _, full), measured, _) in zip(profiles, _trials(policy, jobs))

@@ -326,6 +326,9 @@ def test_degenerate_draw_is_a_usage_error(monkeypatch, capsys):
     def degenerate(*args, **kwargs):
         raise DegenerateDrawError("could not draw independent directions over GF(11)")
 
+    # a round's scheme draws go through the batched builder, a single dim case's
+    # draw through random_instance
+    monkeypatch.setattr(verify, "condition_matrices_projective", degenerate)
     monkeypatch.setattr(verify, "random_instance", degenerate)
     for argv in (("tables", "-n", "3"), ("props", "--prop", "4.6")):
         code, _, err = run_cli(capsys, *argv, "--prime", "11")
@@ -335,15 +338,16 @@ def test_degenerate_draw_is_a_usage_error(monkeypatch, capsys):
 def test_degenerate_draw_in_a_batched_round_is_a_usage_error(monkeypatch, capsys):
     # the tenth draw of the first 4.5 triple fails while its round is half built
     draws = []
-    real = verify.random_instance
+    real = verify.condition_matrices_projective
 
-    def flaky(*args, **kwargs):
-        draws.append(args)
-        if len(draws) == 10:
-            raise DegenerateDrawError("could not draw independent directions over GF(31991)")
-        return real(*args, **kwargs)
+    def flaky(n, subspaces, basis, prime, batch):
+        for draw in batch:
+            draws.append(draw)
+            if len(draws) == 10:
+                raise DegenerateDrawError("could not draw independent directions over GF(31991)")
+        return real(n, subspaces, basis, prime, batch)
 
-    monkeypatch.setattr(verify, "random_instance", flaky)
+    monkeypatch.setattr(verify, "condition_matrices_projective", flaky)
     code, out, err = run_cli(capsys, "props", "--prop", "4.5")
     assert code == 2 and out == "" and len(draws) == 10
     assert err.count("\n") == 1 and err.startswith("error: could not draw")
@@ -382,6 +386,25 @@ def test_batched_runner_equals_one_case_at_a_time(monkeypatch, capsys, argv, pri
         # at p = 5 many draws are deficient, so cases run their second and third trials
         lengths = {len(c["measured"]) for c in batched}
         assert lengths == ({1} if prime == "31991" else {1, 2, 3})
+
+
+def test_fail_lines_say_how_to_replay_each_case(capsys):
+    # at p = 7 the 4.6 cases fall short; each FAIL line names the root seed,
+    # the prime and the child seed of every measured trial
+    code, out, err = run_cli(capsys, "props", "--prop", "4.6", "--prime", "7", "--seed", "5")
+    cases = json.loads(out)["cases"]
+    failed = [c for c in cases if c["verdict"] != "PASS"]
+    assert code == 1 and failed
+    assert err.splitlines() == [
+        f"FAIL {c['case']}: measured {c['measured']}, predicted {c['predicted']};"
+        f" replay: --seed 5 --prime 7, child seeds"
+        f" {[verify.child_seed(5, c['case'], t) for t in range(len(c['measured']))]}"
+        for c in failed
+    ]
+    # an enumeration report has no trials, so no child seeds
+    _, _, err = run_cli(capsys, "tables", "-n", "4", "--trials", "1")
+    assert err.splitlines()[0].startswith("FAIL P4 exception enumeration:")
+    assert err.splitlines()[0].endswith(f"replay: --seed {verify.DEFAULT_SEED} --prime 31991")
 
 
 def test_report_names_kernel_and_versions(capsys):

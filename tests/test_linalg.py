@@ -557,6 +557,45 @@ def test_screen_reads_multiples_of_p_near_2_52_as_zero():
         assert linalg.ranks(list(wide), p) == [1, 2]
 
 
+@pytest.mark.parametrize("order", [3, 11])  # Python rows and the kernel
+def test_rank_refuses_non_integer_dtypes(order):
+    # float entries used to be truncated on the kernel path: 0.5 read as 0, rank 0
+    for dtype in (np.float64, np.float32, np.bool_, np.complex128):
+        matrix = np.full((order, order), 0.5).astype(dtype)
+        with pytest.raises(TypeError):
+            rank(matrix, P)
+        with pytest.raises(TypeError):
+            linalg.ranks([matrix, matrix], P)
+    halves = np.full((order, order), 0.5).tolist()
+    with pytest.raises(TypeError):
+        rank(halves, P)
+    with pytest.raises(TypeError):
+        linalg.ranks([halves, halves], P)
+    fractions = np.full((order, order), Fraction(1, 2), dtype=object)
+    with pytest.raises(TypeError):
+        rank(fractions, P)
+    with pytest.raises(TypeError):
+        linalg.ranks([fractions, fractions], P)
+
+
+def test_rank_reads_wide_integers_exactly():
+    # uint64 entries above 2**63 and Python ints beyond int64 are reduced, not wrapped
+    rng = random.Random(5)
+    rows = [[rng.randrange(2**64) for _ in range(12)] for _ in range(11)]
+    rows[10] = [(a + b) % 2**64 for a, b in zip(rows[0], rows[1])]  # dependent mod 2**64, not mod P
+    expected = rank_rows(rows, P)
+    assert rank(np.array(rows, dtype=np.uint64), P) == expected
+    assert linalg.ranks([np.array(rows, dtype=np.uint64)] * 2, P) == [expected] * 2
+    big = [[v << 70 for v in row] for row in rows]
+    assert rank(np.array(big, dtype=object), P) == rank(big, P) == rank_rows(big, P)
+    # narrow integer dtypes are widened, not reduced in their own width
+    small = np.array(rows, dtype=np.uint64) % 100
+    expected = rank_rows(small.tolist(), P)
+    for dtype in (np.int8, np.uint8, np.int16, np.uint32):
+        assert rank(small.astype(dtype), P) == expected
+        assert linalg.ranks([small.astype(dtype)] * 2, P) == [expected] * 2
+
+
 def test_ranks_screens_only_numpy_gf_groups(monkeypatch):
     screened = []
     monkeypatch.setattr(linalg, "full_rank_mod",

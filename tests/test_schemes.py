@@ -19,12 +19,16 @@ from ppinterp.monomials import (
     jacobian_block,
     vanishing_basis,
 )
+from ppinterp import schemes
 from ppinterp.schemes import (
     GENERAL,
     _affine_rows_exact,
+    _randbelow_stream,
+    _stream_is_randrange,
     ComponentSpec,
     DegenerateDrawError,
     InterpolationProblem,
+    condition_matrices_projective,
     condition_matrix_affine,
     condition_matrix_projective,
     condition_rhs,
@@ -259,6 +263,128 @@ def test_projective_build_p8_three_subspaces_equals_exact_rows(prime):
              + specs_on_subspace(8, 2, (2, 0, 1)))
     for seed in range(3):
         assert_projective_build_exact(random_instance(8, specs, (L, M, N), prime, seed), basis)
+
+
+# ---------------------------------------------------------------------------
+# the batched projective draw and build
+
+BATCH_PRIMES = (3, 5, 7, P, 67108859)
+
+
+def _outcome(build):
+    """Each matrix as (dtype, shape, bytes), or the (type, message) of the error raised."""
+    try:
+        return [(m.dtype, m.shape, m.tobytes()) for m in build()]
+    except (ValueError, DegenerateDrawError) as err:
+        return type(err), str(err)
+
+
+def assert_batched_equals_sequential(n, subspaces, basis, prime, draws):
+    sequential = _outcome(lambda: [
+        condition_matrix_projective(random_instance(n, specs, subspaces, prime, seed), basis)
+        for specs, seed in draws
+    ])
+    assert _outcome(lambda: condition_matrices_projective(n, subspaces, basis, prime, draws)) \
+        == sequential
+    return sequential
+
+
+@st.composite
+def batched_draws(draw):
+    n = draw(st.integers(1, 8))
+    d = draw(st.integers(0, 3 if n <= 5 else 2))
+    coords = draw(st.permutations(range(n + 1)))
+    subspaces = []
+    while coords and len(subspaces) < 3 and draw(st.booleans()):
+        codim = draw(st.integers(1, min(n, len(coords))))
+        subspaces.append(CoordinateSubspace(coords[:codim]))
+        coords = coords[codim:]
+
+    def components():
+        specs = []
+        for _ in range(draw(st.integers(0, 5))):
+            length = draw(st.integers(1, n + 1))  # free: every length, n+1 a double point
+            lo, hi = max(0, length + 2 - n), min(3, length)  # ComponentSpec.validate
+            if not subspaces or lo > hi or draw(st.booleans()):
+                specs.append(ComponentSpec(length))
+            else:
+                # a residual above the codimension can never be drawn: both paths raise
+                specs.append(ComponentSpec(length, draw(st.integers(0, len(subspaces) - 1)),
+                                           draw(st.integers(lo, hi))))
+        return specs
+
+    shared = components()
+    draws = [(shared if draw(st.booleans()) else components(), draw(st.integers(0, 2**64 - 1)))
+             for _ in range(draw(st.integers(1, 6)))]
+    prime = draw(st.sampled_from(BATCH_PRIMES))
+    return n, d, tuple(subspaces), draws, prime
+
+
+@settings(max_examples=200, deadline=None)
+@given(batched_draws())
+def test_batched_projective_build_equals_sequential(case):
+    # free components of every length, double points, subspace components with
+    # residual 0-3, empty specs; primes where draws are often degenerate
+    n, d, subspaces, draws, prime = case
+    if subspaces:
+        basis = vanishing_basis(n, d, subspaces)
+    else:
+        basis = build_basis(HOMOGENEOUS, n, d)
+    assert_batched_equals_sequential(n, subspaces, basis, prime, draws)
+
+
+@pytest.mark.parametrize("prime", [3, 5])
+def test_batched_build_redraws_degenerate_draws_sequentially(monkeypatch, prime):
+    # ten points of P^2 over GF(p) often coincide, and two directions in
+    # GF(p)^3 are often dependent: those draws go to the sequential path
+    redrawn = []
+    real = schemes.random_instance
+    monkeypatch.setattr(schemes, "random_instance",
+                        lambda *args: redrawn.append(args[-1]) or real(*args))
+    specs = [ComponentSpec(1)] * 6 + [ComponentSpec(3)] * 2 + [ComponentSpec(2)] * 2
+    draws = [(specs, seed) for seed in range(40)]
+    basis = build_basis(HOMOGENEOUS, 2, 3)
+    assert isinstance(assert_batched_equals_sequential(2, (), basis, prime, draws), list)
+    assert 0 < len(redrawn) < len(draws)  # the reference calls random_instance unpatched
+
+
+def test_batched_build_raises_what_the_sequential_path_raises():
+    good = [ComponentSpec(9), ComponentSpec(9, 0, 3), ComponentSpec(5)]
+    p8 = vanishing_basis(8, 3, (L, M))
+    full = build_basis(HOMOGENEOUS, 8, 3)
+    cases = [
+        (8, (L, M), p8, P, [ComponentSpec(10)]),  # length above n + 1
+        (8, (L, M), p8, P, [ComponentSpec(9, 0, None)]),  # no residual on a subspace
+        (8, (L, M), p8, P, [ComponentSpec(9, 5, 3)]),  # unknown subspace
+        (8, (L, M), p8, P, [ComponentSpec(3, GENERAL, 1)]),  # residual on a free component
+        (2, (L,), build_basis(HOMOGENEOUS, 2, 3), P, [ComponentSpec(1)]),  # codimension 3 > n
+        (8, (L, M), full, P, good),  # basis not vanishing on the subspaces
+        (7, (L, M), p8, P, [ComponentSpec(1)]),  # basis of another P^n
+        (8, (L, M), p8, 67108879, good),  # prime above MAX_PRIME: the direction check refuses it
+        (1, (), build_basis(HOMOGENEOUS, 1, 3), 3, [ComponentSpec(1)] * 9),  # 8 points in P^1
+        (3, (CoordinateSubspace({0}),), vanishing_basis(3, 3, (CoordinateSubspace({0}),)), P,
+         [ComponentSpec(3, 0, 2)]),  # two transversal directions to a hyperplane
+    ]
+    for n, subspaces, basis, prime, specs in cases:
+        draws = [(good[:1], 1), (specs, 2), (good[:1], 3)]
+        sequential = assert_batched_equals_sequential(n, subspaces, basis, prime, draws)
+        assert isinstance(sequential, tuple), specs
+    # above MAX_PRIME the sequential path still builds schemes without directions
+    draws = [([ComponentSpec(9), ComponentSpec(1)], seed) for seed in range(3)]
+    assert isinstance(assert_batched_equals_sequential(8, (), full, 67108879, draws), list)
+
+
+@pytest.mark.parametrize("prime", BATCH_PRIMES)
+def test_randbelow_stream_replays_randrange(prime):
+    # randrange(p) keeps the getrandbits(p.bit_length()) values below p
+    assert _stream_is_randrange()
+    for seed in (0, 1, 2**64 - 1):
+        rng = random.Random(seed)
+        expected = [rng.randrange(prime) for _ in range(500)]
+        assert _randbelow_stream(random.Random(seed), prime, 500).tolist() == expected
+        rng = random.Random(seed)
+        bits = [rng.getrandbits(prime.bit_length()) for _ in range(1500)]
+        assert [b for b in bits if b < prime][:500] == expected
 
 
 def exact_affine_rows(prob, prime):
