@@ -3,24 +3,24 @@
 
 The rank of seeded random matrices over GF(31991) is one of the three
 layers of every verification sweep (with drawing and building the
-matrices).  This script times both kernels on the matrix orders the suites
-produce (27, 36, 63, 126, 165) and on a full end-to-end sweep.  At the small
-orders (k x (k+1) for k = 3..21: the draws' direction checks and the
-smallest condition matrices) it also times ``linalg.rank_rows`` beside the
-kernels, with the work m*n*min(m, n) that ``linalg._ROWS_WORK`` is set
-against: ``linalg.rank`` eliminates on Python rows up to that work.  On
-stacks of the sweeps' square orders (27, 36, 46, 63) it times the batched
-full-rank screen ``full_rank_mod`` and ``linalg.ranks`` against ranking each
-matrix alone, which sets the routing rule in ``linalg.ranks``.  On 128
-seeded instances of the cubic sweeps at each of these orders it times the
-batched draw and build ``schemes.condition_matrices_projective`` against
-drawing and building each instance alone, and checks that both give the
-same bytes.
+matrices).  This script times ``echelon_mod``'s rank on both of its inner
+loops -- numpy's and, when the extension is built, the compiled C loop --
+on the matrix orders the suites produce (27, 36, 63, 126, 165) and on a
+full end-to-end sweep.  At the small orders (k x (k+1) for k = 3..21: the
+draws' direction checks and the smallest condition matrices) it also times
+``linalg.rank_rows`` beside the loops, with the work m*n*min(m, n) that
+``linalg._ROWS_WORK`` is set against: ``linalg.rank`` eliminates on Python
+rows up to that work.  On stacks of the sweeps' square orders (27, 36, 46,
+63) it times the batched full-rank screen ``full_rank_mod`` and
+``linalg.ranks`` against ranking each matrix alone, which sets the routing
+rule in ``linalg.ranks``.  On 128 seeded instances of the cubic sweeps at
+each of these orders it times the batched draw and build
+``schemes.condition_matrices_projective`` against drawing and building each
+instance alone, and checks that both give the same bytes.
 
-The solvers get two tables.  Over GF(p), Python-row elimination
-(``_echelon`` and its back-substitution) against ``echelon_mod`` and the
-numpy back-substitution, which the GF(p) solvers use at every order, on
-random square systems.  Over Q, Bareiss against Dixon lifting on the
+The solvers get two tables.  Over GF(p), ``solve_square`` (``echelon_mod``
+and the numpy back-substitution) on random square systems, with the numpy
+loop and with the C loop.  Over Q, Bareiss against Dixon lifting on the
 integer rows of seeded square interpolation problems of orders 4-126
 (small integers and two-digit fractions), which sets ``linalg._DIXON_ORDER``;
 ``--big`` adds orders 120-126 with 15-bit integer coordinates.  Both
@@ -37,9 +37,8 @@ from math import comb
 
 import numpy as np
 
-from ppinterp import interp, linalg
-from ppinterp._gfcore_py import echelon_mod, full_rank_mod
-from ppinterp._gfcore_py import rank_mod as rank_py
+from ppinterp import _gfcore_py, interp, linalg
+from ppinterp._gfcore_py import KERNEL, _echelon_numpy, full_rank_mod
 from ppinterp.gf import DEFAULT_PRIME
 from ppinterp.linalg import _ROWS_WORK, rank_rows
 from ppinterp.monomials import AFFINE, build_basis
@@ -52,10 +51,22 @@ from ppinterp.schemes import (
     random_instance,
 )
 
-try:
-    from ppinterp._gfcore import rank_mod as rank_cy
-except ImportError:
-    rank_cy = None
+# echelon_mod's active inner loop: the compiled one when the extension is built
+ACTIVE_LOOP = _gfcore_py.echelon_inplace
+
+
+def rank_py(a, p):
+    """The rank by echelon_mod's numpy loop (on a fresh residue copy, as echelon_mod makes)."""
+    return len(_echelon_numpy(a % p, a.shape[1], p))
+
+
+def rank_c(a, p):
+    """The rank by echelon_mod's compiled loop."""
+    return len(ACTIVE_LOOP(a % p, a.shape[1], p))
+
+
+if KERNEL != "c":
+    rank_c = None
 
 SIZES = (27, 36, 63, 126, 165)
 SMALL = (3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 17, 21)
@@ -95,16 +106,16 @@ def bench_kernel(fn, mats, repeats):
 
 
 def bench_small(rng, args):
-    """Python rows against the kernels on k x (k+1) matrices; rows get the kernels' input."""
+    """Python rows against the loops on k x (k+1) matrices; rows get the loops' input."""
     print(f"\nsmall orders (linalg._ROWS_WORK = {_ROWS_WORK})")
     header = f"{'shape':>7} {'work':>6} {'rows (us)':>10} {'numpy (us)':>11}"
-    if rank_cy is not None:
-        header += f" {'cython (us)':>12}"
+    if rank_c is not None:
+        header += f" {'c (us)':>12}"
     print(header)
     for k in SMALL:
         mats = [random_matrix(rng, k, k + 1) for _ in range(args.mats)]
         times = [bench_kernel(fn, mats, args.repeats) * 1e6
-                 for fn in (rank_rows, rank_py, rank_cy) if fn is not None]
+                 for fn in (rank_rows, rank_py, rank_c) if fn is not None]
         print(f"{f'{k}x{k + 1}':>7} {k * (k + 1) * k:>6} "
               + " ".join(f"{t:>{w}.1f}" for t, w in zip(times, (10, 11, 12))))
 
@@ -113,8 +124,8 @@ def bench_screen(rng, args):
     """The batched screen against ranking each matrix alone, per matrix of a stack."""
     print(f"\nfull-rank screen, stacks of {SCREEN_STACK} (us per matrix)")
     header = f"{'order':>6} {'screen':>8} {'ranks':>8} {'numpy':>8}"
-    if rank_cy is not None:
-        header += f" {'cython':>8}"
+    if rank_c is not None:
+        header += f" {'c':>8}"
     print(header)
     for order in SCREEN_ORDERS:
         mats = [random_matrix(rng, order) for _ in range(SCREEN_STACK)]
@@ -125,7 +136,7 @@ def bench_screen(rng, args):
         t_screen, _ = _best(lambda: full_rank_mod(stack, DEFAULT_PRIME), args.repeats)
         t_ranks, _ = _best(lambda: linalg.ranks(mats, DEFAULT_PRIME), args.repeats)
         times = [t_screen / SCREEN_STACK, t_ranks / SCREEN_STACK]
-        times += [bench_kernel(fn, mats, args.repeats) for fn in (rank_py, rank_cy) if fn]
+        times += [bench_kernel(fn, mats, args.repeats) for fn in (rank_py, rank_c) if fn]
         print(f"{order:>6} " + " ".join(f"{t * 1e6:>8.0f}" for t in times))
 
 
@@ -202,27 +213,28 @@ def _best(fn, repeats):
     return best, out
 
 
-def _gf_rows(rows, n):
-    rows = [r[:] for r in rows]
-    pivots = linalg._echelon(rows, n, DEFAULT_PRIME)
-    return linalg._back_substitute(rows, pivots, n, DEFAULT_PRIME)
-
-
-def _gf_numpy(rows, n):
-    reduced, pivots = echelon_mod(np.array(rows, dtype=np.int64), n, DEFAULT_PRIME)
-    return linalg._back_substitute_mod(reduced, pivots, n, DEFAULT_PRIME)[:, 0].tolist()
+def _gf_solve(loop, a, rhs):
+    _gfcore_py.echelon_inplace = loop
+    try:
+        return linalg.solve_square(a, rhs, DEFAULT_PRIME)
+    finally:
+        _gfcore_py.echelon_inplace = ACTIVE_LOOP
 
 
 def bench_solve_gf(rng, args):
-    """Python rows against echelon_mod on random square systems [A | b] mod p."""
+    """solve_square mod p on the numpy loop and on the C loop, random square systems."""
     print("\nGF(p) solve")
-    print(f"{'order':>6} {'work':>8} {'rows (ms)':>10} {'echelon_mod (ms)':>17}")
+    header = f"{'order':>6} {'work':>8} {'numpy (ms)':>11}"
+    print(header + (f" {'c (ms)':>9}" if rank_c is not None else ""))
     for n in GF_SOLVE_ORDERS:
-        rows = random_matrix(rng, n, n + 1).tolist()
-        t_rows, x_rows = _best(lambda: _gf_rows(rows, n), args.repeats)
-        t_np, x_np = _best(lambda: _gf_numpy(rows, n), args.repeats)
-        assert x_rows == x_np, n
-        print(f"{n:>6} {n ** 3:>8} {t_rows * 1e3:>10.3f} {t_np * 1e3:>17.3f}")
+        a, rhs = random_matrix(rng, n), random_matrix(rng, 1, n)[0].tolist()
+        t_np, x_np = _best(lambda: _gf_solve(_echelon_numpy, a, rhs), args.repeats)
+        line = f"{n:>6} {n ** 3:>8} {t_np * 1e3:>11.3f}"
+        if rank_c is not None:
+            t_c, x_c = _best(lambda: _gf_solve(ACTIVE_LOOP, a, rhs), args.repeats)
+            assert x_c == x_np, n
+            line += f" {t_c * 1e3:>9.3f}"
+        print(line)
 
 
 def _scalar(rng, kind):
@@ -295,20 +307,20 @@ def main():
     rng = random.Random(1)
     print(f"prime {DEFAULT_PRIME}, {args.mats} matrices/size, best of {args.repeats}")
     header = f"{'order':>6} {'numpy (ms)':>12}"
-    if rank_cy is not None:
-        header += f" {'cython (ms)':>12} {'speedup':>8}"
+    if rank_c is not None:
+        header += f" {'c (ms)':>12} {'speedup':>8}"
     print(header)
     for size in SIZES:
         mats = [random_matrix(rng, size) for _ in range(args.mats)]
         t_py = bench_kernel(rank_py, mats, args.repeats) * 1000
         line = f"{size:>6} {t_py:>12.3f}"
-        if rank_cy is not None:
-            t_cy = bench_kernel(rank_cy, mats, args.repeats) * 1000
-            line += f" {t_cy:>12.3f} {t_py / t_cy:>7.1f}x"
+        if rank_c is not None:
+            t_c = bench_kernel(rank_c, mats, args.repeats) * 1000
+            line += f" {t_c:>12.3f} {t_py / t_c:>7.1f}x"
         print(line)
-    if rank_cy is None:
-        print("compiled kernel not built; numpy fallback only "
-              "(pip install -e . --no-build-isolation to build it)")
+    if rank_c is None:
+        print("compiled loop not built; numpy loop only "
+              "(python setup.py build_ext --inplace to build it)")
     bench_small(rng, args)
     bench_screen(rng, args)
     bench_draw_build(rng, args)
@@ -318,8 +330,6 @@ def main():
         bench_solve_q(rng, Q_BIG_SHAPES, ("int15",))
 
     cases, dt = bench_suite()
-    from ppinterp.linalg import KERNEL
-
     print(f"\nend to end: five-triple suite, {cases} cases in {dt:.2f}s "
           f"(active kernel: {KERNEL})")
 

@@ -1,22 +1,8 @@
 from setuptools import Extension, setup
 
-# The modular elimination kernel is optional.  With Cython it is compiled
-# from the .pyx; without it, from the C file generated from that .pyx and
-# shipped beside it.  If neither builds (no C compiler), the package falls
-# back to the numpy implementation at import.
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
-if cythonize is not None:
-    ext_modules = cythonize(
-        [Extension("ppinterp._gfcore", ["src/ppinterp/_gfcore.pyx"])],
-        compiler_directives={"language_level": "3"},
-    )
-else:
-    ext_modules = [
-        Extension("ppinterp._gfcore", ["src/ppinterp/_gfcore.c"], optional=True)
-    ]
-
-setup(ext_modules=ext_modules)
+# The modular elimination loop is optional: _gfcore.c is a short hand-written
+# C file (CPython API and buffer protocol, no numpy headers).  If it does not
+# build (no C compiler), the package uses the numpy loop of _gfcore_py.
+setup(ext_modules=[
+    Extension("ppinterp._gfcore", ["src/ppinterp/_gfcore.c"], optional=True)
+])

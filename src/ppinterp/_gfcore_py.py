@@ -1,35 +1,24 @@
-"""Pure-Python (numpy) row-reduction kernel over GF(p).
+"""Row reduction over GF(p): the shared ``echelon_mod`` and the batched screen.
 
-Fallback for the compiled ppinterp._gfcore extension; identical ``rank_mod``
-contract.  ``echelon_mod`` exists only here: the exact solvers use it for
-their GF(p) eliminations whichever rank kernel is active.  ``full_rank_mod``,
-also only here, screens a stack of same-shape matrices for full rank at once.
-Entries stay below p < MAX_PRIME = 2**26, so products fit comfortably in int64.
+``echelon_mod`` serves every GF(p) elimination of the package: the rank of
+a larger matrix (``linalg.rank``), the GF(p) solvers and Dixon's inverse.
+Its inner loop is ``echelon_inplace``: the compiled one of the optional
+``ppinterp._gfcore`` extension (built from the hand-written ``_gfcore.c``)
+when it is built, the numpy loop :func:`_echelon_numpy` otherwise; ``KERNEL``
+says which one.  Both take the same arguments, pivot by the same rule and
+give the same bytes.  ``full_rank_mod`` screens a stack of same-shape
+matrices for full rank at once.  Entries stay below p < MAX_PRIME = 2**26,
+so products fit comfortably in int64.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-KERNEL = "python"
 
-
-def echelon_mod(a, ncols: int, p: int):
-    """Forward elimination mod p of an augmented integer matrix ``[A | B]``.
-
-    ``A`` is the first ``ncols`` columns; ``B`` (any number of columns, maybe
-    none) is carried along.  Pivots are the first nonzero entry in column
-    order, as in ``linalg._echelon``.  Returns ``(rows, pivots)``: the reduced
-    int64 array, whose pivot rows come first and have their pivot scaled to 1,
-    and the pivot columns.
-    """
-    arr = np.array(a, dtype=np.int64, order="C", copy=True)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
+def _echelon_numpy(arr, ncols: int, p: int):
+    """The numpy loop of :func:`echelon_mod`: eliminates ``arr`` in place, returns the pivots."""
     pivots = []
-    if arr.size == 0:
-        return arr, pivots
-    arr %= p
     m = arr.shape[0]
     r = 0
     for c in range(ncols):
@@ -48,13 +37,34 @@ def echelon_mod(a, ncols: int, p: int):
             arr[r + 1 :, c:] = (arr[r + 1 :, c:] - f[:, None] * arr[r, c:]) % p
         pivots.append(c)
         r += 1
-    return arr, pivots
+    return pivots
 
 
-def rank_mod(a, p: int) -> int:
-    """Rank of an integer matrix over GF(p)."""
-    arr = np.asarray(a)
-    return len(echelon_mod(arr, arr.shape[1] if arr.ndim == 2 else 0, p)[1])
+try:
+    from ._gfcore import echelon_inplace
+
+    KERNEL = "c"
+except ImportError:  # extension not built, or built from an older source
+    echelon_inplace = _echelon_numpy
+    KERNEL = "python"
+
+
+def echelon_mod(a, ncols: int, p: int):
+    """Forward elimination mod the prime p of an augmented integer matrix ``[A | B]``.
+
+    ``A`` is the first ``ncols`` columns; ``B`` (any number of columns, maybe
+    none) is carried along.  Pivots are the first nonzero entry in column
+    order, as in ``linalg._echelon``.  Returns ``(rows, pivots)``: the reduced
+    int64 array, whose pivot rows come first and have their pivot scaled to 1,
+    and the pivot columns.
+    """
+    arr = np.array(a, dtype=np.int64, order="C", copy=True)
+    if arr.ndim != 2:
+        raise ValueError("expected a 2-d matrix")
+    if arr.size == 0:
+        return arr, []
+    arr %= p
+    return arr, echelon_inplace(arr, ncols, p)
 
 
 def full_rank_mod(stack, p: int):

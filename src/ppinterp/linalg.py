@@ -9,26 +9,28 @@ rows.  It pivots on the first nonzero entry in column order, so results are
 deterministic.  Over Q it is fraction-free (Bareiss 1968): each row is first
 scaled by the lcm of its denominators, and every update divides exactly by
 the previous pivot.  Over GF(p) the same update is reduced mod p.  The
-elimination makes no ``Fraction`` and no modular inverse; only the solvers'
-back-substitution does.  Its numpy twin ``echelon_mod`` pivots by the same
-rule, so both give the same pivots and the same solution.
+elimination makes no ``Fraction`` and no modular inverse; only the rational
+back-substitution makes a ``Fraction``.  ``echelon_mod``, the int64
+elimination mod p, pivots by the same rule, so both give the same pivots.
 
 :func:`rank` picks its own path: over Q, and over GF(p) for matrices whose
 work m*n*min(m, n) is at most ``_ROWS_WORK``, it runs :func:`_echelon`;
 larger GF(p) matrices (the condition matrices of the verification sweeps)
-go to the compiled kernel when the extension is built and the numpy
-fallback otherwise (``KERNEL`` says which one is active).  The kernels'
-int64 arithmetic needs ``prime < MAX_PRIME``, which ``rank`` checks first.
-:func:`ranks` takes many matrices at once: on the numpy kernel it screens
-GF(p) matrices of a shared shape together for full rank
+go to ``echelon_mod``, whose inner loop is compiled C when the extension is
+built and numpy otherwise (``KERNEL`` says which one is active).  Its int64
+arithmetic needs ``prime < MAX_PRIME``.  Every GF(p) entry point first
+checks that the modulus is a prime below that bound (``rank_rows`` takes a
+prime of any size), so a composite modulus is refused rather than given a
+wrong rank.  :func:`ranks` takes many matrices at once: on the numpy kernel
+it screens GF(p) matrices of a shared shape together for full rank
 (``full_rank_mod``) and sends only the ones it does not certify to
 :func:`rank`.
 
-The solvers pick theirs by field.  Over GF(p) with ``prime < MAX_PRIME``,
-systems are eliminated by ``echelon_mod`` and solved by one numpy
-back-substitution.  Over Q, nonsingular square systems of order at
-least ``_DIXON_ORDER`` are solved by Dixon's p-adic lifting (Numer. Math. 40,
-1982): A is inverted once modulo a word-size prime p, each lift solves
+The solvers pick theirs by field.  Over GF(p), systems are eliminated by
+``echelon_mod`` and solved by one numpy back-substitution.  Over Q,
+nonsingular square systems of order at least ``_DIXON_ORDER`` are solved by
+Dixon's p-adic lifting (Numer. Math. 40, 1982): A is inverted once, by
+``echelon_mod``, modulo a word-size prime p, each lift solves
 A x = r mod p and divides r - A x by p, and rational reconstruction (von zur
 Gathen and Gerhard, Modern Computer Algebra, ch. 5) turns the p-adic
 approximation into numerators over one common denominator.  A candidate is
@@ -42,28 +44,21 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, lcm
 from operator import index, mul
 
 import numpy as np
 
-from ._gfcore_py import echelon_mod, full_rank_mod
-from .gf import MAX_PRIME
-
-try:
-    from ._gfcore import rank_mod as _rank_mod
-
-    KERNEL = "cython"
-except ImportError:  # extension not built
-    from ._gfcore_py import rank_mod as _rank_mod
-
-    KERNEL = "python"
+from ._gfcore_py import KERNEL, echelon_mod, full_rank_mod
+from .gf import MAX_PRIME, is_prime
 
 # Largest work m*n*min(m, n) that rank() eliminates on Python rows rather than
-# in the kernel.  The numpy kernel pays a fixed cost per call and per column,
-# and Python rows beat it up to about 10x10; the compiled kernel beats them at
-# every order (benchmarks/bench_rank.py times all three).
-_ROWS_WORK = 0 if KERNEL == "cython" else 1000
+# by echelon_mod.  Its numpy loop pays a fixed cost per call and per column,
+# and Python rows beat it up to about 10x10; its compiled loop beats them at
+# every order, 7x at 3x4 (benchmarks/bench_rank.py times all three; run
+# recorded in BENCH_9.json).
+_ROWS_WORK = 0 if KERNEL == "c" else 1000
 
 # Cells m*n*B of one full_rank_mod call in ranks(): a same-shape group is
 # screened in even chunks of at most this many cells, so the screen's float64
@@ -71,8 +66,9 @@ _ROWS_WORK = 0 if KERNEL == "cython" else 1000
 # benchmarks/bench_rank.py (runs recorded in BENCH_7.json, 2-vCPU Xeon, numpy
 # 2.4), stacks of 64 seeded residue matrices of orders 27, 36, 46 and 63: the
 # screen takes 72, 175, 263 and 747 us per matrix, echelon_mod alone 432, 741,
-# 1060 and 1976 us.  The compiled kernel ranks one matrix in 40, 86, 165 and
-# 402 us, about twice as fast as the screen, so on it ranks() calls rank().
+# 1060 and 1976 us.  The compiled loop ranks one matrix in 36, 81, 145 and
+# 374 us (BENCH_9.json), about twice as fast as the screen, so on it ranks()
+# calls rank().
 _SCREEN_CELLS = 1 << 18
 
 # Smallest order that solve_square over Q lifts p-adically rather than
@@ -153,9 +149,20 @@ def _echelon(rows, ncols, prime):
     return pivots
 
 
-def _check_prime(prime):
-    if prime is not None and prime >= MAX_PRIME:
-        raise ValueError(f"prime {prime} must be below 2**26 for the int64 rank kernel")
+@lru_cache(maxsize=256)
+def _check_prime(prime, word_size=True):
+    """Refuse a modulus that is not a prime, or with ``word_size`` one not below MAX_PRIME.
+
+    A composite modulus has no field to eliminate in: a non-unit pivot would
+    make the rank silently wrong.  Cached, as the sweeps rank thousands of
+    small matrices mod one prime.
+    """
+    if prime is None:
+        return
+    if word_size and not (is_prime(prime) and prime < MAX_PRIME):
+        raise ValueError(f"modulus {prime} must be a prime below 2**26 for the int64 kernels")
+    if not is_prime(prime):
+        raise ValueError(f"modulus {prime} is not a prime")
 
 
 def _check_dtype(matrix):
@@ -194,7 +201,7 @@ def rank(matrix, prime: int | None = None) -> int:
         if prime is not None:
             _check_dtype(matrix)
         return rank_rows(matrix, prime)
-    return _rank_mod(_int64_array(matrix, prime), prime)
+    return len(echelon_mod(_int64_array(matrix, prime), n, prime)[1])
 
 
 def ranks(matrices, prime: int | None = None) -> list:
@@ -206,7 +213,7 @@ def ranks(matrices, prime: int | None = None) -> list:
     """
     _check_prime(prime)
     out = [None] * len(matrices)
-    if prime is not None and KERNEL != "cython":
+    if prime is not None and KERNEL == "python":
         groups = defaultdict(list)
         for i, matrix in enumerate(matrices):
             groups[len(matrix), len(matrix[0]) if len(matrix) else 0].append(i)
@@ -225,6 +232,7 @@ def ranks(matrices, prime: int | None = None) -> list:
 
 def rank_rows(matrix, prime: int | None = None) -> int:
     """Row rank by :func:`_echelon` on Python rows; exact for a prime of any size."""
+    _check_prime(prime, word_size=False)
     rows, _, n = _shape(matrix)
     return len(_echelon(_int_rows(rows, prime), n, prime))
 
@@ -235,20 +243,20 @@ def nullspace_dim(matrix, prime: int | None = None) -> int:
     return n - rank(matrix, prime)
 
 
-def _back_substitute(rows, pivots, n, prime):
-    """The solution with free variables 0 of consistent echelon rows.
+def _back_substitute(rows, pivots, n):
+    """The rational solution with free variables 0 of consistent fraction-free echelon rows.
 
-    Over Q it solves for y = D*x in integers, where D is the last pivot (the
+    It solves for y = D*x in integers, where D is the last pivot (the
     determinant of the pivot rows and columns), so each division is exact
     and only the result is made a ``Fraction``.
     """
-    scale = rows[len(pivots) - 1][pivots[-1]] if pivots and prime is None else 1
+    scale = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
     x = [0] * n
     for k in reversed(range(len(pivots))):
         row, c = rows[k], pivots[k]
         s = scale * row[n] - sum(row[j] * x[j] for j in pivots[k + 1:])
-        x[c] = s // row[c] if prime is None else s * pow(row[c], -1, prime) % prime
-    return x if prime is not None else [Fraction(v, scale) for v in x]
+        x[c] = s // row[c]
+    return [Fraction(v, scale) for v in x]
 
 
 def _back_substitute_mod(rows, pivots, n, p):
@@ -389,11 +397,11 @@ def _dixon(rows, n):
 def _augmented(matrix, rhs, prime):
     """The integer rows ``[A | b]`` of the system and its column count.
 
-    An integer-dtype array over GF(p) with p < MAX_PRIME is reduced by one
-    ``% prime`` and stays an int64 array, as ``echelon_mod`` takes it; any
-    other matrix is read entry by entry.
+    An integer-dtype array over GF(p) is reduced by one ``% prime`` and
+    stays an int64 array, as ``echelon_mod`` takes it; any other matrix is
+    read entry by entry.
     """
-    array = (prime is not None and prime < MAX_PRIME and isinstance(matrix, np.ndarray)
+    array = (prime is not None and isinstance(matrix, np.ndarray)
              and matrix.ndim == 2 and matrix.dtype.kind in "iu")
     rows, m, n = (matrix, *matrix.shape) if array else _shape(matrix)
     if len(rhs) != m:
@@ -406,25 +414,25 @@ def _augmented(matrix, rhs, prime):
 
 def _solve(rows, n, prime, square):
     """Forward elimination of ``[A | b]`` and the solution with free variables 0."""
-    in_numpy = prime is not None and prime < MAX_PRIME
-    if in_numpy:
+    if prime is not None:
         rows, pivots = echelon_mod(np.asarray(rows, dtype=np.int64).reshape(len(rows), n + 1),
                                    n, prime)
         unreached = rows[len(pivots):, n].any()
     else:
-        pivots = _echelon(rows, n, prime)
+        pivots = _echelon(rows, n, None)
         unreached = any(row[n] for row in rows[len(pivots):])
     if square and len(pivots) < n:
         raise SingularSystemError(f"rank {len(pivots)} < order {n}")
     if unreached:
         raise InconsistentSystemError("no polynomial satisfies the assigned data")
-    if in_numpy:
+    if prime is not None:
         return _back_substitute_mod(rows, pivots, n, prime)[:, 0].tolist()
-    return _back_substitute(rows, pivots, n, prime)
+    return _back_substitute(rows, pivots, n)
 
 
 def solve_square(matrix, rhs, prime: int | None = None) -> list:
     """Unique solution of a nonsingular square system; SingularSystemError otherwise."""
+    _check_prime(prime)
     if len(matrix) and len(matrix) != len(matrix[0]):
         raise ValueError(f"square system expected, got {len(matrix)}x{len(matrix[0])}")
     rows, n = _augmented(matrix, rhs, prime)
@@ -440,5 +448,6 @@ def solve_any(matrix, rhs, prime: int | None = None) -> list:
 
     Raises InconsistentSystemError when no solution exists.
     """
+    _check_prime(prime)
     rows, n = _augmented(matrix, rhs, prime)
     return _solve(rows, n, prime, square=False)

@@ -259,10 +259,11 @@ def degree_bookkeeping(specs, subspaces, which) -> tuple:
 
 
 def _draw_point(rng, n, prime, zeroed):
-    while True:
+    for attempt in range(MAX_REDRAWS + 1):
         pt = [0 if i in zeroed else rng.randrange(prime) for i in range(n + 1)]
         if any(pt):
             return tuple(pt)
+    raise DegenerateDrawError(f"could not draw a nonzero point over GF({prime})")
 
 
 def random_instance(n, specs, subspaces=(), prime=DEFAULT_PRIME, seed=0) -> SchemeInstance:

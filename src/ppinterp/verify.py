@@ -38,6 +38,7 @@ from . import theory
 from .gf import DEFAULT_PRIME
 from .linalg import ranks
 from .monomials import (
+    AFFINE,
     HOMOGENEOUS,
     CoordinateSubspace,
     MonomialBasis,
@@ -46,8 +47,8 @@ from .monomials import (
 )
 from .schemes import (
     ComponentSpec,
+    _affine_rows_mod,
     condition_matrices_projective,
-    condition_matrix_affine,
     condition_matrix_projective,
     random_affine_problem,
     random_instance,
@@ -543,8 +544,10 @@ def verify_ah_exceptions(policy: TrialPolicy) -> list:
 # user-driven generic verification and the random sweep
 
 def _affine_builder(n, d, a, prime):
+    basis = build_basis(AFFINE, n, d)
+
     def build(seed):
-        return condition_matrix_affine(random_affine_problem(n, d, a, prime, seed), prime=prime)
+        return _affine_rows_mod(random_affine_problem(n, d, a, prime, seed), basis, prime)
 
     return build
 

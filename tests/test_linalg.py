@@ -1,4 +1,5 @@
 import math
+import os
 import random
 from fractions import Fraction
 from math import lcm
@@ -8,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppinterp import linalg
+from ppinterp import _gfcore_py, linalg
 from ppinterp._gfcore_py import echelon_mod, full_rank_mod
-from ppinterp._gfcore_py import rank_mod as rank_mod_py
 from ppinterp.gf import DEFAULT_PRIME, MAX_PRIME
 from ppinterp.linalg import (
     InconsistentSystemError,
@@ -56,9 +56,16 @@ def test_rank_transpose():
         assert rank(a, P) == rank(a.T, P)
 
 
+def _loop_ranks(rows, p):
+    """The rank mod p by echelon_mod on the active loop (compiled when built) and on numpy's."""
+    a = np.array(rows, dtype=np.int64)
+    return [len(echelon_mod(a, a.shape[1], p)[1]),
+            len(_gfcore_py._echelon_numpy(a % p, a.shape[1], p))]
+
+
 def test_kernel_parity():
-    # the active kernel (compiled when built) and the numpy fallback, each
-    # against Python-int elimination
+    # the active loop (compiled when built) and the numpy loop, each against
+    # Python-int elimination
     rng = random.Random(23)
     for _ in range(100):
         m = rng.randint(1, 12)
@@ -70,8 +77,7 @@ def test_kernel_parity():
             b = [[rng.randrange(P) for _ in range(k)] for _ in range(m)]
             c = [[rng.randrange(P) for _ in range(n)] for _ in range(k)]
             a = [[sum(x * y for x, y in zip(row, col)) % P for col in zip(*c)] for row in b]
-        for kernel in (linalg._rank_mod, rank_mod_py):
-            assert kernel(np.array(a, dtype=np.int64), P) == rank_rows(a, P)
+        assert _loop_ranks(a, P) == [rank_rows(a, P)] * 2
 
 
 def test_rational_rank_with_fractions():
@@ -192,10 +198,9 @@ WORD_PRIMES = (3, P, 65521, 67108859)
     )
 )
 def test_rank_matches_python_int_elimination_up_to_max_prime(case):
-    # the kernels directly: rank() itself sends matrices this small to rank_rows
+    # the loops directly: rank() itself sends matrices this small to rank_rows
     p, rows = case
-    for kernel in (linalg._rank_mod, rank_mod_py):
-        assert kernel(np.array(rows, dtype=np.int64), p) == rank_rows(rows, p)
+    assert _loop_ranks(rows, p) == [rank_rows(rows, p)] * 2
 
 
 def test_rank_refuses_primes_beyond_word_size():
@@ -228,7 +233,8 @@ def test_solve_square_exact_or_singular_hypothesis(rows):
 def test_rank_picks_its_path_by_work(monkeypatch, shape):
     m, n = shape
     seen = []
-    monkeypatch.setattr(linalg, "_rank_mod", lambda a, p: seen.append(a.shape) or rank_mod_py(a, p))
+    monkeypatch.setattr(linalg, "echelon_mod",
+                        lambda a, cols, p: seen.append(a.shape) or echelon_mod(a, cols, p))
     assert rank(np.eye(m, n, dtype=np.int64), P) == min(m, n)
     assert rank(np.eye(m, n, dtype=np.int64).tolist(), P) == min(m, n)
     kernel = m * n * min(m, n) > linalg._ROWS_WORK
@@ -462,6 +468,16 @@ def gf_systems(draw):
     return a, rhs
 
 
+def _back_substitute_rows(rows, pivots, n, p):
+    """Reference: the solution mod p, free variables 0, of consistent rows from _echelon."""
+    x = [0] * n
+    for k in reversed(range(len(pivots))):
+        row, c = rows[k], pivots[k]
+        s = row[n] - sum(row[j] * x[j] for j in pivots[k + 1:])
+        x[c] = s * pow(row[c], -1, p) % p
+    return x
+
+
 def _outcome(solver, *args):
     try:
         return solver(*args)
@@ -481,7 +497,7 @@ def test_echelon_mod_matches_rows_elimination(system):
     assert consistent == (not reduced[len(pivots):, n].any())
     # the public solvers, which eliminate by echelon_mod, against Python rows
     if consistent:
-        x = linalg._back_substitute(rows, pivots, n, SMALL_P)
+        x = _back_substitute_rows(rows, pivots, n, SMALL_P)
         assert linalg._back_substitute_mod(reduced, pivots, n, SMALL_P)[:, 0].tolist() == x
     else:
         x = (InconsistentSystemError, "no polynomial satisfies the assigned data")
@@ -597,6 +613,8 @@ def test_rank_reads_wide_integers_exactly():
 
 
 def test_ranks_screens_only_numpy_gf_groups(monkeypatch):
+    # the screen runs on the numpy kernel only: pinned, so a built checkout tests it too
+    monkeypatch.setattr(linalg, "KERNEL", "python")
     screened = []
     monkeypatch.setattr(linalg, "full_rank_mod",
                         lambda stack, p: screened.append(stack.shape) or full_rank_mod(stack, p))
@@ -609,7 +627,7 @@ def test_ranks_screens_only_numpy_gf_groups(monkeypatch):
     assert linalg.ranks([eye.tolist(), eye.tolist()]) == [4, 4]
     with pytest.raises(TypeError):
         linalg.ranks([fractions, fractions], P)
-    monkeypatch.setattr(linalg, "KERNEL", "cython")
+    monkeypatch.setattr(linalg, "KERNEL", "c")
     assert linalg.ranks([eye, eye], P) == [4, 4]
     assert screened == []
     with pytest.raises(ValueError, match="2\\*\\*26"):
@@ -617,6 +635,7 @@ def test_ranks_screens_only_numpy_gf_groups(monkeypatch):
 
 
 def test_ranks_chunks_large_groups(monkeypatch):
+    monkeypatch.setattr(linalg, "KERNEL", "python")
     screened = []
     monkeypatch.setattr(linalg, "_SCREEN_CELLS", 100)
     monkeypatch.setattr(linalg, "full_rank_mod",
@@ -636,3 +655,131 @@ def test_gf_solvers_take_integer_arrays():
         assert x == solver(a.astype(np.int32) - P, rhs, P)  # reduced by one % p
         with pytest.raises(TypeError):
             solver(a.astype(float), rhs, P)
+
+
+# ---------------------------------------------------------------------------
+# moduli that are not primes
+
+@pytest.mark.parametrize("modulus", [0, 1, 9, -7])
+def test_every_gf_entry_point_refuses_a_non_prime_modulus(modulus):
+    # a composite modulus used to give silent wrong ranks: rank(I_12, 0) == 0,
+    # rank(3 I_2, 9) == 2, and rank(3 I_12, 9) == 12 on the compiled kernel
+    small, big = [[3, 0], [0, 3]], 3 * np.eye(12, dtype=np.int64)
+    calls = [lambda: rank(small, modulus), lambda: rank(big, modulus),
+             lambda: rank(np.eye(12, dtype=np.int64), modulus),
+             lambda: linalg.ranks([big, big], modulus), lambda: rank_rows(small, modulus),
+             lambda: nullspace_dim(small, modulus), lambda: nullspace_dim(big, modulus),
+             lambda: solve_square(small, [1, 1], modulus),
+             lambda: solve_any(small, [1, 1], modulus),
+             lambda: solve_square(big, [1] * 12, modulus)]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"modulus {modulus} "):
+            call()
+
+
+# ---------------------------------------------------------------------------
+# the compiled loop of echelon_mod, built from _gfcore.c for this test
+
+@pytest.fixture(scope="module")
+def compiled(tmp_path_factory):
+    """The extension built from the shipped C source, loaded under a private name."""
+    import importlib.util
+    import shutil
+    import sysconfig
+    from pathlib import Path
+
+    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"no C compiler ({cc}) to build _gfcore.c")
+    from setuptools import Distribution, Extension
+
+    out = tmp_path_factory.mktemp("gfcore")
+    source = Path(_gfcore_py.__file__).with_name("_gfcore.c")
+    dist = Distribution({"ext_modules": [Extension("_gfcore", [str(source)])]})
+    build = dist.get_command_obj("build_ext")
+    build.build_lib, build.build_temp = str(out), str(out / "tmp")
+    build.ensure_finalized()
+    build.run()
+    spec = importlib.util.spec_from_file_location("_ppinterp_parity._gfcore",
+                                                  build.get_ext_fullpath("_gfcore"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.echelon_inplace
+
+
+def _matrices(rng, p):
+    """Random, low-rank and structured residue matrices mod p, with their ncols."""
+    for _ in range(60):
+        m, n = rng.randint(0, 11), rng.randint(0, 11)
+        a = np.array([[0 if rng.random() < 0.4 else rng.randrange(p) for _ in range(n)]
+                      for _ in range(m)], dtype=np.int64).reshape(m, n)
+        yield a, rng.randint(0, n)
+        if m and n:
+            k = rng.randint(1, min(m, n))
+            b = np.array([[rng.randrange(p) for _ in range(k)] for _ in range(m)], dtype=object)
+            c = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(k)], dtype=object)
+            yield (b @ c % p).astype(np.int64), n
+    yield np.eye(5, 9, dtype=np.int64), 9
+    yield np.full((6, 4), p - 1, dtype=np.int64), 4
+    yield np.zeros((3, 7), dtype=np.int64), 7
+    yield np.zeros((0, 0), dtype=np.int64), 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521, 31991, 67108859])
+def test_compiled_loop_matches_the_numpy_loop(compiled, p):
+    rng = random.Random(p)
+    for a, ncols in _matrices(rng, p):
+        c_rows, np_rows = a.copy(), a.copy()
+        pivots = compiled(c_rows, ncols, p)
+        assert pivots == _gfcore_py._echelon_numpy(np_rows, ncols, p)
+        assert c_rows.tobytes() == np_rows.tobytes()
+        assert len(pivots) == rank_rows(a[:, :ncols].tolist(), p)
+
+
+def test_compiled_loop_refuses_bad_buffers(compiled):
+    read_only = np.zeros((3, 3), dtype=np.int64)
+    read_only.flags.writeable = False
+    for bad in (np.zeros(3, dtype=np.int64), np.zeros((3, 6), dtype=np.int64)[:, ::2],
+                np.zeros((3, 3), dtype=np.int64).T[:2], read_only,
+                np.zeros((3, 3), dtype=np.int32), np.zeros((3, 3)), [[1, 0], [0, 1]]):
+        with pytest.raises(ValueError):
+            compiled(bad, 1, 7)
+    square = np.eye(3, dtype=np.int64)
+    for p in (0, 1, -7, 2**26, 2**61 - 1):
+        with pytest.raises(ValueError):
+            compiled(square, 3, p)
+    for ncols in (-1, 4):
+        with pytest.raises(ValueError):
+            compiled(square, ncols, 7)
+    with pytest.raises(ValueError):
+        compiled(square * 7, 3, 7)  # entries must already be residues
+    assert square.tolist() == np.eye(3, dtype=int).tolist()
+
+
+def test_public_entry_points_on_the_compiled_loop(compiled, monkeypatch):
+    rng = np.random.default_rng(9)
+    a = rng.integers(0, P, size=(14, 14))
+    a[13] = (a[0] + 2 * a[1]) % P
+    rhs = (a @ rng.integers(0, P, size=14) % P).tolist()
+    expected = (rank(a, P), linalg.ranks([a, a[:12]], P), solve_square(a[:13, :13], rhs[:13], P),
+                solve_any(a, rhs, P))
+    monkeypatch.setattr(_gfcore_py, "echelon_inplace", compiled)
+    monkeypatch.setattr(linalg, "KERNEL", "c")
+    monkeypatch.setattr(linalg, "_ROWS_WORK", 0)
+    assert (rank(a, P), linalg.ranks([a, a[:12]], P), solve_square(a[:13, :13], rhs[:13], P),
+            solve_any(a, rhs, P)) == expected
+    assert expected[0] == rank_rows(a, P) == 13
+
+
+def test_a_stale_extension_falls_back_to_the_numpy_loop():
+    # an extension without echelon_inplace (the old Cython build) must not be used
+    import subprocess
+    import sys
+
+    code = ("import sys, types; sys.modules['ppinterp._gfcore'] = types.ModuleType('stale');"
+            "from ppinterp import _gfcore_py, linalg;"
+            "assert _gfcore_py.KERNEL == linalg.KERNEL == 'python';"
+            "assert _gfcore_py.echelon_inplace is _gfcore_py._echelon_numpy;"
+            "assert linalg.rank([[1, 2, 3]] * 11 + [[0, 0, 1]], 7) == 2")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})

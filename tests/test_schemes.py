@@ -143,6 +143,12 @@ def test_degenerate_draws_error_out():
         random_affine_problem(1, 2, (0,) * 50, prime=3, seed=1)
 
 
+def test_random_instance_gives_up_on_zero_points():
+    # GF(1) has only the zero point, which randrange(1) drew forever
+    with pytest.raises(DegenerateDrawError, match="nonzero point"):
+        random_instance(1, [ComponentSpec(1)], (), 1, 0)
+
+
 # ---------------------------------------------------------------------------
 # projective condition matrices
 
