@@ -15,8 +15,8 @@ rows up to that work.  On stacks of the sweeps' square orders (27, 36, 46,
 ``linalg.ranks`` against ranking each matrix alone, which sets the routing
 rule in ``linalg.ranks``.  On 128 seeded instances of the cubic sweeps at
 each of these orders it times the batched draw and build
-``schemes.condition_matrices_projective`` against drawing and building each
-instance alone, and checks that both give the same bytes.
+``schemes.condition_matrices`` against drawing and building each instance
+alone, and checks that both give the same bytes.
 
 The solvers get two tables.  Over GF(p), ``solve_square`` (``echelon_mod``
 and the numpy back-substitution) on random square systems, with the numpy
@@ -44,11 +44,10 @@ from ppinterp.linalg import _ROWS_WORK, rank_rows
 from ppinterp.monomials import AFFINE, build_basis
 from ppinterp.schemes import (
     InterpolationProblem,
-    condition_matrices_projective,
+    ProjectiveDraw,
+    condition_matrices,
     condition_matrix_affine,
-    condition_matrix_projective,
     integer_system_affine,
-    random_instance,
 )
 
 # echelon_mod's active inner loop: the compiled one when the extension is built
@@ -177,15 +176,14 @@ def bench_draw_build(rng, args):
             parts = [rng.choice(family_parts) for _, family_parts, _ in families]
             specs = tuple(s for (_, _, specs_of), part in zip(families, parts)
                           for s in specs_of(part))
-            draws.append((specs, rng.randrange(2**64)))
+            draws.append((ProjectiveDraw(n, specs, subspaces, basis, DEFAULT_PRIME),
+                          rng.randrange(2**64)))
 
         def alone():
-            return [condition_matrix_projective(
-                random_instance(n, specs, subspaces, DEFAULT_PRIME, seed), basis)
-                for specs, seed in draws]
+            return [build(seed) for build, seed in draws]
 
         def batched():
-            return condition_matrices_projective(n, subspaces, basis, DEFAULT_PRIME, draws)
+            return condition_matrices(draws)
 
         t_alone, expected = _best(alone, args.repeats)
         t_batched, got = _best(batched, args.repeats)

@@ -137,9 +137,9 @@ def cmd_predict(args) -> int:
         return USAGE_ERROR
     try:
         if args.lengths is not None:
-            q = theory.predict_quadric_scheme(args.n, args.lengths) if args.d == 2 else None
             profile = tuple(l - 1 for l in sorted(args.lengths, reverse=True))
             prediction = theory.predict_profile(args.n, args.d, profile)
+            q = theory.predict_quadric_scheme(args.n, args.lengths) if args.d == 2 else None
             doc = prediction.to_json()
             if q is not None:
                 doc["quadric"] = q.to_json()

@@ -196,6 +196,12 @@ def problem_from_json(doc) -> InterpolationProblem:
     """The problem with exact scalars; a ``"prime"`` is recorded, and the solve reduces."""
     if doc.get("mode", AFFINE) != AFFINE:
         raise ValueError("only affine problems are solvable")
+    n, d = doc["n"], doc["d"]
+    for name, value in (("n", n), ("d", d)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+    if n < 1 or d < 0:
+        raise ValueError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
     points = [[as_fraction(x) for x in p] for p in doc["points"]]
     directions = [[[as_fraction(x) for x in v] for v in ds] for ds in doc["directions"]]
     values = doc.get("values")
@@ -204,7 +210,7 @@ def problem_from_json(doc) -> InterpolationProblem:
     prime = doc.get("prime")
     if prime is not None and (isinstance(prime, bool) or not isinstance(prime, int)):
         raise TypeError(f"prime must be an integer, got {prime!r}")
-    return InterpolationProblem(doc["n"], doc["d"], points, directions, values, prime)
+    return InterpolationProblem(n, d, points, directions, values, prime)
 
 
 def problem_to_json(prob: InterpolationProblem) -> dict:

@@ -21,11 +21,13 @@ probability about 1/p, so a handful of retries is already overkill.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import index
+from typing import NamedTuple
 
 import numpy as np
 
@@ -399,53 +401,80 @@ def _stream_is_randrange() -> bool:
     return True
 
 
-# Cells (points x nv x M) of the jacobian stack that one chunk of
-# condition_matrices_projective evaluates; _monomial_rows holds about twice
-# that again in scratch.  On 128 seeded P^8 sweep instances of order 63
-# (2-vCPU Xeon, numpy 2.4) a chunk cap of 2**15 to 2**19 cells built them
-# equally fast and 2**14 about 20% slower; the peak RSS of one small-cases
-# benchmark pass (the quadric brute force, whose tiny matrices make many
-# points per chunk) was 37.3, 37.6 and 38.8 MB at 2**14, 2**15 and 2**16,
-# against 37.1 MB drawing one instance at a time.
+# Cells (points x nv x M) of the jacobian stack that one chunk of a batched
+# build evaluates; _monomial_rows holds about twice that again in scratch.
+# On 128 seeded P^8 sweep instances of order 63 (2-vCPU Xeon, numpy 2.4) a
+# chunk cap of 2**15 to 2**19 cells built them equally fast and 2**14 about
+# 20% slower; the peak RSS of one small-cases benchmark pass (the quadric
+# brute force, whose tiny matrices make many points per chunk) was 37.3,
+# 37.6 and 38.8 MB at 2**14, 2**15 and 2**16, against 37.1 MB drawing one
+# instance at a time.
 _BUILD_CELLS = 1 << 15
 
 
-def condition_matrices_projective(n, subspaces, basis: MonomialBasis, prime, draws) -> list:
-    """The condition matrix of each ``(specs, seed)`` draw, drawn and built together.
+class ProjectiveDraw(NamedTuple):
+    """The builder of a random scheme's condition matrices, one per seed.
 
-    Entry i equals ``condition_matrix_projective(random_instance(n, specs,
-    subspaces, prime, seed), basis)`` in dtype, shape and bytes.  Each seed's
-    stream is read in one bulk call and laid out as :func:`random_instance`
-    uses it when it redraws nothing; the draws are then checked together
-    (nonzero and distinct points, combinations independent on their checked
-    columns).  A draw that fails a check, or that this path does not take
-    (a prime that is not a prime below MAX_PRIME, an invalid spec or
-    subspace, a basis not vanishing where it must), is drawn and built again
-    by the sequential path, which alone redraws and raises.  Accepted draws
-    are built in chunks of about ``_BUILD_CELLS`` jacobian cells.
+    Calling it draws and builds one instance; :func:`condition_matrices`
+    builds a round's draws that share ``(n, subspaces, basis, prime)``
+    together and gives the same matrices.
     """
-    subspaces = tuple(subspaces)
-    draws = [(tuple(specs), seed) for specs, seed in draws]
+
+    n: int
+    specs: tuple
+    subspaces: tuple
+    basis: MonomialBasis
+    prime: int
+
+    def __call__(self, seed):
+        inst = random_instance(self.n, self.specs, self.subspaces, self.prime, seed)
+        return condition_matrix_projective(inst, self.basis)
+
+
+def condition_matrices(draws) -> list:
+    """The matrix ``build(seed)`` gives for each ``(build, seed)`` draw, in input order.
+
+    The :class:`ProjectiveDraw` builders that share ``(n, subspaces, basis,
+    prime)`` are drawn and built as one batch when there are two or more;
+    the result equals ``build(seed)`` in dtype, shape and bytes.  Each seed's
+    stream is read in one bulk call and laid out as :func:`random_instance`
+    uses it when it redraws nothing; the batch's draws are then checked
+    together (nonzero and distinct points, combinations independent on
+    their checked columns) and built in chunks of about ``_BUILD_CELLS``
+    jacobian cells.  Every other draw is built by calling its builder: a
+    lone projective draw (one draw is faster alone than as a batch of one),
+    any other builder, a draw that fails a check, and one the batch does not
+    take (a prime that is not a prime below MAX_PRIME, an invalid spec or
+    subspace, a basis not vanishing where it must); only this sequential
+    path redraws and raises.
+    """
+    draws = list(draws)
+    groups = defaultdict(list)
+    for i, (build, _) in enumerate(draws):
+        if isinstance(build, ProjectiveDraw):
+            groups[build.n, build.subspaces, build.basis, build.prime].append(i)
     out = [None] * len(draws)
-    take, table, counts = _batchable(n, subspaces, basis, prime, draws)
-    if take:
+    for (n, subspaces, basis, prime), members in groups.items():
+        if len(members) < 2:
+            continue
+        take, table, counts = _batchable(n, subspaces, basis, prime,
+                                         [draws[i][0].specs for i in members])
+        if not take:
+            continue
+        take = [members[k] for k in take]
         layout = _draw_layout(n, subspaces, table, counts, [draws[i][1] for i in take], prime)
         for i, matrix, ok in zip(take, _build_chunks(basis, prime, counts, layout), layout[-1]):
             if ok:
                 out[i] = matrix
-    return [
-        condition_matrix_projective(random_instance(n, specs, subspaces, prime, seed), basis)
-        if m is None else m
-        for m, (specs, seed) in zip(out, draws)
-    ]
+    return [build(seed) if m is None else m for m, (build, seed) in zip(out, draws)]
 
 
-def _batchable(n, subspaces, basis, prime, draws):
+def _batchable(n, subspaces, basis, prime, draw_specs):
     """The draws the batched path takes, their components' table and per-draw counts.
 
-    A table row is (length, support, residual) with support -1 for a free
-    component and residual 0 where there is none; rows follow the taken
-    draws' components in order.
+    ``draw_specs`` holds each draw's specs.  A table row is (length, support,
+    residual) with support -1 for a free component and residual 0 where there
+    is none; rows follow the taken draws' components in order.
     """
     nv = n + 1
     if (not isinstance(prime, int) or not 2 <= prime < MAX_PRIME or not is_prime(prime)
@@ -455,7 +484,7 @@ def _batchable(n, subspaces, basis, prime, draws):
         return [], None, None
     vanishes = [_vanishes(basis, sub) for sub in subspaces]
     kinds, code = [], {}  # id(spec) -> index of its table row, or -1: the sequential path takes it
-    for specs, _ in draws:
+    for specs in draw_specs:
         for s in specs:
             if id(s) in code:
                 continue
@@ -473,7 +502,7 @@ def _batchable(n, subspaces, basis, prime, draws):
                 continue
             code[id(s)] = len(kinds) - 1
     take, codes, counts = [], [], []
-    for i, (specs, _) in enumerate(draws):
+    for i, specs in enumerate(draw_specs):
         row = [code[id(s)] for s in specs]
         if -1 not in row:
             take.append(i)

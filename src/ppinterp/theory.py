@@ -169,6 +169,8 @@ def unique_quadric_interpolant(n: int, a) -> bool:
 
 def predict_profile(n: int, d: int, a) -> Prediction:
     """Route a profile to the right predictor (degree 2 vs the rest)."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
     if d == 0:
         # only constants: every condition count caps at dim = 1
         return Prediction(min(sum(x + 1 for x in a), 1), False, "none")

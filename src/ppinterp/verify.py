@@ -14,11 +14,10 @@ resulting condition matrix.  Rank is lower semicontinuous in the data, so
 Per-case seeds are derived as sha256(root_seed:label:trial), so cases are
 independent jobs and execution order never changes any measurement.  The
 trial loop uses this: it runs a sweep's cases together, trial round by trial
-round, draws and builds a round's scheme instances together
-(``schemes.condition_matrices_projective``) and ranks the round's matrices in
-one ``linalg.ranks`` call.  A case's ``millis`` is therefore amortised: an
-equal share of its group's draw and build time and of its rounds' ranking
-time.
+round.  Each round makes one ``schemes.condition_matrices`` call, which draws
+and builds the round's scheme instances together, and one ``linalg.ranks``
+call.  A case's ``millis`` is an equal share of each of its rounds'
+build-and-rank time; for a command of one case that is its own time.
 """
 
 from __future__ import annotations
@@ -27,12 +26,8 @@ import hashlib
 import itertools
 import random
 import time
-from collections import defaultdict
 from dataclasses import dataclass, field
 from math import comb
-from typing import NamedTuple
-
-import numpy as np
 
 from . import theory
 from .gf import DEFAULT_PRIME
@@ -41,17 +36,15 @@ from .monomials import (
     AFFINE,
     HOMOGENEOUS,
     CoordinateSubspace,
-    MonomialBasis,
     build_basis,
     vanishing_basis,
 )
 from .schemes import (
     ComponentSpec,
+    ProjectiveDraw,
     _affine_rows_mod,
-    condition_matrices_projective,
-    condition_matrix_projective,
+    condition_matrices,
     random_affine_problem,
-    random_instance,
 )
 
 DEFAULT_SEED = 1000003
@@ -123,15 +116,12 @@ def _trials(policy: TrialPolicy, jobs):
 
     Trial t of a job ranks ``build(child_seed(seed, label, t))``, and the job
     ends after a rank equal to its ``stop`` (None: it runs every trial).  Jobs
-    are taken ``ROUND_CASES`` at a time.  In each trial round, the running
-    :class:`ProjectiveDraw` jobs that share ``(n, subspaces, basis, prime)``
-    are drawn and built in one ``condition_matrices_projective`` call; a
-    group of one and every other job call their own ``build``.  The round's
-    matrices are then ranked in one ``linalg.ranks`` call.  Yields, per job,
-    the job, its ranks (at least one) and its milliseconds: its own draw and
-    build time, or an equal share of its group's, plus an equal share of each
-    of its rounds' ranking time.  ``jobs`` may be a generator, so only a
-    batch's builders are alive.
+    are taken ``ROUND_CASES`` at a time.  Each trial round builds the running
+    jobs' matrices in one ``schemes.condition_matrices`` call and ranks them
+    in one ``linalg.ranks`` call.  Yields, per job, the job, its ranks (at
+    least one) and its milliseconds: an equal share of each of its rounds'
+    build-and-rank time.  ``jobs`` may be a generator, so only a batch's
+    builders are alive.
     """
     jobs = iter(jobs)
     while batch := list(itertools.islice(jobs, ROUND_CASES)):
@@ -139,35 +129,15 @@ def _trials(policy: TrialPolicy, jobs):
         seconds = [0.0] * len(batch)
         running = range(len(batch))
         for t in range(policy.trials):
-            matrices, groups = {}, defaultdict(list)
-            for i in running:
-                label, build, _ = batch[i]
-                seed = child_seed(policy.seed, label, t)
-                if isinstance(build, ProjectiveDraw):
-                    groups[build.n, build.subspaces, build.basis, build.prime].append((i, seed))
-                    continue
-                t0 = time.perf_counter()
-                # kept as an array: Python-int rows would take about 4x the memory
-                matrices[i] = np.asarray(build(seed))
-                seconds[i] += time.perf_counter() - t0
-            for key, members in groups.items():
-                t0 = time.perf_counter()
-                if len(members) == 1:  # alone, one draw is faster than the batched path
-                    [(i, seed)] = members
-                    built = [batch[i][1](seed)]
-                else:
-                    built = condition_matrices_projective(
-                        *key, [(batch[i][1].specs, seed) for i, seed in members])
-                share = (time.perf_counter() - t0) / len(members)
-                for (i, _), matrix in zip(members, built):
-                    matrices[i] = matrix
-                    seconds[i] += share
             t0 = time.perf_counter()
-            values = ranks([matrices[i] for i in running], policy.prime)
+            matrices = condition_matrices(
+                [(batch[i][1], child_seed(policy.seed, batch[i][0], t)) for i in running])
+            values = ranks(matrices, policy.prime)
             share = (time.perf_counter() - t0) / len(running)
             for i, r in zip(running, values):
                 stop = batch[i][2]
-                assert stop is None or r <= stop, "measured rank above the theoretical bound"
+                if stop is not None and r > stop:
+                    raise AssertionError(f"measured rank {r} above the theoretical bound {stop}")
                 measured[i].append(r)
                 seconds[i] += share
             running = [i for i in running if measured[i][-1] != batch[i][2]]
@@ -201,16 +171,12 @@ def run_rank_case(policy: TrialPolicy, label: str, target: int, build, extra=Non
 
 def run_dim_case(policy: TrialPolicy, label: str, claimed: int, build,
                  lower_bound: int | None = None, extra=None) -> CaseReport:
-    """Deficiency claim: PASS iff every trial measures the claimed nullity."""
-    columns = []
+    """Deficiency claim: PASS iff every trial measures the claimed nullity.
 
-    def sized(seed):
-        matrix = build(seed)
-        columns.append(len(matrix[0]) if len(matrix) else 0)
-        return matrix
-
-    [(_, measured, ms)] = _trials(policy, [(label, sized, None)])
-    measured = [n - r for n, r in zip(columns, measured)]
+    ``build`` is a :class:`ProjectiveDraw`: its basis gives the column count.
+    """
+    [(_, measured, ms)] = _trials(policy, [(label, build, None)])
+    measured = [len(build.basis) - r for r in measured]
     if lower_bound is not None and lower_bound >= claimed:
         note = (
             f"dim <= {claimed} certified by {policy.trials} random instances;"
@@ -259,25 +225,6 @@ def specs_free(n: int, xo_vector) -> list:
     for slot, count in enumerate(xo_vector):
         out += [ComponentSpec(n + 1 - slot)] * count
     return out
-
-
-class ProjectiveDraw(NamedTuple):
-    """The builder of a random scheme's condition matrices, one per seed.
-
-    Calling it draws and builds one instance.  :func:`_trials` builds a
-    round's draws that share ``(n, subspaces, basis, prime)`` together, by
-    ``condition_matrices_projective``, which gives the same matrices.
-    """
-
-    n: int
-    specs: tuple
-    subspaces: tuple
-    basis: MonomialBasis
-    prime: int
-
-    def __call__(self, seed):
-        inst = random_instance(self.n, self.specs, self.subspaces, self.prime, seed)
-        return condition_matrix_projective(inst, self.basis)
 
 
 def _general_scheme(n, lengths, d, prime) -> ProjectiveDraw:
@@ -365,6 +312,8 @@ def verify_prop48_leftovers(policy: TrialPolicy, sample: int | None = None) -> l
     ``sample`` caps the number of combos per triple (seeded choice) for a
     quick pass; the default checks the full enumeration.
     """
+    if sample is not None and sample < 1:
+        raise ValueError(f"--sample must be at least 1, got {sample}")
     subspaces = P8_SUBSPACES[:2]
     basis = vanishing_basis(8, 3, subspaces)
     reports = []

@@ -52,6 +52,10 @@ def test_predict_usage_errors(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "predict", "-n", "3", "-d", "3", "-a", "9")
     assert code == 2
+    # K^0 has no interpolation problem: no expected codimension is given
+    for shape in (("-d", "3", "-a", "0"), ("-d", "2", "--lengths", "1")):
+        code, out, err = run_cli(capsys, "predict", "-n", "0", *shape)
+        assert code == 2 and out == "" and err == "error: need n >= 1, got n=0\n"
 
 
 def test_solve_round_trip(tmp_path, capsys):
@@ -96,7 +100,12 @@ def test_solve_missing_file(capsys):
     {"points": [[0], [1.9]]},                       # was a TypeError traceback
     {"points": [[0], ["1/7"]], "prime": 7},         # no residue mod 7
     {"prime": "31991"},                             # a prime must be an integer
-], ids=["float-mod-p", "bool-mod-p", "float-over-q", "no-residue", "string-prime"])
+    {"d": 2.5},                                     # was a TypeError traceback
+    {"d": True},                                    # was solved as d = 1
+    {"n": 0, "points": [[], []]},                   # was "max() arg is an empty sequence"
+    {"d": -1},
+], ids=["float-mod-p", "bool-mod-p", "float-over-q", "no-residue", "string-prime",
+        "float-d", "bool-d", "zero-n", "negative-d"])
 def test_problem_file_scalars_are_exact_or_refused(tmp_path, capsys, bad):
     problem = {"n": 1, "d": 1, "mode": "affine", "points": [[0], [1]],
                "directions": [[], []], "values": [[1], [2]], **bad}
@@ -326,10 +335,8 @@ def test_degenerate_draw_is_a_usage_error(monkeypatch, capsys):
     def degenerate(*args, **kwargs):
         raise DegenerateDrawError("could not draw independent directions over GF(11)")
 
-    # a round's scheme draws go through the batched builder, a single dim case's
-    # draw through random_instance
-    monkeypatch.setattr(verify, "condition_matrices_projective", degenerate)
-    monkeypatch.setattr(verify, "random_instance", degenerate)
+    # every trial round's draws, batched or alone, go through one builder call
+    monkeypatch.setattr(verify, "condition_matrices", degenerate)
     for argv in (("tables", "-n", "3"), ("props", "--prop", "4.6")):
         code, _, err = run_cli(capsys, *argv, "--prime", "11")
         assert code == 2 and err.startswith("error: could not draw"), argv
@@ -338,16 +345,16 @@ def test_degenerate_draw_is_a_usage_error(monkeypatch, capsys):
 def test_degenerate_draw_in_a_batched_round_is_a_usage_error(monkeypatch, capsys):
     # the tenth draw of the first 4.5 triple fails while its round is half built
     draws = []
-    real = verify.condition_matrices_projective
+    real = verify.condition_matrices
 
-    def flaky(n, subspaces, basis, prime, batch):
+    def flaky(batch):
         for draw in batch:
             draws.append(draw)
             if len(draws) == 10:
                 raise DegenerateDrawError("could not draw independent directions over GF(31991)")
-        return real(n, subspaces, basis, prime, batch)
+        return real(batch)
 
-    monkeypatch.setattr(verify, "condition_matrices_projective", flaky)
+    monkeypatch.setattr(verify, "condition_matrices", flaky)
     code, out, err = run_cli(capsys, "props", "--prop", "4.5")
     assert code == 2 and out == "" and len(draws) == 10
     assert err.count("\n") == 1 and err.startswith("error: could not draw")
@@ -459,6 +466,14 @@ def test_trials_below_one_refused(capsys, argv):
     # a deficiency claim with no measurement must not PASS
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and "trials" in err
+
+
+@pytest.mark.parametrize("sample", ["0", "-2"])
+def test_sample_below_one_refused(capsys, sample):
+    # a sample of no combinations is a verdict on no measurement
+    code, out, err = run_cli(capsys, "props", "--prop", "4.8", "--sample", sample)
+    assert code == 2 and out == ""
+    assert err == f"error: --sample must be at least 1, got {sample}\n"
 
 
 @functools.cache

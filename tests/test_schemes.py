@@ -28,7 +28,8 @@ from ppinterp.schemes import (
     ComponentSpec,
     DegenerateDrawError,
     InterpolationProblem,
-    condition_matrices_projective,
+    ProjectiveDraw,
+    condition_matrices,
     condition_matrix_affine,
     condition_matrix_projective,
     condition_rhs,
@@ -286,12 +287,15 @@ def _outcome(build):
 
 
 def assert_batched_equals_sequential(n, subspaces, basis, prime, draws):
+    # a lone draw is built by itself, so only two or more exercise the batch
+    assert len(draws) >= 2
     sequential = _outcome(lambda: [
         condition_matrix_projective(random_instance(n, specs, subspaces, prime, seed), basis)
         for specs, seed in draws
     ])
-    assert _outcome(lambda: condition_matrices_projective(n, subspaces, basis, prime, draws)) \
-        == sequential
+    builders = [(ProjectiveDraw(n, tuple(specs), subspaces, basis, prime), seed)
+                for specs, seed in draws]
+    assert _outcome(lambda: condition_matrices(builders)) == sequential
     return sequential
 
 
@@ -321,7 +325,7 @@ def batched_draws(draw):
 
     shared = components()
     draws = [(shared if draw(st.booleans()) else components(), draw(st.integers(0, 2**64 - 1)))
-             for _ in range(draw(st.integers(1, 6)))]
+             for _ in range(draw(st.integers(2, 6)))]
     prime = draw(st.sampled_from(BATCH_PRIMES))
     return n, d, tuple(subspaces), draws, prime
 
@@ -378,6 +382,62 @@ def test_batched_build_raises_what_the_sequential_path_raises():
     # above MAX_PRIME the sequential path still builds schemes without directions
     draws = [([ComponentSpec(9), ComponentSpec(1)], seed) for seed in range(3)]
     assert isinstance(assert_batched_equals_sequential(8, (), full, 67108879, draws), list)
+
+
+def _count_paths(monkeypatch):
+    """The batch sizes ``_draw_layout`` lays out and the seeds drawn one at a time."""
+    layouts, alone = [], []
+    layout, draw = schemes._draw_layout, schemes.random_instance
+    monkeypatch.setattr(schemes, "_draw_layout",
+                        lambda *args: layouts.append(len(args[4])) or layout(*args))
+    monkeypatch.setattr(schemes, "random_instance",
+                        lambda *args: alone.append(args[-1]) or draw(*args))
+    return layouts, alone
+
+
+def test_condition_matrices_batches_a_key_of_two_or_more(monkeypatch):
+    layouts, alone = _count_paths(monkeypatch)
+    plane = build_basis(HOMOGENEOUS, 2, 3)
+    first = ProjectiveDraw(2, (ComponentSpec(3), ComponentSpec(2)), (), plane, P)
+    second = first._replace(specs=(ComponentSpec(1),) * 4)
+    condition_matrices([(first, 1), (second, 2), (first, 3)])
+    assert (layouts, alone) == ([3], [])
+
+
+def test_condition_matrices_builds_lone_draws_and_other_builders_alone(monkeypatch):
+    layouts, alone = _count_paths(monkeypatch)
+    called = []
+
+    def affine(seed):
+        called.append(seed)
+        return np.eye(3, dtype=np.int64)
+
+    plane = build_basis(HOMOGENEOUS, 2, 3)
+    lone = ProjectiveDraw(2, (ComponentSpec(3),), (), plane, P)
+    other = lone._replace(basis=build_basis(HOMOGENEOUS, 2, 2))  # another key
+    condition_matrices([(affine, 1), (lone, 2), (affine, 3), (other, 4)])
+    assert (layouts, alone, called) == ([], [2, 4], [1, 3])
+
+
+def test_condition_matrices_mixed_round_keeps_input_order(monkeypatch):
+    from ppinterp.verify import _affine_builder, specs_on_subspace
+
+    p8 = vanishing_basis(8, 3, (L, M))
+    on_p8 = [ProjectiveDraw(8, tuple(specs_on_subspace(8, 0, tdu) + specs_on_subspace(8, 1, tdu)),
+                            (L, M), p8, P) for tdu in ((1, 1, 1), (2, 0, 1), (0, 3, 0))]
+    space = build_basis(HOMOGENEOUS, 3, 3)
+    free = [ProjectiveDraw(3, tuple(ComponentSpec(l) for l in lengths), (), space, P)
+            for lengths in ((4, 4, 2), (3, 3, 3, 1))]
+    lone = ProjectiveDraw(3, (ComponentSpec(4),) * 3, (), build_basis(HOMOGENEOUS, 3, 2), P)
+    affine = [_affine_builder(2, 3, (2, 1, 0), P), _affine_builder(3, 5, (3, 3), P)]
+    builders = [affine[0], on_p8[0], free[0], lone, on_p8[1], affine[1], free[1], on_p8[2]]
+    draws = [(build, 1000 + i) for i, build in enumerate(builders)]
+    expected = [build(seed) for build, seed in draws]
+    layouts, alone = _count_paths(monkeypatch)
+    got = condition_matrices(draws)
+    assert [(m.dtype, m.shape, m.tobytes()) for m in got] == [
+        (m.dtype, m.shape, m.tobytes()) for m in expected]
+    assert (layouts, alone) == ([3, 2], [1003])
 
 
 @pytest.mark.parametrize("prime", BATCH_PRIMES)

@@ -89,6 +89,9 @@ def test_predict_general_validation():
         predict_general(3, 3, (4,))
     with pytest.raises(ValueError):
         predict_general(3, 0, (1,))
+    for d in (0, 2, 3):  # no interpolation problem lives in K^0
+        with pytest.raises(ValueError, match="n >= 1"):
+            predict_profile(0, d, (0,))
 
 
 def test_exception_list_is_exactly_five():

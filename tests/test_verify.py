@@ -163,6 +163,30 @@ def test_measured_never_exceeds_target():
         run_rank_case(POLICY, "guard2", 3, build)
 
 
+def test_rank_guard_holds_under_optimisation():
+    # python -O strips assert statements; the guard must still refuse
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "import numpy as np\n"
+        "from ppinterp.verify import TrialPolicy, run_rank_case\n"
+        "assert False, 'asserts are on'\n"
+        "try:\n"
+        "    run_rank_case(TrialPolicy(), 'guard', 3, lambda seed: np.eye(4, dtype=np.int64))\n"
+        "except AssertionError as err:\n"
+        "    print(err)\n"
+    )
+    src = str(Path(verify.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "measured rank 4 above the theoretical bound 3\n"
+
+
 @pytest.mark.parametrize("trials", [0, -3])
 def test_trial_policy_needs_a_trial(trials):
     with pytest.raises(ValueError, match="trials"):
