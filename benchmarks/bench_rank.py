@@ -11,10 +11,12 @@ draws' direction checks and the smallest condition matrices) it also times
 ``linalg.rank_rows`` beside the loops, with the work m*n*min(m, n) that
 ``linalg._ROWS_WORK`` is set against: ``linalg.rank`` eliminates on Python
 rows up to that work.  On stacks of the sweeps' square orders (27, 36, 46,
-63) it times the batched full-rank screen ``full_rank_mod`` and
-``linalg.ranks`` against ranking each matrix alone, which sets the routing
-rule in ``linalg.ranks``.  On 128 seeded instances of the cubic sweeps at
-each of these orders it times the batched draw and build
+63) it times the batched exact rank ``rank_mod`` and ``linalg.ranks``
+against ranking each matrix alone, which sets the routing rule in
+``linalg.ranks``; ``rank_mod`` is timed on full-rank stacks and on stacks
+whose every matrix has one dependent column, as a deficiency claim's do.
+On 128 seeded instances of the cubic sweeps at each of these orders it
+times the batched draw and build
 ``schemes.condition_matrices`` against drawing and building each instance
 alone, and checks that both give the same bytes.
 
@@ -38,7 +40,7 @@ from math import comb
 import numpy as np
 
 from ppinterp import _gfcore_py, interp, linalg
-from ppinterp._gfcore_py import KERNEL, _echelon_numpy, full_rank_mod
+from ppinterp._gfcore_py import KERNEL, _echelon_numpy, rank_mod
 from ppinterp.gf import DEFAULT_PRIME
 from ppinterp.linalg import _ROWS_WORK, rank_rows
 from ppinterp.monomials import AFFINE, build_basis
@@ -120,23 +122,36 @@ def bench_small(rng, args):
 
 
 def bench_screen(rng, args):
-    """The batched screen against ranking each matrix alone, per matrix of a stack."""
-    print(f"\nfull-rank screen, stacks of {SCREEN_STACK} (us per matrix)")
-    header = f"{'order':>6} {'screen':>8} {'ranks':>8} {'numpy':>8}"
+    """The batched exact rank against ranking each matrix alone, per matrix of a stack.
+
+    ``1 dep`` stacks are the full-rank ones with one column of each matrix
+    replaced by a combination of two others, at a seeded position.
+    """
+    print(f"\nbatched rank, stacks of {SCREEN_STACK} (us per matrix)")
+    header = f"{'order':>6} {'rank_mod':>9} {'1 dep':>8} {'ranks':>8} {'numpy':>8}"
     if rank_c is not None:
         header += f" {'c':>8}"
     print(header)
     for order in SCREEN_ORDERS:
         mats = [random_matrix(rng, order) for _ in range(SCREEN_STACK)]
         stack = np.array(mats)
+        deficient = stack.copy()
+        spots = random.Random(order)
+        for a in deficient:
+            j = spots.randrange(order)
+            a[:, j] = (a[:, (j + 1) % order] + 2 * a[:, (j + 2) % order]) % DEFAULT_PRIME
         expected = [rank_py(m, DEFAULT_PRIME) for m in mats]
         assert linalg.ranks(mats, DEFAULT_PRIME) == expected
-        assert full_rank_mod(stack, DEFAULT_PRIME).tolist() == [r == order for r in expected]
-        t_screen, _ = _best(lambda: full_rank_mod(stack, DEFAULT_PRIME), args.repeats)
+        assert rank_mod(stack, DEFAULT_PRIME).tolist() == expected
+        assert rank_mod(deficient, DEFAULT_PRIME).tolist() == [
+            rank_py(m, DEFAULT_PRIME) for m in deficient] == [order - 1] * SCREEN_STACK
+        times = [_best(lambda: rank_mod(a, DEFAULT_PRIME), args.repeats)[0] / SCREEN_STACK
+                 for a in (stack, deficient)]
         t_ranks, _ = _best(lambda: linalg.ranks(mats, DEFAULT_PRIME), args.repeats)
-        times = [t_screen / SCREEN_STACK, t_ranks / SCREEN_STACK]
+        times.append(t_ranks / SCREEN_STACK)
         times += [bench_kernel(fn, mats, args.repeats) for fn in (rank_py, rank_c) if fn]
-        print(f"{order:>6} " + " ".join(f"{t * 1e6:>8.0f}" for t in times))
+        widths = (9, 8, 8, 8, 8)
+        print(f"{order:>6} " + " ".join(f"{t * 1e6:>{w}.0f}" for t, w in zip(times, widths)))
 
 
 def _sweep_groups():

@@ -1,4 +1,4 @@
-"""Row reduction over GF(p): the shared ``echelon_mod`` and the batched screen.
+"""Row reduction over GF(p): the shared ``echelon_mod`` and the batched ``rank_mod``.
 
 ``echelon_mod`` serves every GF(p) elimination of the package: the rank of
 a larger matrix (``linalg.rank``), the GF(p) solvers and Dixon's inverse.
@@ -6,8 +6,8 @@ Its inner loop is ``echelon_inplace``: the compiled one of the optional
 ``ppinterp._gfcore`` extension (built from the hand-written ``_gfcore.c``)
 when it is built, the numpy loop :func:`_echelon_numpy` otherwise; ``KERNEL``
 says which one.  Both take the same arguments, pivot by the same rule and
-give the same bytes.  ``full_rank_mod`` screens a stack of same-shape
-matrices for full rank at once.  Entries stay below p < MAX_PRIME = 2**26,
+give the same bytes.  ``rank_mod`` ranks a stack of same-shape matrices at
+once, in one float64 elimination.  Entries stay below p < MAX_PRIME = 2**26,
 so products fit comfortably in int64.
 """
 
@@ -67,16 +67,19 @@ def echelon_mod(a, ncols: int, p: int):
     return arr, echelon_inplace(arr, ncols, p)
 
 
-def full_rank_mod(stack, p: int):
-    """Whether each matrix of a ``(B, m, n)`` integer stack has rank ``min(m, n)`` mod p.
+def rank_mod(stack, p: int):
+    """The rank mod p of each matrix of a ``(B, m, n)`` integer stack, as an int64 array.
 
     A wide stack is transposed first, so every matrix has at least as many
-    rows as columns and is of full rank iff each column c finds a pivot in
-    rows c and below.  The stack is worked in ``(m, n, B)`` layout, the batch
-    the contiguous inner axis, so each numpy call serves every matrix.  Each
-    matrix pivots on its first nonzero entry in the column (``argmax`` and a
-    gathered row swap); a matrix with none there is not of full rank, and
-    what its elimination goes on to compute is never read.
+    rows as columns.  The stack is worked in ``(m, n, B)`` layout, the batch
+    the contiguous inner axis, so each numpy call serves every matrix.  Step
+    c pivots each matrix on its first nonzero entry in column c at or below
+    row c (``argmax`` and a gathered row swap).  A matrix with none there has
+    a column c that depends on the columns before it: its columns from c on
+    rotate left, so that column goes last and is never pivoted again, and it
+    has one live column fewer.  This repeats until column c of every matrix
+    has a pivot or lies past its live columns; the rank is the number of
+    live columns, and what a matrix computes past them is never read.
 
     The update ``lead*row - f*top`` runs in float64 and is reduced to the
     symmetric residue ``t - p*rint(t/p)``.  Entries start in [0, p) and stay
@@ -93,16 +96,22 @@ def full_rank_mod(stack, p: int):
     if a.shape[1] < a.shape[2]:
         a = a.transpose(0, 2, 1)
     batch, m, n = a.shape
-    full = np.ones(batch, dtype=bool)
+    live = np.full(batch, n, dtype=np.int64)
     if a.size == 0:
-        return full
+        return live
     a = np.ascontiguousarray((a % p).transpose(1, 2, 0), dtype=np.float64)
     inv = 1.0 / p
     lanes = np.arange(batch)
     scratch = np.empty((m - 1, n - 1, batch))
     for c in range(n):
         col = a[c:, c] != 0
-        full &= col.any(axis=0)
+        while not (has := col.any(axis=0)).all():
+            dependent = np.flatnonzero(~has & (live > c))
+            if not dependent.size:
+                break
+            a[c:, c:, dependent] = np.roll(a[c:, c:, dependent], -1, axis=1)
+            live[dependent] -= 1
+            col = a[c:, c] != 0
         piv = c + col.argmax(axis=0)
         if (piv != c).any():
             top = a[piv, c:, lanes]  # (B, n - c): each matrix's pivot row
@@ -116,4 +125,4 @@ def full_rank_mod(stack, p: int):
         np.rint(q, out=q)
         q *= p
         t -= q
-    return full
+    return live

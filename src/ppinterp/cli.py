@@ -66,7 +66,7 @@ def _report_doc(args, reports) -> dict:
             "prime": args.prime,
             "seed": getattr(args, "seed", None),
             "trials": getattr(args, "trials", None),
-            "deep": getattr(args, "deep", False),
+            "deep": bool(getattr(args, "deep", False)),
             "kernel": linalg.KERNEL,
             "version": __version__,
             "numpy": np.__version__,
@@ -133,26 +133,20 @@ def _parse_profile(text):
 
 def cmd_predict(args) -> int:
     if (args.a is None) == (args.lengths is None):
-        print("predict needs exactly one of -a or --lengths", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        if args.lengths is not None:
-            profile = tuple(l - 1 for l in sorted(args.lengths, reverse=True))
-            prediction = theory.predict_profile(args.n, args.d, profile)
-            q = theory.predict_quadric_scheme(args.n, args.lengths) if args.d == 2 else None
-            doc = prediction.to_json()
-            if q is not None:
-                doc["quadric"] = q.to_json()
-            doc["lengths"] = sorted(args.lengths, reverse=True)
-        else:
-            prediction = theory.predict_profile(args.n, args.d, args.a)
-            doc = prediction.to_json()
-            if args.d == 2:
-                doc["quadric"] = theory.predict_quadric_affine(args.n, args.a).to_json()
-            doc["a"] = sorted(args.a, reverse=True)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("predict needs exactly one of -a or --lengths")
+    if args.lengths is not None:
+        lengths = theory.sorted_lengths(args.n, args.lengths)
+        prediction = theory.predict_profile(args.n, args.d, tuple(l - 1 for l in lengths))
+        doc = prediction.to_json()
+        if args.d == 2:
+            doc["quadric"] = theory.predict_quadric_scheme(args.n, lengths).to_json()
+        doc["lengths"] = list(lengths)
+    else:
+        prediction = theory.predict_profile(args.n, args.d, args.a)
+        doc = prediction.to_json()
+        if args.d == 2:
+            doc["quadric"] = theory.predict_quadric_affine(args.n, args.a).to_json()
+        doc["a"] = sorted(args.a, reverse=True)
     doc.update({"schema_version": SCHEMA_VERSION, "n": args.n, "d": args.d})
     _emit(args, json.dumps(doc, indent=2, sort_keys=True))
     return 0
@@ -195,52 +189,50 @@ def cmd_tables(args) -> int:
 
 
 def cmd_props(args) -> int:
-    policy = _policy(args, 3)
     which = args.prop
-    if which in ("4.7", "4.13", "base") and args.n > 5 and not args.deep:
-        print(f"n={args.n} is behind --deep (combinatorial blow-up)", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        if which == "4.5":
-            reports = verify.verify_prop45(policy)
-        elif which == "4.6":
-            reports = verify.verify_remark46(policy)
-        elif which == "4.8":
-            reports = verify.verify_prop48_leftovers(policy, sample=args.sample)
-        elif which == "4.7":
-            reports = verify.verify_base_two_subspaces(policy, args.n, props=("4.7",))
-        elif which == "4.13":
-            reports = verify.verify_base_one_subspace(policy, args.n)
-        elif which == "base":
-            reports = verify.verify_props47_413_base(policy, args.n)
-        else:  # all
-            reports = (verify.run_suite(policy, "p8", sample=args.sample)
-                       + verify.run_suite(policy, "base", deep=args.deep))
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_ERROR
+    for flag, value, props in (("--sample", args.sample, ("4.8", "all")),
+                               ("-n", args.n, ("4.7", "4.13", "base")),
+                               ("--deep", args.deep, ("4.7", "4.13", "base", "all"))):
+        if value is not None and which not in props:
+            raise ValueError(f"{flag} applies only to --prop {', '.join(props)}")
+    policy = _policy(args, 3)
+    n = args.n or 5  # given only for the base sweeps, whose larger n is behind --deep
+    if n > 5 and not args.deep:
+        raise ValueError(f"n={n} is behind --deep (combinatorial blow-up)")
+    if which == "4.5":
+        reports = verify.verify_prop45(policy)
+    elif which == "4.6":
+        reports = verify.verify_remark46(policy)
+    elif which == "4.8":
+        reports = verify.verify_prop48_leftovers(policy, sample=args.sample)
+    elif which == "4.7":
+        reports = verify.verify_base_two_subspaces(policy, n, props=("4.7",))
+    elif which == "4.13":
+        reports = verify.verify_base_one_subspace(policy, n)
+    elif which == "base":
+        reports = verify.verify_props47_413_base(policy, n)
+    else:  # all
+        reports = (verify.run_suite(policy, "p8", sample=args.sample)
+                   + verify.run_suite(policy, "base", deep=args.deep))
     return _emit_reports(args, reports)
 
 
 def cmd_verify(args) -> int:
     has_case = args.a is not None or args.lengths is not None
+    for flag in ("--suite", "--deep") if has_case else ("-n", "-d"):
+        if getattr(args, flag.lstrip("-")) is not None:
+            raise ValueError(f"{flag} {'does not apply' if has_case else 'applies only'}"
+                             " to a single case (-a or --lengths)")
     if has_case and (args.n is None or args.d is None):
-        print("a single case needs -n and -d", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("a single case needs -n and -d")
     if has_case:
         policy = _policy(args, args.d)
+        reports = [verify.verify_generic(policy, args.n, args.d,
+                                         a=args.a, lengths=args.lengths)]
     else:
         policy = _policy(args, max(degree for name, (degree, _) in verify.SUITES.items()
-                                   if args.suite in ("all", name)))
-    try:
-        if has_case:
-            reports = [verify.verify_generic(policy, args.n, args.d,
-                                             a=args.a, lengths=args.lengths)]
-        else:
-            reports = verify.run_suite(policy, args.suite, deep=args.deep)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_ERROR
+                                   if args.suite in (None, "all", name)))
+        reports = verify.run_suite(policy, args.suite or "all", deep=args.deep)
     return _emit_reports(args, reports)
 
 
@@ -278,20 +270,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prop",
                    choices=("4.5", "4.6", "4.7", "4.8", "4.13", "base", "all"),
                    default="all")
-    p.add_argument("-n", type=int, choices=(5, 6, 7), default=5,
-                   help="ambient dimension for the 4.7/4.13 base sweeps")
-    p.add_argument("--sample", type=int, help="cap combos per triple (4.8 only)")
-    p.add_argument("--deep", action="store_true", help="allow the n=6,7 sweeps")
+    p.add_argument("-n", type=int, choices=(5, 6, 7),
+                   help="ambient dimension for the 4.7/4.13/base sweeps (default 5)")
+    p.add_argument("--sample", type=int, help="cap combos per triple (4.8 and all only)")
+    p.add_argument("--deep", action="store_true", default=None, help="allow the n=6,7 sweeps")
     _add_common(p)
     p.set_defaults(func=cmd_props)
 
     p = sub.add_parser("verify", help="run a verification suite or one generic case")
-    p.add_argument("--suite", choices=("all", *verify.SUITES), default="all")
+    p.add_argument("--suite", choices=("all", *verify.SUITES), help="default all")
     p.add_argument("-n", type=int)
     p.add_argument("-d", type=int)
     p.add_argument("-a", type=_parse_profile)
     p.add_argument("--lengths", type=_parse_profile)
-    p.add_argument("--deep", action="store_true")
+    p.add_argument("--deep", action="store_true", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -22,8 +22,8 @@ arithmetic needs ``prime < MAX_PRIME``.  Every GF(p) entry point first
 checks that the modulus is a prime below that bound (``rank_rows`` takes a
 prime of any size), so a composite modulus is refused rather than given a
 wrong rank.  :func:`ranks` takes many matrices at once: on the numpy kernel
-it screens GF(p) matrices of a shared shape together for full rank
-(``full_rank_mod``) and sends only the ones it does not certify to
+it ranks GF(p) matrices of a shared shape together, in one exact float64
+elimination (``rank_mod``), and sends only a matrix alone in its shape to
 :func:`rank`.
 
 The solvers pick theirs by field.  Over GF(p), systems are eliminated by
@@ -50,7 +50,7 @@ from operator import index, mul
 
 import numpy as np
 
-from ._gfcore_py import KERNEL, echelon_mod, full_rank_mod
+from ._gfcore_py import KERNEL, echelon_mod, rank_mod
 from .gf import MAX_PRIME, is_prime
 
 # Largest work m*n*min(m, n) that rank() eliminates on Python rows rather than
@@ -60,14 +60,14 @@ from .gf import MAX_PRIME, is_prime
 # recorded in BENCH_9.json).
 _ROWS_WORK = 0 if KERNEL == "c" else 1000
 
-# Cells m*n*B of one full_rank_mod call in ranks(): a same-shape group is
-# screened in even chunks of at most this many cells, so the screen's float64
-# stack and its scratch stay about 2 MB each whatever the group size.
+# Cells m*n*B of one rank_mod call in ranks(): a same-shape group is ranked
+# in even chunks of at most this many cells, so the float64 stack and its
+# scratch stay about 2 MB each whatever the group size.
 # benchmarks/bench_rank.py (runs recorded in BENCH_7.json, 2-vCPU Xeon, numpy
 # 2.4), stacks of 64 seeded residue matrices of orders 27, 36, 46 and 63: the
-# screen takes 72, 175, 263 and 747 us per matrix, echelon_mod alone 432, 741,
-# 1060 and 1976 us.  The compiled loop ranks one matrix in 36, 81, 145 and
-# 374 us (BENCH_9.json), about twice as fast as the screen, so on it ranks()
+# batched elimination takes 72, 175, 263 and 747 us per matrix, echelon_mod
+# alone 432, 741, 1060 and 1976 us.  The compiled loop ranks one matrix in 36,
+# 81, 145 and 374 us (BENCH_9.json), about twice as fast, so on it ranks()
 # calls rank().
 _SCREEN_CELLS = 1 << 18
 
@@ -185,7 +185,7 @@ def _int64_array(matrix, prime):
         return (a % prime).astype(np.int64)
     if a.dtype.kind in "iu":
         return a.astype(np.int64, copy=False)
-    return np.array(_int_rows(a.tolist(), prime), dtype=np.int64).reshape(a.shape)
+    return np.array([index(v) % prime for v in a.ravel().tolist()], dtype=np.int64).reshape(a.shape)
 
 
 def rank(matrix, prime: int | None = None) -> int:
@@ -207,12 +207,12 @@ def rank(matrix, prime: int | None = None) -> int:
 def ranks(matrices, prime: int | None = None) -> list:
     """The exact rank of each matrix, as :func:`rank` gives it.
 
-    On the numpy kernel, GF(p) integer matrices that share their shape with
-    another one are screened together by ``full_rank_mod``; a matrix it
-    certifies has rank min(m, n), and every other matrix goes to ``rank``.
+    On the numpy kernel, GF(p) matrices that share their shape with another
+    one are ranked together by ``rank_mod``; a matrix alone in its shape, and
+    every matrix over Q or on the compiled kernel, goes to ``rank``.
     """
     _check_prime(prime)
-    out = [None] * len(matrices)
+    out = {}
     if prime is not None and KERNEL == "python":
         groups = defaultdict(list)
         for i, matrix in enumerate(matrices):
@@ -222,12 +222,12 @@ def ranks(matrices, prime: int | None = None) -> list:
                 continue
             count = max(1, -(-len(group) * m * n // _SCREEN_CELLS))
             for part in np.array_split(np.array(group), count):
-                stack = np.array([matrices[i] for i in part])
-                if stack.dtype.kind not in "iu":  # Fractions, floats, huge ints: rank decides
-                    continue
-                for i in part[full_rank_mod(_int64_array(stack, prime), prime)]:
-                    out[i] = min(m, n)
-    return [rank(matrix, prime) if r is None else r for matrix, r in zip(matrices, out)]
+                members = [matrices[i] for i in part]
+                for matrix in members:  # a bool array is refused, as rank() refuses it
+                    _check_dtype(matrix)
+                stack = _int64_array(members, prime).reshape(len(part), m, n)
+                out.update(zip(part.tolist(), rank_mod(stack, prime).tolist()))
+    return [out[i] if i in out else rank(matrix, prime) for i, matrix in enumerate(matrices)]
 
 
 def rank_rows(matrix, prime: int | None = None) -> int:

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._gfcore_py import full_rank_mod
+from ._gfcore_py import rank_mod
 from .gf import DEFAULT_PRIME, MAX_PRIME, as_fraction, is_prime
 from .linalg import rank
 from .monomials import (
@@ -435,18 +435,17 @@ def condition_matrices(draws) -> list:
     """The matrix ``build(seed)`` gives for each ``(build, seed)`` draw, in input order.
 
     The :class:`ProjectiveDraw` builders that share ``(n, subspaces, basis,
-    prime)`` are drawn and built as one batch when there are two or more;
-    the result equals ``build(seed)`` in dtype, shape and bytes.  Each seed's
-    stream is read in one bulk call and laid out as :func:`random_instance`
-    uses it when it redraws nothing; the batch's draws are then checked
-    together (nonzero and distinct points, combinations independent on
-    their checked columns) and built in chunks of about ``_BUILD_CELLS``
-    jacobian cells.  Every other draw is built by calling its builder: a
-    lone projective draw (one draw is faster alone than as a batch of one),
-    any other builder, a draw that fails a check, and one the batch does not
-    take (a prime that is not a prime below MAX_PRIME, an invalid spec or
-    subspace, a basis not vanishing where it must); only this sequential
-    path redraws and raises.
+    prime)`` are drawn and built as one batch, a key with one draw as a
+    batch of one; the result equals ``build(seed)`` in dtype, shape and
+    bytes.  Each seed's stream is read in one bulk call and laid out as
+    :func:`random_instance` uses it when it redraws nothing; the batch's
+    draws are then checked together (nonzero and distinct points,
+    combinations independent on their checked columns) and built in chunks
+    of about ``_BUILD_CELLS`` jacobian cells.  Every other draw is built by
+    calling its builder: any other builder, a draw that fails a check, and
+    one the batch does not take (a prime that is not a prime below
+    MAX_PRIME, an invalid spec or subspace, a basis not vanishing where it
+    must); only this sequential path redraws and raises.
     """
     draws = list(draws)
     groups = defaultdict(list)
@@ -455,8 +454,6 @@ def condition_matrices(draws) -> list:
             groups[build.n, build.subspaces, build.basis, build.prime].append(i)
     out = [None] * len(draws)
     for (n, subspaces, basis, prime), members in groups.items():
-        if len(members) < 2:
-            continue
         take, table, counts = _batchable(n, subspaces, basis, prime,
                                          [draws[i][0].specs for i in members])
         if not take:
@@ -560,11 +557,8 @@ def _draw_layout(n, subspaces, table, counts, seeds, p):
         r, s = divmod(key, len(subspaces) + 1)
         g = np.flatnonzero(groups == key)
         cols = np.arange(nv) if s == 0 else np.array(sorted(subspaces[s - 1].zeroed))
-        if r > cols.size:  # never independent: the sequential path raises
-            bad[draw[g]] = True
-            continue
         stack = values[(off + own)[g, None, None] + np.arange(r)[:, None] * nv + cols]
-        bad[draw[g[~full_rank_mod(stack, p)]]] = True
+        bad[draw[g[rank_mod(stack, p) < r]]] = True
     return draw, points, free & ~whole, owner, start, values, ~bad
 
 

@@ -121,6 +121,14 @@ def predict_general(n: int, d: int, a) -> Prediction:
     return Prediction(codim, exc is not None, exc or "none")
 
 
+def sorted_lengths(n: int, lengths) -> tuple:
+    """Component lengths in descending order; ValueError unless each lies in [1, n+1]."""
+    lengths = tuple(sorted(lengths, reverse=True))
+    if any(l < 1 or l > n + 1 for l in lengths):
+        raise ValueError(f"lengths must lie in [1, {n + 1}]: {lengths}")
+    return lengths
+
+
 def predict_quadric_scheme(n: int, lengths) -> QuadricPrediction:
     """Does a general scheme with these component lengths impose independent
     conditions on quadrics?
@@ -129,9 +137,7 @@ def predict_quadric_scheme(n: int, lengths) -> QuadricPrediction:
     That happens iff either every delta value vanishes or the degree exceeds
     C(n+2,2) by at least the largest delta value.
     """
-    lengths = tuple(sorted(lengths, reverse=True))
-    if any(l < 1 or l > n + 1 for l in lengths):
-        raise ValueError(f"lengths must lie in [1, {n + 1}]: {lengths}")
+    lengths = sorted_lengths(n, lengths)
     deg = sum(lengths)
     md = max_delta_scheme(n, lengths) if lengths else 0
     dim = comb(n + 2, 2)

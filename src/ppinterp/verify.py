@@ -13,11 +13,12 @@ resulting condition matrix.  Rank is lower semicontinuous in the data, so
 
 Per-case seeds are derived as sha256(root_seed:label:trial), so cases are
 independent jobs and execution order never changes any measurement.  The
-trial loop uses this: it runs a sweep's cases together, trial round by trial
-round.  Each round makes one ``schemes.condition_matrices`` call, which draws
-and builds the round's scheme instances together, and one ``linalg.ranks``
-call.  A case's ``millis`` is an equal share of each of its rounds'
-build-and-rank time; for a command of one case that is its own time.
+trial loop uses this: it runs a command's cases together, rank and
+deficiency claims alike, trial round by trial round.  Each round makes one
+``schemes.condition_matrices`` call, which draws and builds the round's
+scheme instances together, and one ``linalg.ranks`` call, which gives every
+matrix its exact rank.  A case's ``millis`` is an equal share of each of its
+rounds' build-and-rank time; for a command of one case that is its own time.
 """
 
 from __future__ import annotations
@@ -153,30 +154,21 @@ def _report(policy, label, kind, predicted, measured, ok, ms, note="", extra=Non
     )
 
 
-def _rank_cases(policy: TrialPolicy, jobs) -> list:
-    """Full-rank claims, ``(label, build, target)`` jobs run together.
+def _cases(policy: TrialPolicy, jobs) -> list:
+    """Rank and deficiency claims run together, one report per job in job order.
 
-    A case PASSes iff some trial reaches its target rank.
+    A rank claim is a ``(label, build, target)`` job; it PASSes iff some
+    trial reaches the target rank.  A deficiency claim is a ``(label, build,
+    None, claimed, lower_bound, extra)`` job, its ``build`` a
+    :class:`ProjectiveDraw` whose basis gives the column count; it PASSes iff
+    every trial measures the claimed nullity.
     """
-    return [_report(policy, label, "rank", target, measured, measured[-1] == target, ms)
-            for (label, _, target), measured, ms in _trials(policy, jobs)]
+    return [_dim_report(policy, label, [len(build.basis) - r for r in measured], ms, *dim) if dim
+            else _report(policy, label, "rank", target, measured, measured[-1] == target, ms)
+            for (label, build, target, *dim), measured, ms in _trials(policy, jobs)]
 
 
-def run_rank_case(policy: TrialPolicy, label: str, target: int, build, extra=None) -> CaseReport:
-    """Full-rank claim: PASS iff some trial reaches the target rank."""
-    [report] = _rank_cases(policy, [(label, build, target)])
-    report.extra = extra or {}
-    return report
-
-
-def run_dim_case(policy: TrialPolicy, label: str, claimed: int, build,
-                 lower_bound: int | None = None, extra=None) -> CaseReport:
-    """Deficiency claim: PASS iff every trial measures the claimed nullity.
-
-    ``build`` is a :class:`ProjectiveDraw`: its basis gives the column count.
-    """
-    [(_, measured, ms)] = _trials(policy, [(label, build, None)])
-    measured = [len(build.basis) - r for r in measured]
+def _dim_report(policy, label, measured, ms, claimed, lower_bound, extra) -> CaseReport:
     if lower_bound is not None and lower_bound >= claimed:
         note = (
             f"dim <= {claimed} certified by {policy.trials} random instances;"
@@ -191,6 +183,20 @@ def run_dim_case(policy: TrialPolicy, label: str, claimed: int, build,
             note += f"; cone bound {lower_bound} does not reach the claim"
     return _report(policy, label, "dim", claimed, measured,
                    all(v == claimed for v in measured), ms, note=note, extra=extra)
+
+
+def run_rank_case(policy: TrialPolicy, label: str, target: int, build) -> CaseReport:
+    """Full-rank claim: PASS iff some trial reaches the target rank."""
+    return _cases(policy, [(label, build, target)])[0]
+
+
+def run_dim_case(policy: TrialPolicy, label: str, claimed: int, build,
+                 lower_bound: int | None = None, extra=None) -> CaseReport:
+    """Deficiency claim: PASS iff every trial measures the claimed nullity.
+
+    ``build`` is a :class:`ProjectiveDraw`: its basis gives the column count.
+    """
+    return _cases(policy, [(label, build, None, claimed, lower_bound, extra)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +273,7 @@ def _partition_cases(policy: TrialPolicy, n: int, subspaces, basis, prefix: str,
             specs = [s for (_, _, specs_of), part in zip(families, combo) for s in specs_of(part)]
             yield label, ProjectiveDraw(n, tuple(specs), subspaces, basis, policy.prime), len(basis)
 
-    return _rank_cases(policy, jobs())
+    return _cases(policy, jobs())
 
 
 def verify_prop45(policy: TrialPolicy) -> list:
@@ -289,21 +295,12 @@ def verify_remark46(policy: TrialPolicy) -> list:
     """The boundary cases around the triple list: (0,0,27) works, (0,6,21) does not."""
     basis = vanishing_basis(8, 3, P8_SUBSPACES)
     dp = lambda idx, k: (ComponentSpec(9, idx, 3),) * k
-    reports = [
-        run_rank_case(
-            policy, "4.6 (0,0,27)", 27,
-            ProjectiveDraw(8, dp(2, 9), P8_SUBSPACES, basis, policy.prime),
-        ),
-        run_dim_case(
-            policy, "4.6 (0,6,21)", 2,
-            ProjectiveDraw(8, dp(1, 2) + dp(2, 7), P8_SUBSPACES, basis, policy.prime),
-        ),
-        run_rank_case(
-            policy, "4.6 (0,6,18) subscheme", 24,
-            ProjectiveDraw(8, dp(1, 2) + dp(2, 6), P8_SUBSPACES, basis, policy.prime),
-        ),
-    ]
-    return reports
+    draw = lambda specs: ProjectiveDraw(8, specs, P8_SUBSPACES, basis, policy.prime)
+    return _cases(policy, [
+        ("4.6 (0,0,27)", draw(dp(2, 9)), 27),
+        ("4.6 (0,6,21)", draw(dp(1, 2) + dp(2, 7)), None, 2, None, None),
+        ("4.6 (0,6,18) subscheme", draw(dp(1, 2) + dp(2, 6)), 24),
+    ])
 
 
 def verify_prop48_leftovers(policy: TrialPolicy, sample: int | None = None) -> list:
@@ -446,6 +443,7 @@ def verify_tables(policy: TrialPolicy, n: int) -> list:
         note="profiles compared in descending order against the frozen table",
     )]
     by_profile = {r.lengths: r for r in rows}
+    jobs = []
     for prof, dim in fixture:
         row = by_profile.get(prof)
         extra = {}
@@ -457,13 +455,9 @@ def verify_tables(policy: TrialPolicy, n: int) -> list:
                 "type_vector": list(row.type_vector),
                 "dim_expected": dim,
             }
-        reports.append(run_dim_case(
-            policy, f"P{n} {','.join(map(str, prof))}", dim,
-            _general_scheme(n, prof, 2, policy.prime),
-            lower_bound=theory.best_cone_lower_bound(n, prof),
-            extra=extra,
-        ))
-    return reports
+        jobs.append((f"P{n} {','.join(map(str, prof))}", _general_scheme(n, prof, 2, policy.prime),
+                     None, dim, theory.best_cone_lower_bound(n, prof), extra))
+    return reports + _cases(policy, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -480,13 +474,10 @@ AH_EXCEPTION_SCHEMES = {
 
 def verify_ah_exceptions(policy: TrialPolicy) -> list:
     """Each deficient pattern must measure exactly one missing condition."""
-    reports = []
-    for tag, (n, d, lengths) in AH_EXCEPTION_SCHEMES.items():
-        reports.append(run_dim_case(
-            policy, f"1.1{tag} n={n} d={d}", 1,
-            _general_scheme(n, lengths, d, policy.prime),
-        ))
-    return reports
+    return _cases(policy, [
+        (f"1.1{tag} n={n} d={d}", _general_scheme(n, lengths, d, policy.prime), None, 1, None, None)
+        for tag, (n, d, lengths) in AH_EXCEPTION_SCHEMES.items()
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +502,7 @@ def verify_generic(policy: TrialPolicy, n: int, d: int, a=None, lengths=None) ->
     if (a is None) == (lengths is None):
         raise ValueError("give exactly one of a= or lengths=")
     if lengths is not None:
-        lengths = tuple(sorted(lengths, reverse=True))
+        lengths = theory.sorted_lengths(n, lengths)
         profile = tuple(l - 1 for l in lengths)
         label = f"generic n={n} d={d} lengths={','.join(map(str, lengths))}"
         builder = _general_scheme(n, lengths, d, policy.prime)
@@ -563,7 +554,7 @@ def sweep_nonexceptional(policy: TrialPolicy, count: int = 200,
         label = f"sweep#{idx:03d} n={n} d={d} a={','.join(map(str, a))}"
         idx += 1
         cases.append((label, _affine_builder(n, d, tuple(a), policy.prime), target))
-    return _rank_cases(policy, cases)
+    return _cases(policy, cases)
 
 
 def quadric_bruteforce(policy: TrialPolicy, ns=(1, 2, 3, 4), extra_degree: int = 3) -> list:

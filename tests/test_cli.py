@@ -56,6 +56,9 @@ def test_predict_usage_errors(capsys):
     for shape in (("-d", "3", "-a", "0"), ("-d", "2", "--lengths", "1")):
         code, out, err = run_cli(capsys, "predict", "-n", "0", *shape)
         assert code == 2 and out == "" and err == "error: need n >= 1, got n=0\n"
+    # a length error names the lengths as typed, not the lengths minus one
+    code, out, err = run_cli(capsys, "predict", "-n", "2", "-d", "3", "--lengths", "9")
+    assert code == 2 and out == "" and err == "error: lengths must lie in [1, 3]: (9,)\n"
 
 
 def test_solve_round_trip(tmp_path, capsys):
@@ -278,6 +281,8 @@ def test_verify_suite_selection(capsys):
 def test_verify_case_needs_dims(capsys):
     code, _, err = run_cli(capsys, "verify", "-a", "1,1")
     assert code == 2
+    code, out, err = run_cli(capsys, "verify", "-n", "2", "-d", "3", "--lengths", "0,3")
+    assert code == 2 and out == "" and err == "error: lengths must lie in [1, 3]: (3, 0)\n"
 
 
 def test_bad_prime_rejected(capsys):
@@ -363,7 +368,7 @@ def test_degenerate_draw_in_a_batched_round_is_a_usage_error(monkeypatch, capsys
 def _one_at_a_time(policy, jobs):
     """The trial loop without batching: each case alone, one rank call per trial."""
     for job in jobs:
-        label, build, stop = job
+        label, build, stop = job[:3]
         measured = []
         for t in range(policy.trials):
             matrix = build(verify.child_seed(policy.seed, label, t))
@@ -380,7 +385,9 @@ def _sampled_partition_cases(policy, n, subspaces, basis, prefix, families, samp
 
 @pytest.mark.parametrize("prime", ["31991", "5"])
 @pytest.mark.parametrize("argv", [("props", "--prop", "4.6"), ("props", "--prop", "4.13"),
-                                  ("verify", "--suite", "quadrics")], ids=" ".join)
+                                  ("verify", "--suite", "quadrics"), ("tables", "-n", "3"),
+                                  ("tables", "-n", "4"), ("verify", "--suite", "ah")],
+                         ids=" ".join)
 def test_batched_runner_equals_one_case_at_a_time(monkeypatch, capsys, argv, prime):
     monkeypatch.setattr(verify, "_partition_cases", _sampled_partition_cases)
     code, out, _ = run_cli(capsys, *argv, "--prime", prime)
@@ -474,6 +481,26 @@ def test_sample_below_one_refused(capsys, sample):
     code, out, err = run_cli(capsys, "props", "--prop", "4.8", "--sample", sample)
     assert code == 2 and out == ""
     assert err == f"error: --sample must be at least 1, got {sample}\n"
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("props", "--prop", "4.5", "--sample", "0"), "--sample"),
+    (("props", "--prop", "4.13", "--sample", "2"), "--sample"),
+    (("props", "--prop", "all", "-n", "7"), "-n"),
+    (("props", "--prop", "4.8", "-n", "7"), "-n"),
+    (("props", "--prop", "4.5", "--deep"), "--deep"),
+    (("props", "--prop", "4.6", "--deep"), "--deep"),
+    (("props", "--prop", "4.8", "--deep", "--sample", "2"), "--deep"),
+    (("verify", "--suite", "sweep", "-n", "3"), "-n"),
+    (("verify", "-d", "4"), "-d"),
+    (("verify", "-n", "2", "-d", "4", "-a", "2,2,2,2,2", "--suite", "ah", "--deep"), "--suite"),
+    (("verify", "-n", "2", "-d", "4", "-a", "2,2,2,2,2", "--deep"), "--deep"),
+])
+def test_unread_flags_refused(capsys, argv, flag):
+    # a flag the command would ignore changes nothing, so it is refused, not dropped
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: {flag} ")
 
 
 @functools.cache

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppinterp import _gfcore_py, linalg
-from ppinterp._gfcore_py import echelon_mod, full_rank_mod
+from ppinterp._gfcore_py import echelon_mod, rank_mod
 from ppinterp.gf import DEFAULT_PRIME, MAX_PRIME
 from ppinterp.linalg import (
     InconsistentSystemError,
@@ -508,26 +508,34 @@ def test_echelon_mod_matches_rows_elimination(system):
 
 
 # ---------------------------------------------------------------------------
-# the batched full-rank screen
+# the batched exact rank
 
-SCREEN_PRIMES = (3, 31991, 67108859)
+SCREEN_PRIMES = (2, 3, 5, 31991, 67108859)
 
 
 @st.composite
 def residue_stacks(draw):
-    """Same-shape stacks mod p: random members, products of rank-k factors,
-    and columns that are zero in every member; wide, tall, square and 1x1."""
+    """Same-shape stacks mod p: random members, products of rank-k factors
+    (their columns shuffled, so dependent columns come at several steps),
+    copies of earlier columns, and columns that are zero in every member;
+    wide, tall (as the draw checks make them), square and 1x1."""
     p = draw(st.sampled_from(SCREEN_PRIMES))
-    m, n = draw(st.sampled_from([(1, 1), (1, 4), (4, 1), (3, 7), (7, 3), (6, 6)])
+    m, n = draw(st.sampled_from([(1, 1), (1, 4), (4, 1), (3, 7), (7, 3), (6, 6), (3, 2), (5, 3)])
                 | st.tuples(st.integers(1, 8), st.integers(1, 8)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     members = []
     for _ in range(draw(st.integers(1, 6))):
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(["random", "product", "copies"]))
+        if kind == "product":
             k = draw(st.integers(0, min(m, n)))
             a = rng.integers(0, p, size=(m, k)) @ rng.integers(0, p, size=(k, n)) % p
+            a = a[:, rng.permutation(n)]
         else:
             a = rng.integers(0, p, size=(m, n))
+            if kind == "copies":  # some columns a multiple of an earlier one
+                for j in range(1, n):
+                    if rng.random() < 0.4:
+                        a[:, j] = a[:, rng.integers(0, j)] * rng.integers(0, p) % p
         members.append(a)
     stack = np.array(members, dtype=np.int64)
     stack[:, :, draw(st.lists(st.integers(0, n - 1), max_size=2))] = 0
@@ -538,10 +546,29 @@ def residue_stacks(draw):
 @given(residue_stacks())
 def test_full_rank_screen_matches_rows_elimination(case):
     p, stack = case
-    full = min(stack.shape[1:])
     expected = [rank_rows(a.tolist(), p) for a in stack]
-    assert full_rank_mod(stack, p).tolist() == [r == full for r in expected]
+    got = rank_mod(stack, p)
+    assert got.dtype == np.int64 and got.tolist() == expected
     assert linalg.ranks(list(stack), p) == expected
+
+
+def test_rank_mod_counts_dependent_columns_at_every_step():
+    # column j of member k depends on the earlier ones iff j is in dead[k]
+    p = 7
+    rng = np.random.default_rng(4)
+    dead = [(), (0,), (2,), (1, 2, 3), (4, 5), (0, 5), tuple(range(6))]
+    stack = np.zeros((len(dead), 6, 6), dtype=np.int64)
+    for k, cols in enumerate(dead):
+        a = np.eye(6, dtype=np.int64)[:, rng.permutation(6)]
+        for j in cols:
+            a[:, j] = a[:, :j] @ rng.integers(0, p, size=j) % p if j else 0
+        stack[k] = a
+    assert rank_mod(stack, p).tolist() == [6 - len(cols) for cols in dead]
+    assert rank_mod(stack.transpose(0, 2, 1), p).tolist() == [6 - len(cols) for cols in dead]
+    # tall stacks of r rows over fewer columns, and empty ones, rank at most the columns
+    assert rank_mod(np.ones((3, 4, 2), dtype=np.int64), p).tolist() == [1, 1, 1]
+    assert rank_mod(np.zeros((2, 3, 0), dtype=np.int64), p).tolist() == [0, 0]
+    assert rank_mod(np.zeros((0, 3, 3), dtype=np.int64), p).tolist() == []
 
 
 @settings(max_examples=100, deadline=None)
@@ -565,11 +592,11 @@ def test_screen_reads_multiples_of_p_near_2_52_as_zero():
     for p in (67104601, 67108859):
         square = np.array([[[p - 1, 1], [1, p - 1]], [[p - 1, 2], [1, p - 2]],
                            [[p - 1, 1], [1, p - 2]]], dtype=np.int64)
-        assert full_rank_mod(square, p).tolist() == [False, False, True]
+        assert rank_mod(square, p).tolist() == [1, 1, 2]
         assert linalg.ranks(list(square), p) == [1, 1, 2]
         wide = np.array([[[p - 1, 1, 0], [1, p - 1, 0]], [[p - 1, 1, 1], [1, p - 1, 0]]],
                         dtype=np.int64)
-        assert full_rank_mod(wide, p).tolist() == [False, True]
+        assert rank_mod(wide, p).tolist() == [1, 2]
         assert linalg.ranks(list(wide), p) == [1, 2]
 
 
@@ -604,6 +631,13 @@ def test_rank_reads_wide_integers_exactly():
     assert linalg.ranks([np.array(rows, dtype=np.uint64)] * 2, P) == [expected] * 2
     big = [[v << 70 for v in row] for row in rows]
     assert rank(np.array(big, dtype=object), P) == rank(big, P) == rank_rows(big, P)
+    # two same-shape object matrices beyond int64 are ranked together, not skipped
+    pair = [np.array(big, dtype=object), np.array(big[::-1][:10] + [big[3]], dtype=object)]
+    assert linalg.ranks(pair, P) == [rank_rows(a.tolist(), P) for a in pair]
+    halves = np.array(big, dtype=object)
+    halves[2, 3] = Fraction(1, 2)
+    with pytest.raises(TypeError):
+        linalg.ranks([halves, halves.copy()], P)
     # narrow integer dtypes are widened, not reduced in their own width
     small = np.array(rows, dtype=np.uint64) % 100
     expected = rank_rows(small.tolist(), P)
@@ -613,15 +647,15 @@ def test_rank_reads_wide_integers_exactly():
 
 
 def test_ranks_screens_only_numpy_gf_groups(monkeypatch):
-    # the screen runs on the numpy kernel only: pinned, so a built checkout tests it too
+    # the batched rank runs on the numpy kernel only: pinned, so a built checkout tests it too
     monkeypatch.setattr(linalg, "KERNEL", "python")
     screened = []
-    monkeypatch.setattr(linalg, "full_rank_mod",
-                        lambda stack, p: screened.append(stack.shape) or full_rank_mod(stack, p))
+    monkeypatch.setattr(linalg, "rank_mod",
+                        lambda stack, p: screened.append(stack.shape) or rank_mod(stack, p))
     eye, other = np.eye(4, dtype=np.int64), np.eye(3, 5, dtype=np.int64)
     assert linalg.ranks([eye, other, eye.tolist()], P) == [4, 3, 4]
     assert screened == [(2, 4, 4)]  # the 3x5 is alone in its shape
-    # over Q, on the compiled kernel and for non-integer entries rank decides
+    # over Q and on the compiled kernel rank decides; non-integer entries are refused
     screened.clear()
     fractions = [[Fraction(1, 2), 0], [0, 1]]
     assert linalg.ranks([eye.tolist(), eye.tolist()]) == [4, 4]
@@ -638,8 +672,8 @@ def test_ranks_chunks_large_groups(monkeypatch):
     monkeypatch.setattr(linalg, "KERNEL", "python")
     screened = []
     monkeypatch.setattr(linalg, "_SCREEN_CELLS", 100)
-    monkeypatch.setattr(linalg, "full_rank_mod",
-                        lambda stack, p: screened.append(len(stack)) or full_rank_mod(stack, p))
+    monkeypatch.setattr(linalg, "rank_mod",
+                        lambda stack, p: screened.append(len(stack)) or rank_mod(stack, p))
     stack = [np.eye(5, dtype=np.int64)] * 9
     assert linalg.ranks(stack, P) == [5] * 9
     assert screened == [3, 3, 3]

@@ -287,8 +287,6 @@ def _outcome(build):
 
 
 def assert_batched_equals_sequential(n, subspaces, basis, prime, draws):
-    # a lone draw is built by itself, so only two or more exercise the batch
-    assert len(draws) >= 2
     sequential = _outcome(lambda: [
         condition_matrix_projective(random_instance(n, specs, subspaces, prime, seed), basis)
         for specs, seed in draws
@@ -325,7 +323,7 @@ def batched_draws(draw):
 
     shared = components()
     draws = [(shared if draw(st.booleans()) else components(), draw(st.integers(0, 2**64 - 1)))
-             for _ in range(draw(st.integers(2, 6)))]
+             for _ in range(draw(st.integers(1, 6)))]
     prime = draw(st.sampled_from(BATCH_PRIMES))
     return n, d, tuple(subspaces), draws, prime
 
@@ -415,8 +413,11 @@ def test_condition_matrices_builds_lone_draws_and_other_builders_alone(monkeypat
     plane = build_basis(HOMOGENEOUS, 2, 3)
     lone = ProjectiveDraw(2, (ComponentSpec(3),), (), plane, P)
     other = lone._replace(basis=build_basis(HOMOGENEOUS, 2, 2))  # another key
-    condition_matrices([(affine, 1), (lone, 2), (affine, 3), (other, 4)])
-    assert (layouts, alone, called) == ([], [2, 4], [1, 3])
+    got = condition_matrices([(affine, 1), (lone, 2), (affine, 3), (other, 4)])
+    # a key with one draw is a batch of one; other builders are called alone
+    assert (layouts, alone, called) == ([1, 1], [], [1, 3])
+    assert [m.tobytes() for m in got] == [m.tobytes() for m in (
+        np.eye(3, dtype=np.int64), lone(2), np.eye(3, dtype=np.int64), other(4))]
 
 
 def test_condition_matrices_mixed_round_keeps_input_order(monkeypatch):
@@ -437,7 +438,7 @@ def test_condition_matrices_mixed_round_keeps_input_order(monkeypatch):
     got = condition_matrices(draws)
     assert [(m.dtype, m.shape, m.tobytes()) for m in got] == [
         (m.dtype, m.shape, m.tobytes()) for m in expected]
-    assert (layouts, alone) == ([3, 2], [1003])
+    assert (layouts, alone) == ([3, 2, 1], [])
 
 
 @pytest.mark.parametrize("prime", BATCH_PRIMES)
