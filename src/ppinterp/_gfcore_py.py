@@ -6,12 +6,15 @@ Its inner loop is ``echelon_inplace``: the compiled one of the optional
 ``ppinterp._gfcore`` extension (built from the hand-written ``_gfcore.c``)
 when it is built, the numpy loop :func:`_echelon_numpy` otherwise; ``KERNEL``
 says which one.  Both take the same arguments, pivot by the same rule and
-give the same bytes.  ``rank_mod`` ranks a stack of same-shape matrices at
-once, in one float64 elimination.  Entries stay below p < MAX_PRIME = 2**26,
-so products fit comfortably in int64.
+give the same bytes.  Entries stay below p < MAX_PRIME = 2**26, so products
+fit comfortably in int64.  ``rank_mod`` ranks a stack of same-shape matrices
+at once, in one float64 elimination whose reductions mod p are delayed
+until its integers could pass 2**53.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,6 +70,36 @@ def echelon_mod(a, ncols: int, p: int):
     return arr, echelon_inplace(arr, ncols, p)
 
 
+# Primes below this get a table of every inverse mod p, built on the first
+# rank_mod call at that prime (8 bytes a residue: 256 KB at 31991); above it,
+# rank_mod inverts each pivot with pow().
+_TABLE_PRIMES = 1 << 16
+
+
+@lru_cache(maxsize=4)
+def _inverse_table(p: int):
+    """x**-1 mod p for every residue x (0 for x = 0), as float64, by Fermat over all x at once."""
+    x = np.arange(p, dtype=np.int64)
+    out = np.ones(p, dtype=np.int64)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        x = x * x % p
+        e >>= 1
+    out[0] = 0
+    table = out.astype(np.float64)
+    table.flags.writeable = False  # one cached array serves every call
+    return table
+
+
+def _inverses(x, p: int):
+    """x**-1 mod p of each entry of the int array ``x`` (|x| < p), 0 for 0, as float64."""
+    if p < _TABLE_PRIMES:
+        return _inverse_table(p)[x]  # a negative x reads from the end: x + p
+    return np.array([pow(v, -1, p) if v else 0 for v in x.tolist()], dtype=np.float64)
+
+
 def rank_mod(stack, p: int):
     """The rank mod p of each matrix of a ``(B, m, n)`` integer stack, as an int64 array.
 
@@ -81,14 +114,26 @@ def rank_mod(stack, p: int):
     has a pivot or lies past its live columns; the rank is the number of
     live columns, and what a matrix computes past them is never read.
 
-    The update ``lead*row - f*top`` runs in float64 and is reduced to the
-    symmetric residue ``t - p*rint(t/p)``.  Entries start in [0, p) and stay
-    below p in absolute value, with p < 2**26, so |t| < 2 p**2 < 2**53 and
-    every product and difference is exact.  The rounded quotient ``t*(1/p)``
-    is within 2**-25 of t/p, so a multiple of p is always reduced to exactly
-    0; any other t lands within p/2 + 2 of 0.  A reduction by ``floor``
-    instead would read some multiples of p as p, a nonzero pivot, and
-    over-report the rank.
+    Arithmetic is float64 on integers with delayed reduction (the
+    FFLAS-FFPACK scheme of Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).
+    To reduce t is to replace it by ``t - p*rint(t/p)``, the quotient taken
+    as ``t*(1/p)``.  While |t| <= 2**53 - p, that quotient is within 2/p of
+    t/p (exact at p = 2; at p = 3, |t| stays far smaller), so a multiple of
+    p becomes exactly 0, any other t a nonzero residue of size at most
+    h = p//2 + 2, and every product and difference on the way is exact.  A
+    reduction by ``floor`` instead would read some multiples of p as p, a
+    nonzero pivot, and over-report the rank.
+
+    Entries start as symmetric residues, |t| <= p//2.  Step c reduces only
+    column c from row c down, before its pivot search, and the pivot row,
+    which it scales by the inverse of its lead and reduces again.  The
+    update ``t -= f*row`` of the trailing block is then two passes, an outer
+    product and a subtraction, and adds at most h**2 to any entry.  The
+    whole trailing block is reduced only when ``room`` updates are pending,
+    so |t| <= h + room*h**2 <= 2**53 - p throughout: never at p = 31991
+    below millions of columns, every 8 columns near p = 2**26.  The pivot
+    row is reduced before it is scaled only when its entries could make the
+    product with an inverse (below p) too large.
     """
     a = np.asarray(stack)
     if a.ndim != 3:
@@ -100,29 +145,52 @@ def rank_mod(stack, p: int):
     if a.size == 0:
         return live
     a = np.ascontiguousarray((a % p).transpose(1, 2, 0), dtype=np.float64)
+    np.subtract(a, p, out=a, where=a > p // 2)
+    h = p // 2 + 2
+    limit = 2**53 - p
+    room = (limit - h) // (h * h)
     inv = 1.0 / p
     lanes = np.arange(batch)
-    scratch = np.empty((m - 1, n - 1, batch))
-    for c in range(n):
-        col = a[c:, c] != 0
-        while not (has := col.any(axis=0)).all():
-            dependent = np.flatnonzero(~has & (live > c))
-            if not dependent.size:
-                break
-            a[c:, c:, dependent] = np.roll(a[c:, c:, dependent], -1, axis=1)
-            live[dependent] -= 1
-            col = a[c:, c] != 0
-        piv = c + col.argmax(axis=0)
-        if (piv != c).any():
-            top = a[piv, c:, lanes]  # (B, n - c): each matrix's pivot row
-            a[piv, c:, lanes] = a[c, c:].T
-            a[c, c:] = top.T
-        t, q = a[c + 1:, c + 1:], scratch[c:, c:]
-        t *= a[c, c]
-        np.multiply(a[c + 1:, c, None], a[c, c + 1:], out=q)
-        t -= q
+    scratch = np.empty((m, n, batch))
+
+    def reduce(t, q):
         np.multiply(t, inv, out=q)
         np.rint(q, out=q)
         q *= p
         t -= q
+
+    pending = 0  # trailing-block updates since its entries were last at most h
+    for c in range(n):
+        if pending:
+            reduce(a[c:, c], scratch[c:, c])
+        if not a[c, c].all():
+            col = a[c:, c] != 0
+            while not (has := col.any(axis=0)).all():
+                dependent = np.flatnonzero(~has & (live > c))
+                if not dependent.size:
+                    break
+                a[c:, c:, dependent] = np.roll(a[c:, c:, dependent], -1, axis=1)
+                live[dependent] -= 1
+                reduce(a[c:, c], scratch[c:, c])
+                col = a[c:, c] != 0
+            piv = col.argmax(axis=0)
+            if piv.any():
+                piv += c
+                top = a[piv, c:, lanes]  # (B, n - c): each matrix's pivot row
+                a[piv, c:, lanes] = a[c, c:].T
+                a[c, c:] = top.T
+        if c + 1 == n:
+            break
+        row, q = a[c, c + 1:], scratch[c, c + 1:]
+        if (h + pending * h * h) * p > limit:
+            reduce(row, q)
+        row *= _inverses(a[c, c].astype(np.intp), p)
+        reduce(row, q)
+        t, q = a[c + 1:, c + 1:], scratch[c + 1:, c + 1:]
+        if pending == room:
+            reduce(t, q)
+            pending = 0
+        np.multiply(a[c + 1:, c, None], row, out=q)
+        t -= q
+        pending += 1
     return live

@@ -225,6 +225,8 @@ def cmd_verify(args) -> int:
                              " to a single case (-a or --lengths)")
     if has_case and (args.n is None or args.d is None):
         raise ValueError("a single case needs -n and -d")
+    if args.deep is not None and args.suite not in (None, "all", "base"):
+        raise ValueError("--deep applies only to --suite base, all")
     if has_case:
         policy = _policy(args, args.d)
         reports = [verify.verify_generic(policy, args.n, args.d,

@@ -21,10 +21,12 @@ built and numpy otherwise (``KERNEL`` says which one is active).  Its int64
 arithmetic needs ``prime < MAX_PRIME``.  Every GF(p) entry point first
 checks that the modulus is a prime below that bound (``rank_rows`` takes a
 prime of any size), so a composite modulus is refused rather than given a
-wrong rank.  :func:`ranks` takes many matrices at once: on the numpy kernel
-it ranks GF(p) matrices of a shared shape together, in one exact float64
-elimination (``rank_mod``), and sends only a matrix alone in its shape to
-:func:`rank`.
+wrong rank.  Entries must be integers: a bool, float or Fraction entry, or
+an array of such a dtype, raises TypeError.  :func:`ranks` takes many
+matrices at once: on the numpy kernel it ranks GF(p) matrices of a shared
+shape together, in one exact float64 elimination with delayed reduction
+(``rank_mod``: two passes over the trailing block per column), and sends
+only a matrix alone in its shape to :func:`rank`.
 
 The solvers pick theirs by field.  Over GF(p), systems are eliminated by
 ``echelon_mod`` and solved by one numpy back-substitution.  Over Q,
@@ -63,12 +65,12 @@ _ROWS_WORK = 0 if KERNEL == "c" else 1000
 # Cells m*n*B of one rank_mod call in ranks(): a same-shape group is ranked
 # in even chunks of at most this many cells, so the float64 stack and its
 # scratch stay about 2 MB each whatever the group size.
-# benchmarks/bench_rank.py (runs recorded in BENCH_7.json, 2-vCPU Xeon, numpy
+# benchmarks/bench_rank.py (runs recorded in BENCH_12.json, 2-vCPU Xeon, numpy
 # 2.4), stacks of 64 seeded residue matrices of orders 27, 36, 46 and 63: the
-# batched elimination takes 72, 175, 263 and 747 us per matrix, echelon_mod
-# alone 432, 741, 1060 and 1976 us.  The compiled loop ranks one matrix in 36,
-# 81, 145 and 374 us (BENCH_9.json), about twice as fast, so on it ranks()
-# calls rank().
+# batched elimination takes 40-48, 70-83, 139-142 and 303-386 us per matrix,
+# echelon_mod's numpy loop alone 322-361, 458-630, 745-802 and 1333-1696.
+# The compiled loop ranks one matrix in 33-37, 73-76, 141-152 and 343-376 us,
+# as fast or a little faster, so on it ranks() calls rank().
 _SCREEN_CELLS = 1 << 18
 
 # Smallest order that solve_square over Q lifts p-adically rather than
@@ -102,11 +104,21 @@ def _shape(matrix):
     return rows, len(rows), len(rows[0]) if rows else 0
 
 
+def _residues(values, prime):
+    """Each value mod ``prime``; a bool, Fraction or float raises TypeError.
+
+    ``index()`` refuses a Fraction or a float instead of truncating it, but
+    reads a bool as 0 or 1, so bools are refused first, as a bool array is.
+    """
+    if bool in set(map(type, values)):
+        raise TypeError("GF(p) needs integer entries, not bool")
+    return [index(a) % prime for a in values]
+
+
 def _int_rows(rows, prime):
     """Residues mod ``prime``, or over Q each row times the lcm of its denominators."""
     if prime is not None:
-        # index() refuses a Fraction or a float instead of truncating it
-        return [[index(a) % prime for a in row] for row in rows]
+        return [_residues(row, prime) for row in rows]
     out = []
     for row in rows:
         if all(type(a) is int for a in row):
@@ -168,24 +180,24 @@ def _check_prime(prime, word_size=True):
 def _check_dtype(matrix):
     """Refuse a numpy array whose dtype holds no exact integers (float, bool, complex, ...)."""
     if isinstance(matrix, np.ndarray) and matrix.dtype.kind not in "iuO":
-        raise TypeError(f"rank over GF(p) needs integer entries, not dtype {matrix.dtype}")
+        raise TypeError(f"GF(p) needs integer entries, not {matrix.dtype}")
 
 
 def _int64_array(matrix, prime):
-    """The integer matrix (or stack) as an int64 array congruent to it mod ``prime``.
+    """The integer matrix as an int64 array congruent to it mod ``prime``.
 
     A uint64 array is reduced first, so an entry above 2**63 is not wrapped;
-    narrower integer arrays are widened; any other entries go through
-    ``operator.index``, which refuses a float or a Fraction instead of
-    truncating it.
+    narrower integer arrays are widened.  Any other matrix, Python rows
+    included, is read entry by entry by :func:`_int_rows`, which refuses a
+    bool, a float or a Fraction.
     """
     _check_dtype(matrix)
-    a = np.asarray(matrix)
-    if a.dtype == np.uint64:
-        return (a % prime).astype(np.int64)
-    if a.dtype.kind in "iu":
-        return a.astype(np.int64, copy=False)
-    return np.array([index(v) % prime for v in a.ravel().tolist()], dtype=np.int64).reshape(a.shape)
+    if isinstance(matrix, np.ndarray) and matrix.dtype.kind in "iu":
+        if matrix.dtype == np.uint64:
+            return (matrix % prime).astype(np.int64)
+        return matrix.astype(np.int64, copy=False)
+    rows, m, n = _shape(matrix)
+    return np.array(_int_rows(rows, prime), dtype=np.int64).reshape(m, n)
 
 
 def rank(matrix, prime: int | None = None) -> int:
@@ -222,10 +234,8 @@ def ranks(matrices, prime: int | None = None) -> list:
                 continue
             count = max(1, -(-len(group) * m * n // _SCREEN_CELLS))
             for part in np.array_split(np.array(group), count):
-                members = [matrices[i] for i in part]
-                for matrix in members:  # a bool array is refused, as rank() refuses it
-                    _check_dtype(matrix)
-                stack = _int64_array(members, prime).reshape(len(part), m, n)
+                stack = np.stack([_int64_array(matrices[i], prime) for i in part])
+                stack = stack.reshape(len(part), m, n)
                 out.update(zip(part.tolist(), rank_mod(stack, prime).tolist()))
     return [out[i] if i in out else rank(matrix, prime) for i, matrix in enumerate(matrices)]
 
@@ -407,7 +417,7 @@ def _augmented(matrix, rhs, prime):
     if len(rhs) != m:
         raise ValueError("right-hand side length mismatch")
     if array:
-        b = np.array([index(v) % prime for v in rhs], dtype=np.int64)
+        b = np.array(_residues(rhs, prime), dtype=np.int64)
         return np.column_stack([(matrix % prime).astype(np.int64), b]), n
     return _int_rows([row + [b] for row, b in zip(rows, rhs)], prime), n
 

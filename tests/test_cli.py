@@ -495,6 +495,8 @@ def test_sample_below_one_refused(capsys, sample):
     (("verify", "-d", "4"), "-d"),
     (("verify", "-n", "2", "-d", "4", "-a", "2,2,2,2,2", "--suite", "ah", "--deep"), "--suite"),
     (("verify", "-n", "2", "-d", "4", "-a", "2,2,2,2,2", "--deep"), "--deep"),
+    (("verify", "--suite", "sweep", "--deep", "--trials", "1"), "--deep"),
+    (("verify", "--suite", "p8", "--deep"), "--deep"),
 ])
 def test_unread_flags_refused(capsys, argv, flag):
     # a flag the command would ignore changes nothing, so it is refused, not dropped

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -251,6 +252,23 @@ def test_prime_path_refuses_non_integer_entries():
         rank_rows([[Fraction(1, 2), 1]], P)
     with pytest.raises(TypeError):
         solve_square([[Fraction(1, 2)]], [1], P)
+    # Python bools are refused as a bool array is, on Python rows and in the kernels
+    bools = [[True, False, True, True]] * 3 + [[False, True, False, False]]
+    message = re.escape("GF(p) needs integer entries, not bool")
+    for matrix in (bools, np.array(bools), bools * 3, [row * 3 for row in bools] * 3):
+        with pytest.raises(TypeError, match=message):
+            rank(matrix, 7)
+        with pytest.raises(TypeError, match=message):
+            linalg.ranks([matrix, matrix], 7)
+    with pytest.raises(TypeError, match=message):
+        rank_rows(bools, 7)
+    with pytest.raises(TypeError, match=message):
+        rank([[1, 2, 3, True] * 3] * 12, 7)  # mixed with ints, past the Python-row work
+    with pytest.raises(TypeError, match=message):
+        solve_square(bools, [1, 0, 1, 0], 7)
+    with pytest.raises(TypeError, match=message):
+        solve_square([[1, 0], [0, 1]], [True, 0], 7)
+    assert rank([[int(v) for v in row] for row in bools], 7) == 2
 
 
 def _gauss_jordan(matrix, rhs):
@@ -510,7 +528,10 @@ def test_echelon_mod_matches_rows_elimination(system):
 # ---------------------------------------------------------------------------
 # the batched exact rank
 
-SCREEN_PRIMES = (2, 3, 5, 31991, 67108859)
+# The largest primes below 2**26 fill the delayed-reduction room of rank_mod
+# in 8 updates, so matrices with 18 columns or more reduce their trailing
+# block at least twice.
+SCREEN_PRIMES = (2, 3, 5, 31991, 67104601, 67108859)
 
 
 @st.composite
@@ -518,10 +539,13 @@ def residue_stacks(draw):
     """Same-shape stacks mod p: random members, products of rank-k factors
     (their columns shuffled, so dependent columns come at several steps),
     copies of earlier columns, and columns that are zero in every member;
-    wide, tall (as the draw checks make them), square and 1x1."""
+    wide, tall (as the draw checks make them), square, 1x1, and orders from
+    16 to 24; stacks of one member and of several."""
     p = draw(st.sampled_from(SCREEN_PRIMES))
-    m, n = draw(st.sampled_from([(1, 1), (1, 4), (4, 1), (3, 7), (7, 3), (6, 6), (3, 2), (5, 3)])
-                | st.tuples(st.integers(1, 8), st.integers(1, 8)))
+    m, n = draw(st.sampled_from([(1, 1), (1, 4), (4, 1), (3, 7), (7, 3), (6, 6), (3, 2), (5, 3),
+                                 (16, 16), (18, 18), (24, 20), (19, 24)])
+                | st.tuples(st.integers(1, 8), st.integers(1, 8))
+                | st.tuples(st.integers(16, 24), st.integers(16, 24)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     members = []
     for _ in range(draw(st.integers(1, 6))):
@@ -598,6 +622,69 @@ def test_screen_reads_multiples_of_p_near_2_52_as_zero():
                         dtype=np.int64)
         assert rank_mod(wide, p).tolist() == [1, 2]
         assert linalg.ranks(list(wide), p) == [1, 2]
+
+
+@pytest.mark.parametrize("p", [67104601, 67108859])
+def test_screen_reduces_the_trailing_block_exactly_near_2_26(p):
+    # At these primes rank_mod reduces its trailing block after every 8
+    # updates, so the order-24 stacks are reduced at columns 8 and 16.
+    # Worst growth: A = L U with unit diagonals and (p-1)/2 off them, so each
+    # update adds ((p-1)/2)**2 to every trailing entry; without those
+    # reductions the entries pass 2**53 and the dependent columns read nonzero.
+    rng = np.random.default_rng(p)
+    half = (p - 1) // 2
+    lower = np.tril(np.full((24, 24), half, dtype=object), -1) + np.eye(24, dtype=int)
+    lu = (lower @ lower.T % p).astype(np.int64)
+    worst = np.array([lu] * 3)
+    worst[1, :, 18] = (lu[:, 3] + lu[:, 17]) % p
+    worst[2, :, 23] = (lu[:, 0] + half * lu[:, 22]) % p
+    stacks = [worst, np.full((2, 24, 24), p - 1), np.full((1, 24, 24), half)]
+    grown = np.full((3, 24, 24), half)
+    grown[:, np.arange(24), np.arange(24)] = [[p - 1], [half + 1], [1]]
+    stacks.append(grown)
+    mixed = rng.choice([half, half + 1, p - 1, 1], size=(4, 24, 20))
+    mixed[1, :, 19] = (mixed[1, :, 3] + mixed[1, :, 17]) % p  # dependent after the reductions
+    mixed[2, :, 11] = mixed[2, :, 2] * half % p
+    stacks.append(mixed)
+    product = rng.integers(0, p, size=(3, 24, 22)) @ rng.integers(0, p, size=(3, 22, 24)) % p
+    stacks.append(product)  # rank 22 with its dependent columns at the end
+    for stack in stacks:
+        expected = [rank_rows(a.tolist(), p) for a in stack]
+        assert rank_mod(stack, p).tolist() == expected
+        assert rank_mod(stack.transpose(0, 2, 1), p).tolist() == expected
+    assert rank_mod(worst, p).tolist() == [24, 23, 23]
+
+
+@pytest.mark.parametrize("p", [2, 7, 31991, 65521])
+def test_inverse_table_matches_pow(p):
+    # every residue, as the symmetric lead x - p and as x itself
+    x = np.arange(1, p)
+    expected = [pow(v, -1, p) for v in x.tolist()]
+    assert _gfcore_py._inverses(x, p).tolist() == expected
+    assert _gfcore_py._inverses(x - p, p).tolist() == expected
+    assert _gfcore_py._inverses(np.zeros(3, dtype=np.intp), p).tolist() == [0, 0, 0]
+
+
+@pytest.mark.parametrize("p", [65537, 1000003, 67104601, 67108859])
+def test_inverses_above_the_table_cap_match_pow(p):
+    assert p >= _gfcore_py._TABLE_PRIMES
+    x = np.random.default_rng(p).integers(-(p // 2), p // 2 + 1, size=500)
+    x[:3] = [0, 1, -1]
+    tables = _gfcore_py._inverse_table.cache_info().misses
+    got = _gfcore_py._inverses(x, p)
+    assert got.tolist() == [pow(int(v), -1, p) if v else 0 for v in x]
+    assert _gfcore_py._inverse_table.cache_info().misses == tables  # no table above the cap
+
+
+def test_importing_the_package_builds_no_inverse_table():
+    import subprocess
+    import sys
+
+    code = ("import ppinterp, ppinterp.cli;"
+            "from ppinterp._gfcore_py import _inverse_table;"
+            "assert _inverse_table.cache_info().currsize == 0")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
 
 
 @pytest.mark.parametrize("order", [3, 11])  # Python rows and the kernel
