@@ -15,6 +15,9 @@ rows up to that work.  On stacks of the sweeps' square orders (27, 36, 46,
 against ranking each matrix alone, which sets the routing rule in
 ``linalg.ranks``; ``rank_mod`` is timed on full-rank stacks and on stacks
 whose every matrix has one dependent column, as a deficiency claim's do.
+A stack-size table times ``rank_mod`` per matrix on stacks of 1, 10, 64
+and 128 members at orders 36 and 63: its per-column numpy calls are paid
+once a stack, which is why a sweep's trial rounds fill across triples.
 On 128 seeded instances of the cubic sweeps at each of these orders it
 times the batched draw and build
 ``schemes.condition_matrices`` against drawing and building each instance
@@ -75,6 +78,10 @@ SMALL = (3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 17, 21)
 # a trial round of a sweep ranks tens to a few hundred matrices of one shape.
 SCREEN_ORDERS = (27, 36, 46, 63)
 SCREEN_STACK = 64
+# Stack sizes of the amortisation table: a lone case, a sampled triple's
+# round, and full trial rounds (verify.ROUND_CASES is 128).
+STACK_SIZES = (1, 10, 64, 128)
+STACK_ORDERS = (36, 63)
 # Instances per batched draw and build: one trial round (verify.ROUND_CASES).
 DRAW_STACK = 128
 GF_SOLVE_ORDERS = (4, 6, 8, 9, 10, 11, 12, 16, 21, 45, 66, 126)
@@ -152,6 +159,19 @@ def bench_screen(rng, args):
         times += [bench_kernel(fn, mats, args.repeats) for fn in (rank_py, rank_c) if fn]
         widths = (9, 8, 8, 8, 8)
         print(f"{order:>6} " + " ".join(f"{t * 1e6:>{w}.0f}" for t, w in zip(times, widths)))
+
+
+def bench_stack_sizes(rng, args):
+    """rank_mod's time per matrix as the stack grows: the per-column cost is paid once a stack."""
+    print("\nrank_mod by stack size (us per matrix)")
+    print(f"{'order':>6} " + " ".join(f"{f'B={b}':>8}" for b in STACK_SIZES))
+    for order in STACK_ORDERS:
+        stack = np.array([random_matrix(rng, order) for _ in range(max(STACK_SIZES))])
+        assert rank_mod(stack, DEFAULT_PRIME).tolist() == [
+            rank_py(m, DEFAULT_PRIME) for m in stack]
+        times = [_best(lambda: rank_mod(stack[:b], DEFAULT_PRIME), args.repeats)[0] / b
+                 for b in STACK_SIZES]
+        print(f"{order:>6} " + " ".join(f"{t * 1e6:>8.0f}" for t in times))
 
 
 def _sweep_groups():
@@ -336,6 +356,7 @@ def main():
               "(python setup.py build_ext --inplace to build it)")
     bench_small(rng, args)
     bench_screen(rng, args)
+    bench_stack_sizes(rng, args)
     bench_draw_build(rng, args)
     bench_solve_gf(rng, args)
     bench_solve_q(rng, Q_SHAPES, ("int", "frac"))

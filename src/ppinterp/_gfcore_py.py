@@ -108,11 +108,14 @@ def rank_mod(stack, p: int):
     the contiguous inner axis, so each numpy call serves every matrix.  Step
     c pivots each matrix on its first nonzero entry in column c at or below
     row c (``argmax`` and a gathered row swap).  A matrix with none there has
-    a column c that depends on the columns before it: its columns from c on
-    rotate left, so that column goes last and is never pivoted again, and it
-    has one live column fewer.  This repeats until column c of every matrix
-    has a pivot or lies past its live columns; the rank is the number of
-    live columns, and what a matrix computes past them is never read.
+    a column c that depends on the columns before it, and is zero from row
+    c down: the matrix drops it, as its last live column is copied over it
+    from row c down (rows above c are never read again) and it has one
+    live column fewer.  Neither dropping a zero column of the trailing
+    block nor reordering its columns changes the rank.  This repeats until
+    column c of every matrix has a pivot or lies past its live columns; the
+    rank is the number of live columns, and what a matrix computes past
+    them is never read.
 
     Arithmetic is float64 on integers with delayed reduction (the
     FFLAS-FFPACK scheme of Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).
@@ -144,7 +147,8 @@ def rank_mod(stack, p: int):
     live = np.full(batch, n, dtype=np.int64)
     if a.size == 0:
         return live
-    a = np.ascontiguousarray((a % p).transpose(1, 2, 0), dtype=np.float64)
+    t, a = a.transpose(1, 2, 0), np.empty((m, n, batch))
+    np.remainder(t, p, out=a)  # in int64, each residue cast to float64 as it is stored
     np.subtract(a, p, out=a, where=a > p // 2)
     h = p // 2 + 2
     limit = 2**53 - p
@@ -169,8 +173,8 @@ def rank_mod(stack, p: int):
                 dependent = np.flatnonzero(~has & (live > c))
                 if not dependent.size:
                     break
-                a[c:, c:, dependent] = np.roll(a[c:, c:, dependent], -1, axis=1)
                 live[dependent] -= 1
+                a[c:, c, dependent] = a[c:, live[dependent], dependent]
                 reduce(a[c:, c], scratch[c:, c])
                 col = a[c:, c] != 0
             piv = col.argmax(axis=0)

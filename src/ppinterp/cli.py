@@ -55,8 +55,20 @@ def _emit(args, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+
+
+def _emit_json(args, doc) -> None:
+    """``json.dumps(doc, indent=2, sort_keys=True)`` to the --out file, or to stdout and a newline.
+
+    ``json.dump`` writes the encoder's chunks as they come, where ``dumps``
+    first joins them into one string: a large report never exists whole.
+    """
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+    else:
+        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
 
 
 def _report_doc(args, reports) -> dict:
@@ -107,7 +119,7 @@ def _emit_reports(args, reports) -> int:
     if args.format == "csv":
         _emit(args, _reports_csv(reports))
     else:
-        _emit(args, json.dumps(_report_doc(args, reports), indent=2, sort_keys=True))
+        _emit_json(args, _report_doc(args, reports))
     for r in reports:
         if not r.passed:
             print(_fail_line(r), file=sys.stderr)
@@ -148,7 +160,7 @@ def cmd_predict(args) -> int:
             doc["quadric"] = theory.predict_quadric_affine(args.n, args.a).to_json()
         doc["a"] = sorted(args.a, reverse=True)
     doc.update({"schema_version": SCHEMA_VERSION, "n": args.n, "d": args.d})
-    _emit(args, json.dumps(doc, indent=2, sort_keys=True))
+    _emit_json(args, doc)
     return 0
 
 
@@ -178,7 +190,7 @@ def cmd_solve(args) -> int:
         doc["interpolant"] = result.interpolant.to_json()
     if result.diagnosis is not None:
         doc["diagnosis"] = result.diagnosis
-    _emit(args, json.dumps(doc, indent=2, sort_keys=True))
+    _emit_json(args, doc)
     return 0 if result.interpolant is not None else MATH_ERROR
 
 

@@ -13,8 +13,10 @@ resulting condition matrix.  Rank is lower semicontinuous in the data, so
 
 Per-case seeds are derived as sha256(root_seed:label:trial), so cases are
 independent jobs and execution order never changes any measurement.  The
-trial loop uses this: it runs a command's cases together, rank and
-deficiency claims alike, trial round by trial round.  Each round makes one
+trial loop uses this: it runs a command's cases as one job stream, rank and
+deficiency claims alike, trial round by trial round; a sweep chains the jobs
+of all its triples (and the ``p8`` and ``base`` suites those of all their
+propositions), so a round can span triples and fills up.  Each round makes one
 ``schemes.condition_matrices`` call, which draws and builds the round's
 scheme instances together, and one ``linalg.ranks`` call, which gives every
 matrix its exact rank.  A case's ``millis`` is an equal share of each of its
@@ -121,8 +123,9 @@ def _trials(policy: TrialPolicy, jobs):
     jobs' matrices in one ``schemes.condition_matrices`` call and ranks them
     in one ``linalg.ranks`` call.  Yields, per job, the job, its ranks (at
     least one) and its milliseconds: an equal share of each of its rounds'
-    build-and-rank time.  ``jobs`` may be a generator, so only a batch's
-    builders are alive.
+    build-and-rank time.  ``jobs`` is a command's whole stream, so a batch
+    can hold jobs of several triples; it may be a generator, so only a
+    batch's builders are alive.
     """
     jobs = iter(jobs)
     while batch := list(itertools.islice(jobs, ROUND_CASES)):
@@ -161,7 +164,9 @@ def _cases(policy: TrialPolicy, jobs) -> list:
     trial reaches the target rank.  A deficiency claim is a ``(label, build,
     None, claimed, lower_bound, extra)`` job, its ``build`` a
     :class:`ProjectiveDraw` whose basis gives the column count; it PASSes iff
-    every trial measures the claimed nullity.
+    every trial measures the claimed nullity.  ``jobs`` is one stream: a
+    suite passes the jobs of all its parts in one call, so its trial rounds
+    are full.
     """
     return [_dim_report(policy, label, [len(build.basis) - r for r in measured], ms, *dim) if dim
             else _report(policy, label, "rank", target, measured, measured[-1] == target, ms)
@@ -250,77 +255,85 @@ def _free_part(n: int, degree: int):
     return "XO", theory.enumerate_xo_partitions(degree, n).parts, lambda xo: specs_free(n, xo)
 
 
-def _partition_cases(policy: TrialPolicy, n: int, subspaces, basis, prefix: str, families,
-                     sample=None) -> list:
-    """One full-rank case per combination of the families' partitions, run together.
+def _partition_jobs(policy: TrialPolicy, n: int, subspaces, basis, prefix: str, families,
+                    sample=None):
+    """One full-rank job per combination of the families' partitions, yielded in order.
 
     ``families`` are (tag, partitions, specs-of) triples, as made by
-    :func:`_on_subspace` and :func:`_free_part`; a case's label is ``prefix``
+    :func:`_on_subspace` and :func:`_free_part`; a job's label is ``prefix``
     followed by ``tag=partition`` for each family, and its scheme joins the
     families' specs.  ``sample=(count, key)`` keeps ``count`` combinations,
-    chosen by a random stream seeded from ``key``.
+    chosen by a random stream seeded from ``key``.  A suite chains the jobs
+    of its triples into one stream for :func:`_cases`, so a trial round can
+    span triples.
     """
     combos = list(itertools.product(*(parts for _, parts, _ in families)))
     if sample is not None and sample[0] < len(combos):
         count, key = sample
         combos = random.Random(child_seed(policy.seed, key, 0)).sample(combos, count)
+    for combo in combos:
+        label = " ".join([prefix] + [
+            f"{tag}={','.join(map(str, part))}" for (tag, _, _), part in zip(families, combo)
+        ])
+        specs = [s for (_, _, specs_of), part in zip(families, combo) for s in specs_of(part)]
+        yield label, ProjectiveDraw(n, tuple(specs), subspaces, basis, policy.prime), len(basis)
 
-    def jobs():
-        for combo in combos:
-            label = " ".join([prefix] + [
-                f"{tag}={','.join(map(str, part))}" for (tag, _, _), part in zip(families, combo)
-            ])
-            specs = [s for (_, _, specs_of), part in zip(families, combo) for s in specs_of(part)]
-            yield label, ProjectiveDraw(n, tuple(specs), subspaces, basis, policy.prime), len(basis)
 
-    return _cases(policy, jobs())
+def _prop45_jobs(policy: TrialPolicy):
+    basis = vanishing_basis(8, 3, P8_SUBSPACES)
+    for triple in P8_TRIPLES:
+        families = [_on_subspace(tag, 8, idx, x) for idx, (tag, x) in enumerate(zip("LMN", triple))]
+        yield from _partition_jobs(policy, 8, P8_SUBSPACES, basis,
+                                   "4.5 ({},{},{})".format(*triple), families)
 
 
 def verify_prop45(policy: TrialPolicy) -> list:
     """The five residual-degree triples on three disjoint P^8 subspaces.
 
     Every residual partition combo must fill all 27 conditions on the cubics
-    through the three subspaces.
+    through the three subspaces.  The triples' cases run as one stream.
     """
+    return _cases(policy, _prop45_jobs(policy))
+
+
+def _remark46_jobs(policy: TrialPolicy) -> list:
     basis = vanishing_basis(8, 3, P8_SUBSPACES)
-    reports = []
-    for triple in P8_TRIPLES:
-        families = [_on_subspace(tag, 8, idx, x) for idx, (tag, x) in enumerate(zip("LMN", triple))]
-        reports += _partition_cases(policy, 8, P8_SUBSPACES, basis,
-                                    "4.5 ({},{},{})".format(*triple), families)
-    return reports
+    dp = lambda idx, k: (ComponentSpec(9, idx, 3),) * k
+    draw = lambda specs: ProjectiveDraw(8, specs, P8_SUBSPACES, basis, policy.prime)
+    return [
+        ("4.6 (0,0,27)", draw(dp(2, 9)), 27),
+        ("4.6 (0,6,21)", draw(dp(1, 2) + dp(2, 7)), None, 2, None, None),
+        ("4.6 (0,6,18) subscheme", draw(dp(1, 2) + dp(2, 6)), 24),
+    ]
 
 
 def verify_remark46(policy: TrialPolicy) -> list:
     """The boundary cases around the triple list: (0,0,27) works, (0,6,21) does not."""
-    basis = vanishing_basis(8, 3, P8_SUBSPACES)
-    dp = lambda idx, k: (ComponentSpec(9, idx, 3),) * k
-    draw = lambda specs: ProjectiveDraw(8, specs, P8_SUBSPACES, basis, policy.prime)
-    return _cases(policy, [
-        ("4.6 (0,0,27)", draw(dp(2, 9)), 27),
-        ("4.6 (0,6,21)", draw(dp(1, 2) + dp(2, 7)), None, 2, None, None),
-        ("4.6 (0,6,18) subscheme", draw(dp(1, 2) + dp(2, 6)), 24),
-    ])
+    return _cases(policy, _remark46_jobs(policy))
+
+
+def _prop48_jobs(policy: TrialPolicy, sample: int | None):
+    # a plain function, not a generator, so that a bad sample is refused at
+    # once, not when a chained stream reaches these jobs
+    if sample is not None and sample < 1:
+        raise ValueError(f"--sample must be at least 1, got {sample}")
+    subspaces = P8_SUBSPACES[:2]
+    basis = vanishing_basis(8, 3, subspaces)
+    return (job for l, m, f in P8_LEFTOVER_TRIPLES for job in _partition_jobs(
+        policy, 8, subspaces, basis, f"4.8 ({l},{m},{f})",
+        [_on_subspace("L", 8, 0, l), _on_subspace("M", 8, 1, m), _free_part(8, f)],
+        sample=None if sample is None else (sample, f"4.8 sample {(l, m, f)}"),
+    ))
 
 
 def verify_prop48_leftovers(policy: TrialPolicy, sample: int | None = None) -> list:
     """The nine two-subspace P^8 triples, every partition combo, rank 63.
 
     ``sample`` caps the number of combos per triple (seeded choice) for a
-    quick pass; the default checks the full enumeration.
+    quick pass; the default checks the full enumeration.  The triples' cases
+    run as one stream.
     """
-    if sample is not None and sample < 1:
-        raise ValueError(f"--sample must be at least 1, got {sample}")
-    subspaces = P8_SUBSPACES[:2]
-    basis = vanishing_basis(8, 3, subspaces)
-    reports = []
-    for l, m, f in P8_LEFTOVER_TRIPLES:
-        families = [_on_subspace("L", 8, 0, l), _on_subspace("M", 8, 1, m), _free_part(8, f)]
-        reports += _partition_cases(
-            policy, 8, subspaces, basis, f"4.8 ({l},{m},{f})", families,
-            sample=None if sample is None else (sample, f"4.8 sample {(l, m, f)}"),
-        )
-    return reports
+    return _cases(policy, _prop48_jobs(policy, sample))
 
 
 # ---------------------------------------------------------------------------
@@ -338,42 +351,51 @@ def _two_subspace_triples(n: int):
             yield l, lm - l, f
 
 
-def verify_base_two_subspaces(policy: TrialPolicy, n: int, props=("4.7", "4.8")) -> list:
-    """Cubic rank checks in P^n over two disjoint codimension-3 subspaces plus a
-    free part: 9(n-1) conditions (Props. 4.7 and 4.8, or those in ``props``)."""
+def _base_two_jobs(policy: TrialPolicy, n: int, props=("4.7", "4.8")):
     if n < 5:
         raise ValueError("base cases start at n = 5")
     basis = vanishing_basis(n, 3, BASE_SUBSPACES)
-    reports = []
     for l, m, f in _two_subspace_triples(n):
         prop = "4.7" if f <= 3 * n + 6 else "4.8"
-        if prop not in props:
-            continue
-        families = [_on_subspace("L", n, 0, l), _on_subspace("M", n, 1, m), _free_part(n, f)]
-        reports += _partition_cases(policy, n, BASE_SUBSPACES, basis,
-                                    f"{prop} n={n} ({l},{m},{f})", families)
-    return reports
+        if prop in props:
+            families = [_on_subspace("L", n, 0, l), _on_subspace("M", n, 1, m), _free_part(n, f)]
+            yield from _partition_jobs(policy, n, BASE_SUBSPACES, basis,
+                                       f"{prop} n={n} ({l},{m},{f})", families)
 
 
-def verify_base_one_subspace(policy: TrialPolicy, n: int) -> list:
-    """Cubic rank checks in P^n over one codimension-3 subspace plus a free part
-    of degree (n+1)^2 + alpha: C(n+3,3) - C(n,3) conditions (Prop. 4.13)."""
+def verify_base_two_subspaces(policy: TrialPolicy, n: int, props=("4.7", "4.8")) -> list:
+    """Cubic rank checks in P^n over two disjoint codimension-3 subspaces plus a
+    free part: 9(n-1) conditions (Props. 4.7 and 4.8, or those in ``props``).
+    The triples' cases run as one stream."""
+    return _cases(policy, _base_two_jobs(policy, n, props))
+
+
+def _base_one_jobs(policy: TrialPolicy, n: int):
     if n < 5:
         raise ValueError("base cases start at n = 5")
     basis = vanishing_basis(n, 3, BASE_SUBSPACES[:1])
     total = comb(n + 3, 3) - comb(n, 3)
-    reports = []
     for alpha in range(n):
         f = (n + 1) ** 2 + alpha
         families = [_on_subspace("L", n, 0, total - f), _free_part(n, f)]
-        reports += _partition_cases(policy, n, BASE_SUBSPACES[:1], basis,
-                                    f"4.13 n={n} alpha={alpha}", families)
-    return reports
+        yield from _partition_jobs(policy, n, BASE_SUBSPACES[:1], basis,
+                                   f"4.13 n={n} alpha={alpha}", families)
+
+
+def verify_base_one_subspace(policy: TrialPolicy, n: int) -> list:
+    """Cubic rank checks in P^n over one codimension-3 subspace plus a free part
+    of degree (n+1)^2 + alpha: C(n+3,3) - C(n,3) conditions (Prop. 4.13).
+    The triples' cases run as one stream."""
+    return _cases(policy, _base_one_jobs(policy, n))
+
+
+def _base_jobs(policy: TrialPolicy, n: int):
+    return itertools.chain(_base_two_jobs(policy, n), _base_one_jobs(policy, n))
 
 
 def verify_props47_413_base(policy: TrialPolicy, n: int) -> list:
-    """Exhaustive cubic rank checks in P^n (n = 5, 6, 7): both base sweeps."""
-    return verify_base_two_subspaces(policy, n) + verify_base_one_subspace(policy, n)
+    """Exhaustive cubic rank checks in P^n (n = 5, 6, 7): both base sweeps, as one stream."""
+    return _cases(policy, _base_jobs(policy, n))
 
 
 # ---------------------------------------------------------------------------
@@ -587,17 +609,17 @@ def quadric_bruteforce(policy: TrialPolicy, ns=(1, 2, 3, 4), extra_degree: int =
 # suite aggregation
 
 # suite name -> (highest polynomial degree it measures, which the working
-# prime must exceed; runner(policy, deep, sample)).  Runners call the suite
-# functions by their global names, so a wrapper put on one is honoured.
+# prime must exceed; runner(policy, deep, sample)).  The p8 and base runners
+# chain the jobs of their parts into one _cases call, so their trial rounds
+# fill across triples and propositions.
 SUITES = {
     "tables": (2, lambda policy, deep, sample: verify_tables(policy, 3) + verify_tables(policy, 4)),
     "ah": (max(d for _, d, _ in AH_EXCEPTION_SCHEMES.values()),
            lambda policy, deep, sample: verify_ah_exceptions(policy)),
-    "p8": (3, lambda policy, deep, sample: verify_prop45(policy) + verify_remark46(policy)
-           + verify_prop48_leftovers(policy, sample=sample)),
-    "base": (3, lambda policy, deep, sample: [
-        r for n in ((5, 6, 7) if deep else (5,)) for r in verify_props47_413_base(policy, n)
-    ]),
+    "p8": (3, lambda policy, deep, sample: _cases(policy, itertools.chain(
+        _prop45_jobs(policy), _remark46_jobs(policy), _prop48_jobs(policy, sample)))),
+    "base": (3, lambda policy, deep, sample: _cases(policy, itertools.chain.from_iterable(
+        _base_jobs(policy, n) for n in ((5, 6, 7) if deep else (5,))))),
     "sweep": (SWEEP_DEGREES[1], lambda policy, deep, sample: sweep_nonexceptional(policy)),
     "quadrics": (2, lambda policy, deep, sample: quadric_bruteforce(policy)),
 }

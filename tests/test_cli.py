@@ -9,7 +9,7 @@ import pytest
 from ppinterp import linalg, verify
 from ppinterp.cli import main
 from ppinterp.schemes import DegenerateDrawError
-from ppinterp.verify import _partition_cases
+from ppinterp.verify import _partition_jobs
 
 
 def run_cli(capsys, *argv):
@@ -378,28 +378,65 @@ def _one_at_a_time(policy, jobs):
         yield job, measured, 0.0
 
 
-def _sampled_partition_cases(policy, n, subspaces, basis, prefix, families, sample=None):
+def _sampled_partition_jobs(policy, n, subspaces, basis, prefix, families, sample=None):
     # a seeded subset of each family product, so `--prop 4.13` stays cheap
-    return _partition_cases(policy, n, subspaces, basis, prefix, families, (12, prefix))
+    return _partition_jobs(policy, n, subspaces, basis, prefix, families,
+                           sample or (12, prefix))
 
 
 @pytest.mark.parametrize("prime", ["31991", "5"])
 @pytest.mark.parametrize("argv", [("props", "--prop", "4.6"), ("props", "--prop", "4.13"),
+                                  ("props", "--prop", "4.5"),
+                                  ("props", "--prop", "4.8", "--sample", "3"),
                                   ("verify", "--suite", "quadrics"), ("tables", "-n", "3"),
                                   ("tables", "-n", "4"), ("verify", "--suite", "ah")],
                          ids=" ".join)
 def test_batched_runner_equals_one_case_at_a_time(monkeypatch, capsys, argv, prime):
-    monkeypatch.setattr(verify, "_partition_cases", _sampled_partition_cases)
+    # rounds span triples (4.5, 4.8, 4.13), mix rank and dim claims (4.6) and
+    # run second and third trials (at p = 5); none of it may change a case
+    monkeypatch.setattr(verify, "_partition_jobs", _sampled_partition_jobs)
     code, out, _ = run_cli(capsys, *argv, "--prime", prime)
     batched = json.loads(out)["cases"]
     monkeypatch.setattr(verify, "_trials", _one_at_a_time)
     alone_code, out, _ = run_cli(capsys, *argv, "--prime", prime)
     assert (code, batched) == (alone_code, json.loads(out)["cases"])
+    sampled = {"props --prop 4.13": 60, "props --prop 4.5": 60, "props --prop 4.8 --sample 3": 27}
+    assert len(batched) == sampled.get(" ".join(argv), len(batched))
     if argv[-1] == "4.13":
-        assert len(batched) == 60
         # at p = 5 many draws are deficient, so cases run their second and third trials
         lengths = {len(c["measured"]) for c in batched}
         assert lengths == ({1} if prime == "31991" else {1, 2, 3})
+
+
+def test_sampled_48_triples_share_one_round(monkeypatch, capsys):
+    # the nine triples' 90 cases fill one trial round across triple boundaries:
+    # one draw-and-build call and one rank call for the whole command
+    builds, ranked = [], []
+    real_build, real_ranks = verify.condition_matrices, verify.ranks
+    monkeypatch.setattr(verify, "condition_matrices",
+                        lambda draws: builds.append(len(draws)) or real_build(draws))
+    monkeypatch.setattr(verify, "ranks", lambda ms, p: ranked.append(len(ms)) or real_ranks(ms, p))
+    code, out, _ = run_cli(capsys, "props", "--prop", "4.8", "--sample", "10")
+    cases = json.loads(out)["cases"]
+    assert code == 0 and len(cases) == 90 and len({c["case"].split(")")[0] for c in cases}) == 9
+    assert builds == ranked == [90]
+
+
+@pytest.mark.parametrize("argv", [("predict", "-n", "4", "-d", "3", "-a", "4,4,4,4,4,4,4"),
+                                  ("props", "--prop", "4.6"), ("tables", "-n", "3")],
+                         ids=" ".join)
+def test_json_reports_are_written_as_dumps_would(capsys, tmp_path, argv):
+    # the streamed JSON writer gives dumps' bytes: to a file as they are,
+    # on stdout with a trailing newline
+    path = tmp_path / "report.json"
+    run_cli(capsys, *argv, "--out", str(path))
+    text = path.read_text()
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2, sort_keys=True)
+    _, out, _ = run_cli(capsys, *argv)
+    assert out.endswith("}\n") and not out.endswith("\n\n")
+    if argv[0] == "predict":  # no timing section, so the bytes are equal
+        assert out == text + "\n"
 
 
 def test_fail_lines_say_how_to_replay_each_case(capsys):
@@ -528,9 +565,9 @@ def test_props_47_is_the_base_subset(capsys, monkeypatch):
 
     def spy(policy, n, subspaces, basis, prefix, families, sample=None):
         prefixes.append(prefix)
-        return _partition_cases(policy, n, subspaces, basis, prefix, families, sample)
+        return _partition_jobs(policy, n, subspaces, basis, prefix, families, sample)
 
-    monkeypatch.setattr(verify, "_partition_cases", spy)
+    monkeypatch.setattr(verify, "_partition_jobs", spy)
     code, only, _ = run_cli(capsys, "props", "--prop", "4.7")
     assert code == 0 and len(subset) == 1621
     assert json.loads(only)["cases"] == subset

@@ -595,6 +595,42 @@ def test_rank_mod_counts_dependent_columns_at_every_step():
     assert rank_mod(np.zeros((0, 3, 3), dtype=np.int64), p).tolist() == []
 
 
+@pytest.mark.parametrize("p", [7, 31991, 67108859])
+def test_rank_mod_replaces_a_dependent_column_with_the_last_live_one(p):
+    # A dependent column is overwritten by its matrix's last live column.
+    # Members: dependent column first (zero), in the middle, at the last live
+    # position (a copy onto itself), and two in one step (column 2 and the
+    # column 7 that replaces it both depend on columns 0 and 1, so step 2
+    # drops two); then three in one step, and the moved column dependent
+    # only at a later step.
+    rng = np.random.default_rng(p)
+    n = 8
+
+    def member(deps):
+        a = rng.integers(0, p, size=(n + 2, n))
+        for j, over in deps:
+            a[:, j] = a[:, over] @ rng.integers(1, p, size=len(over)) % p if over else 0
+        return a
+
+    deps = [
+        [(0, [])],
+        [(4, [0, 1, 2, 3])],
+        [(7, [0, 1, 2, 3, 4, 5, 6])],
+        [(2, [0, 1]), (7, [0, 1])],
+        [(2, [0, 1]), (7, [0, 1]), (6, [1])],
+        [(2, [0, 1]), (7, [0, 1, 3])],
+        [(0, []), (7, []), (3, [1, 2]), (6, [1, 2])],
+        [],
+    ]
+    stack = np.array([member(d) for d in deps])
+    expected = [rank_rows(a.tolist(), p) for a in stack]
+    assert expected == [n - len(d) for d in deps]
+    assert rank_mod(stack, p).tolist() == expected
+    assert rank_mod(stack.transpose(0, 2, 1), p).tolist() == expected
+    for a, r in zip(stack, expected):
+        assert rank_mod(a[None], p).tolist() == [r]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(residue_stacks(), min_size=1, max_size=4))
 def test_ranks_of_mixed_shapes_match_rows_elimination(cases):
