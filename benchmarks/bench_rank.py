@@ -21,7 +21,11 @@ once a stack, which is why a sweep's trial rounds fill across triples.
 On 128 seeded instances of the cubic sweeps at each of these orders it
 times the batched draw and build
 ``schemes.condition_matrices`` against drawing and building each instance
-alone, and checks that both give the same bytes.
+alone, and checks that both give the same bytes.  An affine table times
+the affine build per problem: ``condition_matrix_affine`` over GF(p) and
+``integer_system_affine`` over Q (integer and two-digit fraction entries),
+on the ``verify -n N -d D -a ...`` shapes of n = 1-4, d = 3-5 and on the
+square solves of orders 45-126.
 
 The solvers get two tables.  Over GF(p), ``solve_square`` (``echelon_mod``
 and the numpy back-substitution) on random square systems, with the numpy
@@ -53,6 +57,7 @@ from ppinterp.schemes import (
     condition_matrices,
     condition_matrix_affine,
     integer_system_affine,
+    random_affine_problem,
 )
 
 # echelon_mod's active inner loop: the compiled one when the extension is built
@@ -84,6 +89,11 @@ STACK_SIZES = (1, 10, 64, 128)
 STACK_ORDERS = (36, 63)
 # Instances per batched draw and build: one trial round (verify.ROUND_CASES).
 DRAW_STACK = 128
+# (n, d) of the affine build table: the verify -n N -d D -a ... grid, whose
+# profiles cycle n, n-1, ..., 0 while the conditions fit, and the square
+# solves of orders 45-126, filled by double points.
+AFFINE_GRID = tuple((n, d) for n in (1, 2, 3, 4) for d in (3, 4, 5))
+AFFINE_SOLVES = ((2, 8), (3, 5), (2, 10), (2, 11), (3, 6), (3, 7), (4, 5))
 GF_SOLVE_ORDERS = (4, 6, 8, 9, 10, 11, 12, 16, 21, 45, 66, 126)
 # (n, d) of the rational solves: orders C(n+d, d) = 4, 6, 8, 10, 12, 15, 21, 28, 36, 45,
 # 56, 66, 84, 126.  Double points fill each order, so (n, d) avoids the
@@ -228,6 +238,47 @@ def bench_draw_build(rng, args):
               f" {t_alone / DRAW_STACK * 1e6:>8.0f} {t_alone / t_batched:>7.1f}x")
 
 
+def grid_profile(n, d):
+    """Derivative counts cycling n, n-1, ..., 0 while the conditions fit C(n+d, d)."""
+    a, k = [], n
+    while sum(x + 1 for x in a) + k + 1 <= comb(n + d, d):
+        a.append(k)
+        k = k - 1 if k > 0 else n
+    return sorted(a, reverse=True)
+
+
+def square_profile(n, d):
+    """Double points filling the order C(n+d, d), plus one point for the remainder."""
+    full, rest = divmod(comb(n + d, d), n + 1)
+    return [n] * full + ([rest - 1] if rest else [])
+
+
+def bench_affine_build(rng, args):
+    """The affine build per problem: condition_matrix_affine mod p and integer_system_affine."""
+    print(f"\naffine build, {args.mats} seeded problems per shape (us per problem)")
+    print(f"{'n':>2} {'d':>2} {'order':>6} {'rows':>5} {'gf':>8} {'q int':>8} {'q frac':>8}")
+    shapes = ([(n, d, grid_profile(n, d)) for n, d in AFFINE_GRID]
+              + [(n, d, square_profile(n, d)) for n, d in AFFINE_SOLVES])
+    for n, d, profile in shapes:
+        basis = build_basis(AFFINE, n, d)
+        gf = [random_affine_problem(n, d, profile, DEFAULT_PRIME, rng.randrange(2**32))
+              for _ in range(args.mats)]
+        times = [_best(lambda: [condition_matrix_affine(p, basis, DEFAULT_PRIME) for p in gf],
+                       args.repeats)[0]]
+        for kind in ("int", "frac"):
+            def scalar():
+                return _scalar(rng, kind) or 1  # no zero direction
+
+            q = [InterpolationProblem(
+                n, d, [[scalar() for _ in range(n)] for _ in profile],
+                [[[scalar() for _ in range(n)] for _ in range(a)] for a in profile],
+                [[scalar() for _ in range(a + 1)] for a in profile]) for _ in range(args.mats)]
+            times.append(_best(lambda: [integer_system_affine(p, basis) for p in q],
+                               args.repeats)[0])
+        print(f"{n:>2} {d:>2} {len(basis):>6} {sum(a + 1 for a in profile):>5} "
+              + " ".join(f"{t / args.mats * 1e6:>8.0f}" for t in times))
+
+
 def bench_suite():
     from ppinterp.verify import TrialPolicy, verify_prop45
 
@@ -285,8 +336,7 @@ def square_problem(rng, n, d, kind):
     directions for the remainder.
     """
     order = comb(n + d, d)
-    full, rest = divmod(order, n + 1)
-    profile = [n] * full + ([rest - 1] if rest else [])
+    profile = square_profile(n, d)
     for _ in range(50):
         prob = InterpolationProblem(
             n, d,
@@ -362,6 +412,7 @@ def main():
     bench_solve_q(rng, Q_SHAPES, ("int", "frac"))
     if args.big:
         bench_solve_q(rng, Q_BIG_SHAPES, ("int15",))
+    bench_affine_build(rng, args)
 
     cases, dt = bench_suite()
     print(f"\nend to end: five-triple suite, {cases} cases in {dt:.2f}s "

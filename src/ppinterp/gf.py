@@ -9,12 +9,14 @@ lowest terms by construction.
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Integral
 
 DEFAULT_PRIME = 31991
 
-# Exclusive upper bound on every working prime.  The int64 paths (the batched
-# build and both rank kernels) hold canonical residues in [0, p); their widest
-# expression is the direction combination ``combo @ jac`` of the build, a sum
+# Exclusive upper bound on every working prime.  The int64 paths (the build
+# and both rank kernels) hold canonical residues in [0, p); their widest
+# expression is a direction combination of the build (``_projective_rows``,
+# which builds the affine problems too, on n+1 homogeneous variables), a sum
 # of nv products of two residues, at most nv*(p-1)**2.  That must stay below
 # 2**63: p < 2**26 gives nv*(p-1)**2 < nv*2**52, which holds for up to
 # nv = 2048 variables (the word-size reasoning of FFLAS-FFPACK).
@@ -74,7 +76,7 @@ def inv_mod(x: int, p: int) -> int:
 
 
 def as_fraction(value) -> Fraction:
-    """Parse an exact scalar from JSON-ish input: int or 'num/den' string.
+    """Parse an exact scalar from JSON-ish input: integer (numpy's too) or 'num/den' string.
 
     Floats are rejected; this package never rounds.
     """
@@ -86,6 +88,8 @@ def as_fraction(value) -> Fraction:
         return value
     if isinstance(value, str):
         return Fraction(value)
+    if isinstance(value, Integral):  # numpy integers; last, as an ABC check is slow
+        return Fraction(int(value))
     raise TypeError(f"expected an integer or 'num/den' string, got {value!r}")
 
 

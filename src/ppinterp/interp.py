@@ -19,7 +19,7 @@ from .gf import as_fraction, check_modulus, inv_mod, scalar_to_json
 from .monomials import AFFINE, build_basis
 from .schemes import (
     InterpolationProblem,
-    _affine_rows_mod,
+    _affine_rows,
     condition_matrix_affine,
     condition_rhs,
     integer_system_affine,
@@ -54,8 +54,13 @@ class Interpolant:
         return build_basis(AFFINE, self.n, self.d)
 
     def evaluate(self, point):
+        """The exact value at ``point``, read as ``solve`` reads problem scalars."""
         from .monomials import eval_row
 
+        if self.prime is None:
+            point = [as_fraction(x) for x in point]
+        else:
+            point = [_residue(x, self.prime) for x in point]
         row = eval_row(self.basis(), point, self.prime)
         total = sum(c * r for c, r in zip(self.coefficients, row))
         return total % self.prime if self.prime is not None else total
@@ -117,7 +122,7 @@ def solve(prob: InterpolationProblem, prime: int | None = None,
     if prime is not None:
         check_modulus(prime)
         prob = _reduce_problem(prob, prime)
-        matrix = _affine_rows_mod(prob, basis, prime)
+        matrix = _affine_rows(prob, basis, prime)[0]
         rhs = condition_rhs(prob)
     else:
         matrix, rhs = integer_system_affine(prob, basis)

@@ -2,7 +2,9 @@
 
 Matrices are plain sequences of rows (or numpy int arrays).  Pass
 ``prime=p`` for GF(p) arithmetic on integer entries; leave it out for exact
-rational arithmetic on int/Fraction entries.
+rational arithmetic on int/Fraction entries.  Nothing inexact is read in
+either field: a bool, float or complex entry, or an array of such a dtype,
+raises TypeError, and so does a Fraction entry over GF(p).
 
 One forward elimination, :func:`_echelon`, serves both fields on Python-int
 rows.  It pivots on the first nonzero entry in column order, so results are
@@ -21,12 +23,11 @@ built and numpy otherwise (``KERNEL`` says which one is active).  Its int64
 arithmetic needs ``prime < MAX_PRIME``.  Every GF(p) entry point first
 checks that the modulus is a prime below that bound (``rank_rows`` takes a
 prime of any size), so a composite modulus is refused rather than given a
-wrong rank.  Entries must be integers: a bool, float or Fraction entry, or
-an array of such a dtype, raises TypeError.  :func:`ranks` takes many
-matrices at once: on the numpy kernel it ranks GF(p) matrices of a shared
-shape together, in one exact float64 elimination with delayed reduction
-(``rank_mod``: two passes over the trailing block per column), and sends
-only a matrix alone in its shape to :func:`rank`.
+wrong rank.  :func:`ranks` takes many matrices at once: on the numpy
+kernel it ranks GF(p) matrices of a shared shape together, in one exact
+float64 elimination with delayed reduction (``rank_mod``: two passes over
+the trailing block per column), and sends only a matrix alone in its shape
+to :func:`rank`.
 
 The solvers pick theirs by field.  Over GF(p), systems are eliminated by
 ``echelon_mod`` and solved by one numpy back-substitution.  Over Q,
@@ -124,6 +125,11 @@ def _int_rows(rows, prime):
         if all(type(a) is int for a in row):
             out.append(row)
             continue
+        # Fraction() would read a float in binary (0.1 as 3602879701896397/2**55)
+        # and a bool as 0 or 1
+        for a in row:
+            if isinstance(a, (bool, float, complex, np.bool_, np.floating, np.complexfloating)):
+                raise TypeError(f"Q needs exact entries, not {type(a).__name__}")
         row = [Fraction(a) for a in row]
         scale = lcm(*(a.denominator for a in row))
         out.append([a.numerator * (scale // a.denominator) for a in row])
@@ -177,10 +183,11 @@ def _check_prime(prime, word_size=True):
         raise ValueError(f"modulus {prime} is not a prime")
 
 
-def _check_dtype(matrix):
-    """Refuse a numpy array whose dtype holds no exact integers (float, bool, complex, ...)."""
+def _check_dtype(matrix, prime):
+    """Refuse a numpy array whose dtype holds no exact scalars (float, bool, complex, ...)."""
     if isinstance(matrix, np.ndarray) and matrix.dtype.kind not in "iuO":
-        raise TypeError(f"GF(p) needs integer entries, not {matrix.dtype}")
+        field = "Q needs exact" if prime is None else "GF(p) needs integer"
+        raise TypeError(f"{field} entries, not {matrix.dtype}")
 
 
 def _int64_array(matrix, prime):
@@ -191,7 +198,7 @@ def _int64_array(matrix, prime):
     included, is read entry by entry by :func:`_int_rows`, which refuses a
     bool, a float or a Fraction.
     """
-    _check_dtype(matrix)
+    _check_dtype(matrix, prime)
     if isinstance(matrix, np.ndarray) and matrix.dtype.kind in "iu":
         if matrix.dtype == np.uint64:
             return (matrix % prime).astype(np.int64)
@@ -203,15 +210,13 @@ def _int64_array(matrix, prime):
 def rank(matrix, prime: int | None = None) -> int:
     """Row rank by exact elimination, on Python rows or in the GF(p) kernel.
 
-    Over GF(p) the entries must be integers: a float, bool or complex array,
-    or a float or Fraction entry, raises TypeError on either path.
+    A bool, float or complex array or entry raises TypeError in either
+    field, as a Fraction entry does over GF(p), on every path.
     """
     _check_prime(prime)
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     if prime is None or m * n * min(m, n) <= _ROWS_WORK:
-        if prime is not None:
-            _check_dtype(matrix)
         return rank_rows(matrix, prime)
     return len(echelon_mod(_int64_array(matrix, prime), n, prime)[1])
 
@@ -243,6 +248,7 @@ def ranks(matrices, prime: int | None = None) -> list:
 def rank_rows(matrix, prime: int | None = None) -> int:
     """Row rank by :func:`_echelon` on Python rows; exact for a prime of any size."""
     _check_prime(prime, word_size=False)
+    _check_dtype(matrix, prime)
     rows, _, n = _shape(matrix)
     return len(_echelon(_int_rows(rows, prime), n, prime))
 
@@ -411,6 +417,7 @@ def _augmented(matrix, rhs, prime):
     stays an int64 array, as ``echelon_mod`` takes it; any other matrix is
     read entry by entry.
     """
+    _check_dtype(matrix, prime)
     array = (prime is not None and isinstance(matrix, np.ndarray)
              and matrix.ndim == 2 and matrix.dtype.kind in "iu")
     rows, m, n = (matrix, *matrix.shape) if array else _shape(matrix)

@@ -150,6 +150,12 @@ def jacobian_block(basis: MonomialBasis, point, prime: int | None = None) -> lis
     return rows
 
 
+def _check_zeroed(n: int, sub: CoordinateSubspace) -> None:
+    """Refuse a subspace whose zeroed set is empty or holds a coordinate outside 0..n."""
+    if not sub.zeroed or any(i < 0 or i > n for i in sub.zeroed):
+        raise ValueError(f"zeroed coordinates out of range for P^{n}: {sorted(sub.zeroed)}")
+
+
 def vanishing_basis(n: int, d: int, subspaces) -> MonomialBasis:
     """Basis of degree-d forms on P^n vanishing on the given coordinate subspaces.
 
@@ -161,8 +167,7 @@ def vanishing_basis(n: int, d: int, subspaces) -> MonomialBasis:
     subspaces = tuple(subspaces)
     seen = set()
     for s in subspaces:
-        if not s.zeroed or any(i < 0 or i > n for i in s.zeroed):
-            raise ValueError(f"zeroed coordinates out of range for P^{n}: {sorted(s.zeroed)}")
+        _check_zeroed(n, s)
         if seen & s.zeroed:
             raise ValueError("zeroed coordinate sets must be pairwise disjoint")
         seen |= s.zeroed

@@ -1,16 +1,20 @@
 """Zero-dimensional schemes inside unions of double points and their condition matrices.
 
-Two settings share this module:
-
-* the affine interpolation problem (points in K^n, per-point direction sets,
-  optional assigned values), whose condition matrix stacks one evaluation
-  row and one directional-derivative row per direction for every point;
+One evaluator, :func:`_projective_rows`, builds every condition matrix from
+the value and jacobian rows of degree-d forms at points of P^n.  Two
+settings feed it:
 
 * the projective Monte Carlo verification problems, where a component is
   either freely supported (one evaluation row plus random combinations of
   the jacobian rows, or the full jacobian for a double point) or supported
   on a coordinate subspace with a prescribed residual r (r random jacobian
-  combinations against a basis of forms vanishing on the subspace).
+  combinations against a basis of forms vanishing on the subspace);
+
+* the affine interpolation problem (points in K^n, per-point direction sets,
+  optional assigned values), read as the paper reads it: a point x with a
+  directions is the length-(a+1) component at (x : 1), a direction v is
+  (v, 0), and polynomials of degree <= d are degree-d forms on the
+  homogenised basis.  Over Q a point is (X : D), so the rows are integers.
 
 Random instances are drawn from one seed; replaying (seed, prime, specs)
 reproduces the instance bit for bit.  Degenerate draws (coincident points,
@@ -26,18 +30,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import index
 from typing import NamedTuple
 
 import numpy as np
 
 from ._gfcore_py import rank_mod
 from .gf import DEFAULT_PRIME, MAX_PRIME, as_fraction, is_prime
-from .linalg import rank
+from .linalg import _residues, rank
 from .monomials import (
     AFFINE,
     HOMOGENEOUS,
     MonomialBasis,
+    _check_zeroed,
     build_basis,
 )
 
@@ -54,23 +58,17 @@ class DegenerateDrawError(RuntimeError):
 
 @lru_cache(maxsize=64)
 def _slot_layout(basis: MonomialBasis):
-    """The basis's monomials as products of d factor slots, as read-only arrays.
+    """The basis's degree-d forms as products of d factor slots, as read-only arrays.
 
     Returns (exps, var, j, s, k, e).  ``exps`` is the (M, nv) exponent array.
-    Slot s of monomial j holds the variable ``var[j, s]``, in ascending order;
-    a monomial of degree below d fills its last slots with the extra variable
-    nv, whose coordinate is 1.  ``(j, s)`` list, for each variable ``k`` that a
-    monomial involves, the first of its slots, and ``e`` its exponent.
+    Slot s of monomial j holds the variable ``var[j, s]``, in ascending order.
+    ``(j, s)`` list, for each variable ``k`` that a monomial involves, the
+    first of its slots, and ``e`` its exponent.
     """
     nv = basis.nvars
     exps = np.array(basis.exponents, dtype=np.int64).reshape(len(basis), nv)
-    deg = exps.sum(axis=1)
-    var = np.full((len(basis), int(deg.max(initial=0))), nv, dtype=np.int64)
-    rows = np.repeat(np.arange(len(basis)), deg)
-    cols = np.arange(rows.size) - np.repeat(np.cumsum(deg) - deg, deg)
-    var[rows, cols] = np.repeat(np.tile(np.arange(nv), len(basis)), exps.ravel())
+    var = np.repeat(np.tile(np.arange(nv), len(basis)), exps.ravel()).reshape(len(basis), basis.d)
     j, s = np.nonzero(var != np.insert(var[:, :-1], 0, -1, axis=1))
-    j, s = j[s < deg[j]], s[s < deg[j]]
     k = var[j, s]
     layout = (exps, var, j, s, k, exps[j, k])
     for a in layout:
@@ -78,18 +76,25 @@ def _slot_layout(basis: MonomialBasis):
     return layout
 
 
-def _monomial_rows(basis: MonomialBasis, points, p):
-    """Values (C, M) and jacobians (C, nv, M) of the basis at C points.
+def _projective_rows(basis: MonomialBasis, points, with_value, coeffs, owner, p):
+    """Per point i in order: its value row if ``with_value[i]``, then its combination rows.
 
-    ``points`` is the (C, nv) array of support points; ``jac[c, k, j]`` is
-    d(x^e_j)/dx_k at point c.  With a prime every entry is a canonical
-    residue in int64, so the result equals the exact symbolic rows reduced
-    mod p; with ``p=None`` the points are an object array of Python ints and
-    the rows are exact.  One power-free pass: gather each monomial's slot
-    coordinates, take prefix and suffix products over the d slots, and apply
-    the product rule at the first slot of every variable (the exponent counts
-    the equal terms of its run).
+    ``points`` are (C, nv) support points of the homogeneous ``basis``.  Row
+    r of the (R, nv) ``coeffs`` belongs to point ``owner[r]`` (nondecreasing)
+    and becomes ``coeffs[r] @ jac[owner[r]]``, where ``jac[c, k, j]`` is
+    d(x^e_j)/dx_k at point c.  With a prime the inputs are integers and every
+    entry is a canonical residue in int64, so the rows equal the exact
+    symbolic rows reduced mod p; with ``p=None`` the inputs are object arrays
+    of Python ints and the rows are exact.  One power-free pass: gather each
+    monomial's slot coordinates, take prefix and suffix products over the d
+    slots, and apply the product rule at the first slot of every variable
+    (the exponent counts the equal terms of its run).  The combinations are
+    summed over the nv partials one at a time, so they never hold more than
+    (R, M) entries; the sum stays below nv*(p-1)**2, which must be below 2**63.
     """
+    m = len(basis)
+    if not len(points):
+        return np.empty((0, m), dtype=object if p is None else np.int64)
     _, var, j, s, k, e = _slot_layout(basis)
     n_pts, nv = points.shape
     if p is None:
@@ -98,18 +103,28 @@ def _monomial_rows(basis: MonomialBasis, points, p):
         raise ValueError(f"prime {p} is too large for exact int64 rows in {nv} variables")
     else:
         dtype, red = np.int64, (lambda a: a % p)
-    x = np.ones((n_pts, nv + 1), dtype=dtype)
-    x[:, :nv] = red(points)
-    slot = x[:, var.T]
-    d = var.shape[1]
-    prefix = np.ones((n_pts, d + 1, len(basis)), dtype=dtype)
+    slot = red(np.asarray(points, dtype=dtype))[:, var.T]
+    d = basis.d
+    prefix = np.ones((n_pts, d + 1, m), dtype=dtype)
     suffix = np.ones_like(prefix)
     for t in range(d):
         prefix[:, t + 1] = red(prefix[:, t] * slot[:, t])
         suffix[:, d - 1 - t] = red(suffix[:, d - t] * slot[:, d - 1 - t])
-    jac = np.zeros((n_pts, nv, len(basis)), dtype=dtype)
+    jac = np.zeros((n_pts, nv, m), dtype=dtype)
     jac[:, k, j] = red(red(prefix[:, s, j] * suffix[:, s + 1, j]) * e)
-    return prefix[:, d], jac
+
+    value = np.asarray(with_value, dtype=bool)
+    per_point = np.bincount(owner, minlength=n_pts)
+    start = np.cumsum(value + per_point) - value - per_point  # first output row of each point
+    out = np.empty((value.sum() + len(owner), m), dtype=dtype)
+    out[start[value]] = prefix[value, d]
+    mixed = np.zeros((len(owner), m), dtype=dtype)
+    # a partial no row uses is skipped: the last one, for affine directions (v, 0)
+    for c in np.flatnonzero(coeffs.any(axis=0)):
+        mixed += coeffs[:, c, None] * jac[owner, c]
+    first = np.cumsum(per_point) - per_point  # first combination row of each point
+    out[start[owner] + value[owner] + np.arange(len(owner)) - first[owner]] = red(mixed)
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -118,66 +133,6 @@ def _homogenised(basis: MonomialBasis) -> MonomialBasis:
     d = basis.d
     return MonomialBasis(HOMOGENEOUS, basis.n, d,
                          tuple(e + (d - sum(e),) for e in basis.exponents))
-
-
-def _check_directions(prob):
-    if any(not any(v) for ds in prob.directions for v in ds):
-        raise ValueError("zero direction")
-
-
-def _affine_rows_exact(prob, basis: MonomialBasis):
-    """Integer condition rows over Q and the positive scale that divides each out.
-
-    Point c is written X/D with D the lcm of its denominators, and the
-    homogenised basis is evaluated at (X, D) in Python ints: x^e = X^e
-    D^(d-|e|) / D^d, so the value row is the exact row times D^d.  The partial
-    d/dX_k of the homogenised monomial is D^(d-1) d(x^e)/dx_k, so a direction
-    V/E (E the lcm of its denominators) gives V @ jac, the exact derivative
-    row times D^(d-1) E.  Row scaling does not change a solution.
-    """
-    _check_directions(prob)
-    if not prob.points:
-        return [], []
-    n, d = prob.n, prob.d
-    points = [[Fraction(x) for x in pt] for pt in prob.points]
-    dens = [lcm(*(x.denominator for x in pt)) for pt in points]
-    coords = np.array([[x.numerator * (den // x.denominator) for x in pt] + [den]
-                       for pt, den in zip(points, dens)], dtype=object)
-    values, jac = _monomial_rows(_homogenised(basis), coords, None)
-    rows, scales = [], []
-    for c, (den, ds) in enumerate(zip(dens, prob.directions)):
-        rows.append(values[c].tolist())
-        scales.append(den**d)
-        for v in ds:
-            v = [Fraction(t) for t in v]
-            common = lcm(*(t.denominator for t in v))
-            combo = np.array([t.numerator * (common // t.denominator) for t in v], dtype=object)
-            rows.append((combo @ jac[c, :n]).tolist())
-            scales.append(den ** max(d - 1, 0) * common)
-    return rows, scales
-
-
-def _stack_rows(values, jac, with_value, coeffs, owner, p):
-    """Per point i in order: its value row if ``with_value[i]``, then its combination rows.
-
-    Row r of the (R, nv) residues ``coeffs`` belongs to point ``owner[r]``
-    (nondecreasing) and becomes ``coeffs[r] @ jac[owner[r]]`` mod p.  The
-    product is summed over the nv partials one at a time, so it never holds
-    more than (R, M) entries; the sum stays below nv*(p-1)**2, which
-    ``_monomial_rows`` keeps under 2**63.
-    """
-    n_pts, nv, m = jac.shape
-    value = np.asarray(with_value, dtype=bool)
-    per_point = np.bincount(owner, minlength=n_pts)
-    start = np.cumsum(value + per_point) - value - per_point  # first output row of each point
-    out = np.empty((value.sum() + len(owner), m), dtype=np.int64)
-    out[start[value]] = values[value]
-    mixed = np.zeros((len(owner), m), dtype=np.int64)
-    for k in range(nv):
-        mixed += coeffs[:, k, None] * jac[owner, k]
-    first = np.cumsum(per_point) - per_point  # first combination row of each point
-    out[start[owner] + value[owner] + np.arange(len(owner)) - first[owner]] = mixed % p
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +233,7 @@ def random_instance(n, specs, subspaces=(), prime=DEFAULT_PRIME, seed=0) -> Sche
     """
     subspaces = tuple(subspaces)
     for sub in subspaces:
+        _check_zeroed(n, sub)
         if sub.codim > n:
             raise ValueError(f"subspace {sorted(sub.zeroed)} has no points in P^{n}")
     specs = tuple(specs)
@@ -361,14 +317,6 @@ def _vanishes(basis: MonomialBasis, sub) -> bool:
     return bool(_slot_layout(basis)[0][:, sorted(sub.zeroed)].any(axis=1).all())
 
 
-def _projective_rows(basis, points, with_value, coeffs, owner, p):
-    """The stacked rows of (C, nv) support points: see :func:`_stack_rows`."""
-    if not len(points):
-        return np.empty((0, len(basis)), dtype=np.int64)
-    values, jac = _monomial_rows(basis, points, p)
-    return _stack_rows(values, jac, with_value, coeffs, owner, p)
-
-
 def _randbelow_stream(rng: random.Random, p: int, count: int):
     """The next ``count`` values of ``rng.randrange(p)``, as a uint32 array.
 
@@ -402,7 +350,8 @@ def _stream_is_randrange() -> bool:
 
 
 # Cells (points x nv x M) of the jacobian stack that one chunk of a batched
-# build evaluates; _monomial_rows holds about twice that again in scratch.
+# build evaluates; _projective_rows holds about twice that again in scratch
+# (its slot, prefix and suffix products).
 # On 128 seeded P^8 sweep instances of order 63 (2-vCPU Xeon, numpy 2.4) a
 # chunk cap of 2**15 to 2**19 cells built them equally fast and 2**14 about
 # 20% slower; the peak RSS of one small-cases benchmark pass (the quadric
@@ -476,7 +425,8 @@ def _batchable(n, subspaces, basis, prime, draw_specs):
     nv = n + 1
     if (not isinstance(prime, int) or not 2 <= prime < MAX_PRIME or not is_prime(prime)
             or basis.mode != HOMOGENEOUS or basis.n != n
-            or any(sub.codim > n or not sub.zeroed <= set(range(nv)) for sub in subspaces)
+            or any(not 0 < sub.codim <= n or not sub.zeroed <= set(range(nv))
+                   for sub in subspaces)
             or not _stream_is_randrange()):
         return [], None, None
     vanishes = [_vanishes(basis, sub) for sub in subspaces]
@@ -658,9 +608,9 @@ def condition_matrix_affine(prob: InterpolationProblem, basis: MonomialBasis | N
                             prime: int | None = None):
     """One evaluation row per point followed by its directional-derivative rows.
 
-    Both fields evaluate the basis in one batched pass.  Over Q the rows are
-    exact (the integer rows of ``_affine_rows_exact`` with their scales
-    divided out); with a prime they are lists of residues.
+    Both fields build the rows by :func:`_affine_rows`.  Over Q the rows are
+    exact (its integer rows with their scales divided out); with a prime
+    they are lists of residues.
     """
     if basis is None:
         basis = build_basis(AFFINE, prob.n, prob.d)
@@ -668,24 +618,48 @@ def condition_matrix_affine(prob: InterpolationProblem, basis: MonomialBasis | N
         raise ValueError("basis/problem mismatch")
     if prime is None:
         prime = prob.prime
-    if prime is None:
-        rows, scales = _affine_rows_exact(prob, basis)
-        return [row if s == 1 else [Fraction(a, s) for a in row] for row, s in zip(rows, scales)]
-    return _affine_rows_mod(prob, basis, prime).tolist()
+    rows, scales = _affine_rows(prob, basis, prime)
+    return [row if s == 1 else [Fraction(a, s) for a in row]
+            for row, s in zip(rows.tolist(), scales)]
 
 
-def _affine_rows_mod(prob: InterpolationProblem, basis: MonomialBasis, prime: int):
-    """The condition rows mod ``prime`` as one int64 array of residues."""
-    _check_directions(prob)
-    if not prob.points:
-        return np.empty((0, len(basis)), dtype=np.int64)
-    # residues must be integers: index() refuses a Fraction instead of truncating it
-    points = np.array([[index(x) % prime for x in pt] for pt in prob.points], dtype=np.int64)
-    values, jac = _monomial_rows(basis, points, prime)
-    coeffs = np.array([[index(x) % prime for x in v] for ds in prob.directions for v in ds],
-                      dtype=np.int64).reshape(-1, prob.n)
-    owner = np.repeat(np.arange(len(points)), [len(ds) for ds in prob.directions])
-    return _stack_rows(values, jac, np.ones(len(points), dtype=bool), coeffs, owner, prime)
+def _affine_rows(prob: InterpolationProblem, basis: MonomialBasis, p):
+    """The condition rows of ``prob`` and each row's scale, built as a projective scheme.
+
+    A point x of K^n is the point (X : D) of P^n with x = X/D, a direction
+    v = V/E is (V, 0), and the rows are :func:`_projective_rows` of the
+    homogenised basis there.  Over GF(p) D = E = 1, the rows are an int64
+    array of residues and every scale is 1.  Over Q (``p=None``) D and E are
+    the lcms of the denominators and the rows are an object array of Python
+    ints: x^e = X^e D^(d-|e|) / D^d, so a value row is the exact row times
+    D^d, and d/dX_k of the homogenised monomial is D^(d-1) d(x^e)/dx_k, so a
+    derivative row is the exact row times D^(d-1) E.  Coordinates are read by
+    ``as_fraction`` over Q and as integers over GF(p), never rounded.
+    """
+    n, d, n_pts = prob.n, prob.d, len(prob.points)
+    vectors = [*prob.points, *(v for ds in prob.directions for v in ds)]
+    if p is None:
+        dtype, vectors = object, [[as_fraction(x) for x in v] for v in vectors]
+        dens = [lcm(*(x.denominator for x in v)) for v in vectors]
+        ints = [[x.numerator * (den // x.denominator) for x in v] for v, den in zip(vectors, dens)]
+    else:
+        dtype, dens = np.int64, [1] * n_pts
+        ints = _residues([x for v in vectors for x in v], p)
+    coords = np.empty((len(vectors), n + 1), dtype=dtype)
+    coords[:, :n] = np.array(ints, dtype=dtype).reshape(-1, n)
+    coords[:, n] = dens[:n_pts] + [0] * (len(vectors) - n_pts)
+    if (coords[n_pts:] == 0).all(axis=1).any():
+        raise ValueError("zero direction")
+    owner = np.repeat(np.arange(n_pts), [len(ds) for ds in prob.directions])
+    rows = _projective_rows(_homogenised(basis), coords[:n_pts], np.ones(n_pts, dtype=bool),
+                            coords[n_pts:], owner, p)
+    if p is not None:
+        return rows, [1] * len(rows)
+    common = iter(dens[n_pts:])
+    scales = []
+    for den, ds in zip(dens, prob.directions):
+        scales += [den**d] + [den ** max(d - 1, 0) * next(common) for _ in ds]
+    return rows, scales
 
 
 def condition_rhs(prob: InterpolationProblem) -> list:
@@ -700,11 +674,12 @@ def condition_rhs(prob: InterpolationProblem) -> list:
 def integer_system_affine(prob: InterpolationProblem, basis: MonomialBasis):
     """Integer rows and right-hand side over Q with the solutions of the exact system.
 
-    The rows are ``_affine_rows_exact``'s; each right-hand side is scaled by
-    its row's scale, and a row whose scaled value is not an integer is
-    multiplied through by that value's denominator.
+    The rows are :func:`_affine_rows`' over Q; each right-hand side is
+    scaled by its row's scale, and a row whose scaled value is not an
+    integer is multiplied through by that value's denominator.
     """
-    rows, scales = _affine_rows_exact(prob, basis)
+    rows, scales = _affine_rows(prob, basis, None)
+    rows = rows.tolist()
     rhs = []
     for row, scale, b in zip(rows, scales, condition_rhs(prob)):
         b = as_fraction(b) * scale

@@ -45,7 +45,7 @@ from .monomials import (
 from .schemes import (
     ComponentSpec,
     ProjectiveDraw,
-    _affine_rows_mod,
+    _affine_rows,
     condition_matrices,
     random_affine_problem,
 )
@@ -509,7 +509,7 @@ def _affine_builder(n, d, a, prime):
     basis = build_basis(AFFINE, n, d)
 
     def build(seed):
-        return _affine_rows_mod(random_affine_problem(n, d, a, prime, seed), basis, prime)
+        return _affine_rows(random_affine_problem(n, d, a, prime, seed), basis, prime)[0]
 
     return build
 

@@ -8,6 +8,7 @@ from ppinterp.gf import DEFAULT_PRIME
 from ppinterp.interp import (
     InconsistentProblemError,
     Interpolant,
+    NoResidueError,
     SingularProblemError,
     predict_then_solve,
     problem_from_json,
@@ -265,3 +266,24 @@ def test_interpolant_json_scalars():
 def test_interpolant_evaluate():
     f = solve(hermite_line_problem())
     assert f.evaluate([Fraction(7, 2)]) == Fraction(7, 2)
+
+
+def test_interpolant_evaluate_reads_points_exactly():
+    f = Interpolant(1, 2, [Fraction(1, 3), Fraction(1, 2), Fraction(5, 7)])
+    # over Q a float point used to be evaluated in floating point
+    exact = Fraction(1, 3) + Fraction(1, 2) / 10 + Fraction(5, 7) / 100
+    assert f.evaluate([Fraction(1, 10)]) == f.evaluate(["1/10"]) == exact
+    for bad in (0.1, True):
+        with pytest.raises(TypeError):
+            f.evaluate([bad])
+    # over GF(p) a rational point is reduced as solve reduces problem scalars
+    g = Interpolant(1, 2, [1, 2, 3], P)
+    half = pow(2, -1, P)
+    assert g.evaluate([Fraction(1, 2)]) == (1 + 2 * half + 3 * half * half) % P
+    assert type(g.evaluate([Fraction(1, 2)])) is int
+    assert g.evaluate([-1]) == g.evaluate([P - 1]) == 2
+    for bad in (0.5, True):
+        with pytest.raises(TypeError):
+            g.evaluate([bad])
+    with pytest.raises(NoResidueError):
+        g.evaluate([Fraction(1, P)])

@@ -271,6 +271,35 @@ def test_prime_path_refuses_non_integer_entries():
     assert rank([[int(v) for v in row] for row in bools], 7) == 2
 
 
+def test_rational_path_refuses_inexact_entries():
+    # Fraction() read 0.1 in binary: this rank was 2 and this solution 7205759403792793/2**55
+    message = "Q needs exact entries"
+    for bad in (0.1, np.float32(0.5), True, np.True_, 1j, np.complex128(1)):
+        matrix = [[1, bad], [3, 1]]
+        for call in (lambda: rank(matrix), lambda: rank_rows(matrix),
+                     lambda: nullspace_dim(matrix), lambda: linalg.ranks([matrix, matrix]),
+                     lambda: solve_square(matrix, [0, 1]), lambda: solve_any(matrix, [0, 1]),
+                     lambda: solve_square([[1, 0], [0, 1]], [bad, 1]),
+                     lambda: solve_any([[1, 0], [0, 1]], [0, bad])):
+            with pytest.raises(TypeError, match=message):
+                call()
+    for dtype in (np.float64, np.float32, np.bool_, np.complex128):
+        array = np.eye(3).astype(dtype)
+        for call in (lambda: rank(array), lambda: rank_rows(array), lambda: nullspace_dim(array),
+                     lambda: solve_square(array, [1, 2, 3]), lambda: solve_any(array, [1, 2, 3])):
+            with pytest.raises(TypeError, match=f"{message}, not {array.dtype}"):
+                call()
+    with pytest.raises(TypeError, match=message):
+        solve_square([[1] * 30 for _ in range(29)] + [[0.5] * 30], [1] * 30)  # the Dixon order
+    # everything exact is still taken: ints, numpy ints, Fractions and integer arrays
+    assert rank([[1, Fraction(1, 10)], [3, Fraction(3, 10)]]) == 1
+    assert solve_square([[1, Fraction(1, 10)], [0, 1]], [Fraction(3, 10), 1]) == [Fraction(1, 5), 1]
+    assert rank([[np.int64(2), np.uint8(1)], [np.int32(4), 2]]) == 1
+    assert rank(np.array([[2, 1], [4, 3]], dtype=np.int16)) == 2
+    assert rank(np.array([[Fraction(1, 2), 1], [1, 2]], dtype=object)) == 1
+    assert solve_any(np.array([[2, 4]]), [np.int64(2)]) == [1, 0]
+
+
 def _gauss_jordan(matrix, rhs):
     """Reference: Fraction Gauss-Jordan; (rank, solution with free variables 0 or None)."""
     n = len(matrix[0])

@@ -22,7 +22,7 @@ from ppinterp.monomials import (
 from ppinterp import schemes
 from ppinterp.schemes import (
     GENERAL,
-    _affine_rows_exact,
+    _affine_rows,
     _randbelow_stream,
     _stream_is_randrange,
     ComponentSpec,
@@ -34,6 +34,7 @@ from ppinterp.schemes import (
     condition_matrix_projective,
     condition_rhs,
     degree_bookkeeping,
+    integer_system_affine,
     expected_row_count,
     hilbert_function,
     random_affine_problem,
@@ -372,11 +373,17 @@ def test_batched_build_raises_what_the_sequential_path_raises():
         (1, (), build_basis(HOMOGENEOUS, 1, 3), 3, [ComponentSpec(1)] * 9),  # 8 points in P^1
         (3, (CoordinateSubspace({0}),), vanishing_basis(3, 3, (CoordinateSubspace({0}),)), P,
          [ComponentSpec(3, 0, 2)]),  # two transversal directions to a hyperplane
+        # zeroed sets not in P^4: a coordinate above n, a negative one, none at all
+        *((4, (CoordinateSubspace(zeroed),), build_basis(HOMOGENEOUS, 4, 3), P,
+           [ComponentSpec(2, 0, 1)]) for zeroed in ({7}, {-1}, ())),
     ]
     for n, subspaces, basis, prime, specs in cases:
         draws = [(good[:1], 1), (specs, 2), (good[:1], 3)]
         sequential = assert_batched_equals_sequential(n, subspaces, basis, prime, draws)
         assert isinstance(sequential, tuple), specs
+        if n == 4:
+            assert sequential == (ValueError, "zeroed coordinates out of range for P^4: "
+                                  f"{sorted(subspaces[0].zeroed)}")
     # above MAX_PRIME the sequential path still builds schemes without directions
     draws = [([ComponentSpec(9), ComponentSpec(1)], seed) for seed in range(3)]
     assert isinstance(assert_batched_equals_sequential(8, (), full, 67108879, draws), list)
@@ -468,11 +475,13 @@ def exact_affine_rows(prob, prime):
     st.just(n), st.integers(0, 5), st.lists(st.integers(0, n), max_size=8),
     st.integers(0, 2**32 - 1))))
 def test_affine_build_equals_exact_rows(case):
+    # the homogenised build sums n+1 partials: 67108859 checks its int64 bound
     n, d, a, seed = case
-    prob = random_affine_problem(n, d, a, P, seed=seed)
-    rows = condition_matrix_affine(prob, prime=P)
-    assert rows == exact_affine_rows(prob, P)
-    assert all(type(v) is int for row in rows for v in row)
+    for prime in (P, 67108859):
+        prob = random_affine_problem(n, d, a, prime, seed=seed)
+        rows = condition_matrix_affine(prob, prime=prime)
+        assert rows == exact_affine_rows(prob, prime)
+        assert all(type(v) is int for row in rows for v in row)
 
 
 def test_affine_build_reduces_entries_and_rejects_zero_directions():
@@ -486,6 +495,29 @@ def test_affine_build_reduces_entries_and_rejects_zero_directions():
     # a rational entry is not a residue: refused rather than truncated to 0
     with pytest.raises(TypeError):
         condition_matrix_affine(InterpolationProblem(1, 2, [[Fraction(1, 2)]], [[]]), prime=P)
+
+
+def test_affine_coordinates_are_read_exactly():
+    # over Q as values are read: a float point used to be read in binary
+    for point, direction in (([0.1], [1]), ([0], [0.5]), ([True], [1]), ([0], [True])):
+        prob = InterpolationProblem(1, 1, [[0], point], [[], [direction]], [[0], [1, 1]])
+        with pytest.raises(TypeError):
+            condition_matrix_affine(prob)
+        with pytest.raises(TypeError):
+            integer_system_affine(prob, build_basis(AFFINE, 1, 1))
+    assert condition_matrix_affine(InterpolationProblem(1, 2, [["1/2"]], [[["2"]]])) == [
+        [1, Fraction(1, 2), Fraction(1, 4)], [0, 2, 2]]
+    numpy_ints = InterpolationProblem(1, 1, [[np.int64(3)]], [[[np.int8(2)]]])
+    assert condition_matrix_affine(numpy_ints) == [[1, 3], [0, 2]]
+    # over GF(p) a bool is refused before index() reads it as 0 or 1
+    for point, direction in (([True], [1]), ([1], [True]), ([np.True_], [1])):
+        with pytest.raises(TypeError):
+            condition_matrix_affine(InterpolationProblem(1, 1, [point], [[direction]]), prime=P)
+    for point in ([0.5], ["1"]):
+        with pytest.raises(TypeError):
+            condition_matrix_affine(InterpolationProblem(1, 1, [point], [[]]), prime=P)
+    assert condition_matrix_affine(InterpolationProblem(1, 1, [[np.int64(-1)]], [[[1]]]),
+                                   prime=P) == [[1, P - 1], [0, 1]]
 
 
 RATIONALS = st.integers(-5, 5) | st.fractions(-5, 5, max_denominator=7)
@@ -508,7 +540,8 @@ def test_homogenised_integer_rows_equal_exact_rows(prob):
     # the rational build evaluates the homogenised basis at (X, D) in Python
     # ints; dividing out each row's scale gives eval_row/derivative_row exactly
     basis = build_basis(AFFINE, prob.n, prob.d)
-    rows, scales = _affine_rows_exact(prob, basis)
+    rows, scales = _affine_rows(prob, basis, None)
+    rows = rows.tolist()
     assert all(type(v) is int for row in rows for v in row)
     assert all(type(s) is int and s > 0 for s in scales)
     exact = exact_affine_rows(prob, None)
