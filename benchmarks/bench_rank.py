@@ -19,9 +19,10 @@ A stack-size table times ``rank_mod`` per matrix on stacks of 1, 10, 64
 and 128 members at orders 36 and 63: its per-column numpy calls are paid
 once a stack, which is why a sweep's trial rounds fill across triples.
 On 128 seeded instances of the cubic sweeps at each of these orders it
-times the batched draw and build
-``schemes.condition_matrices`` against drawing and building each instance
-alone, and checks that both give the same bytes.  An affine table times
+times the batched draw and build ``schemes.condition_matrices``, with the
+slot-product rule it takes and with the jacobian rule forced, against
+drawing and building each instance alone, and checks that all three give
+the same bytes.  An affine table times
 the affine build per problem: ``condition_matrix_affine`` over GF(p) and
 ``integer_system_affine`` over Q (integer and two-digit fraction entries),
 on the ``verify -n N -d D -a ...`` shapes of n = 1-4, d = 3-5 and on the
@@ -46,7 +47,7 @@ from math import comb
 
 import numpy as np
 
-from ppinterp import _gfcore_py, interp, linalg
+from ppinterp import _gfcore_py, interp, linalg, schemes
 from ppinterp._gfcore_py import KERNEL, _echelon_numpy, rank_mod
 from ppinterp.gf import DEFAULT_PRIME
 from ppinterp.linalg import _ROWS_WORK, rank_rows
@@ -207,12 +208,22 @@ def _sweep_groups():
     ]
 
 
+def _jacobian_rule(draws):
+    """``condition_matrices`` with the jacobian rule in every projective build."""
+    slot_rule = schemes._slot_rule
+    schemes._slot_rule = lambda *args: False
+    try:
+        return condition_matrices(draws)
+    finally:
+        schemes._slot_rule = slot_rule
+
+
 def bench_draw_build(rng, args):
-    """The batched draw and build of a trial round against one instance at a time."""
+    """The batched draw and build of a trial round, by both row rules, against one at a time."""
     from ppinterp.monomials import vanishing_basis
 
     print(f"\ndraw and build, {DRAW_STACK} seeded sweep instances (us per instance)")
-    print(f"{'order':>6} {'batched':>8} {'alone':>8} {'speedup':>8}")
+    print(f"{'order':>6} {'batched':>8} {'jacobian':>9} {'alone':>8} {'speedup':>8}")
     for order, n, subspaces, families in _sweep_groups():
         basis = vanishing_basis(n, 3, subspaces)
         assert len(basis) == order
@@ -232,9 +243,12 @@ def bench_draw_build(rng, args):
 
         t_alone, expected = _best(alone, args.repeats)
         t_batched, got = _best(batched, args.repeats)
-        assert [(m.dtype, m.shape, m.tobytes()) for m in got] == [
-            (m.dtype, m.shape, m.tobytes()) for m in expected]
+        t_jacobian, by_jacobian = _best(lambda: _jacobian_rule(draws), args.repeats)
+        for matrices in (got, by_jacobian):
+            assert [(m.dtype, m.shape, m.tobytes()) for m in matrices] == [
+                (m.dtype, m.shape, m.tobytes()) for m in expected]
         print(f"{order:>6} {t_batched / DRAW_STACK * 1e6:>8.0f}"
+              f" {t_jacobian / DRAW_STACK * 1e6:>9.0f}"
               f" {t_alone / DRAW_STACK * 1e6:>8.0f} {t_alone / t_batched:>7.1f}x")
 
 

@@ -14,12 +14,14 @@ from numbers import Integral
 DEFAULT_PRIME = 31991
 
 # Exclusive upper bound on every working prime.  The int64 paths (the build
-# and both rank kernels) hold canonical residues in [0, p); their widest
-# expression is a direction combination of the build (``_projective_rows``,
-# which builds the affine problems too, on n+1 homogeneous variables), a sum
-# of nv products of two residues, at most nv*(p-1)**2.  That must stay below
-# 2**63: p < 2**26 gives nv*(p-1)**2 < nv*2**52, which holds for up to
-# nv = 2048 variables (the word-size reasoning of FFLAS-FFPACK).
+# and both rank kernels) hold canonical residues in [0, p).  The build
+# (``_projective_rows``, which builds the affine problems too, on n+1
+# homogeneous variables) reduces its products mod p only as it writes the
+# rows while d*(p-1)**d < 2**63, and at every product otherwise; its widest
+# expression is then a combination row, a sum of at most nv products of two
+# residues, at most nv*(p-1)**2.  That must stay below 2**63: p < 2**26 gives
+# nv*(p-1)**2 < nv*2**52, which holds for up to nv = 2048 variables (the
+# word-size reasoning of FFLAS-FFPACK).
 MAX_PRIME = 2**26
 
 

@@ -23,11 +23,12 @@ built and numpy otherwise (``KERNEL`` says which one is active).  Its int64
 arithmetic needs ``prime < MAX_PRIME``.  Every GF(p) entry point first
 checks that the modulus is a prime below that bound (``rank_rows`` takes a
 prime of any size), so a composite modulus is refused rather than given a
-wrong rank.  :func:`ranks` takes many matrices at once: on the numpy
-kernel it ranks GF(p) matrices of a shared shape together, in one exact
-float64 elimination with delayed reduction (``rank_mod``: two passes over
-the trailing block per column), and sends only a matrix alone in its shape
-to :func:`rank`.
+wrong rank.  :func:`stack_ranks` takes a trial round's matrices as
+same-shape stacks: on the numpy kernel it ranks each GF(p) stack of two or
+more matrices together, in one exact float64 elimination with delayed
+reduction (``rank_mod``: two passes over the trailing block per column),
+and sends a stack of one to :func:`rank`.  :func:`ranks` takes a list of
+matrices, stacks them by shape and hands them to :func:`stack_ranks`.
 
 The solvers pick theirs by field.  Over GF(p), systems are eliminated by
 ``echelon_mod`` and solved by one numpy back-substitution.  Over Q,
@@ -63,15 +64,21 @@ from .gf import MAX_PRIME, is_prime
 # recorded in BENCH_9.json).
 _ROWS_WORK = 0 if KERNEL == "c" else 1000
 
-# Cells m*n*B of one rank_mod call in ranks(): a same-shape group is ranked
-# in even chunks of at most this many cells, so the float64 stack and its
-# scratch stay about 2 MB each whatever the group size.
+# Cells m*n*B of one rank_mod call in stack_ranks(): a stack is ranked in
+# even parts of at most this many cells, so the float64 copy and its scratch
+# stay about 2 MB each whatever the stack size.
 # benchmarks/bench_rank.py (runs recorded in BENCH_12.json, 2-vCPU Xeon, numpy
 # 2.4), stacks of 64 seeded residue matrices of orders 27, 36, 46 and 63: the
 # batched elimination takes 40-48, 70-83, 139-142 and 303-386 us per matrix,
 # echelon_mod's numpy loop alone 322-361, 458-630, 745-802 and 1333-1696.
 # The compiled loop ranks one matrix in 33-37, 73-76, 141-152 and 343-376 us,
-# as fast or a little faster, so on it ranks() calls rank().
+# as fast or a little faster, so on it stack_ranks() calls rank().  On the
+# trial rounds' own stacks (BENCH_16.json, built tree, seed 1, best of 5,
+# three runs) it is faster still: per matrix of the cubic-sweeps stacks,
+# 38-42 against 49-59 us at order 27, 66-72 against 69-89 at 36, 120-126
+# against 161-188 at 46 and 323-330 against 353-477 at 63 (0.26-0.28 s a
+# pass against 0.29-0.36 s for rank_mod), and 0.044-0.045 s against
+# 0.21-0.22 s on the small-cases stacks of orders 3-70.
 _SCREEN_CELLS = 1 << 18
 
 # Smallest order that solve_square over Q lifts p-adically rather than
@@ -224,25 +231,43 @@ def rank(matrix, prime: int | None = None) -> int:
 def ranks(matrices, prime: int | None = None) -> list:
     """The exact rank of each matrix, as :func:`rank` gives it.
 
-    On the numpy kernel, GF(p) matrices that share their shape with another
-    one are ranked together by ``rank_mod``; a matrix alone in its shape, and
-    every matrix over Q or on the compiled kernel, goes to ``rank``.
+    Over GF(p) the matrices are read as int64 arrays and stacked by shape,
+    and :func:`stack_ranks` ranks the stacks; over Q each goes to ``rank``.
     """
     _check_prime(prime)
-    out = {}
-    if prime is not None and KERNEL == "python":
-        groups = defaultdict(list)
-        for i, matrix in enumerate(matrices):
-            groups[len(matrix), len(matrix[0]) if len(matrix) else 0].append(i)
-        for (m, n), group in groups.items():
-            if len(group) < 2:
-                continue
-            count = max(1, -(-len(group) * m * n // _SCREEN_CELLS))
-            for part in np.array_split(np.array(group), count):
-                stack = np.stack([_int64_array(matrices[i], prime) for i in part])
-                stack = stack.reshape(len(part), m, n)
-                out.update(zip(part.tolist(), rank_mod(stack, prime).tolist()))
-    return [out[i] if i in out else rank(matrix, prime) for i, matrix in enumerate(matrices)]
+    if prime is None:
+        return [rank(matrix) for matrix in matrices]
+    groups = defaultdict(list)
+    for i, matrix in enumerate(matrices):
+        groups[len(matrix), len(matrix[0]) if len(matrix) else 0].append(i)
+    stacks = [(group, np.stack([_int64_array(matrices[i], prime) for i in group])
+               .reshape(len(group), m, n)) for (m, n), group in groups.items()]
+    return stack_ranks(stacks, prime)
+
+
+def stack_ranks(stacks, prime: int | None = None) -> list:
+    """The exact rank of each matrix of ``(index, stack)`` pairs, listed by index.
+
+    Member k of the (B, m, n) ``stack`` is matrix ``index[k]``; the indices
+    of all the stacks together are 0, 1, ..., N-1.  On the numpy kernel an
+    int64 stack of two or more matrices is ranked mod p by ``rank_mod``, in
+    even parts of at most ``_SCREEN_CELLS`` cells; every other member (over
+    Q, in a stack of one or of another dtype, or on the compiled kernel)
+    goes to ``rank``.
+    """
+    _check_prime(prime)
+    out = [None] * sum(len(index) for index, _ in stacks)
+    batched = prime is not None and KERNEL == "python"
+    for index, stack in stacks:
+        if batched and len(index) > 1 and stack.dtype == np.int64:
+            count = max(1, -(-stack.size // _SCREEN_CELLS))
+            values = [r for part in np.array_split(stack, count)
+                      for r in rank_mod(part, prime).tolist()]
+        else:
+            values = [rank(matrix, prime) for matrix in stack]
+        for i, r in zip(index, values):
+            out[i] = r
+    return out
 
 
 def rank_rows(matrix, prime: int | None = None) -> int:

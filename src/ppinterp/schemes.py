@@ -16,7 +16,10 @@ settings feed it:
   (v, 0), and polynomials of degree <= d are degree-d forms on the
   homogenised basis.  Over Q a point is (X : D), so the rows are integers.
 
-Random instances are drawn from one seed; replaying (seed, prime, specs)
+A trial round's projective draws are drawn and built together, straight
+into one int64 stack per matrix shape (:func:`condition_stacks`), which the
+rank layer takes as it is.  The builders refuse a modulus that is not a
+prime.  Random instances are drawn from one seed; replaying (seed, prime, specs)
 reproduces the instance bit for bit.  Degenerate draws (coincident points,
 dependent direction sets) are resampled a bounded number of times: each has
 probability about 1/p, so a handful of retries is already overkill.
@@ -36,7 +39,7 @@ import numpy as np
 
 from ._gfcore_py import rank_mod
 from .gf import DEFAULT_PRIME, MAX_PRIME, as_fraction, is_prime
-from .linalg import _residues, rank
+from .linalg import _check_prime, _residues, rank
 from .monomials import (
     AFFINE,
     HOMOGENEOUS,
@@ -76,63 +79,105 @@ def _slot_layout(basis: MonomialBasis):
     return layout
 
 
-def _projective_rows(basis: MonomialBasis, points, with_value, coeffs, owner, p):
+def _slot_rule(d, partials, p) -> bool:
+    """Whether :func:`_projective_rows` sums a combination over the d slots, not the partials.
+
+    Over GF(p) the d slot terms replace the partials the rows combine when
+    they are fewer; over Q (``p=None``), and for constants (d = 0), the rows
+    combine the jacobian.
+    """
+    return p is not None and 0 < d < partials
+
+
+def _projective_rows(layout, points, with_value, coeffs, owner, p, out=None, first=None):
     """Per point i in order: its value row if ``with_value[i]``, then its combination rows.
 
-    ``points`` are (C, nv) support points of the homogeneous ``basis``.  Row
-    r of the (R, nv) ``coeffs`` belongs to point ``owner[r]`` (nondecreasing)
+    ``layout`` is the :func:`_slot_layout` of a homogeneous basis of degree-d
+    forms in nv variables and ``points`` are (C, nv) support points.  Row r
+    of the (R, nv) ``coeffs`` belongs to point ``owner[r]`` (nondecreasing)
     and becomes ``coeffs[r] @ jac[owner[r]]``, where ``jac[c, k, j]`` is
-    d(x^e_j)/dx_k at point c.  With a prime the inputs are integers and every
-    entry is a canonical residue in int64, so the rows equal the exact
-    symbolic rows reduced mod p; with ``p=None`` the inputs are object arrays
-    of Python ints and the rows are exact.  One power-free pass: gather each
-    monomial's slot coordinates, take prefix and suffix products over the d
-    slots, and apply the product rule at the first slot of every variable
-    (the exponent counts the equal terms of its run).  The combinations are
-    summed over the nv partials one at a time, so they never hold more than
-    (R, M) entries; the sum stays below nv*(p-1)**2, which must be below 2**63.
+    d(x^e_j)/dx_k at point c.  The rows of point i are written to ``out``
+    from row ``first[i]`` on; by default ``out`` is a new array holding the
+    points' rows one after the other.  With a prime the inputs are integers
+    and every entry is a canonical residue in int64, so the rows equal the
+    exact symbolic rows reduced mod p; with ``p=None`` the inputs are object
+    arrays of Python ints and the rows are exact.
+
+    One power-free pass: gather each monomial's slot coordinates and take
+    prefix and suffix products over the d slots; the value row is the full
+    product.  Slot s's product with the other slots, ``prefix[s] *
+    suffix[s+1]``, is d(x^e_j)/dx_k with k = ``var[j, s]`` divided by its
+    exponent, and each slot of a run of equal variables gives the same one.
+    So a combination row is the sum over the d slots of ``coeffs[r, var[j, s]]``
+    times the slot products (the slot rule, :func:`_slot_rule`), or, when the
+    rows use no more partials than there are slots, the jacobian (the product
+    rule at the first slot of each variable) summed over the partials the rows
+    use, one at a time: the last one is unused for affine directions (v, 0).
+
+    With canonical residues in, a product of up to d of them is at most
+    (p-1)**d, a slot sum at most d*(p-1)**d and a jacobian entry at most
+    d*(p-1)**(d-1).  While d*(p-1)**d < 2**63 (up to d = 4 at p = 31991, d = 2
+    near 2**26) the products are reduced only as the rows are written;
+    otherwise every product is reduced as it is taken.  A jacobian row sum
+    of reduced entries stays below nv*(p-1)**2, which must be below 2**63.
     """
-    m = len(basis)
+    exps, var, j, s, k, e = layout
+    m, nv = exps.shape
+    d = var.shape[1]
+    value = np.asarray(with_value, dtype=bool)
+    if out is None:
+        sizes = value + np.bincount(owner, minlength=len(points))
+        first = np.cumsum(sizes) - sizes
+        out = np.empty((sizes.sum(), m), dtype=object if p is None else np.int64)
     if not len(points):
-        return np.empty((0, m), dtype=object if p is None else np.int64)
-    _, var, j, s, k, e = _slot_layout(basis)
-    n_pts, nv = points.shape
+        return out
+    n_pts = len(points)
     if p is None:
-        dtype, red, e = object, (lambda a: a), e.astype(object)
+        dtype, e = object, e.astype(object)
+        final = step = lambda a: a
     elif nv * (p - 1) ** 2 >= 2**63:
         raise ValueError(f"prime {p} is too large for exact int64 rows in {nv} variables")
     else:
-        dtype, red = np.int64, (lambda a: a % p)
-    slot = red(np.asarray(points, dtype=dtype))[:, var.T]
-    d = basis.d
-    prefix = np.ones((n_pts, d + 1, m), dtype=dtype)
-    suffix = np.ones_like(prefix)
+        dtype, final = np.int64, (lambda a: a % p)
+        step = final if d * (p - 1) ** d >= 2**63 else (lambda a: a)
+    slot = final(np.asarray(points, dtype=dtype))[:, var.T]
+    prefix = [np.ones((n_pts, m), dtype=dtype)]  # prefix[t]: the product of slots 0..t-1
+    suffix = prefix[:]  # reversed below: suffix[t] is the product of slots t..d-1
     for t in range(d):
-        prefix[:, t + 1] = red(prefix[:, t] * slot[:, t])
-        suffix[:, d - 1 - t] = red(suffix[:, d - t] * slot[:, d - 1 - t])
-    jac = np.zeros((n_pts, nv, m), dtype=dtype)
-    jac[:, k, j] = red(red(prefix[:, s, j] * suffix[:, s + 1, j]) * e)
+        prefix.append(step(prefix[-1] * slot[:, t]))
+        suffix.append(step(suffix[-1] * slot[:, d - 1 - t]))
+    suffix.reverse()
+    out[first[value]] = final(prefix[d][value])
 
-    value = np.asarray(with_value, dtype=bool)
+    if not len(owner):
+        return out
+    partials = np.flatnonzero(coeffs.any(axis=0))
+    if _slot_rule(d, len(partials), p):
+        mixed = coeffs[:, var[:, 0]] * step(prefix[0] * suffix[1])[owner]
+        for t in range(1, d):
+            mixed += coeffs[:, var[:, t]] * step(prefix[t] * suffix[t + 1])[owner]
+    else:
+        prefix, suffix = np.stack(prefix, axis=1), np.stack(suffix, axis=1)
+        jac = np.zeros((n_pts, nv, m), dtype=dtype)
+        jac[:, k, j] = final(prefix[:, s, j] * suffix[:, s + 1, j] * e)
+        mixed = np.zeros((len(owner), m), dtype=dtype)
+        for c in partials:
+            mixed += coeffs[:, c, None] * jac[owner, c]
     per_point = np.bincount(owner, minlength=n_pts)
-    start = np.cumsum(value + per_point) - value - per_point  # first output row of each point
-    out = np.empty((value.sum() + len(owner), m), dtype=dtype)
-    out[start[value]] = prefix[value, d]
-    mixed = np.zeros((len(owner), m), dtype=dtype)
-    # a partial no row uses is skipped: the last one, for affine directions (v, 0)
-    for c in np.flatnonzero(coeffs.any(axis=0)):
-        mixed += coeffs[:, c, None] * jac[owner, c]
-    first = np.cumsum(per_point) - per_point  # first combination row of each point
-    out[start[owner] + value[owner] + np.arange(len(owner)) - first[owner]] = red(mixed)
+    combo = np.cumsum(per_point) - per_point  # first combination row of each point
+    out[first[owner] + value[owner] + np.arange(len(owner)) - combo[owner]] = final(mixed)
     return out
 
 
 @lru_cache(maxsize=64)
-def _homogenised(basis: MonomialBasis) -> MonomialBasis:
-    """The affine basis with each exponent e written as (e, d - |e|), in the same order."""
+def _homogenised(basis: MonomialBasis):
+    """The slot layout of the affine basis with each exponent e written as (e, d - |e|), in order.
+
+    Cached by the affine basis, so an affine build makes one cache lookup.
+    """
     d = basis.d
-    return MonomialBasis(HOMOGENEOUS, basis.n, d,
-                         tuple(e + (d - sum(e),) for e in basis.exponents))
+    return _slot_layout(MonomialBasis(HOMOGENEOUS, basis.n, d,
+                                      tuple(e + (d - sum(e),) for e in basis.exponents)))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +274,7 @@ def random_instance(n, specs, subspaces=(), prime=DEFAULT_PRIME, seed=0) -> Sche
     Support points on a subspace have its zeroed coordinates pinned to 0.
     Residual-r components must meet the subspace transversally in exactly r
     directions, which is enforced on the combination rows restricted to the
-    zeroed coordinates.
+    zeroed coordinates.  A modulus that is not a prime raises ValueError.
     """
     subspaces = tuple(subspaces)
     for sub in subspaces:
@@ -277,6 +322,7 @@ def random_instance(n, specs, subspaces=(), prime=DEFAULT_PRIME, seed=0) -> Sche
                     f"could not draw independent directions over GF({prime})"
                 )
         instances.append(ComponentInstance(s, point, combo))
+    _check_prime(prime, word_size=False)  # after the draw, which gives up on GF(1) first
     return SchemeInstance(n, prime, seed, subspaces, tuple(instances))
 
 
@@ -289,6 +335,7 @@ def condition_matrix_projective(instance: SchemeInstance, basis: MonomialBasis):
     """
     if basis.mode != HOMOGENEOUS or basis.n != instance.n:
         raise ValueError("basis/scheme mismatch")
+    _check_prime(instance.prime, word_size=False)
     comps = instance.components
     for idx in sorted({c.spec.support for c in comps} - {GENERAL}):
         if not _vanishes(basis, instance.subspaces[idx]):
@@ -307,7 +354,7 @@ def condition_matrix_projective(instance: SchemeInstance, basis: MonomialBasis):
         per_point.append(len(rows))
     points = np.array([c.point for c in comps], dtype=np.int64).reshape(-1, nv)
     owner = np.repeat(np.arange(len(comps)), per_point)
-    return _projective_rows(basis, points, np.array(with_value, dtype=bool),
+    return _projective_rows(_slot_layout(basis), points, np.array(with_value, dtype=bool),
                             np.array(coeffs, dtype=np.int64).reshape(-1, nv), owner,
                             instance.prime)
 
@@ -349,15 +396,18 @@ def _stream_is_randrange() -> bool:
     return True
 
 
-# Cells (points x nv x M) of the jacobian stack that one chunk of a batched
-# build evaluates; _projective_rows holds about twice that again in scratch
-# (its slot, prefix and suffix products).
+# Cells (points x nv x M) one chunk of a batched build may count: the size
+# of the jacobian stack a chunk on the jacobian rule allocates.  A chunk on
+# the slot rule (every cubic sweep's: d = 3 slots against nv >= 6 partials)
+# allocates none; its scratch (slot coordinates, 2(d+1) prefix and suffix
+# products of points x M, and the combination terms) is about as large.
 # On 128 seeded P^8 sweep instances of order 63 (2-vCPU Xeon, numpy 2.4) a
 # chunk cap of 2**15 to 2**19 cells built them equally fast and 2**14 about
-# 20% slower; the peak RSS of one small-cases benchmark pass (the quadric
-# brute force, whose tiny matrices make many points per chunk) was 37.3,
-# 37.6 and 38.8 MB at 2**14, 2**15 and 2**16, against 37.1 MB drawing one
-# instance at a time.
+# 20% slower, by both rules (2**14 to 2**17 re-measured on the slot rule
+# with benchmarks/bench_rank.py); with the jacobian rule, the peak RSS of one
+# small-cases benchmark pass (the quadric brute force, whose tiny matrices
+# make many points per chunk) was 37.3, 37.6 and 38.8 MB at 2**14, 2**15
+# and 2**16, against 37.1 MB drawing one instance at a time.
 _BUILD_CELLS = 1 << 15
 
 
@@ -380,28 +430,32 @@ class ProjectiveDraw(NamedTuple):
         return condition_matrix_projective(inst, self.basis)
 
 
-def condition_matrices(draws) -> list:
-    """The matrix ``build(seed)`` gives for each ``(build, seed)`` draw, in input order.
+def condition_stacks(draws) -> list:
+    """The matrices ``build(seed)`` gives for the ``(build, seed)`` draws, one stack per shape.
 
-    The :class:`ProjectiveDraw` builders that share ``(n, subspaces, basis,
-    prime)`` are drawn and built as one batch, a key with one draw as a
-    batch of one; the result equals ``build(seed)`` in dtype, shape and
-    bytes.  Each seed's stream is read in one bulk call and laid out as
-    :func:`random_instance` uses it when it redraws nothing; the batch's
-    draws are then checked together (nonzero and distinct points,
-    combinations independent on their checked columns) and built in chunks
-    of about ``_BUILD_CELLS`` jacobian cells.  Every other draw is built by
-    calling its builder: any other builder, a draw that fails a check, and
-    one the batch does not take (a prime that is not a prime below
-    MAX_PRIME, an invalid spec or subspace, a basis not vanishing where it
-    must); only this sequential path redraws and raises.
+    Returns ``(index, stack)`` pairs: ``stack`` is a (B, m, M) array whose
+    member k is draw ``index[k]``'s matrix, equal to ``build(seed)`` in
+    dtype, shape and bytes.  The int64 matrices of one shape share one
+    stack; any other matrix is a stack of one.  The :class:`ProjectiveDraw`
+    builders that share ``(n, subspaces, basis, prime)`` are drawn and built
+    as one batch, a key with one draw as a batch of one.  Each seed's stream
+    is read in one bulk call and laid out as :func:`random_instance` uses it
+    when it redraws nothing; the batch's draws are then checked together
+    (nonzero and distinct points, combinations independent on their checked
+    columns) and built in chunks of about ``_BUILD_CELLS`` cells, each
+    chunk's rows written straight into the stacks.  Every other draw is
+    built by calling its builder, in input order, and copied into its stack:
+    any other builder, a draw that fails a check, and one the batch does not
+    take (a prime that is not a prime below MAX_PRIME, an invalid spec or
+    subspace, a basis not vanishing where it must); only this sequential
+    path redraws and raises.
     """
     draws = list(draws)
     groups = defaultdict(list)
     for i, (build, _) in enumerate(draws):
         if isinstance(build, ProjectiveDraw):
             groups[build.n, build.subspaces, build.basis, build.prime].append(i)
-    out = [None] * len(draws)
+    batches, shape, redo = [], {}, set()  # shape: draw -> (m, M) of its int64 matrix
     for (n, subspaces, basis, prime), members in groups.items():
         take, table, counts = _batchable(n, subspaces, basis, prime,
                                          [draws[i][0].specs for i in members])
@@ -409,10 +463,54 @@ def condition_matrices(draws) -> list:
             continue
         take = [members[k] for k in take]
         layout = _draw_layout(n, subspaces, table, counts, [draws[i][1] for i in take], prime)
-        for i, matrix, ok in zip(take, _build_chunks(basis, prime, counts, layout), layout[-1]):
-            if ok:
-                out[i] = matrix
-    return [build(seed) if m is None else m for m, (build, seed) in zip(out, draws)]
+        draw, _, with_value, owner, *_, ok = layout
+        rows = np.bincount(draw, weights=with_value, minlength=len(take)).astype(np.int64)
+        rows += np.bincount(draw[owner], minlength=len(take))
+        shape.update((i, (m, len(basis))) for i, m in zip(take, rows.tolist()))
+        batches.append((basis, prime, counts, layout, take, rows))
+        redo.update(i for i, good in zip(take, ok) if not good)
+    alone = {i: np.asarray(build(seed)) for i, (build, seed) in enumerate(draws)
+             if i not in shape or i in redo}
+    for i, matrix in alone.items():
+        if i not in shape and matrix.dtype == np.int64 and matrix.ndim == 2:
+            shape[i] = matrix.shape
+    # the stacks of one width M are consecutive rows of one int64 buffer, so a
+    # chunk of a batch writes its rows with one scatter; at[i] is draw i's first row
+    by_width = defaultdict(lambda: defaultdict(list))
+    for i in sorted(shape):
+        m, width = shape[i]
+        by_width[width][m].append(i)
+    buffers, at, stacks = {}, {}, []
+    for width, shapes in by_width.items():
+        height = sum(m * len(index) for m, index in shapes.items())
+        buffers[width] = np.empty((height, width), dtype=np.int64)
+        lo = 0
+        for m, index in shapes.items():
+            stacks.append((index, buffers[width][lo:lo + m * len(index)]
+                           .reshape(len(index), m, width)))
+            at.update((i, lo + m * k) for k, i in enumerate(index))
+            lo += m * len(index)
+    for basis, prime, counts, layout, take, rows in batches:
+        _build_chunks(_slot_layout(basis), prime, counts, layout, rows,
+                      buffers[len(basis)], np.array([at[i] for i in take], dtype=np.int64))
+    for index, stack in stacks:
+        for k, i in enumerate(index):
+            if i in alone:
+                stack[k] = alone.pop(i)
+    return stacks + [([i], matrix[None]) for i, matrix in alone.items()]
+
+
+def condition_matrices(draws) -> list:
+    """The matrix ``build(seed)`` gives for each ``(build, seed)`` draw, in input order.
+
+    The members of :func:`condition_stacks`' stacks, listed by draw.
+    """
+    draws = list(draws)
+    out = [None] * len(draws)
+    for index, stack in condition_stacks(draws):
+        for i, matrix in zip(index, stack):
+            out[i] = matrix
+    return out
 
 
 def _batchable(n, subspaces, basis, prime, draw_specs):
@@ -512,15 +610,22 @@ def _draw_layout(n, subspaces, table, counts, seeds, p):
     return draw, points, free & ~whole, owner, start, values, ~bad
 
 
-def _build_chunks(basis, p, counts, layout) -> list:
-    """Each draw's condition matrix, built ``_BUILD_CELLS`` jacobian cells at a time."""
-    draw, points, with_value, owner, start, values, _ = layout
-    n_draws, nv = len(counts), basis.nvars
+def _build_chunks(layout, p, counts, drawn, rows, out, at) -> None:
+    """Write each draw's condition matrix to ``out`` from row ``at[b]`` on.
+
+    ``layout`` is the basis's slot layout, ``drawn`` the :func:`_draw_layout`
+    of the batch and ``rows`` each draw's row count; the draws are built
+    about ``_BUILD_CELLS`` cells at a time.
+    """
+    draw, points, with_value, owner, start, values, _ = drawn
+    n_draws, (m, nv) = len(counts), layout[0].shape
+    sizes = with_value + np.bincount(owner, minlength=len(draw))
+    first = np.cumsum(sizes) - sizes  # each point's first row, counted over the batch
+    first += (at - (np.cumsum(rows) - rows))[draw]
     mixed = np.bincount(draw[owner], minlength=n_draws)
-    rows = np.bincount(draw, weights=with_value, minlength=n_draws).astype(np.int64) + mixed
-    cells = (counts * nv * len(basis)).tolist()
+    cells = (counts * nv * m).tolist()
     comp_end, mixed_end = np.cumsum(counts).tolist(), np.cumsum(mixed).tolist()
-    out, lo = [], 0
+    lo = 0
     while lo < n_draws:
         hi, size = lo + 1, cells[lo]
         while hi < n_draws and size + cells[hi] <= _BUILD_CELLS:
@@ -528,12 +633,10 @@ def _build_chunks(basis, p, counts, layout) -> list:
             hi += 1
         ca, cb = comp_end[lo] - int(counts[lo]), comp_end[hi - 1]
         ra, rb = mixed_end[lo] - int(mixed[lo]), mixed_end[hi - 1]
-        matrix = _projective_rows(basis, points[ca:cb], with_value[ca:cb],
-                                  values[start[ra:rb, None] + np.arange(nv)],
-                                  owner[ra:rb] - ca, p)
-        out += np.split(matrix, np.cumsum(rows[lo:hi - 1]))
+        _projective_rows(layout, points[ca:cb], with_value[ca:cb],
+                         values[start[ra:rb, None] + np.arange(nv)], owner[ra:rb] - ca, p,
+                         out, first[ca:cb])
         lo = hi
-    return out
 
 
 def expected_row_count(specs) -> int:
@@ -618,6 +721,7 @@ def condition_matrix_affine(prob: InterpolationProblem, basis: MonomialBasis | N
         raise ValueError("basis/problem mismatch")
     if prime is None:
         prime = prob.prime
+    _check_prime(prime, word_size=False)
     rows, scales = _affine_rows(prob, basis, prime)
     return [row if s == 1 else [Fraction(a, s) for a in row]
             for row, s in zip(rows.tolist(), scales)]

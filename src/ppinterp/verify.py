@@ -17,9 +17,9 @@ trial loop uses this: it runs a command's cases as one job stream, rank and
 deficiency claims alike, trial round by trial round; a sweep chains the jobs
 of all its triples (and the ``p8`` and ``base`` suites those of all their
 propositions), so a round can span triples and fills up.  Each round makes one
-``schemes.condition_matrices`` call, which draws and builds the round's
-scheme instances together, and one ``linalg.ranks`` call, which gives every
-matrix its exact rank.  A case's ``millis`` is an equal share of each of its
+``schemes.condition_stacks`` call, which draws and builds the round's scheme
+instances together into one stack per matrix shape, and one
+``linalg.stack_ranks`` call, which gives every matrix its exact rank.  A case's ``millis`` is an equal share of each of its
 rounds' build-and-rank time; for a command of one case that is its own time.
 """
 
@@ -34,7 +34,7 @@ from math import comb
 
 from . import theory
 from .gf import DEFAULT_PRIME
-from .linalg import ranks
+from .linalg import stack_ranks
 from .monomials import (
     AFFINE,
     HOMOGENEOUS,
@@ -46,7 +46,7 @@ from .schemes import (
     ComponentSpec,
     ProjectiveDraw,
     _affine_rows,
-    condition_matrices,
+    condition_stacks,
     random_affine_problem,
 )
 
@@ -120,8 +120,8 @@ def _trials(policy: TrialPolicy, jobs):
     Trial t of a job ranks ``build(child_seed(seed, label, t))``, and the job
     ends after a rank equal to its ``stop`` (None: it runs every trial).  Jobs
     are taken ``ROUND_CASES`` at a time.  Each trial round builds the running
-    jobs' matrices in one ``schemes.condition_matrices`` call and ranks them
-    in one ``linalg.ranks`` call.  Yields, per job, the job, its ranks (at
+    jobs' matrices in one ``schemes.condition_stacks`` call, as one stack per
+    shape, and ranks the stacks in one ``linalg.stack_ranks`` call.  Yields, per job, the job, its ranks (at
     least one) and its milliseconds: an equal share of each of its rounds'
     build-and-rank time.  ``jobs`` is a command's whole stream, so a batch
     can hold jobs of several triples; it may be a generator, so only a
@@ -134,9 +134,9 @@ def _trials(policy: TrialPolicy, jobs):
         running = range(len(batch))
         for t in range(policy.trials):
             t0 = time.perf_counter()
-            matrices = condition_matrices(
-                [(batch[i][1], child_seed(policy.seed, batch[i][0], t)) for i in running])
-            values = ranks(matrices, policy.prime)
+            values = stack_ranks(condition_stacks(
+                [(batch[i][1], child_seed(policy.seed, batch[i][0], t)) for i in running]),
+                policy.prime)
             share = (time.perf_counter() - t0) / len(running)
             for i, r in zip(running, values):
                 stop = batch[i][2]

@@ -341,7 +341,7 @@ def test_degenerate_draw_is_a_usage_error(monkeypatch, capsys):
         raise DegenerateDrawError("could not draw independent directions over GF(11)")
 
     # every trial round's draws, batched or alone, go through one builder call
-    monkeypatch.setattr(verify, "condition_matrices", degenerate)
+    monkeypatch.setattr(verify, "condition_stacks", degenerate)
     for argv in (("tables", "-n", "3"), ("props", "--prop", "4.6")):
         code, _, err = run_cli(capsys, *argv, "--prime", "11")
         assert code == 2 and err.startswith("error: could not draw"), argv
@@ -350,7 +350,7 @@ def test_degenerate_draw_is_a_usage_error(monkeypatch, capsys):
 def test_degenerate_draw_in_a_batched_round_is_a_usage_error(monkeypatch, capsys):
     # the tenth draw of the first 4.5 triple fails while its round is half built
     draws = []
-    real = verify.condition_matrices
+    real = verify.condition_stacks
 
     def flaky(batch):
         for draw in batch:
@@ -359,7 +359,7 @@ def test_degenerate_draw_in_a_batched_round_is_a_usage_error(monkeypatch, capsys
                 raise DegenerateDrawError("could not draw independent directions over GF(31991)")
         return real(batch)
 
-    monkeypatch.setattr(verify, "condition_matrices", flaky)
+    monkeypatch.setattr(verify, "condition_stacks", flaky)
     code, out, err = run_cli(capsys, "props", "--prop", "4.5")
     assert code == 2 and out == "" and len(draws) == 10
     assert err.count("\n") == 1 and err.startswith("error: could not draw")
@@ -412,10 +412,11 @@ def test_sampled_48_triples_share_one_round(monkeypatch, capsys):
     # the nine triples' 90 cases fill one trial round across triple boundaries:
     # one draw-and-build call and one rank call for the whole command
     builds, ranked = [], []
-    real_build, real_ranks = verify.condition_matrices, verify.ranks
-    monkeypatch.setattr(verify, "condition_matrices",
+    real_build, real_ranks = verify.condition_stacks, verify.stack_ranks
+    monkeypatch.setattr(verify, "condition_stacks",
                         lambda draws: builds.append(len(draws)) or real_build(draws))
-    monkeypatch.setattr(verify, "ranks", lambda ms, p: ranked.append(len(ms)) or real_ranks(ms, p))
+    monkeypatch.setattr(verify, "stack_ranks", lambda stacks, p: ranked.append(
+        sum(len(index) for index, _ in stacks)) or real_ranks(stacks, p))
     code, out, _ = run_cli(capsys, "props", "--prop", "4.8", "--sample", "10")
     cases = json.loads(out)["cases"]
     assert code == 0 and len(cases) == 90 and len({c["case"].split(")")[0] for c in cases}) == 9

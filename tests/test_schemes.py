@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppinterp.gf import DEFAULT_PRIME
-from ppinterp.linalg import nullspace_dim, rank
+from ppinterp.linalg import nullspace_dim, rank, rank_rows, stack_ranks
 from ppinterp.monomials import (
     AFFINE,
     HOMOGENEOUS,
@@ -261,6 +262,39 @@ def test_projective_build_equals_exact_rows(case):
     assert_projective_build_exact(inst, basis)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, P, 67108859])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_slot_rows_equal_jacobian_rows_and_exact_rows(monkeypatch, p, d):
+    # d*(p-1)**d < 2**63, so one reduction per row, everywhere but at 67108859
+    # with d >= 3, where every product is reduced; the slot rule runs where d < nv
+    rng = np.random.default_rng(10 * p + d)
+    for n in range(1, 9):
+        basis = build_basis(HOMOGENEOUS, n, d)
+        layout, nv = schemes._slot_layout(basis), n + 1
+        assert schemes._slot_rule(d, nv, p) == (d < nv)
+        owner = np.repeat(np.arange(4), [0, 1, 3, nv])  # no combination, one, three, all nv
+        with_value = np.array([True, False, True, False])
+        for worst in (False, True):  # uniform residues, or p-1 everywhere
+            points = rng.integers(0, p, size=(4, nv))
+            coeffs = rng.integers(0, p, size=(len(owner), nv))
+            if worst:
+                points[:], coeffs[:] = p - 1, p - 1
+            coeffs[-nv:] = np.eye(nv, dtype=np.int64)  # a double point's full jacobian
+            slots = schemes._projective_rows(layout, points, with_value, coeffs, owner, p)
+            with monkeypatch.context() as patched:
+                patched.setattr(schemes, "_slot_rule", lambda *args: False)
+                jacobian = schemes._projective_rows(layout, points, with_value, coeffs, owner, p)
+            exact = []
+            for c, point in enumerate(points.tolist()):
+                block = jacobian_block(basis, point, prime=p)
+                if with_value[c]:
+                    exact.append(eval_row(basis, point, prime=p))
+                exact += [[sum(a * block[k][j] for k, a in enumerate(coeffs[r].tolist())) % p
+                           for j in range(len(basis))] for r in np.flatnonzero(owner == c)]
+            assert slots.dtype == jacobian.dtype == np.int64
+            assert slots.tolist() == jacobian.tolist() == exact, (n, worst)
+
+
 @pytest.mark.parametrize("prime", [P, 67108859])
 def test_projective_build_p8_three_subspaces_equals_exact_rows(prime):
     # 67108859 is the largest prime below MAX_PRIME: the int64 build is exact there
@@ -448,6 +482,50 @@ def test_condition_matrices_mixed_round_keeps_input_order(monkeypatch):
     assert (layouts, alone) == ([3, 2, 1], [])
 
 
+def test_condition_stacks_members_equal_their_builds(monkeypatch):
+    # A round of batched draws (some fail the batch's checks at p = 3 and are
+    # redrawn alone), lone draws, affine builders and a builder of Python
+    # ints beyond int64.  The 6 x 10 matrices of a lone draw and of the
+    # affine builder on P^2 cubics share one stack with batched ones.
+    from ppinterp.verify import _affine_builder
+
+    plane = build_basis(HOMOGENEOUS, 2, 3)
+    crowded = ProjectiveDraw(2, (ComponentSpec(1),) * 6 + (ComponentSpec(3),) * 2
+                             + (ComponentSpec(2),) * 2, (), plane, 3)
+    pair = crowded._replace(specs=(ComponentSpec(3),) * 2)
+    lone = crowded._replace(specs=(ComponentSpec(2),), basis=build_basis(HOMOGENEOUS, 2, 2))
+    affine = _affine_builder(2, 3, (2, 1, 0), 3)
+
+    def wide(seed):
+        return np.array([[2**70 + seed, 1], [3, 4]], dtype=object)
+
+    builders = [crowded, affine, pair, wide, crowded, lone, pair, affine] + [crowded] * 8
+    draws = [(build, 100 + i) for i, build in enumerate(builders)]
+    expected = [build(seed) for build, seed in draws]
+    layouts, alone = _count_paths(monkeypatch)
+    stacks = schemes.condition_stacks(draws)
+    assert layouts == [12, 1] and len(alone) > 0  # some crowded draws were redrawn alone
+    assert sorted(i for index, _ in stacks for i in index) == list(range(len(draws)))
+    for index, stack in stacks:
+        assert stack.ndim == 3 and len(stack) == len(index)
+        for i, member in zip(index, stack):
+            want = expected[i]
+            assert (member.dtype, member.shape, member.tolist()) == (
+                want.dtype, want.shape, want.tolist())
+            if want.dtype == np.int64:
+                assert member.tobytes() == want.tobytes()
+    shapes = [stack.shape[1:] for _, stack in stacks if stack.dtype == np.int64]
+    assert len(shapes) == len(set(shapes)) == 3  # one stack per shape: 16 x 10, 6 x 10, 2 x 6
+    assert [len(index) for index, stack in stacks if stack.shape[1:] == (6, 10)] == [4]
+    assert stack_ranks(stacks, 3) == [rank_rows(np.asarray(m).tolist(), 3) for m in expected]
+
+    def failing(seed):
+        raise DegenerateDrawError("could not draw distinct points over GF(3)")
+
+    with pytest.raises(DegenerateDrawError):
+        schemes.condition_stacks(draws[:3] + [(failing, 1)] + draws[3:])
+
+
 @pytest.mark.parametrize("prime", BATCH_PRIMES)
 def test_randbelow_stream_replays_randrange(prime):
     # randrange(p) keeps the getrandbits(p.bit_length()) values below p
@@ -495,6 +573,19 @@ def test_affine_build_reduces_entries_and_rejects_zero_directions():
     # a rational entry is not a residue: refused rather than truncated to 0
     with pytest.raises(TypeError):
         condition_matrix_affine(InterpolationProblem(1, 2, [[Fraction(1, 2)]], [[]]), prime=P)
+
+
+@pytest.mark.parametrize("modulus", [9, 31991 * 3, 2**26 - 1])
+def test_builders_refuse_a_composite_modulus(modulus):
+    # the affine problem was built as [[1, 2, 4], [0, 1, 4]] mod 9 and the points
+    # drawn mod 9, where every GF(p) entry point of linalg refuses the modulus
+    with pytest.raises(ValueError, match="not a prime"):
+        condition_matrix_affine(InterpolationProblem(1, 2, [[2]], [[[1]]]), prime=modulus)
+    with pytest.raises(ValueError, match="not a prime"):
+        random_instance(2, [ComponentSpec(3), ComponentSpec(1)], (), modulus, 1)
+    inst = dataclasses.replace(random_instance(2, [ComponentSpec(3)], (), 7, 1), prime=modulus)
+    with pytest.raises(ValueError, match="not a prime"):
+        condition_matrix_projective(inst, build_basis(HOMOGENEOUS, 2, 2))
 
 
 def test_affine_coordinates_are_read_exactly():

@@ -205,8 +205,9 @@ def test_trials_runs_rounds_of_batched_jobs(monkeypatch):
     import numpy as np
 
     calls = []
-    real = verify.ranks
-    monkeypatch.setattr(verify, "ranks", lambda ms, p: calls.append(len(ms)) or real(ms, p))
+    real = verify.stack_ranks
+    monkeypatch.setattr(verify, "stack_ranks", lambda stacks, p: calls.append(
+        sum(len(index) for index, _ in stacks)) or real(stacks, p))
     monkeypatch.setattr(verify, "ROUND_CASES", 2)
     seeds = []
 
