@@ -52,6 +52,19 @@ except ImportError:  # extension not built, or built from an older source
     KERNEL = "python"
 
 
+def _integer_array(a):
+    """``a`` as a numpy array, refused with TypeError unless its dtype is an integer dtype.
+
+    A float, bool, complex or object entry (a Python int beyond int64
+    included) could be truncated or rounded on the way into the kernels.
+    An empty array passes whatever its dtype: it has no entry to round.
+    """
+    arr = np.asarray(a)
+    if arr.dtype.kind not in "iu" and arr.size:
+        raise TypeError(f"GF(p) needs integer entries, not {arr.dtype}")
+    return arr
+
+
 def echelon_mod(a, ncols: int, p: int):
     """Forward elimination mod the prime p of an augmented integer matrix ``[A | B]``.
 
@@ -61,6 +74,9 @@ def echelon_mod(a, ncols: int, p: int):
     int64 array, whose pivot rows come first and have their pivot scaled to 1,
     and the pivot columns.
     """
+    a = _integer_array(a)
+    if a.dtype == np.uint64:  # reduced first, so an entry above 2**63 is not wrapped
+        a = a % p
     arr = np.array(a, dtype=np.int64, order="C", copy=True)
     if arr.ndim != 2:
         raise ValueError("expected a 2-d matrix")
@@ -121,24 +137,31 @@ def rank_mod(stack, p: int):
     FFLAS-FFPACK scheme of Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).
     To reduce t is to replace it by ``t - p*rint(t/p)``, the quotient taken
     as ``t*(1/p)``.  While |t| <= 2**53 - p, that quotient is within 2/p of
-    t/p (exact at p = 2; at p = 3, |t| stays far smaller), so a multiple of
-    p becomes exactly 0, any other t a nonzero residue of size at most
-    h = p//2 + 2, and every product and difference on the way is exact.  A
-    reduction by ``floor`` instead would read some multiples of p as p, a
-    nonzero pivot, and over-report the rank.
+    t/p (exact at p = 2; within 1/2 at p = 3, where 1/p rounds by only
+    2**-54 of itself), so a multiple of p becomes exactly 0, any other t a
+    nonzero residue of size at most h = p//2 + 2, and every product and
+    difference on the way is exact.  A reduction by ``floor`` instead would
+    read some multiples of p as p, a nonzero pivot, and over-report the
+    rank.
 
-    Entries start as symmetric residues, |t| <= p//2.  Step c reduces only
-    column c from row c down, before its pivot search, and the pivot row,
-    which it scales by the inverse of its lead and reduces again.  The
-    update ``t -= f*row`` of the trailing block is then two passes, an outer
-    product and a subtraction, and adds at most h**2 to any entry.  The
-    whole trailing block is reduced only when ``room`` updates are pending,
-    so |t| <= h + room*h**2 <= 2**53 - p throughout: never at p = 31991
-    below millions of columns, every 8 columns near p = 2**26.  The pivot
-    row is reduced before it is scaled only when its entries could make the
-    product with an inverse (below p) too large.
+    The entry is one cast and one reduction: the stack is cast into the
+    float64 ``(m, n, B)`` buffer and reduced there, so every entry starts at
+    most h.  Only a stack with an entry beyond +-(2**53 - p), which the cast
+    could round, is first reduced in its integer dtype.  A dtype that is not
+    an integer dtype raises TypeError: its entries could be truncated or
+    rounded.
+
+    Step c reduces only column c from row c down, before its pivot search,
+    and the pivot row, which it scales by the inverse of its lead and
+    reduces again.  The update ``t -= f*row`` of the trailing block is then
+    two passes, an outer product and a subtraction, and adds at most h**2 to
+    any entry.  The whole trailing block is reduced only when ``room``
+    updates are pending, so |t| <= h + room*h**2 <= 2**53 - p throughout:
+    never at p = 31991 below millions of columns, every 8 columns near
+    p = 2**26.  The pivot row is reduced before it is scaled only when its
+    entries could make the product with an inverse (below p) too large.
     """
-    a = np.asarray(stack)
+    a = _integer_array(stack)
     if a.ndim != 3:
         raise ValueError("expected a (B, m, n) stack")
     if a.shape[1] < a.shape[2]:
@@ -147,9 +170,6 @@ def rank_mod(stack, p: int):
     live = np.full(batch, n, dtype=np.int64)
     if a.size == 0:
         return live
-    t, a = a.transpose(1, 2, 0), np.empty((m, n, batch))
-    np.remainder(t, p, out=a)  # in int64, each residue cast to float64 as it is stored
-    np.subtract(a, p, out=a, where=a > p // 2)
     h = p // 2 + 2
     limit = 2**53 - p
     room = (limit - h) // (h * h)
@@ -163,6 +183,11 @@ def rank_mod(stack, p: int):
         q *= p
         t -= q
 
+    if int(a.min()) < -limit or int(a.max()) > limit:
+        a = np.remainder(a, p)
+    t, a = a.transpose(1, 2, 0), np.empty((m, n, batch))
+    np.copyto(a, t)
+    reduce(a, scratch)
     pending = 0  # trailing-block updates since its entries were last at most h
     for c in range(n):
         if pending:

@@ -78,7 +78,9 @@ _ROWS_WORK = 0 if KERNEL == "c" else 1000
 # 38-42 against 49-59 us at order 27, 66-72 against 69-89 at 36, 120-126
 # against 161-188 at 46 and 323-330 against 353-477 at 63 (0.26-0.28 s a
 # pass against 0.29-0.36 s for rank_mod), and 0.044-0.045 s against
-# 0.21-0.22 s on the small-cases stacks of orders 3-70.
+# 0.21-0.22 s on the small-cases stacks of orders 3-70.  With rank_mod's
+# one-cast entry the two are even on the cubic-sweeps stacks (BENCH_17.json:
+# 0.29-0.31 s a pass either way), so the compiled loop keeps them.
 _SCREEN_CELLS = 1 << 18
 
 # Smallest order that solve_square over Q lifts p-adically rather than

@@ -518,7 +518,10 @@ def _batchable(n, subspaces, basis, prime, draw_specs):
 
     ``draw_specs`` holds each draw's specs.  A table row is (length, support,
     residual) with support -1 for a free component and residual 0 where there
-    is none; rows follow the taken draws' components in order.
+    is none; rows follow the taken draws' components in order.  Specs are
+    keyed by identity, so each spec object is validated once a call; the
+    job builders of ``verify`` make one object per distinct spec, so a trial
+    round validates each distinct spec once, not once per component.
     """
     nv = n + 1
     if (not isinstance(prime, int) or not 2 <= prime < MAX_PRIME or not is_prime(prime)

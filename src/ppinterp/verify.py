@@ -30,6 +30,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 
 from . import theory
@@ -223,25 +224,30 @@ P8_LEFTOVER_TRIPLES = (
 _RESIDUAL_LENGTH_OFFSET = {3: 0, 2: 1, 1: 2}
 
 
+# The one ComponentSpec of each (length, support, residual), given positionally:
+# a command's jobs share their spec objects, so schemes.condition_stacks
+# validates each distinct spec once a round (it keys them by identity).
+_spec = lru_cache(maxsize=256)(ComponentSpec)
+
+
 def specs_on_subspace(n: int, idx: int, tdu) -> list:
     t, d, u = tdu
     out = []
     for r, count in ((3, t), (2, d), (1, u)):
-        out += [ComponentSpec(n + 1 - _RESIDUAL_LENGTH_OFFSET[r], idx, r)] * count
+        out += [_spec(n + 1 - _RESIDUAL_LENGTH_OFFSET[r], idx, r)] * count
     return out
 
 
 def specs_free(n: int, xo_vector) -> list:
     out = []
     for slot, count in enumerate(xo_vector):
-        out += [ComponentSpec(n + 1 - slot)] * count
+        out += [_spec(n + 1 - slot)] * count
     return out
 
 
 def _general_scheme(n, lengths, d, prime) -> ProjectiveDraw:
     """Free components of the given lengths in P^n, against every degree-d form."""
-    return ProjectiveDraw(n, tuple(ComponentSpec(l) for l in lengths), (),
-                          build_basis(HOMOGENEOUS, n, d), prime)
+    return ProjectiveDraw(n, tuple(map(_spec, lengths)), (), build_basis(HOMOGENEOUS, n, d), prime)
 
 
 def _on_subspace(tag: str, n: int, idx: int, degree: int):
@@ -262,21 +268,30 @@ def _partition_jobs(policy: TrialPolicy, n: int, subspaces, basis, prefix: str, 
     ``families`` are (tag, partitions, specs-of) triples, as made by
     :func:`_on_subspace` and :func:`_free_part`; a job's label is ``prefix``
     followed by ``tag=partition`` for each family, and its scheme joins the
-    families' specs.  ``sample=(count, key)`` keeps ``count`` combinations,
-    chosen by a random stream seeded from ``key``.  A suite chains the jobs
-    of its triples into one stream for :func:`_cases`, so a trial round can
-    span triples.
+    families' specs.  Each family's label piece and specs of a partition are
+    made once, the first time a combination holds that partition, so jobs
+    with a part in common share its specs and a sample makes only the parts
+    it draws.  ``sample=(count, key)`` keeps ``count`` combinations, chosen
+    by a random stream seeded from ``key``.  A suite chains the jobs of its
+    triples into one stream for :func:`_cases`, so a trial round can span
+    triples.
     """
     combos = list(itertools.product(*(parts for _, parts, _ in families)))
     if sample is not None and sample[0] < len(combos):
         count, key = sample
         combos = random.Random(child_seed(policy.seed, key, 0)).sample(combos, count)
+    tables = [{} for _ in families]  # per family: partition -> (label piece, specs)
+
+    def entry(k, part):
+        if part not in tables[k]:
+            tag, _, specs_of = families[k]
+            tables[k][part] = f"{tag}={','.join(map(str, part))}", tuple(specs_of(part))
+        return tables[k][part]
+
     for combo in combos:
-        label = " ".join([prefix] + [
-            f"{tag}={','.join(map(str, part))}" for (tag, _, _), part in zip(families, combo)
-        ])
-        specs = [s for (_, _, specs_of), part in zip(families, combo) for s in specs_of(part)]
-        yield label, ProjectiveDraw(n, tuple(specs), subspaces, basis, policy.prime), len(basis)
+        pieces, specs = zip(*(entry(k, part) for k, part in enumerate(combo)))
+        yield (" ".join((prefix, *pieces)),
+               ProjectiveDraw(n, sum(specs, ()), subspaces, basis, policy.prime), len(basis))
 
 
 def _prop45_jobs(policy: TrialPolicy):
@@ -298,7 +313,7 @@ def verify_prop45(policy: TrialPolicy) -> list:
 
 def _remark46_jobs(policy: TrialPolicy) -> list:
     basis = vanishing_basis(8, 3, P8_SUBSPACES)
-    dp = lambda idx, k: (ComponentSpec(9, idx, 3),) * k
+    dp = lambda idx, k: (_spec(9, idx, 3),) * k
     draw = lambda specs: ProjectiveDraw(8, specs, P8_SUBSPACES, basis, policy.prime)
     return [
         ("4.6 (0,0,27)", draw(dp(2, 9)), 27),

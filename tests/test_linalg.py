@@ -720,6 +720,76 @@ def test_screen_reduces_the_trailing_block_exactly_near_2_26(p):
     assert rank_mod(worst, p).tolist() == [24, 23, 23]
 
 
+@pytest.mark.parametrize("p", [2, 3, 31991, 67108859])
+def test_rank_mod_entry_reduces_entries_of_any_size(p):
+    # rank_mod casts its entries to float64 and reduces them there, unless one
+    # lies beyond +-(2**53 - p): then it reduces them in int64 first.  Each
+    # member's residues (random, a dependent row, a dependent column, all
+    # zero) are lifted to integers of either sign near a top: 2**53 - p, the
+    # largest the float path takes, or 2**62.  Some entries are then set to
+    # small negative values and values >= p, and the random member gets
+    # entries at exactly +-top.  A dependency survives only if every multiple
+    # of p reads as exactly 0.
+    rng = np.random.default_rng(p)
+    limit = 2**53 - p
+
+    def lift(r, top):
+        """Integers congruent to the residues r, within 4p below top, of random sign."""
+        sign = rng.choice([1, -1], size=r.shape)
+        r = np.where(sign > 0, r, -r % p)
+        return sign * (r + p * ((top - r) // p - rng.integers(0, 4, size=r.shape)))
+
+    for m, n in ((7, 4), (4, 7), (6, 6), (1, 3), (3, 1)):
+        for top in (limit, 2**62):
+            residues = rng.integers(0, p, size=(5, m, n))
+            residues[1, -1] = residues[1, 0] * 2 % p
+            residues[2, :, -1] = residues[2, :, 0] * (p - 1) % p
+            residues[3] = 0
+            stack = lift(residues, top)
+            small = rng.random(stack.shape) < 0.2
+            stack[small] = residues[small] + p * rng.integers(-3, 4, size=small.sum())
+            edge = rng.random((m, n)) < 0.3
+            stack[4][edge] = rng.choice([top, -top], size=edge.sum())
+            assert np.abs(stack).max() <= top
+            expected = [rank_rows(a.tolist(), p) for a in stack]
+            assert expected[3] == 0
+            assert (m == 1 or expected[1] < m) and (n == 1 or expected[2] < n)
+            assert rank_mod(stack, p).tolist() == expected
+            assert rank_mod(stack.transpose(0, 2, 1), p).tolist() == expected
+            for one_sign in (np.abs(stack), -np.abs(stack)):  # the min or the max alone is large
+                assert rank_mod(one_sign, p).tolist() == [rank_rows(a.tolist(), p)
+                                                          for a in one_sign]
+
+
+def test_gf_kernels_refuse_inexact_dtypes():
+    # rank_mod once read 0.5 as a residue and gave rank 2; echelon_mod truncated it to 0
+    halves = [[0.5, 1.0], [1.0, 2.0]]
+    with pytest.raises(TypeError):
+        rank_mod(np.array([halves]), 7)
+    with pytest.raises(TypeError):
+        echelon_mod(halves, 2, 7)
+    for dtype in (np.float64, np.float32, np.bool_, np.complex128, object):
+        matrix = np.array(halves).astype(dtype)
+        with pytest.raises(TypeError):
+            rank_mod(matrix[None], 7)
+        with pytest.raises(TypeError):
+            echelon_mod(matrix, 2, 7)
+    with pytest.raises(TypeError):  # a Python int beyond int64 makes an object array
+        echelon_mod([[2**70, 1], [1, 1]], 2, 7)
+    # integer dtypes of every width pass, and uint64 above 2**63 is reduced, not wrapped
+    ones = np.array([[1, 2], [2, 4]])
+    for dtype in (np.int8, np.uint8, np.int16, np.uint32, np.int64, np.uint64):
+        assert rank_mod(ones.astype(dtype)[None], 7).tolist() == [1]
+        assert echelon_mod(ones.astype(dtype), 2, 7)[1] == [0]
+    top = np.array([[2**64 - 1, 1], [1, 1]], dtype=np.uint64)  # 2**64 - 1 = 1 mod 7, rank 1
+    assert rank_rows(top.tolist(), 7) == 1  # wrapped to -1, the first row would be independent
+    assert rank_mod(top[None], 7).tolist() == [1]
+    assert echelon_mod(top, 2, 7)[1] == [0]
+    # an empty matrix has no entry to round, whatever its dtype
+    assert rank_mod(np.zeros((2, 0, 3)), 7).tolist() == [0, 0]
+    assert echelon_mod(np.zeros((0, 2)), 2, 7)[1] == []
+
+
 @pytest.mark.parametrize("p", [2, 7, 31991, 65521])
 def test_inverse_table_matches_pow(p):
     # every residue, as the symmetric lead x - p and as x itself

@@ -228,3 +228,35 @@ def test_trials_runs_rounds_of_batched_jobs(monkeypatch):
                                    for label, t in [("full", 0), ("short", 0), ("short", 1),
                                                     ("short", 2), ("dim", 0), ("dim", 1),
                                                     ("dim", 2)])
+
+
+def test_jobs_share_their_spec_objects(monkeypatch):
+    # One round of the n = 5 base sweep: condition_stacks validates each
+    # distinct spec at most once, and jobs with a partition part in common
+    # hold the same spec objects for it.
+    import itertools
+    from collections import Counter
+
+    from ppinterp.schemes import ComponentSpec, condition_stacks
+
+    jobs = list(itertools.islice(verify._base_jobs(POLICY, 5), verify.ROUND_CASES))
+    validated = Counter()
+    real = ComponentSpec.validate
+    monkeypatch.setattr(ComponentSpec, "validate",
+                        lambda self, n, k: validated.update([self]) or real(self, n, k))
+    stacks = condition_stacks((build, child_seed(POLICY.seed, label, 0))
+                              for label, build, _ in jobs)
+    assert sum(len(index) for index, _ in stacks) == len(jobs)
+    distinct = {s for _, build, _ in jobs for s in build.specs}
+    assert set(validated) == distinct and max(validated.values()) == 1
+    assert len({id(s) for _, build, _ in jobs for s in build.specs}) == len(distinct)
+    # the first family's part (L=...) opens each label and each job's specs
+    by_part = {}
+    for label, build, _ in jobs:
+        piece = label.split()[3]
+        t, d, u = map(int, piece[2:].split(","))
+        by_part.setdefault(piece, []).append(build.specs[:t + d + u])
+    shared = [specs for specs in by_part.values() if len(specs) > 1]
+    assert shared
+    for first, *others in shared:
+        assert all(all(a is b for a, b in zip(first, specs)) for specs in others)
