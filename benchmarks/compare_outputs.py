@@ -7,7 +7,10 @@ as they were.  This script runs the same CLI commands in both checkouts
 (``python -m ppinterp.cli`` with the checkout's ``src`` on PYTHONPATH) and
 compares, command by command, the exit code, the sha256 of the report's
 ``cases`` (of all of stdout for ``solve``, whose output holds no timing) and
-stderr.
+stderr.  The second checkout runs each command twice: on every CPU this
+process may use, where a command's trial batches run in several processes,
+and pinned to one CPU, where they run in one; both runs are compared with
+the first checkout's.
 
 The commands:
 
@@ -21,8 +24,9 @@ The commands:
   directory, each with ``--field rational``, ``--field gf`` and ``--field gf``
   at primes 7 and 67108859 (176 commands).
 
-Commands run two at a time.  Prints one line per mismatch and a summary, and
-exits 1 on any mismatch, 0 otherwise.
+Commands run two at a time.  Prints one line per mismatch and a summary with
+the number of commands run each way, and exits 1 on any mismatch, 0
+otherwise.
 
 Usage: python benchmarks/compare_outputs.py PARENT CHANGE
 """
@@ -85,11 +89,15 @@ def commands(problems) -> list:
     return out + [["solve", path, *field] for path in problems for field in SOLVE_FIELDS]
 
 
-def run(checkout: Path, argv, workdir: Path):
-    """(exit code, sha256 of the cases or of stdout, stderr) of one command in one checkout."""
+def run(checkout: Path, argv, workdir: Path, cpus=None):
+    """(exit code, sha256 of the cases or of stdout, stderr) of one command in one checkout.
+
+    ``cpus``: the set of CPUs the command may run on (default: this process's).
+    """
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    pin = None if cpus is None else (lambda: os.sched_setaffinity(0, cpus))
     done = subprocess.run([sys.executable, "-m", "ppinterp.cli", *argv], cwd=workdir, env=env,
-                          capture_output=True)
+                          capture_output=True, preexec_fn=pin)
     payload = done.stdout
     if argv[0] != "solve" and payload:
         payload = json.dumps(json.loads(payload)["cases"], sort_keys=True).encode()
@@ -101,21 +109,26 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, help="checkout whose outputs are the reference")
     parser.add_argument("change", type=Path, help="checkout to compare against it")
     args = parser.parse_args(argv)
-    trees = [args.parent.resolve(), args.change.resolve()]
+    parent, change = args.parent.resolve(), args.change.resolve()
+    one_cpu = {min(os.sched_getaffinity(0))}
+    runs = ((parent, None, ""), (change, None, ""), (change, one_cpu, " (one CPU)"))
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        cmds = commands(problem_files(trees[0], workdir))
+        cmds = commands(problem_files(parent, workdir))
         with ThreadPoolExecutor(max_workers=2) as pool:
-            futures = [[pool.submit(run, tree, cmd, workdir) for cmd in cmds] for tree in trees]
+            futures = [[pool.submit(run, tree, cmd, workdir, cpus) for cmd in cmds]
+                       for tree, cpus, _ in runs]
             results = [[f.result() for f in side] for side in futures]
     mismatches = 0
-    for cmd, before, after in zip(cmds, *results):
-        for what, a, b in zip(("exit code", "cases sha256", "stderr"), before, after):
-            if a != b:
-                mismatches += 1
-                print(f"MISMATCH {what}: {' '.join(cmd)}: {a!r} != {b!r}")
+    for (_, _, how), side in zip(runs[1:], results[1:]):
+        for cmd, before, after in zip(cmds, results[0], side):
+            for what, a, b in zip(("exit code", "cases sha256", "stderr"), before, after):
+                if a != b:
+                    mismatches += 1
+                    print(f"MISMATCH {what}{how}: {' '.join(cmd)}: {a!r} != {b!r}")
     codes = Counter(code for code, _, _ in results[0])
-    print(f"{len(cmds)} commands, {mismatches} mismatches; parent exit codes "
+    print(f"{len(cmds)} commands, each run on {len(os.sched_getaffinity(0))} CPUs and on one;"
+          f" {mismatches} mismatches; parent exit codes "
           + ", ".join(f"{n} x {code}" for code, n in sorted(codes.items())))
     return 1 if mismatches else 0
 

@@ -3,12 +3,13 @@
 Exit codes: 0 when everything passes (or a prediction/solution was
 produced), 1 on a mathematical failure (SUSPECT verdict, singular or
 inconsistent system), 2 on usage errors, including a prime too small to
-draw the requested random data.
+draw the requested random data and an --out path that cannot be written
+(checked before any work, and again when written).
 
 Reports are JSON by default (CSV via --format csv).  Timing lives in a
-separate "timing" section, and the kernel and versions that produced the
-report in "config", so that rerunning with the same --seed yields a
-byte-identical "cases" payload.
+separate "timing" section, and the kernel, versions and number of
+processes that produced the report in "config", so that rerunning with the
+same --seed yields a byte-identical "cases" payload.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import functools
 import io
 import json
+import os
 import platform
 import sys
 
@@ -49,10 +52,32 @@ def _policy(args, max_degree: int) -> TrialPolicy:
     return TrialPolicy(trials=args.trials, prime=args.prime, seed=args.seed)
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out path that cannot be written, before any work is done."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        reason = os.strerror(errno.EISDIR)
+    elif not os.path.isdir(parent):
+        reason = f"no directory {parent}"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        reason = os.strerror(errno.EACCES)
+    else:
+        return
+    raise ValueError(f"cannot write {path}: {reason}")
+
+
+def _write_out(args, write) -> None:
+    """Call ``write`` on the --out file; an OSError is a usage error."""
+    try:
+        with open(args.out, "w") as fh:
+            write(fh)
+    except OSError as err:
+        raise ValueError(f"cannot write {args.out}: {err.strerror or err}") from None
+
+
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_out(args, lambda fh: fh.write(text))
     else:
         sys.stdout.write(text)
 
@@ -64,8 +89,7 @@ def _emit_json(args, doc) -> None:
     first joins them into one string: a large report never exists whole.
     """
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+        _write_out(args, lambda fh: json.dump(doc, fh, indent=2, sort_keys=True))
     else:
         json.dump(doc, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
@@ -79,6 +103,7 @@ def _report_doc(args, reports) -> dict:
             "seed": getattr(args, "seed", None),
             "trials": getattr(args, "trials", None),
             "deep": bool(getattr(args, "deep", False)),
+            "processes": verify.batch_processes,
             "kernel": linalg.KERNEL,
             "version": __version__,
             "numpy": np.__version__,
@@ -311,7 +336,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    verify.batch_processes = 1
     try:
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except (ValueError, DegenerateDrawError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -47,6 +47,14 @@ class MonomialBasis:
     d: int
     exponents: tuple
 
+    def __post_init__(self):
+        # a basis keys caches and groupings of every draw: hash its exponent
+        # tuple once (ints only, so the value is the same in every process)
+        object.__setattr__(self, "_exponents_hash", hash(self.exponents))
+
+    def __hash__(self):
+        return hash((self.mode, self.n, self.d, self._exponents_hash))
+
     @property
     def nvars(self) -> int:
         return self.n if self.mode == AFFINE else self.n + 1

@@ -19,15 +19,25 @@ of all its triples (and the ``p8`` and ``base`` suites those of all their
 propositions), so a round can span triples and fills up.  Each round makes one
 ``schemes.condition_stacks`` call, which draws and builds the round's scheme
 instances together into one stack per matrix shape, and one
-``linalg.stack_ranks`` call, which gives every matrix its exact rank.  A case's ``millis`` is an equal share of each of its
-rounds' build-and-rank time; for a command of one case that is its own time.
+``linalg.stack_ranks`` call, which gives every matrix its exact rank.
+
+Jobs run in batches of ``ROUND_CASES``.  A stream of two batches or more
+runs on every CPU the process may use: forked workers iterate the same
+stream, process k mod W runs batch k, and only each batch's ranks travel
+back, so the batches overlap and the cases are those of one process
+(``taskset -c 0`` runs serially).  A case's ``millis`` is an equal share of
+each of its rounds' build-and-rank time in the process that ran its batch;
+for a command of one case that is its own time.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import os
+import pickle
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -57,6 +67,10 @@ DEFAULT_SEED = 1000003
 # are alive at once, whatever the size of the sweep.  At 256 the peak RSS of
 # the small-cases benchmark pass (the 200-case affine sweep) rose by 2 MB.
 ROUND_CASES = 128
+
+# The most processes that ran the batches of one trial stream since the CLI
+# last set it to 1; a report's "config" gives it as "processes".
+batch_processes = 1
 
 PASS = "PASS"
 SUSPECT = "SUSPECT"
@@ -115,40 +129,151 @@ def child_seed(root_seed: int, label: str, trial: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _process_count() -> int:
+    """How many processes may run a stream's batches: the CPUs this process
+    may run on (``taskset -c 0`` gives one), or one where Linux's affinity
+    call is missing."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+def _round(policy: TrialPolicy, batch):
+    """Each job's measured ranks and seconds over the trial rounds of one batch.
+
+    Trial t of a job ranks ``build(child_seed(seed, label, t))``, and the job
+    ends after a rank equal to its ``stop`` (None: it runs every trial).  Each
+    trial round builds the running jobs' matrices in one
+    ``schemes.condition_stacks`` call, as one stack per shape, and ranks the
+    stacks in one ``linalg.stack_ranks`` call; a job's seconds are an equal
+    share of each of its trial rounds' build-and-rank time.
+    """
+    measured = [[] for _ in batch]
+    seconds = [0.0] * len(batch)
+    running = range(len(batch))
+    for t in range(policy.trials):
+        t0 = time.perf_counter()
+        values = stack_ranks(condition_stacks(
+            [(batch[i][1], child_seed(policy.seed, batch[i][0], t)) for i in running]),
+            policy.prime)
+        share = (time.perf_counter() - t0) / len(running)
+        for i, r in zip(running, values):
+            stop = batch[i][2]
+            if stop is not None and r > stop:
+                raise AssertionError(f"measured rank {r} above the theoretical bound {stop}")
+            measured[i].append(r)
+            seconds[i] += share
+        running = [i for i in running if measured[i][-1] != batch[i][2]]
+        if not running:
+            break
+    return measured, seconds
+
+
+def _worker(policy: TrialPolicy, batches, rank: int, procs: int, fd: int):
+    """A forked process's whole life: run batches ``rank``, ``rank + procs``, ...
+
+    Each batch's ``(measured, seconds)``, or the exception it raised (the
+    last thing sent), is pickled to the pipe ``fd``.  It never returns into
+    its caller and writes nothing to stdout or stderr; a broken pipe ends it.
+    """
+    status = 1
+    try:
+        with os.fdopen(fd, "wb") as out:
+            for k, batch in enumerate(batches):
+                if k % procs == rank:
+                    try:
+                        result = _round(policy, batch)
+                    except Exception as err:
+                        result = err
+                    out.write(pickle.dumps(result))
+                    out.flush()
+                    if isinstance(result, Exception):
+                        break
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fork_workers(policy: TrialPolicy, batches, procs: int, workers: list) -> None:
+    """Fork worker ranks 1 .. ``procs - 1`` over ``batches``, listing each (pid, pipe) in ``workers``."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    for rank in range(1, procs):
+        r, w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            os.close(r)
+            _worker(policy, batches, rank, procs, w)
+        os.close(w)
+        workers.append((pid, os.fdopen(r, "rb")))
+
+
+def _reap(workers) -> None:
+    """End and wait for every worker still listed; a finished one just exits."""
+    while workers:
+        pid, pipe = workers.pop()
+        pipe.close()  # a worker still writing gets a broken pipe
+        os.waitpid(pid, 0)
+
+
 def _trials(policy: TrialPolicy, jobs):
     """The measured ranks of ``(label, build, stop)`` jobs, yielded in job order.
 
-    Trial t of a job ranks ``build(child_seed(seed, label, t))``, and the job
-    ends after a rank equal to its ``stop`` (None: it runs every trial).  Jobs
-    are taken ``ROUND_CASES`` at a time.  Each trial round builds the running
-    jobs' matrices in one ``schemes.condition_stacks`` call, as one stack per
-    shape, and ranks the stacks in one ``linalg.stack_ranks`` call.  Yields, per job, the job, its ranks (at
-    least one) and its milliseconds: an equal share of each of its rounds'
-    build-and-rank time.  ``jobs`` is a command's whole stream, so a batch
-    can hold jobs of several triples; it may be a generator, so only a
-    batch's builders are alive.
+    Jobs are taken ``ROUND_CASES`` at a time; :func:`_round` runs a batch
+    trial round by trial round.  Yields, per job, the job, its ranks (at
+    least one) and its milliseconds: an equal share of each of its trial
+    rounds' build-and-rank time in the process that ran its batch.
+    ``jobs`` is a command's whole stream, so a batch can hold jobs of
+    several triples; it may be a generator, so only a few batches' builders
+    are alive.
+
+    A stream of at least two batches runs on up to W processes, W the CPUs
+    this process may run on (:func:`_process_count`): the process forks
+    W - 1 workers, every process iterates the same stream, and process
+    k mod W runs batch k, so batches overlap.  Only each batch's ranks and
+    seconds travel back, through a pipe, and the parent yields them in
+    order; a worker's exception is raised at its batch's position.  Seeds
+    depend only on the root seed, the label and the trial, so the cases are
+    those of the serial path (``taskset -c 0``).  Every worker is reaped
+    before the last job is yielded, and killed on any early exit.
     """
+    global batch_processes
     jobs = iter(jobs)
-    while batch := list(itertools.islice(jobs, ROUND_CASES)):
-        measured = [[] for _ in batch]
-        seconds = [0.0] * len(batch)
-        running = range(len(batch))
-        for t in range(policy.trials):
-            t0 = time.perf_counter()
-            values = stack_ranks(condition_stacks(
-                [(batch[i][1], child_seed(policy.seed, batch[i][0], t)) for i in running]),
-                policy.prime)
-            share = (time.perf_counter() - t0) / len(running)
-            for i, r in zip(running, values):
-                stop = batch[i][2]
-                if stop is not None and r > stop:
-                    raise AssertionError(f"measured rank {r} above the theoretical bound {stop}")
-                measured[i].append(r)
-                seconds[i] += share
-            running = [i for i in running if measured[i][-1] != batch[i][2]]
-            if not running:
-                break
-        yield from zip(batch, measured, (s * 1000.0 for s in seconds))
+    batches = iter(lambda: list(itertools.islice(jobs, ROUND_CASES)), [])
+    head = list(itertools.islice(batches, _process_count()))
+    procs = max(len(head), 1)
+    batches = itertools.chain(head, batches)
+    batch_processes = max(batch_processes, procs)
+    workers = []
+    try:
+        _fork_workers(policy, batches, procs, workers)
+        pipes = [None] + [pipe for _, pipe in workers]
+        batch = next(batches, None)
+        k = 0
+        while batch is not None:
+            if k % procs == 0:
+                measured, seconds = _round(policy, batch)
+            else:
+                try:
+                    result = pickle.load(pipes[k % procs])
+                except EOFError:
+                    raise RuntimeError(f"a trial worker ended without the result of batch {k}")
+                if isinstance(result, Exception):
+                    raise result
+                measured, seconds = result
+            following = next(batches, None)
+            if following is None:
+                _reap(workers)
+            yield from zip(batch, measured, (s * 1000.0 for s in seconds))
+            batch, k = following, k + 1
+    finally:
+        if workers:  # only then: signal's import is a millisecond that no other path needs
+            import signal
+
+            for pid, _ in workers:  # listed workers are not reaped yet, so the pids are theirs
+                os.kill(pid, signal.SIGKILL)
+        _reap(workers)
 
 
 def _report(policy, label, kind, predicted, measured, ok, ms, note="", extra=None) -> CaseReport:
@@ -599,25 +724,24 @@ def quadric_bruteforce(policy: TrialPolicy, ns=(1, 2, 3, 4), extra_degree: int =
 
     Covers every length profile with parts <= n+1 and degree up to
     C(n+2,2) + extra_degree; one aggregated report per ambient dimension.
+    The profiles of every n run as one stream, and a report's ``millis`` is
+    the sum of its profiles' shares of their trial rounds.
     """
-    reports = []
-    for n in ns:
-        t0 = time.perf_counter()
-        dim = comb(n + 2, 2)
-        profiles = theory._profiles_up_to(n, dim + extra_degree)
-        jobs = ((f"bf P{n} {prof}", _general_scheme(n, prof, 2, policy.prime),
-                 min(sum(prof), dim)) for prof in profiles)
-        mismatches = [
-            prof for prof, ((_, _, full), measured, _) in zip(profiles, _trials(policy, jobs))
-            if (measured[-1] == full) != theory.predict_quadric_scheme(n, prof).independent
-        ]
-        reports.append(_report(
-            policy, f"quadric brute force P{n} deg<= {dim + extra_degree}", "enumeration",
-            len(profiles), [len(profiles) - len(mismatches)], not mismatches,
-            (time.perf_counter() - t0) * 1000.0,
-            note=f"disagreeing profiles: {mismatches[:5]}" if mismatches else "",
-        ))
-    return reports
+    degrees = {n: comb(n + 2, 2) + extra_degree for n in ns}
+    profiles = {n: theory._profiles_up_to(n, degrees[n]) for n in ns}
+    jobs = ((f"bf P{n} {prof}", _general_scheme(n, prof, 2, policy.prime),
+             min(sum(prof), comb(n + 2, 2)), n, prof) for n in ns for prof in profiles[n])
+    mismatches = {n: [] for n in ns}
+    millis = dict.fromkeys(ns, 0.0)
+    for (_, _, full, n, prof), measured, ms in _trials(policy, jobs):
+        millis[n] += ms
+        if (measured[-1] == full) != theory.predict_quadric_scheme(n, prof).independent:
+            mismatches[n].append(prof)
+    return [_report(
+        policy, f"quadric brute force P{n} deg<= {degrees[n]}", "enumeration",
+        len(profiles[n]), [len(profiles[n]) - len(mismatches[n])], not mismatches[n], millis[n],
+        note=f"disagreeing profiles: {mismatches[n][:5]}" if mismatches[n] else "",
+    ) for n in ns]
 
 
 # ---------------------------------------------------------------------------

@@ -585,3 +585,107 @@ def test_parser_built_once(monkeypatch, capsys):
     monkeypatch.setattr(cli, "build_parser", refuse)
     code, _, _ = run_cli(capsys, "verify", "--suite", "ah", "--trials", "1")
     assert code == 0
+
+
+def _no_child_left():
+    import os
+
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("batch", [1, 2], ids=["child batch", "parent batch"])
+@pytest.mark.parametrize("error", ["degenerate", "value", "rank bound"])
+def test_round_errors_end_the_command_as_when_serial(monkeypatch, capsys, error, batch):
+    # props --prop 4.5 in batches of 16 on two processes: batch 1 runs in the
+    # forked worker, batch 2 in this process; the error is raised by the draw
+    # (or, for the rank bound, by the ranks) of the batch's first job
+    monkeypatch.setattr(verify, "ROUND_CASES", 16)
+    jobs = list(verify._prop45_jobs(verify.TrialPolicy()))
+    target = verify.child_seed(verify.DEFAULT_SEED, jobs[16 * batch][0], 0)
+    real_build, real_ranks = verify.condition_stacks, verify.stack_ranks
+    hit = []
+
+    def build(draws):
+        draws = list(draws)
+        if any(seed == target for _, seed in draws):
+            if error == "degenerate":
+                raise DegenerateDrawError("could not draw independent directions over GF(31991)")
+            if error == "value":
+                raise ValueError("a value error in a round")
+            hit.append(True)
+        return real_build(draws)
+
+    def ranks(stacks, p):
+        return [r + 1 if hit else r for r in real_ranks(stacks, p)]
+
+    monkeypatch.setattr(verify, "condition_stacks", build)
+    monkeypatch.setattr(verify, "stack_ranks", ranks)
+    outcomes = []
+    for count in (1, 2):
+        monkeypatch.setattr(verify, "_process_count", lambda: count)
+        if error == "rank bound":
+            with pytest.raises(AssertionError) as raised:
+                main(["props", "--prop", "4.5"])
+            out, err = capsys.readouterr()
+            outcomes.append((type(raised.value), str(raised.value), out, err))
+        else:
+            outcomes.append(run_cli(capsys, "props", "--prop", "4.5"))
+        _no_child_left()
+    assert outcomes[0] == outcomes[1]
+    if error == "rank bound":
+        assert outcomes[0] == (AssertionError, "measured rank 28 above the theoretical bound 27",
+                               "", "")
+    else:
+        code, out, err = outcomes[0]
+        assert code == 2 and out == "" and err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_forked_report_says_how_many_processes(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "ROUND_CASES", 32)
+    docs = []
+    for count in (1, 2):
+        monkeypatch.setattr(verify, "_process_count", lambda: count)
+        code, out, _ = run_cli(capsys, "props", "--prop", "4.5")
+        docs.append(json.loads(out))
+        _no_child_left()
+    assert docs[0]["cases"] == docs[1]["cases"] and len(docs[0]["cases"]) == 222
+    assert [doc["config"]["processes"] for doc in docs] == [1, 2]
+    code, out, _ = run_cli(capsys, "verify", "--suite", "ah")  # one batch: no worker
+    assert json.loads(out)["config"]["processes"] == 1
+
+
+def _out_commands(tmp_path):
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"n": 1, "d": 3, "mode": "affine", "points": [[0], [1]],
+                                   "directions": [[[1]], [[1]]],
+                                   "values": [[0, 1], [1, 1]]}))
+    return [("predict", "-n", "2", "-d", "4", "-a", "2,2"), ("solve", str(problem)),
+            ("verify", "--suite", "ah"), ("tables", "-n", "3"), ("props", "--prop", "4.6")]
+
+
+@pytest.mark.parametrize("target", ["missing parent", "directory"])
+def test_unwritable_out_is_refused_before_any_work(monkeypatch, capsys, tmp_path, target):
+    from ppinterp import interp
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(verify, "_trials", refuse)
+    monkeypatch.setattr(interp, "load_problem", refuse)
+    path = tmp_path / "missing" / "x.json" if target == "missing parent" else tmp_path
+    for argv in _out_commands(tmp_path):
+        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1, argv
+
+
+def test_out_write_failure_is_a_usage_error(monkeypatch, capsys, tmp_path):
+    # a target that passes the early check but cannot be opened when written
+    from ppinterp import cli
+
+    monkeypatch.setattr(cli, "_check_out", lambda path: None)
+    for argv in _out_commands(tmp_path) + [("tables", "-n", "3", "--format", "csv")]:
+        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: cannot write {tmp_path}: Is a directory\n", argv

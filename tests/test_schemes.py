@@ -751,3 +751,27 @@ def test_subprofile_of_independent_scheme_fills_rows():
     m = condition_matrix_projective(inst, basis)
     assert m.shape[0] < len(basis)
     assert rank(m, P) == m.shape[0]
+
+
+def test_equal_bases_built_apart_share_one_slot_layout():
+    from ppinterp.monomials import MonomialBasis
+
+    basis = vanishing_basis(8, 3, (CoordinateSubspace({0, 1, 2}),))
+    twin = MonomialBasis(basis.mode, basis.n, basis.d, tuple(list(basis.exponents)))
+    assert twin is not basis and twin == basis and hash(twin) == hash(basis)
+    other = MonomialBasis(basis.mode, basis.n, basis.d, basis.exponents[:-1])
+    assert other != basis
+    # the exponents are hashed once, at construction, not on each hash()
+    hashed = []
+
+    class Exponent(tuple):
+        def __hash__(self):
+            hashed.append(self)
+            return tuple.__hash__(self)
+
+    spy = MonomialBasis(basis.mode, basis.n, basis.d, tuple(map(Exponent, basis.exponents)))
+    assert len(hashed) == len(basis) and hash(spy) == hash(spy) == hash(basis)
+    assert len(hashed) == len(basis) and spy == basis
+    schemes._slot_layout.cache_clear()
+    assert schemes._slot_layout(basis) is schemes._slot_layout(twin)
+    assert schemes._slot_layout.cache_info().currsize == 1

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from ppinterp import verify
@@ -209,6 +211,7 @@ def test_trials_runs_rounds_of_batched_jobs(monkeypatch):
     monkeypatch.setattr(verify, "stack_ranks", lambda stacks, p: calls.append(
         sum(len(index) for index, _ in stacks)) or real(stacks, p))
     monkeypatch.setattr(verify, "ROUND_CASES", 2)
+    monkeypatch.setattr(verify, "_process_count", lambda: 1)  # the spies live in this process
     seeds = []
 
     def build(rank):
@@ -260,3 +263,69 @@ def test_jobs_share_their_spec_objects(monkeypatch):
     assert shared
     for first, *others in shared:
         assert all(all(a is b for a, b in zip(first, specs)) for specs in others)
+
+
+def _no_child_left():
+    import os
+
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("procs", [2, 3])
+def test_forked_trials_give_the_serial_results(monkeypatch, procs):
+    # a stream of rank and deficiency claims in batches of 5 at p = 5, where
+    # many draws are deficient and cases run second and third trials
+    import os
+
+    monkeypatch.setattr(verify, "ROUND_CASES", 5)
+    policy = TrialPolicy(prime=5)
+    jobs = lambda: itertools.chain(itertools.islice(verify._prop45_jobs(policy), 18),
+                                   verify._remark46_jobs(policy))
+
+    real = verify._round
+
+    def run(count):
+        monkeypatch.setattr(verify, "_process_count", lambda: count)
+        pids = []
+        monkeypatch.setattr(verify, "_round", lambda *a: pids.append(os.getpid()) or real(*a))
+        return [(job[0], measured) for job, measured, _ in verify._trials(policy, jobs())], pids
+
+    serial, serial_pids = run(1)
+    forked, forked_pids = run(procs)
+    assert forked == serial and len(serial) == 21
+    assert {len(m) for _, m in serial} == {1, 2, 3}
+    assert any(label == "4.6 (0,6,21)" for label, _ in serial)
+    # five batches, of which this process ran those k with k % procs == 0
+    assert len(serial_pids) == 5 and len(forked_pids) == len(range(0, 5, procs))
+    _no_child_left()
+
+
+def test_trials_leave_no_process_when_not_exhausted(monkeypatch):
+    # the workers are reaped before the last job is yielded, as a zip that
+    # stops at the last job never resumes the stream; a stream closed early
+    # kills them
+    monkeypatch.setattr(verify, "ROUND_CASES", 16)
+    monkeypatch.setattr(verify, "_process_count", lambda: 2)
+    stream = verify._trials(POLICY, verify._prop45_jobs(POLICY))
+    assert len(list(itertools.islice(stream, 222))) == 222
+    _no_child_left()
+    stream = verify._trials(POLICY, verify._prop45_jobs(POLICY))
+    next(stream)
+    stream.close()
+    _no_child_left()
+
+
+def test_quadric_bruteforce_is_one_stream(monkeypatch):
+    # one _trials call over n = 1..4, so a batch holds profiles of two ns
+    monkeypatch.setattr(verify, "_process_count", lambda: 1)
+    streams, batches = [], []
+    real_trials, real_round = verify._trials, verify._round
+    monkeypatch.setattr(verify, "_trials", lambda policy, jobs: streams.append(1) or
+                        real_trials(policy, jobs))
+    monkeypatch.setattr(verify, "_round", lambda policy, batch: batches.append(
+        {job[0].split()[1] for job in batch}) or real_round(policy, batch))
+    reports = verify.quadric_bruteforce(POLICY)
+    assert streams == [1] and [r.case.split()[3] for r in reports] == ["P1", "P2", "P3", "P4"]
+    assert any(len(ns) > 1 for ns in batches)
+    assert all(r.passed and r.millis > 0 for r in reports)
