@@ -47,10 +47,9 @@ from math import comb
 
 import numpy as np
 
-from ppinterp import _gfcore_py, interp, linalg, schemes
-from ppinterp._gfcore_py import KERNEL, _echelon_numpy, rank_mod
+from ppinterp import interp, linalg, schemes
 from ppinterp.gf import DEFAULT_PRIME
-from ppinterp.linalg import _ROWS_WORK, rank_rows
+from ppinterp.linalg import KERNEL, _ROWS_WORK, _echelon_numpy, rank_mod, rank_rows
 from ppinterp.monomials import AFFINE, build_basis
 from ppinterp.schemes import (
     InterpolationProblem,
@@ -62,7 +61,7 @@ from ppinterp.schemes import (
 )
 
 # echelon_mod's active inner loop: the compiled one when the extension is built
-ACTIVE_LOOP = _gfcore_py.echelon_inplace
+ACTIVE_LOOP = linalg.echelon_inplace
 
 
 def rank_py(a, p):
@@ -312,11 +311,11 @@ def _best(fn, repeats):
 
 
 def _gf_solve(loop, a, rhs):
-    _gfcore_py.echelon_inplace = loop
+    linalg.echelon_inplace = loop
     try:
         return linalg.solve_square(a, rhs, DEFAULT_PRIME)
     finally:
-        _gfcore_py.echelon_inplace = ACTIVE_LOOP
+        linalg.echelon_inplace = ACTIVE_LOOP
 
 
 def bench_solve_gf(rng, args):

@@ -6,7 +6,7 @@ report's replayable ``cases`` payload, every exit code and every stderr line
 as they were.  This script runs the same CLI commands in both checkouts
 (``python -m ppinterp.cli`` with the checkout's ``src`` on PYTHONPATH) and
 compares, command by command, the exit code, the sha256 of the report's
-``cases`` (of all of stdout for ``solve``, whose output holds no timing) and
+``cases`` (of all of stdout for ``predict`` and ``solve``) and
 stderr.  The second checkout runs each command twice: on every CPU this
 process may use, where a command's trial batches run in several processes,
 and pinned to one CPU, where they run in one; both runs are compared with
@@ -18,11 +18,24 @@ The commands:
   ``--prop base -n 5``; ``verify --suite p8|base|sweep|quadrics|ah``;
   ``tables -n 3`` and ``-n 4``; each at primes 31991, 5, 7 and 67108859 and
   seeds 11 and 2024 (88 commands);
+* ``verify -n N -d D`` on each of the five exceptional patterns of
+  degree other than 2, once by ``-a`` and once by ``--lengths``, at the same
+  primes and seeds (80 commands);
+* ``predict`` for n = 1..4 and d = 0..5 on the profiles of
+  ``PREDICT_PROFILES`` whose entries lie in [0, n] (the five patterns,
+  quadric-delta profiles and expected ones), once by ``-a`` and once by
+  ``--lengths`` (396 commands);
 * ``solve`` on the problem files of perfbench's ``exact-solve-q`` and
   ``exact-solve-gf`` workloads at perfbench seeds 1 and 2, written by
   ``perfbench/workloads.py`` of the first checkout into a temporary
-  directory, each with ``--field rational``, ``--field gf`` and ``--field gf``
-  at primes 7 and 67108859 (176 commands).
+  directory, and on the seven problems of :func:`diagnosis_problems`
+  (a double-point problem per exceptional pattern, a quadric-delta square
+  and coincident points), which this script writes there; each with
+  ``--field rational``, ``--field gf`` and ``--field gf`` at primes 7 and
+  67108859 (176 + 28 commands).
+
+That is 768 commands.  The stdout of ``predict`` and ``solve`` holds no
+timing, so all of it is compared.
 
 Commands run two at a time.  Prints one line per mismatch and a summary with
 the number of commands run each way, and exits 1 on any mismatch, 0
@@ -35,6 +48,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -52,6 +66,20 @@ REPORTS = (
     ["tables", "-n", "4"],
 )
 PRIMES = (31991, 5, 7, 67108859)
+# (n, d, a) of the five exceptional patterns of degree other than 2
+PATTERNS = (
+    (2, 4, (2,) * 5),
+    (3, 4, (3,) * 9),
+    (3, 4, (3,) * 8 + (2,)),
+    (4, 3, (4,) * 7),
+    (4, 4, (4,) * 14),
+)
+PREDICT_PROFILES = (
+    *(a for _, _, a in PATTERNS),
+    (2, 2), (3, 3), (3, 3, 3), (4, 4),  # quadric-delta at d = 2
+    (1,), (1, 1, 0), (1, 1, 1, 1), (2, 1, 0), (4, 2, 1, 0, 0),
+)
+PREDICT_DEGREES = range(6)
 SEEDS = (11, 2024)
 SOLVE_WORKLOADS = ("exact-solve-q", "exact-solve-gf")
 SOLVE_SEEDS = (1, 2)
@@ -83,9 +111,51 @@ def problem_files(checkout: Path, workdir: Path) -> list:
     return json.loads(done.stdout)
 
 
+def _profile(values) -> str:
+    return ",".join(map(str, values))
+
+
+def diagnosis_problems(workdir: Path) -> list:
+    """Square problems that ``solve`` diagnoses, written into ``workdir``: their paths.
+
+    One problem per exceptional pattern, each point a double point (every
+    unit direction) apart from the lone a = 2 point of b', which takes the
+    first two; pattern b is overdetermined (36 conditions, 35 coefficients).
+    Then two tangent lines of a conic, n = 2 and d = 2 (quadric-delta),
+    and three linear conditions on the plane at two coincident points.
+    Points and values are seeded small integers.
+    """
+    rng = random.Random(7)
+    shapes = [*PATTERNS, (2, 2, (2, 2))]
+    docs = []
+    for n, d, a in shapes:
+        docs.append({
+            "n": n, "d": d, "mode": "affine",
+            "points": [[rng.randint(-20, 20) for _ in range(n)] for _ in a],
+            "directions": [[[int(i == j) for i in range(n)] for j in range(k)] for k in a],
+            "values": [[rng.randint(-9, 9) for _ in range(k + 1)] for k in a],
+        })
+    docs.append({"n": 2, "d": 1, "mode": "affine", "points": [[1, 2], [1, 2], [0, 0]],
+                 "directions": [[], [], []], "values": [[1], [2], [3]]})
+    paths = []
+    for i, doc in enumerate(docs):
+        path = workdir / f"diagnosis-{i}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    return paths
+
+
 def commands(problems) -> list:
     out = [argv + ["--prime", str(p), "--seed", str(s)]
            for argv in REPORTS for p in PRIMES for s in SEEDS]
+    out += [["verify", "-n", str(n), "-d", str(d), *form, "--prime", str(p), "--seed", str(s)]
+            for n, d, a in PATTERNS
+            for form in (["-a", _profile(a)], ["--lengths", _profile(x + 1 for x in a)])
+            for p in PRIMES for s in SEEDS]
+    out += [["predict", "-n", str(n), "-d", str(d), *form]
+            for n in range(1, 5) for d in PREDICT_DEGREES
+            for a in PREDICT_PROFILES if max(a) <= n
+            for form in (["-a", _profile(a)], ["--lengths", _profile(x + 1 for x in a)])]
     return out + [["solve", path, *field] for path in problems for field in SOLVE_FIELDS]
 
 
@@ -99,7 +169,7 @@ def run(checkout: Path, argv, workdir: Path, cpus=None):
     done = subprocess.run([sys.executable, "-m", "ppinterp.cli", *argv], cwd=workdir, env=env,
                           capture_output=True, preexec_fn=pin)
     payload = done.stdout
-    if argv[0] != "solve" and payload:
+    if argv[0] not in ("predict", "solve") and payload:
         payload = json.dumps(json.loads(payload)["cases"], sort_keys=True).encode()
     return done.returncode, hashlib.sha256(payload).hexdigest(), done.stderr
 
@@ -114,7 +184,7 @@ def main(argv=None) -> int:
     runs = ((parent, None, ""), (change, None, ""), (change, one_cpu, " (one CPU)"))
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        cmds = commands(problem_files(parent, workdir))
+        cmds = commands(problem_files(parent, workdir) + diagnosis_problems(workdir))
         with ThreadPoolExecutor(max_workers=2) as pool:
             futures = [[pool.submit(run, tree, cmd, workdir, cpus) for cmd in cmds]
                        for tree, cpus, _ in runs]

@@ -1,4 +1,4 @@
-/* Compiled inner loop of ppinterp._gfcore_py.echelon_mod: row echelon form
+/* Compiled inner loop of ppinterp.linalg.echelon_mod: row echelon form
  * over GF(p) of an int64 matrix, in place.
  *
  * Written by hand against the CPython C API and the buffer protocol; it

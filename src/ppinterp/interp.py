@@ -96,12 +96,8 @@ def _reduce_problem(prob: InterpolationProblem, p: int) -> InterpolationProblem:
 
 def diagnose_profile(n: int, d: int, a) -> str:
     """Name the structural reason a square system can be singular, if any."""
-    if d == 2:
-        if not theory.predict_quadric_affine(n, a).independent:
-            return "quadric-delta"
-        return "degenerate data"
-    key = (n, d, tuple(sorted(a, reverse=True)))
-    return theory.EXCEPTION_PATTERNS.get(key, "degenerate data")
+    prediction = theory.predict_profile(n, d, a)
+    return prediction.exception_id if prediction.exceptional else "degenerate data"
 
 
 def solve(prob: InterpolationProblem, prime: int | None = None,

@@ -37,9 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._gfcore_py import rank_mod
 from .gf import DEFAULT_PRIME, MAX_PRIME, as_fraction, is_prime
-from .linalg import _check_prime, _residues, rank
+from .linalg import _check_prime, _residues, rank, rank_mod
 from .monomials import (
     AFFINE,
     HOMOGENEOUS,

@@ -54,6 +54,14 @@ class QuadricPrediction:
         }
 
 
+def _check_entries(n, a) -> tuple:
+    """The profile as a tuple; ValueError unless each entry lies in [0, n]."""
+    a = tuple(a)
+    if any(x < 0 or x > n for x in a):
+        raise ValueError(f"profile entries must lie in [0, {n}]: {a}")
+    return a
+
+
 def _check_sorted(profile, what):
     if any(profile[i] < profile[i + 1] for i in range(len(profile) - 1)):
         raise ValueError(f"{what} must be sorted non-increasing: {profile}")
@@ -112,9 +120,7 @@ def predict_general(n: int, d: int, a) -> Prediction:
         raise ValueError(f"need d >= 1, got d={d}")
     if d == 2:
         raise ValueError("degree 2 is settled by predict_quadric_affine")
-    a = tuple(a)
-    if any(x < 0 or x > n for x in a):
-        raise ValueError(f"profile entries must lie in [0, {n}]: {a}")
+    a = _check_entries(n, a)
     key = (n, d, tuple(sorted(a, reverse=True)))
     exc = EXCEPTION_PATTERNS.get(key)
     codim = min(sum(x + 1 for x in a), comb(n + d, d))
@@ -152,31 +158,29 @@ def predict_quadric_scheme(n: int, lengths) -> QuadricPrediction:
 
 def predict_quadric_affine(n: int, a) -> QuadricPrediction:
     """Degree-2 predictor for an interpolation profile: lengths are a_i + 1."""
-    a = tuple(a)
-    if any(x < 0 or x > n for x in a):
-        raise ValueError(f"profile entries must lie in [0, {n}]: {a}")
+    a = _check_entries(n, a)
     return predict_quadric_scheme(n, tuple(x + 1 for x in a))
 
 
 def unique_quadric_interpolant(n: int, a) -> bool:
     """True when a square degree-2 problem has exactly one solution.
 
-    Requires the condition count to equal C(n+2,2); uniqueness then holds
-    iff every leading partial sum of the sorted profile stays within budget.
+    Requires the condition count to equal C(n+2,2).  With the degree equal
+    to the dimension, independence needs every delta value to vanish.
     """
-    a = tuple(sorted(a, reverse=True))
-    if sum(x + 1 for x in a) != comb(n + 2, 2):
+    q = predict_quadric_affine(n, a)
+    if q.degree != comb(n + 2, 2):
         raise ValueError("uniqueness needs condition count = dim of the quadric space")
-    return all(
-        sum(a[:i]) <= sum(n + 1 - j for j in range(1, i + 1))
-        for i in range(1, min(n, len(a)) + 1)
-    )
+    return q.independent
 
 
 def predict_profile(n: int, d: int, a) -> Prediction:
     """Route a profile to the right predictor (degree 2 vs the rest)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
+    if d < 0:
+        raise ValueError(f"need d >= 0, got d={d}")
+    a = _check_entries(n, a)
     if d == 0:
         # only constants: every condition count caps at dim = 1
         return Prediction(min(sum(x + 1 for x in a), 1), False, "none")

@@ -625,12 +625,9 @@ def verify_tables(policy: TrialPolicy, n: int) -> list:
 # ---------------------------------------------------------------------------
 # the five deficient patterns for degrees other than 2
 
+# tag -> (n, d, component lengths a_i + 1), in the order of theory.EXCEPTION_PATTERNS
 AH_EXCEPTION_SCHEMES = {
-    "a": (2, 4, (3,) * 5),
-    "b": (3, 4, (4,) * 9),
-    "b'": (3, 4, (4,) * 8 + (3,)),
-    "c": (4, 3, (5,) * 7),
-    "d": (4, 4, (5,) * 14),
+    tag: (n, d, tuple(x + 1 for x in a)) for (n, d, a), tag in theory.EXCEPTION_PATTERNS.items()
 }
 
 
@@ -687,11 +684,15 @@ def verify_generic(policy: TrialPolicy, n: int, d: int, a=None, lengths=None) ->
     return report
 
 
+# ranges of n and d the random sweep draws from, and the ambient dimensions
+# and degree excess over C(n+2,2) of the quadric brute force
+SWEEP_DIMENSIONS = (1, 4)
 SWEEP_DEGREES = (3, 5)
+QUADRIC_DIMENSIONS = (1, 2, 3, 4)
+QUADRIC_EXTRA_DEGREE = 3
 
 
-def sweep_nonexceptional(policy: TrialPolicy, count: int = 200,
-                         n_range=(1, 4), d_range=SWEEP_DEGREES) -> list:
+def sweep_nonexceptional(policy: TrialPolicy, count: int = 200) -> list:
     """Seeded random profiles away from the exception list: rank must be full.
 
     Configurations satisfy sum(a_i + 1) <= C(n+d, d), so the measured rank
@@ -701,8 +702,8 @@ def sweep_nonexceptional(policy: TrialPolicy, count: int = 200,
     cases = []
     idx = 0
     while len(cases) < count:
-        n = rng.randint(*n_range)
-        d = rng.randint(*d_range)
+        n = rng.randint(*SWEEP_DIMENSIONS)
+        d = rng.randint(*SWEEP_DEGREES)
         cap = comb(n + d, d)
         k = rng.randint(1, 40)
         a = sorted((rng.randint(0, n) for _ in range(k)), reverse=True)
@@ -719,15 +720,17 @@ def sweep_nonexceptional(policy: TrialPolicy, count: int = 200,
     return _cases(policy, cases)
 
 
-def quadric_bruteforce(policy: TrialPolicy, ns=(1, 2, 3, 4), extra_degree: int = 3) -> list:
+def quadric_bruteforce(policy: TrialPolicy) -> list:
     """Exhaustive agreement check: delta-criterion verdict == Monte Carlo verdict.
 
-    Covers every length profile with parts <= n+1 and degree up to
-    C(n+2,2) + extra_degree; one aggregated report per ambient dimension.
-    The profiles of every n run as one stream, and a report's ``millis`` is
-    the sum of its profiles' shares of their trial rounds.
+    Covers, for each n in QUADRIC_DIMENSIONS, every length profile with parts
+    <= n+1 and degree up to C(n+2,2) + QUADRIC_EXTRA_DEGREE; one aggregated
+    report per ambient dimension.  The profiles of every n run as one stream,
+    and a report's ``millis`` is the sum of its profiles' shares of their
+    trial rounds.
     """
-    degrees = {n: comb(n + 2, 2) + extra_degree for n in ns}
+    ns = QUADRIC_DIMENSIONS
+    degrees = {n: comb(n + 2, 2) + QUADRIC_EXTRA_DEGREE for n in ns}
     profiles = {n: theory._profiles_up_to(n, degrees[n]) for n in ns}
     jobs = ((f"bf P{n} {prof}", _general_scheme(n, prof, 2, policy.prime),
              min(sum(prof), comb(n + 2, 2)), n, prof) for n in ns for prof in profiles[n])

@@ -138,7 +138,7 @@ def test_criterion_08_base_cases_n5():
 
 def test_criterion_09_quadric_bruteforce_equivalence():
     t0 = time.perf_counter()
-    reports = verify.quadric_bruteforce(POLICY, ns=(1, 2, 3, 4), extra_degree=3)
+    reports = verify.quadric_bruteforce(POLICY)
     ok = all(r.passed for r in reports)
     total = sum(r.predicted for r in reports)
     _finish("criterion 09 (exhaustive degree-2 equivalence)", t0, 120, ok,

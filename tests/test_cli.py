@@ -56,6 +56,11 @@ def test_predict_usage_errors(capsys):
     for shape in (("-d", "3", "-a", "0"), ("-d", "2", "--lengths", "1")):
         code, out, err = run_cli(capsys, "predict", "-n", "0", *shape)
         assert code == 2 and out == "" and err == "error: need n >= 1, got n=0\n"
+    # the profile and the degree are checked at every degree, d = 0 included
+    code, out, err = run_cli(capsys, "predict", "-n", "2", "-d", "0", "-a", "9,-4")
+    assert code == 2 and out == "" and err == "error: profile entries must lie in [0, 2]: (9, -4)\n"
+    code, out, err = run_cli(capsys, "predict", "-n", "2", "-d", "-1", "-a", "1")
+    assert code == 2 and out == "" and err == "error: need d >= 0, got d=-1\n"
     # a length error names the lengths as typed, not the lengths minus one
     code, out, err = run_cli(capsys, "predict", "-n", "2", "-d", "3", "--lengths", "9")
     assert code == 2 and out == "" and err == "error: lengths must lie in [1, 3]: (9,)\n"

@@ -104,22 +104,29 @@ def test_permutation_invariance():
     assert solve(prob).coefficients == solve(shuffled).coefficients
 
 
-def test_singular_exception_c():
-    # seven points with full tangent data in four variables, degree 3
-    prob, _ = problem_from_polynomial(4, 3, (4,) * 7, seed=3, prime=P)
+@pytest.mark.parametrize("n, d, a_profile, seed, pattern", [
+    (2, 4, (2,) * 5, 2, "a"),
+    (3, 4, (3,) * 8 + (2,), 4, "b'"),
+    (4, 3, (4,) * 7, 3, "c"),  # seven points with full tangent data in four variables
+    (4, 4, (4,) * 14, 5, "d"),
+], ids=["a", "b_prime", "c", "d"])
+def test_singular_exception(n, d, a_profile, seed, pattern):
+    prob, _ = problem_from_polynomial(n, d, a_profile, seed=seed, prime=P)
     # perturb one value so the data is generic rather than induced
     prob.values[0][0] = (prob.values[0][0] + 1) % P
     with pytest.raises(SingularProblemError) as err:
         solve(prob)
-    assert err.value.exception_id == "c"
+    assert err.value.exception_id == pattern
 
 
-def test_singular_exception_b_prime():
-    prob, _ = problem_from_polynomial(3, 4, (3,) * 8 + (2,), seed=4, prime=P)
+def test_overdetermined_exception_b_is_named():
+    # nine double points in three variables: 36 conditions on the 35 quartics
+    prob, _ = problem_from_polynomial(3, 4, (3,) * 9, seed=6, prime=P)
     prob.values[0][0] = (prob.values[0][0] + 1) % P
-    with pytest.raises(SingularProblemError) as err:
-        solve(prob)
-    assert err.value.exception_id == "b'"
+    result = predict_then_solve(prob)
+    assert result.prediction.exception_id == "b"
+    assert result.interpolant is None
+    assert result.diagnosis == "assigned values are unreachable (b)"
 
 
 def test_degenerate_data_diagnosis():

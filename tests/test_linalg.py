@@ -10,14 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppinterp import _gfcore_py, linalg
-from ppinterp._gfcore_py import echelon_mod, rank_mod
+from ppinterp import linalg
 from ppinterp.gf import DEFAULT_PRIME, MAX_PRIME
 from ppinterp.linalg import (
     InconsistentSystemError,
     SingularSystemError,
+    echelon_mod,
     nullspace_dim,
     rank,
+    rank_mod,
     rank_rows,
     solve_any,
     solve_square,
@@ -61,7 +62,7 @@ def _loop_ranks(rows, p):
     """The rank mod p by echelon_mod on the active loop (compiled when built) and on numpy's."""
     a = np.array(rows, dtype=np.int64)
     return [len(echelon_mod(a, a.shape[1], p)[1]),
-            len(_gfcore_py._echelon_numpy(a % p, a.shape[1], p))]
+            len(linalg._echelon_numpy(a % p, a.shape[1], p))]
 
 
 def test_kernel_parity():
@@ -795,20 +796,20 @@ def test_inverse_table_matches_pow(p):
     # every residue, as the symmetric lead x - p and as x itself
     x = np.arange(1, p)
     expected = [pow(v, -1, p) for v in x.tolist()]
-    assert _gfcore_py._inverses(x, p).tolist() == expected
-    assert _gfcore_py._inverses(x - p, p).tolist() == expected
-    assert _gfcore_py._inverses(np.zeros(3, dtype=np.intp), p).tolist() == [0, 0, 0]
+    assert linalg._inverses(x, p).tolist() == expected
+    assert linalg._inverses(x - p, p).tolist() == expected
+    assert linalg._inverses(np.zeros(3, dtype=np.intp), p).tolist() == [0, 0, 0]
 
 
 @pytest.mark.parametrize("p", [65537, 1000003, 67104601, 67108859])
 def test_inverses_above_the_table_cap_match_pow(p):
-    assert p >= _gfcore_py._TABLE_PRIMES
+    assert p >= linalg._TABLE_PRIMES
     x = np.random.default_rng(p).integers(-(p // 2), p // 2 + 1, size=500)
     x[:3] = [0, 1, -1]
-    tables = _gfcore_py._inverse_table.cache_info().misses
-    got = _gfcore_py._inverses(x, p)
+    tables = linalg._inverse_table.cache_info().misses
+    got = linalg._inverses(x, p)
     assert got.tolist() == [pow(int(v), -1, p) if v else 0 for v in x]
-    assert _gfcore_py._inverse_table.cache_info().misses == tables  # no table above the cap
+    assert linalg._inverse_table.cache_info().misses == tables  # no table above the cap
 
 
 def test_importing_the_package_builds_no_inverse_table():
@@ -816,7 +817,7 @@ def test_importing_the_package_builds_no_inverse_table():
     import sys
 
     code = ("import ppinterp, ppinterp.cli;"
-            "from ppinterp._gfcore_py import _inverse_table;"
+            "from ppinterp.linalg import _inverse_table;"
             "assert _inverse_table.cache_info().currsize == 0")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
@@ -950,7 +951,7 @@ def compiled(tmp_path_factory):
     from setuptools import Distribution, Extension
 
     out = tmp_path_factory.mktemp("gfcore")
-    source = Path(_gfcore_py.__file__).with_name("_gfcore.c")
+    source = Path(linalg.__file__).with_name("_gfcore.c")
     dist = Distribution({"ext_modules": [Extension("_gfcore", [str(source)])]})
     build = dist.get_command_obj("build_ext")
     build.build_lib, build.build_temp = str(out), str(out / "tmp")
@@ -987,7 +988,7 @@ def test_compiled_loop_matches_the_numpy_loop(compiled, p):
     for a, ncols in _matrices(rng, p):
         c_rows, np_rows = a.copy(), a.copy()
         pivots = compiled(c_rows, ncols, p)
-        assert pivots == _gfcore_py._echelon_numpy(np_rows, ncols, p)
+        assert pivots == linalg._echelon_numpy(np_rows, ncols, p)
         assert c_rows.tobytes() == np_rows.tobytes()
         assert len(pivots) == rank_rows(a[:, :ncols].tolist(), p)
 
@@ -1019,7 +1020,7 @@ def test_public_entry_points_on_the_compiled_loop(compiled, monkeypatch):
     rhs = (a @ rng.integers(0, P, size=14) % P).tolist()
     expected = (rank(a, P), linalg.ranks([a, a[:12]], P), solve_square(a[:13, :13], rhs[:13], P),
                 solve_any(a, rhs, P))
-    monkeypatch.setattr(_gfcore_py, "echelon_inplace", compiled)
+    monkeypatch.setattr(linalg, "echelon_inplace", compiled)
     monkeypatch.setattr(linalg, "KERNEL", "c")
     monkeypatch.setattr(linalg, "_ROWS_WORK", 0)
     assert (rank(a, P), linalg.ranks([a, a[:12]], P), solve_square(a[:13, :13], rhs[:13], P),
@@ -1033,9 +1034,9 @@ def test_a_stale_extension_falls_back_to_the_numpy_loop():
     import sys
 
     code = ("import sys, types; sys.modules['ppinterp._gfcore'] = types.ModuleType('stale');"
-            "from ppinterp import _gfcore_py, linalg;"
-            "assert _gfcore_py.KERNEL == linalg.KERNEL == 'python';"
-            "assert _gfcore_py.echelon_inplace is _gfcore_py._echelon_numpy;"
+            "from ppinterp import linalg;"
+            "assert linalg.KERNEL == 'python';"
+            "assert linalg.echelon_inplace is linalg._echelon_numpy;"
             "assert linalg.rank([[1, 2, 3]] * 11 + [[0, 0, 1]], 7) == 2")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})

@@ -92,6 +92,12 @@ def test_predict_general_validation():
     for d in (0, 2, 3):  # no interpolation problem lives in K^0
         with pytest.raises(ValueError, match="n >= 1"):
             predict_profile(0, d, (0,))
+    for d in (0, 1, 2, 3):  # entries are checked before the degree routes
+        with pytest.raises(ValueError, match=r"entries must lie in \[0, 2\]"):
+            predict_profile(2, d, (9, -4))
+    with pytest.raises(ValueError, match="d >= 0"):
+        predict_profile(2, -1, (1,))
+    assert predict_profile(2, 0, (2, 0)).expected_codim == 1
 
 
 def test_exception_list_is_exactly_five():
@@ -117,6 +123,26 @@ def test_unique_quadric_interpolant():
     assert unique_quadric_interpolant(2, (2, 1, 0))
     with pytest.raises(ValueError):
         unique_quadric_interpolant(2, (2, 2, 2))
+    with pytest.raises(ValueError, match="entries"):  # square, but 3 > n
+        unique_quadric_interpolant(2, (3, 1))
+
+
+def test_unique_quadric_interpolant_on_every_square_profile():
+    # oracle: every leading partial sum of the sorted profile stays within
+    # the budget sum_{j<=i} (n + 1 - j)
+    def within_budget(n, a):
+        return all(sum(a[:i]) <= sum(n + 1 - j for j in range(1, i + 1))
+                   for i in range(1, min(n, len(a)) + 1))
+
+    for n in range(1, 5):
+        dim = comb(n + 2, 2)
+        square = [a for k in range(1, dim + 1)
+                  for a in combinations_with_replacement(range(n, -1, -1), k)
+                  if sum(x + 1 for x in a) == dim]
+        assert square
+        for a in square:
+            assert unique_quadric_interpolant(n, a) == within_budget(n, a), (n, a)
+            assert unique_quadric_interpolant(n, a[::-1]) == within_budget(n, a), (n, a)
 
 
 def test_predict_profile_routes_degree_two():
