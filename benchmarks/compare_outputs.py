@@ -32,9 +32,15 @@ The commands:
   (a double-point problem per exceptional pattern, a quadric-delta square
   and coincident points), which this script writes there; each with
   ``--field rational``, ``--field gf`` and ``--field gf`` at primes 7 and
-  67108859 (176 + 28 commands).
+  67108859 (176 + 28 commands);
+* the moduli the CLI refuses or takes only at the edge, 9, 2, 3, 67108879
+  (the first prime above 2**26) and 2**61 - 1, each with ``tables -n 3``,
+  ``verify --suite ah``, ``props --prop 4.6`` and ``verify -n 2 -d 4 -a
+  2,2,2,2,2`` at seed 11, and with ``solve --field gf`` on the first
+  diagnosis problem (25 commands), so that a moved modulus check cannot
+  change an exit code or a message unseen.
 
-That is 768 commands.  The stdout of ``predict`` and ``solve`` holds no
+That is 793 commands.  The stdout of ``predict`` and ``solve`` holds no
 timing, so all of it is compared.
 
 Commands run two at a time.  Prints one line per mismatch and a summary with
@@ -81,6 +87,14 @@ PREDICT_PROFILES = (
 )
 PREDICT_DEGREES = range(6)
 SEEDS = (11, 2024)
+# commands run at each of REFUSED_PRIMES, beside a solve of the first diagnosis problem
+REFUSED = (
+    ["tables", "-n", "3"],
+    ["verify", "--suite", "ah"],
+    ["props", "--prop", "4.6"],
+    ["verify", "-n", "2", "-d", "4", "-a", "2,2,2,2,2"],
+)
+REFUSED_PRIMES = (9, 2, 3, 67108879, 2**61 - 1)
 SOLVE_WORKLOADS = ("exact-solve-q", "exact-solve-gf")
 SOLVE_SEEDS = (1, 2)
 SOLVE_FIELDS = (
@@ -145,9 +159,13 @@ def diagnosis_problems(workdir: Path) -> list:
     return paths
 
 
-def commands(problems) -> list:
+def commands(problems, refused_problem) -> list:
     out = [argv + ["--prime", str(p), "--seed", str(s)]
            for argv in REPORTS for p in PRIMES for s in SEEDS]
+    out += [argv + ["--prime", str(p), "--seed", str(SEEDS[0])]
+            for argv in REFUSED for p in REFUSED_PRIMES]
+    out += [["solve", refused_problem, "--field", "gf", "--prime", str(p)]
+            for p in REFUSED_PRIMES]
     out += [["verify", "-n", str(n), "-d", str(d), *form, "--prime", str(p), "--seed", str(s)]
             for n, d, a in PATTERNS
             for form in (["-a", _profile(a)], ["--lengths", _profile(x + 1 for x in a)])
@@ -184,7 +202,8 @@ def main(argv=None) -> int:
     runs = ((parent, None, ""), (change, None, ""), (change, one_cpu, " (one CPU)"))
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        cmds = commands(problem_files(parent, workdir) + diagnosis_problems(workdir))
+        diagnosis = diagnosis_problems(workdir)
+        cmds = commands(problem_files(parent, workdir) + diagnosis, diagnosis[0])
         with ThreadPoolExecutor(max_workers=2) as pool:
             futures = [[pool.submit(run, tree, cmd, workdir, cpus) for cmd in cmds]
                        for tree, cpus, _ in runs]

@@ -9,6 +9,7 @@ lowest terms by construction.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Integral
 
 DEFAULT_PRIME = 31991
@@ -67,6 +68,24 @@ def check_modulus(p: int, max_degree: int | None = None) -> int:
     if max_degree is not None and p <= max_degree:
         raise ValueError(f"prime {p} must exceed the working degree {max_degree}")
     return p
+
+
+@lru_cache(maxsize=256)
+def _check_prime(prime, word_size=True):
+    """Refuse a modulus that is not a prime, or with ``word_size`` one not below MAX_PRIME.
+
+    The gate of every GF(p) kernel and builder (``None``, for Q, passes).  A
+    composite modulus has no field to eliminate in: a non-unit pivot would
+    make the rank silently wrong, and so would a prime whose products pass
+    the int64 or float64 range of the kernels.  Cached, as the sweeps rank
+    thousands of small matrices mod one prime.
+    """
+    if prime is None:
+        return
+    if word_size and not (is_prime(prime) and prime < MAX_PRIME):
+        raise ValueError(f"modulus {prime} must be a prime below 2**26 for the int64 kernels")
+    if not is_prime(prime):
+        raise ValueError(f"modulus {prime} is not a prime")
 
 
 def inv_mod(x: int, p: int) -> int:

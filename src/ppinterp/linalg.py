@@ -24,9 +24,10 @@ the same rule and give the same bytes.  :func:`rank_mod` ranks a stack of
 same-shape matrices at once, in one float64 elimination whose reductions
 mod p are delayed until its integers could pass 2**53.  Entries stay below
 p < MAX_PRIME = 2**26, so products fit comfortably in int64.  Every GF(p)
-entry point first checks that the modulus is a prime below that bound
-(``rank_rows`` takes a prime of any size), so a composite modulus is
-refused rather than given a wrong rank.
+entry point, the two kernels included, first checks that the modulus is a
+prime below that bound by ``gf._check_prime`` (``rank_rows`` takes a prime
+of any size), so a composite or too large modulus is refused rather than
+given a wrong rank.
 
 :func:`rank` picks its own path: over Q, and over GF(p) for matrices whose
 work m*n*min(m, n) is at most ``_ROWS_WORK``, it runs :func:`_echelon`;
@@ -61,7 +62,7 @@ from operator import index, mul
 
 import numpy as np
 
-from .gf import MAX_PRIME, is_prime
+from .gf import _check_prime
 
 
 def _echelon_numpy(arr, ncols: int, p: int):
@@ -236,14 +237,18 @@ def echelon_mod(a, ncols: int, p: int):
     none) is carried along.  Pivots are the first nonzero entry in column
     order, as in :func:`_echelon`.  Returns ``(rows, pivots)``: the reduced
     int64 array, whose pivot rows come first and have their pivot scaled to 1,
-    and the pivot columns.
+    and the pivot columns.  A modulus that is not a prime below 2**26, or an
+    ``ncols`` outside [0, columns], raises ValueError.
     """
+    _check_prime(p)
     a = _integer_array(a)
     if a.dtype == np.uint64:  # reduced first, so an entry above 2**63 is not wrapped
         a = a % p
     arr = np.array(a, dtype=np.int64, order="C", copy=True)
     if arr.ndim != 2:
         raise ValueError("expected a 2-d matrix")
+    if not 0 <= ncols <= arr.shape[1]:
+        raise ValueError(f"ncols {ncols} is outside [0, {arr.shape[1]}]")
     if arr.size == 0:
         return arr, []
     arr %= p
@@ -313,7 +318,9 @@ def rank_mod(stack, p: int):
     most h.  Only a stack with an entry beyond +-(2**53 - p), which the cast
     could round, is first reduced in its integer dtype.  A dtype that is not
     an integer dtype raises TypeError: its entries could be truncated or
-    rounded.
+    rounded, and a modulus that is not a prime below 2**26 raises
+    ValueError: past it the float64 block could pass 2**53 between
+    reductions.
 
     Step c reduces only column c from row c down, before its pivot search,
     and the pivot row, which it scales by the inverse of its lead and
@@ -325,6 +332,7 @@ def rank_mod(stack, p: int):
     p = 2**26.  The pivot row is reduced before it is scaled only when its
     entries could make the product with an inverse (below p) too large.
     """
+    _check_prime(p)
     a = _integer_array(stack)
     if a.ndim != 3:
         raise ValueError("expected a (B, m, n) stack")
@@ -387,22 +395,6 @@ def rank_mod(stack, p: int):
         t -= q
         pending += 1
     return live
-
-
-@lru_cache(maxsize=256)
-def _check_prime(prime, word_size=True):
-    """Refuse a modulus that is not a prime, or with ``word_size`` one not below MAX_PRIME.
-
-    A composite modulus has no field to eliminate in: a non-unit pivot would
-    make the rank silently wrong.  Cached, as the sweeps rank thousands of
-    small matrices mod one prime.
-    """
-    if prime is None:
-        return
-    if word_size and not (is_prime(prime) and prime < MAX_PRIME):
-        raise ValueError(f"modulus {prime} must be a prime below 2**26 for the int64 kernels")
-    if not is_prime(prime):
-        raise ValueError(f"modulus {prime} is not a prime")
 
 
 def _check_dtype(matrix, prime):

@@ -37,8 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gf import DEFAULT_PRIME, MAX_PRIME, as_fraction, is_prime
-from .linalg import _check_prime, _residues, rank, rank_mod
+from .gf import DEFAULT_PRIME, _check_prime, as_fraction
+from .linalg import _residues, rank, rank_mod
 from .monomials import (
     AFFINE,
     HOMOGENEOUS,
@@ -259,6 +259,30 @@ def degree_bookkeeping(specs, subspaces, which) -> tuple:
     return deg, trace, deg - trace
 
 
+def _check_subspaces(n, subspaces) -> None:
+    """Refuse a subspace whose zeroed set is not in P^n or leaves it no point."""
+    for sub in subspaces:
+        _check_zeroed(n, sub)
+        if sub.codim > n:
+            raise ValueError(f"subspace {sorted(sub.zeroed)} has no points in P^{n}")
+
+
+def _check_basis(basis, n, prime, subspaces, used) -> None:
+    """Refuse a basis that is not of degree-d forms on P^n or does not vanish where it must.
+
+    ``used`` holds the indices of the ``subspaces`` a scheme's components
+    sit on; a modulus that is not a prime is refused here too.
+    """
+    if basis.mode != HOMOGENEOUS or basis.n != n:
+        raise ValueError("basis/scheme mismatch")
+    _check_prime(prime, word_size=False)
+    for i in sorted(used):
+        if not _vanishes(basis, subspaces[i]):
+            raise ValueError(
+                "components on a subspace need a basis of forms vanishing on it"
+            )
+
+
 def _draw_point(rng, n, prime, zeroed):
     for attempt in range(MAX_REDRAWS + 1):
         pt = [0 if i in zeroed else rng.randrange(prime) for i in range(n + 1)]
@@ -276,10 +300,7 @@ def random_instance(n, specs, subspaces=(), prime=DEFAULT_PRIME, seed=0) -> Sche
     zeroed coordinates.  A modulus that is not a prime raises ValueError.
     """
     subspaces = tuple(subspaces)
-    for sub in subspaces:
-        _check_zeroed(n, sub)
-        if sub.codim > n:
-            raise ValueError(f"subspace {sorted(sub.zeroed)} has no points in P^{n}")
+    _check_subspaces(n, subspaces)
     specs = tuple(specs)
     for s in specs:
         s.validate(n, len(subspaces))
@@ -332,15 +353,9 @@ def condition_matrix_projective(instance: SchemeInstance, basis: MonomialBasis):
     l = n+1, since the value row is a combination of it); a component on a
     subspace contributes its residual many rows.
     """
-    if basis.mode != HOMOGENEOUS or basis.n != instance.n:
-        raise ValueError("basis/scheme mismatch")
-    _check_prime(instance.prime, word_size=False)
     comps = instance.components
-    for idx in sorted({c.spec.support for c in comps} - {GENERAL}):
-        if not _vanishes(basis, instance.subspaces[idx]):
-            raise ValueError(
-                "components on a subspace need a basis of forms vanishing on it"
-            )
+    _check_basis(basis, instance.n, instance.prime, instance.subspaces,
+                 {c.spec.support for c in comps} - {GENERAL})
     nv = basis.nvars
     full = np.eye(nv, dtype=np.int64).tolist()
     with_value, coeffs, per_point = [], [], []
@@ -442,12 +457,14 @@ def condition_stacks(draws) -> list:
     when it redraws nothing; the batch's draws are then checked together
     (nonzero and distinct points, combinations independent on their checked
     columns) and built in chunks of about ``_BUILD_CELLS`` cells, each
-    chunk's rows written straight into the stacks.  Every other draw is
-    built by calling its builder, in input order, and copied into its stack:
-    any other builder, a draw that fails a check, and one the batch does not
-    take (a prime that is not a prime below MAX_PRIME, an invalid spec or
-    subspace, a basis not vanishing where it must); only this sequential
-    path redraws and raises.
+    chunk's rows written straight into the stacks.  Three kinds of draw are
+    built by calling their builder, in input order, and copied into their
+    stack: any other builder; a draw whose prime the batch cannot read (not
+    a prime below MAX_PRIME, or a Python whose ``randrange`` stream
+    :func:`_randbelow_stream` does not replay); and a draw that fails a
+    check, as only this sequential path redraws.  A batch first checks its
+    subspaces, specs and basis as the sequential path does, so an invalid
+    draw raises that path's error before any matrix is built.
     """
     draws = list(draws)
     groups = defaultdict(list)
@@ -456,18 +473,17 @@ def condition_stacks(draws) -> list:
             groups[build.n, build.subspaces, build.basis, build.prime].append(i)
     batches, shape, redo = [], {}, set()  # shape: draw -> (m, M) of its int64 matrix
     for (n, subspaces, basis, prime), members in groups.items():
-        take, table, counts = _batchable(n, subspaces, basis, prime,
-                                         [draws[i][0].specs for i in members])
-        if not take:
+        if not _batch_reads(prime):
             continue
-        take = [members[k] for k in take]
-        layout = _draw_layout(n, subspaces, table, counts, [draws[i][1] for i in take], prime)
+        table, counts = _component_table(n, subspaces, basis, prime,
+                                          [draws[i][0].specs for i in members])
+        layout = _draw_layout(n, subspaces, table, counts, [draws[i][1] for i in members], prime)
         draw, _, with_value, owner, *_, ok = layout
-        rows = np.bincount(draw, weights=with_value, minlength=len(take)).astype(np.int64)
-        rows += np.bincount(draw[owner], minlength=len(take))
-        shape.update((i, (m, len(basis))) for i, m in zip(take, rows.tolist()))
-        batches.append((basis, prime, counts, layout, take, rows))
-        redo.update(i for i, good in zip(take, ok) if not good)
+        rows = np.bincount(draw, weights=with_value, minlength=len(members)).astype(np.int64)
+        rows += np.bincount(draw[owner], minlength=len(members))
+        shape.update((i, (m, len(basis))) for i, m in zip(members, rows.tolist()))
+        batches.append((basis, prime, counts, layout, members, rows))
+        redo.update(i for i, good in zip(members, ok) if not good)
     alone = {i: np.asarray(build(seed)) for i, (build, seed) in enumerate(draws)
              if i not in shape or i in redo}
     for i, matrix in alone.items():
@@ -512,51 +528,43 @@ def condition_matrices(draws) -> list:
     return out
 
 
-def _batchable(n, subspaces, basis, prime, draw_specs):
-    """The draws the batched path takes, their components' table and per-draw counts.
+def _batch_reads(prime) -> bool:
+    """Whether the batched draw reads ``prime``: an int that passes the word-size gate.
 
-    ``draw_specs`` holds each draw's specs.  A table row is (length, support,
-    residual) with support -1 for a free component and residual 0 where there
-    is none; rows follow the taken draws' components in order.  Specs are
+    It also needs :func:`_randbelow_stream` to replay ``randrange``.
+    """
+    try:
+        _check_prime(prime)
+    except (TypeError, ValueError):  # TypeError: a prime that is not even a number
+        return False
+    return isinstance(prime, int) and _stream_is_randrange()
+
+
+def _component_table(n, subspaces, basis, prime, draw_specs):
+    """A batch's components as a table, and each draw's component count.
+
+    ``draw_specs`` holds each draw's specs.  The subspaces, then each spec
+    and then the basis are checked by the sequential path's own checks, so
+    an invalid draw raises its error.  A table row is (length, support,
+    residual) with support -1 for a free component and residual 0 where
+    there is none; rows follow the draws' components in order.  Specs are
     keyed by identity, so each spec object is validated once a call; the
     job builders of ``verify`` make one object per distinct spec, so a trial
     round validates each distinct spec once, not once per component.
     """
-    nv = n + 1
-    if (not isinstance(prime, int) or not 2 <= prime < MAX_PRIME or not is_prime(prime)
-            or basis.mode != HOMOGENEOUS or basis.n != n
-            or any(not 0 < sub.codim <= n or not sub.zeroed <= set(range(nv))
-                   for sub in subspaces)
-            or not _stream_is_randrange()):
-        return [], None, None
-    vanishes = [_vanishes(basis, sub) for sub in subspaces]
-    kinds, code = [], {}  # id(spec) -> index of its table row, or -1: the sequential path takes it
+    _check_subspaces(n, subspaces)
+    kinds, code = [], {}  # id(spec) -> index of its row in kinds
     for specs in draw_specs:
         for s in specs:
-            if id(s) in code:
-                continue
-            try:
+            if id(s) not in code:
                 s.validate(n, len(subspaces))
-            except ValueError:
-                code[id(s)] = -1
-                continue
-            if s.support == GENERAL:
-                kinds.append((s.length, -1, 0))
-            elif vanishes[s.support]:
-                kinds.append((s.length, s.support, s.residual))
-            else:
-                code[id(s)] = -1
-                continue
-            code[id(s)] = len(kinds) - 1
-    take, codes, counts = [], [], []
-    for i, specs in enumerate(draw_specs):
-        row = [code[id(s)] for s in specs]
-        if -1 not in row:
-            take.append(i)
-            codes += row
-            counts.append(len(row))
-    table = np.array(kinds, dtype=np.int64).reshape(-1, 3)[np.array(codes, dtype=np.int64)]
-    return take, table, np.array(counts, dtype=np.int64)
+                code[id(s)] = len(kinds)
+                free = s.support == GENERAL
+                kinds.append((s.length, -1, 0) if free else (s.length, s.support, s.residual))
+    kinds = np.array(kinds, dtype=np.int64).reshape(-1, 3)
+    _check_basis(basis, n, prime, subspaces, set(kinds[:, 1].tolist()) - {-1})
+    codes = np.array([code[id(s)] for specs in draw_specs for s in specs], dtype=np.int64)
+    return kinds[codes], np.array([len(specs) for specs in draw_specs], dtype=np.int64)
 
 
 def _draw_layout(n, subspaces, table, counts, seeds, p):

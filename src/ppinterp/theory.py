@@ -252,20 +252,17 @@ def _profiles_up_to(n, max_degree):
     return out
 
 
-def enumerate_quadric_exceptions(n: int, max_extra_degree: int | None = None):
+def enumerate_quadric_exceptions(n: int):
     """All length profiles that fail to impose independent conditions on quadrics.
 
-    The failing profiles all have degree at most n(n+1); with the default
-    bound the returned list is therefore the complete classification.  Rows
-    come back sorted by descending profile, which is also the layout of the
-    reference tables.
+    The failing profiles all have degree at most n(n+1), the bound searched,
+    so the returned list is the complete classification.  Rows come back
+    sorted by descending profile, which is also the layout of the reference
+    tables.
     """
-    if max_extra_degree is None:
-        max_extra_degree = n * (n + 1) - comb(n + 2, 2)
-    bound = comb(n + 2, 2) + max_extra_degree
     rows = [
         ExceptionRow(prof, sum(prof), max_delta_scheme(n, prof), type_vector(n, prof))
-        for prof in _profiles_up_to(n, bound)
+        for prof in _profiles_up_to(n, n * (n + 1))
         if not predict_quadric_scheme(n, prof).independent
     ]
     rows.sort(key=lambda r: r.lengths, reverse=True)

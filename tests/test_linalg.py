@@ -213,6 +213,16 @@ def test_rank_refuses_primes_beyond_word_size():
     with pytest.raises(ValueError):
         nullspace_dim([[1, 2]], MAX_PRIME)
     assert rank_rows([[1, 2], [2, 4]], big) == 1
+    # the kernels called directly: rank_mod over-reported rank 20 at 2**31 - 1 (its
+    # float64 block passed 2**53), and echelon_mod's int64 products wrapped at 2**61 - 1
+    stack = np.random.default_rng(20).integers(0, 2**31 - 1, size=(8, 20, 20))
+    stack[:, :, -1] = stack[:, :, 0] + stack[:, :, 1]
+    assert [rank_rows(m.tolist(), big) for m in stack] == [19] * 8
+    with pytest.raises(ValueError, match="2\\*\\*26"):
+        rank_mod(stack, 2**31 - 1)
+    for matrix in stack:
+        with pytest.raises(ValueError, match="2\\*\\*26"):
+            echelon_mod(matrix, 20, big)
 
 
 @settings(max_examples=40, deadline=None)
@@ -928,7 +938,9 @@ def test_every_gf_entry_point_refuses_a_non_prime_modulus(modulus):
              lambda: nullspace_dim(small, modulus), lambda: nullspace_dim(big, modulus),
              lambda: solve_square(small, [1, 1], modulus),
              lambda: solve_any(small, [1, 1], modulus),
-             lambda: solve_square(big, [1] * 12, modulus)]
+             lambda: solve_square(big, [1] * 12, modulus),
+             lambda: rank_mod(np.stack([big, big]), modulus),
+             lambda: echelon_mod(big, 12, modulus)]
     for call in calls:
         with pytest.raises(ValueError, match=f"modulus {modulus} "):
             call()
@@ -991,6 +1003,24 @@ def test_compiled_loop_matches_the_numpy_loop(compiled, p):
         assert pivots == linalg._echelon_numpy(np_rows, ncols, p)
         assert c_rows.tobytes() == np_rows.tobytes()
         assert len(pivots) == rank_rows(a[:, :ncols].tolist(), p)
+
+
+def _refuses_bad_ncols():
+    for a, ncols in ((np.eye(3, dtype=np.int64), -1), (np.zeros((4, 3), dtype=np.int64), 5)):
+        with pytest.raises(ValueError, match=f"ncols {ncols} is outside \\[0, 3\\]"):
+            echelon_mod(a, ncols, 7)
+
+
+def test_echelon_mod_refuses_ncols_outside_the_columns(monkeypatch):
+    # the numpy loop read ncols -1 as no column (rank 0 for the identity) and
+    # raised IndexError past the last column; the compiled loop refused both
+    monkeypatch.setattr(linalg, "echelon_inplace", linalg._echelon_numpy)
+    _refuses_bad_ncols()
+
+
+def test_compiled_echelon_mod_refuses_ncols_outside_the_columns(compiled, monkeypatch):
+    monkeypatch.setattr(linalg, "echelon_inplace", compiled)
+    _refuses_bad_ncols()
 
 
 def test_compiled_loop_refuses_bad_buffers(compiled):

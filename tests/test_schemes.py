@@ -434,6 +434,32 @@ def _count_paths(monkeypatch):
     return layouts, alone
 
 
+def test_an_invalid_draw_raises_the_sequential_error_from_the_batch(monkeypatch):
+    # a round of valid draws and one invalid one: the batch raises what the
+    # sequential path raises for it, without drawing any instance alone
+    layouts, alone = _count_paths(monkeypatch)
+    p8 = vanishing_basis(8, 3, (L, M))
+    on_p8 = ProjectiveDraw(8, (ComponentSpec(9), ComponentSpec(9, 0, 3)), (L, M), p8, P)
+    # free components need no vanishing basis, so the full basis serves them
+    free = ProjectiveDraw(8, (ComponentSpec(9), ComponentSpec(5)), (L, M),
+                          build_basis(HOMOGENEOUS, 8, 3), P)
+    cases = [
+        (on_p8, on_p8._replace(specs=(ComponentSpec(5), ComponentSpec(9, 5, 3))),
+         "unknown subspace index 5"),
+        (free, free._replace(specs=on_p8.specs),
+         "components on a subspace need a basis of forms vanishing on it"),
+    ]
+    for valid, invalid, message in cases:
+        draws = [(valid, 1), (invalid, 2), (valid, 3), (invalid, 4)]
+        with pytest.raises(ValueError) as batched:
+            condition_matrices(draws)
+        assert (layouts, alone) == ([], [])
+        with pytest.raises(ValueError) as sequential:
+            invalid(2)
+        assert str(batched.value) == str(sequential.value) == message
+        alone.clear()
+
+
 def test_condition_matrices_batches_a_key_of_two_or_more(monkeypatch):
     layouts, alone = _count_paths(monkeypatch)
     plane = build_basis(HOMOGENEOUS, 2, 3)
