@@ -4,7 +4,12 @@ Matrices are plain sequences of rows (or numpy int arrays).  Pass
 ``prime=p`` for GF(p) arithmetic on integer entries; leave it out for exact
 rational arithmetic on int/Fraction entries.  Nothing inexact is read in
 either field: a bool, float or complex entry, or an array of such a dtype,
-raises TypeError, and so does a Fraction entry over GF(p).
+raises TypeError, and so does a Fraction entry over GF(p).  ``rank_rows``,
+``rank``, ``ranks``, ``echelon_mod`` and the solvers read a matrix through
+two functions: :func:`_rows`, the one gate for a matrix read as Python rows,
+and :func:`_residue_array`, the one rule that turns a matrix into int64
+residues mod p.  So each takes an array of any integer dtype, and a matrix
+that is not 2-d raises ValueError.
 
 One forward elimination, :func:`_echelon`, serves both fields on Python-int
 rows.  It pivots on the first nonzero entry in column order, so results are
@@ -148,13 +153,6 @@ class InconsistentSystemError(ValueError):
     """Overdetermined/rank-deficient system whose right-hand side is unreachable."""
 
 
-def _shape(matrix):
-    rows = [list(r) for r in (matrix.tolist() if isinstance(matrix, np.ndarray) else matrix)]
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("ragged matrix")
-    return rows, len(rows), len(rows[0]) if rows else 0
-
-
 def _residues(values, prime):
     """Each value mod ``prime``; a bool, Fraction or float raises TypeError.
 
@@ -222,12 +220,49 @@ def _integer_array(a):
 
     A float, bool, complex or object entry (a Python int beyond int64
     included) could be truncated or rounded on the way into the kernels.
-    An empty array passes whatever its dtype: it has no entry to round.
+    An empty array passes whatever its dtype, read as int64: it has no
+    entry to round.
     """
     arr = np.asarray(a)
     if arr.dtype.kind not in "iu" and arr.size:
         raise TypeError(f"GF(p) needs integer entries, not {arr.dtype}")
-    return arr
+    return arr if arr.dtype.kind in "iu" else arr.astype(np.int64)
+
+
+def _rows(matrix, prime):
+    """The rows of ``matrix`` as Python lists, and its shape ``(m, n)``.
+
+    The one gate for a matrix read entry by entry: an array whose dtype
+    holds no exact scalars (float, bool, complex, ...) raises TypeError, an
+    array that is not 2-d and ragged rows raise ValueError.
+    """
+    if isinstance(matrix, np.ndarray):
+        if matrix.dtype.kind not in "iuO":
+            field = "Q needs exact" if prime is None else "GF(p) needs integer"
+            raise TypeError(f"{field} entries, not {matrix.dtype}")
+        if matrix.ndim != 2:
+            raise ValueError("expected a 2-d matrix")
+        return matrix.tolist(), matrix.shape
+    rows = [list(r) for r in matrix]
+    if rows and any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("ragged matrix")
+    return rows, (len(rows), len(rows[0]) if rows else 0)
+
+
+def _residue_array(matrix, p):
+    """The matrix as a new C-ordered int64 array of its residues in [0, p).
+
+    An integer array is widened to int64 by the one ``% p`` pass (a uint64
+    one is reduced first, so an entry above 2**63 is not wrapped); any other
+    matrix, Python rows and object arrays included, is read by :func:`_rows`
+    and :func:`_int_rows`, which refuse a bool, a float or a Fraction.
+    """
+    if isinstance(matrix, np.ndarray) and matrix.dtype.kind in "iu" and matrix.ndim == 2:
+        if matrix.dtype == np.uint64:
+            matrix = matrix % p
+        return np.remainder(matrix, p, dtype=np.int64, order="C")
+    rows, shape = _rows(matrix, p)
+    return np.array(_int_rows(rows, p), dtype=np.int64).reshape(shape)
 
 
 def echelon_mod(a, ncols: int, p: int):
@@ -241,17 +276,11 @@ def echelon_mod(a, ncols: int, p: int):
     ``ncols`` outside [0, columns], raises ValueError.
     """
     _check_prime(p)
-    a = _integer_array(a)
-    if a.dtype == np.uint64:  # reduced first, so an entry above 2**63 is not wrapped
-        a = a % p
-    arr = np.array(a, dtype=np.int64, order="C", copy=True)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
+    arr = _residue_array(_integer_array(a), p)
     if not 0 <= ncols <= arr.shape[1]:
         raise ValueError(f"ncols {ncols} is outside [0, {arr.shape[1]}]")
     if arr.size == 0:
         return arr, []
-    arr %= p
     return arr, echelon_inplace(arr, ncols, p)
 
 
@@ -397,30 +426,6 @@ def rank_mod(stack, p: int):
     return live
 
 
-def _check_dtype(matrix, prime):
-    """Refuse a numpy array whose dtype holds no exact scalars (float, bool, complex, ...)."""
-    if isinstance(matrix, np.ndarray) and matrix.dtype.kind not in "iuO":
-        field = "Q needs exact" if prime is None else "GF(p) needs integer"
-        raise TypeError(f"{field} entries, not {matrix.dtype}")
-
-
-def _int64_array(matrix, prime):
-    """The integer matrix as an int64 array congruent to it mod ``prime``.
-
-    A uint64 array is reduced first, so an entry above 2**63 is not wrapped;
-    narrower integer arrays are widened.  Any other matrix, Python rows
-    included, is read entry by entry by :func:`_int_rows`, which refuses a
-    bool, a float or a Fraction.
-    """
-    _check_dtype(matrix, prime)
-    if isinstance(matrix, np.ndarray) and matrix.dtype.kind in "iu":
-        if matrix.dtype == np.uint64:
-            return (matrix % prime).astype(np.int64)
-        return matrix.astype(np.int64, copy=False)
-    rows, m, n = _shape(matrix)
-    return np.array(_int_rows(rows, prime), dtype=np.int64).reshape(m, n)
-
-
 def rank(matrix, prime: int | None = None) -> int:
     """Row rank by exact elimination, on Python rows or in the GF(p) kernel.
 
@@ -429,27 +434,30 @@ def rank(matrix, prime: int | None = None) -> int:
     """
     _check_prime(prime)
     m = len(matrix)
-    n = len(matrix[0]) if m else 0
+    n = matrix.shape[-1] if isinstance(matrix, np.ndarray) else len(matrix[0]) if m else 0
     if prime is None or m * n * min(m, n) <= _ROWS_WORK:
         return rank_rows(matrix, prime)
-    return len(echelon_mod(_int64_array(matrix, prime), n, prime)[1])
+    if not (isinstance(matrix, np.ndarray) and matrix.dtype.kind in "iu"):
+        matrix = _residue_array(matrix, prime)  # echelon_mod reads an integer array itself
+    return len(echelon_mod(matrix, n, prime)[1])
 
 
 def ranks(matrices, prime: int | None = None) -> list:
     """The exact rank of each matrix, as :func:`rank` gives it.
 
-    Over GF(p) the matrices are read as int64 arrays and stacked by shape,
-    and :func:`stack_ranks` ranks the stacks; over Q each goes to ``rank``.
+    Over GF(p) the matrices are read as int64 residue arrays and stacked by
+    shape, and :func:`stack_ranks` ranks the stacks; over Q each goes to
+    ``rank``.
     """
     _check_prime(prime)
     if prime is None:
         return [rank(matrix) for matrix in matrices]
+    arrays = [_residue_array(matrix, prime) for matrix in matrices]
     groups = defaultdict(list)
-    for i, matrix in enumerate(matrices):
-        groups[len(matrix), len(matrix[0]) if len(matrix) else 0].append(i)
-    stacks = [(group, np.stack([_int64_array(matrices[i], prime) for i in group])
-               .reshape(len(group), m, n)) for (m, n), group in groups.items()]
-    return stack_ranks(stacks, prime)
+    for i, a in enumerate(arrays):
+        groups[a.shape].append(i)
+    return stack_ranks([(group, np.stack([arrays[i] for i in group]))
+                        for group in groups.values()], prime)
 
 
 def stack_ranks(stacks, prime: int | None = None) -> list:
@@ -480,15 +488,14 @@ def stack_ranks(stacks, prime: int | None = None) -> list:
 def rank_rows(matrix, prime: int | None = None) -> int:
     """Row rank by :func:`_echelon` on Python rows; exact for a prime of any size."""
     _check_prime(prime, word_size=False)
-    _check_dtype(matrix, prime)
-    rows, _, n = _shape(matrix)
+    rows, (_, n) = _rows(matrix, prime)
     return len(_echelon(_int_rows(rows, prime), n, prime))
 
 
 def nullspace_dim(matrix, prime: int | None = None) -> int:
     """Columns minus rank."""
-    n = len(matrix[0]) if len(matrix) else 0
-    return n - rank(matrix, prime)
+    r = rank(matrix, prime)
+    return (len(matrix[0]) if len(matrix) else 0) - r
 
 
 def _back_substitute(rows, pivots, n):
@@ -643,29 +650,27 @@ def _dixon(rows, n):
 
 
 def _augmented(matrix, rhs, prime):
-    """The integer rows ``[A | b]`` of the system and its column count.
+    """``[A | b]`` of the system and its column count.
 
-    An integer-dtype array over GF(p) is reduced by one ``% prime`` and
-    stays an int64 array, as ``echelon_mod`` takes it; any other matrix is
-    read entry by entry.
+    Over GF(p) it is an int64 array of residues, as ``echelon_mod`` takes it;
+    over Q it is integer rows.
     """
-    _check_dtype(matrix, prime)
-    array = (prime is not None and isinstance(matrix, np.ndarray)
-             and matrix.ndim == 2 and matrix.dtype.kind in "iu")
-    rows, m, n = (matrix, *matrix.shape) if array else _shape(matrix)
+    if prime is None:
+        rows, (m, n) = _rows(matrix, None)
+    else:
+        rows = _residue_array(matrix, prime)
+        m, n = rows.shape
     if len(rhs) != m:
         raise ValueError("right-hand side length mismatch")
-    if array:
-        b = np.array(_residues(rhs, prime), dtype=np.int64)
-        return np.column_stack([(matrix % prime).astype(np.int64), b]), n
-    return _int_rows([row + [b] for row, b in zip(rows, rhs)], prime), n
+    if prime is None:
+        return _int_rows([row + [b] for row, b in zip(rows, rhs)], None), n
+    return np.column_stack([rows, np.array(_residues(rhs, prime), dtype=np.int64)]), n
 
 
 def _solve(rows, n, prime, square):
     """Forward elimination of ``[A | b]`` and the solution with free variables 0."""
     if prime is not None:
-        rows, pivots = echelon_mod(np.asarray(rows, dtype=np.int64).reshape(len(rows), n + 1),
-                                   n, prime)
+        rows, pivots = echelon_mod(rows, n, prime)
         unreached = rows[len(pivots):, n].any()
     else:
         pivots = _echelon(rows, n, None)
@@ -682,9 +687,9 @@ def _solve(rows, n, prime, square):
 def solve_square(matrix, rhs, prime: int | None = None) -> list:
     """Unique solution of a nonsingular square system; SingularSystemError otherwise."""
     _check_prime(prime)
-    if len(matrix) and len(matrix) != len(matrix[0]):
-        raise ValueError(f"square system expected, got {len(matrix)}x{len(matrix[0])}")
     rows, n = _augmented(matrix, rhs, prime)
+    if len(rows) != n:
+        raise ValueError(f"square system expected, got {len(rows)}x{n}")
     if prime is None and n >= _DIXON_ORDER:
         x = _dixon(rows, n)
         if x is not None:

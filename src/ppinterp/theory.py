@@ -285,13 +285,7 @@ def enumerate_triple_partitions(total: int) -> PartitionFamily:
     """
     if total < 0:
         raise ValueError("total must be >= 0")
-    rows = [
-        (t, d, u)
-        for t in range(total // 3 + 1)
-        for d in range(total // 2 + 1)
-        for u in (0, 1)
-        if 3 * t + 2 * d + u == total
-    ]
+    rows = [(t, (total - 3 * t) // 2, (total - 3 * t) % 2) for t in range(total // 3 + 1)]
     return PartitionFamily("tripleLM", total, tuple(rows))
 
 
@@ -330,28 +324,22 @@ def enumerate_xo_partitions(total: int, n: int, exhaustive: bool = False) -> Par
         for c in range(remaining // head + 1):
             extend(rest, remaining - head * c, {**counts, head: c} if c else counts, short)
 
+    # a short part longer than n+1 has no slot in the vector
     if exhaustive:
         for short in (0, 1, 2, 3):
             rem = total - short
-            if rem < 0:
+            if rem < 0 or short > nlen:
                 continue
             longs = list(range(nlen, 3, -1))
             extend(longs, rem, {}, short or None)
     else:
         for short in (1, 2, 3):
             rem = total - short
-            if rem < 0:
+            if rem < 0 or short > nlen:
                 continue
             longs = [l for l in range(nlen, 3, -1) if l > nlen - short]
             extend(longs, rem, {}, short)
         longs = [l for l in range(nlen, 3, -1) if l >= max(4, n - 3)]
         extend(longs, total, {}, None)
-
-    # deduplicate while keeping first-seen order (families can overlap for small n)
-    seen = set()
-    unique = []
-    for r in rows:
-        if r not in seen:
-            seen.add(r)
-            unique.append(r)
-    return PartitionFamily("XO", total, tuple(unique))
+    # the families never share a row: they differ in how many parts are <= 3
+    return PartitionFamily("XO", total, tuple(rows))

@@ -104,7 +104,7 @@ class CaseReport:
     def passed(self) -> bool:
         return self.verdict == PASS
 
-    def to_json(self, with_timing: bool = False) -> dict:
+    def to_json(self) -> dict:
         doc = {
             "case": self.case,
             "kind": self.kind,
@@ -118,8 +118,6 @@ class CaseReport:
             doc["note"] = self.note
         if self.extra:
             doc["extra"] = self.extra
-        if with_timing:
-            doc["millis"] = self.millis
         return doc
 
 
@@ -345,10 +343,6 @@ P8_LEFTOVER_TRIPLES = (
     (7, 14, 42), (8, 13, 42), (8, 14, 41),
 )
 
-# residual r realized by the canonical component of length n+1-(3-r)
-_RESIDUAL_LENGTH_OFFSET = {3: 0, 2: 1, 1: 2}
-
-
 # The one ComponentSpec of each (length, support, residual), given positionally:
 # a command's jobs share their spec objects, so schemes.condition_stacks
 # validates each distinct spec once a round (it keys them by identity).
@@ -358,8 +352,8 @@ _spec = lru_cache(maxsize=256)(ComponentSpec)
 def specs_on_subspace(n: int, idx: int, tdu) -> list:
     t, d, u = tdu
     out = []
-    for r, count in ((3, t), (2, d), (1, u)):
-        out += [_spec(n + 1 - _RESIDUAL_LENGTH_OFFSET[r], idx, r)] * count
+    for r, count in ((3, t), (2, d), (1, u)):  # residual r on a component of length n+1-(3-r)
+        out += [_spec(n - 2 + r, idx, r)] * count
     return out
 
 

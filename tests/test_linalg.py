@@ -922,6 +922,30 @@ def test_gf_solvers_take_integer_arrays():
         assert x == solver(a.astype(np.int32) - P, rhs, P)  # reduced by one % p
         with pytest.raises(TypeError):
             solver(a.astype(float), rhs, P)
+    # every integer dtype, as rank takes it: int8 and uint8 arrays failed at both
+    # primes, and int16 ones at 65521, when the prime was cast to the array's dtype
+    small = rng.integers(0, 100, size=(6, 6))
+    for p in (31991, 65521):
+        for solver in (solve_square, solve_any):
+            expected = solver(small.tolist(), rhs, p)
+            for dtype in (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint64):
+                assert solver(small.astype(dtype), rhs, p) == expected, (p, dtype)
+
+
+def test_every_entry_refuses_a_matrix_that_is_not_2d():
+    # a (1, 2, 2) array gave TypeError from rank, rank_rows and solve_any, and
+    # ValueError from ranks and solve_square
+    for bad in (np.arange(4), np.arange(4).reshape(1, 2, 2), np.zeros((12, 12, 12), dtype=np.int32)):
+        for prime in (None, P):
+            calls = [lambda: rank(bad, prime), lambda: linalg.ranks([bad, bad], prime),
+                     lambda: rank_rows(bad, prime), lambda: nullspace_dim(bad, prime),
+                     lambda: solve_square(bad, [1] * len(bad), prime),
+                     lambda: solve_any(bad, [1] * len(bad), prime)]
+            for call in calls:
+                with pytest.raises(ValueError, match="expected a 2-d matrix"):
+                    call()
+        with pytest.raises(ValueError, match="expected a 2-d matrix"):
+            echelon_mod(bad, 1, P)
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,17 @@ def test_xo_partition_sums():
                 assert sum(c * (n + 1 - j) for j, c in enumerate(row)) == total
 
 
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_xo_rows_have_the_total_degree_in_small_spaces(exhaustive):
+    # a short part longer than n+1 used to wrap to slot -1: at n = 1, total 3
+    # gave the row (0, 1), one component of length 1
+    for n in range(1, 5):
+        for total in range(12):
+            for row in enumerate_xo_partitions(total, n, exhaustive).parts:
+                assert len(row) == n + 1
+                assert sum(c * (n + 1 - j) for j, c in enumerate(row)) == total, (n, total, row)
+
+
 def all_partitions_oracle(total, n):
     # every partition with parts <= n+1 and at most one part <= 3
     out = set()
