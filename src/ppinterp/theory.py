@@ -341,5 +341,5 @@ def enumerate_xo_partitions(total: int, n: int, exhaustive: bool = False) -> Par
             extend(longs, rem, {}, short)
         longs = [l for l in range(nlen, 3, -1) if l >= max(4, n - 3)]
         extend(longs, total, {}, None)
-    # the families never share a row: they differ in how many parts are <= 3
+    # the families never share a row: their parts <= 3 differ (none, or one of length 1, 2 or 3)
     return PartitionFamily("XO", total, tuple(rows))
