@@ -21,6 +21,10 @@ The commands:
 * ``verify -n N -d D`` on each of the five exceptional patterns of
   degree other than 2, once by ``-a`` and once by ``--lengths``, at the same
   primes and seeds (80 commands);
+* ``verify -n N -d D --lengths`` on double points only, for N = 1..3 and
+  D = 1..4, as many double points as fit C(N+D, D) conditions, at the same
+  primes and seeds (96 commands): no prime there divides D, so a double
+  point's value row stays in the span of its jacobian;
 * ``predict`` for n = 1..4 and d = 0..5 on the profiles of
   ``PREDICT_PROFILES`` whose entries lie in [0, n] (the five patterns,
   quadric-delta profiles and expected ones), once by ``-a`` and once by
@@ -40,7 +44,7 @@ The commands:
   diagnosis problem (25 commands), so that a moved modulus check cannot
   change an exit code or a message unseen.
 
-That is 793 commands.  The stdout of ``predict`` and ``solve`` holds no
+That is 889 commands.  The stdout of ``predict`` and ``solve`` holds no
 timing, so all of it is compared.
 
 Commands run two at a time.  Prints one line per mismatch and a summary with
@@ -60,6 +64,7 @@ import sys
 import tempfile
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from math import comb
 from pathlib import Path
 
 REPORTS = (
@@ -86,6 +91,8 @@ PREDICT_PROFILES = (
     (1,), (1, 1, 0), (1, 1, 1, 1), (2, 1, 0), (4, 2, 1, 0, 0),
 )
 PREDICT_DEGREES = range(6)
+# (n, d) of the double-point schemes: n+1 conditions a point, C(n+d, d) forms
+DOUBLE_POINT_SHAPES = tuple((n, d) for n in range(1, 4) for d in range(1, 5))
 SEEDS = (11, 2024)
 # commands run at each of REFUSED_PRIMES, beside a solve of the first diagnosis problem
 REFUSED = (
@@ -170,6 +177,9 @@ def commands(problems, refused_problem) -> list:
             for n, d, a in PATTERNS
             for form in (["-a", _profile(a)], ["--lengths", _profile(x + 1 for x in a)])
             for p in PRIMES for s in SEEDS]
+    out += [["verify", "-n", str(n), "-d", str(d), "--lengths",
+             _profile([n + 1] * (comb(n + d, d) // (n + 1))), "--prime", str(p), "--seed", str(s)]
+            for n, d in DOUBLE_POINT_SHAPES for p in PRIMES for s in SEEDS]
     out += [["predict", "-n", str(n), "-d", str(d), *form]
             for n in range(1, 5) for d in PREDICT_DEGREES
             for a in PREDICT_PROFILES if max(a) <= n

@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Integral
+from operator import index
 
 DEFAULT_PRIME = 31991
 
@@ -30,8 +31,12 @@ class ZeroInverseError(ZeroDivisionError):
     """Raised when the inverse of 0 mod p is requested."""
 
 
+@lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (exact for n < 3.3e24)."""
+    """Deterministic Miller-Rabin primality test (exact for n < 3.3e24).
+
+    Cached, as ``rank_rows`` tests its prime on every call.
+    """
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -70,22 +75,24 @@ def check_modulus(p: int, max_degree: int | None = None) -> int:
     return p
 
 
-@lru_cache(maxsize=256)
-def _check_prime(prime, word_size=True):
-    """Refuse a modulus that is not a prime, or with ``word_size`` one not below MAX_PRIME.
+@lru_cache(maxsize=256, typed=True)
+def _check_prime(prime):
+    """The modulus as a Python int (``None``, for Q, passes); ValueError unless a prime below 2**26.
 
-    The gate of every GF(p) kernel and builder (``None``, for Q, passes).  A
-    composite modulus has no field to eliminate in: a non-unit pivot would
-    make the rank silently wrong, and so would a prime whose products pass
-    the int64 or float64 range of the kernels.  Cached, as the sweeps rank
-    thousands of small matrices mod one prime.
+    The one gate of every GF(p) kernel, builder and draw, checked before any
+    work.  A composite modulus has no field to eliminate in: a non-unit pivot
+    would make the rank silently wrong, and so would a prime whose products
+    pass the int64 or float64 range of the kernels.  A numpy integer is read
+    exactly by ``operator.index``; anything else that is not an integer
+    raises TypeError.  Cached, as the sweeps rank thousands of small
+    matrices mod one prime; ``typed``, so ``3.0`` is not served the entry of 3.
     """
     if prime is None:
-        return
-    if word_size and not (is_prime(prime) and prime < MAX_PRIME):
-        raise ValueError(f"modulus {prime} must be a prime below 2**26 for the int64 kernels")
-    if not is_prime(prime):
-        raise ValueError(f"modulus {prime} is not a prime")
+        return None
+    p = index(prime)
+    if not (p < MAX_PRIME and is_prime(p)):
+        raise ValueError(f"modulus {prime} is not a prime below 2**26, as the int64 kernels need")
+    return p
 
 
 def inv_mod(x: int, p: int) -> int:

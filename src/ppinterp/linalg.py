@@ -29,10 +29,11 @@ the same rule and give the same bytes.  :func:`rank_mod` ranks a stack of
 same-shape matrices at once, in one float64 elimination whose reductions
 mod p are delayed until its integers could pass 2**53.  Entries stay below
 p < MAX_PRIME = 2**26, so products fit comfortably in int64.  Every GF(p)
-entry point, the two kernels included, first checks that the modulus is a
-prime below that bound by ``gf._check_prime`` (``rank_rows`` takes a prime
-of any size), so a composite or too large modulus is refused rather than
-given a wrong rank.
+entry point, the two kernels included, first reads the modulus through
+``gf._check_prime``, which refuses one that is not a prime below that bound
+and reads a numpy integer as a Python int, so a composite or too large
+modulus is refused rather than given a wrong rank.  ``rank_rows``, the exact
+reference, takes a prime of any size.
 
 :func:`rank` picks its own path: over Q, and over GF(p) for matrices whose
 work m*n*min(m, n) is at most ``_ROWS_WORK``, it runs :func:`_echelon`;
@@ -67,7 +68,7 @@ from operator import index, mul
 
 import numpy as np
 
-from .gf import _check_prime
+from .gf import _check_prime, is_prime
 
 
 def _echelon_numpy(arr, ncols: int, p: int):
@@ -275,7 +276,7 @@ def echelon_mod(a, ncols: int, p: int):
     and the pivot columns.  A modulus that is not a prime below 2**26, or an
     ``ncols`` outside [0, columns], raises ValueError.
     """
-    _check_prime(p)
+    p = _check_prime(p)
     arr = _residue_array(_integer_array(a), p)
     if not 0 <= ncols <= arr.shape[1]:
         raise ValueError(f"ncols {ncols} is outside [0, {arr.shape[1]}]")
@@ -361,7 +362,7 @@ def rank_mod(stack, p: int):
     p = 2**26.  The pivot row is reduced before it is scaled only when its
     entries could make the product with an inverse (below p) too large.
     """
-    _check_prime(p)
+    p = _check_prime(p)
     a = _integer_array(stack)
     if a.ndim != 3:
         raise ValueError("expected a (B, m, n) stack")
@@ -432,9 +433,8 @@ def rank(matrix, prime: int | None = None) -> int:
     A bool, float or complex array or entry raises TypeError in either
     field, as a Fraction entry does over GF(p), on every path.
     """
-    _check_prime(prime)
-    m = len(matrix)
-    n = matrix.shape[-1] if isinstance(matrix, np.ndarray) else len(matrix[0]) if m else 0
+    prime = _check_prime(prime)
+    m, n = len(matrix), _width(matrix)
     if prime is None or m * n * min(m, n) <= _ROWS_WORK:
         return rank_rows(matrix, prime)
     if not (isinstance(matrix, np.ndarray) and matrix.dtype.kind in "iu"):
@@ -449,7 +449,7 @@ def ranks(matrices, prime: int | None = None) -> list:
     shape, and :func:`stack_ranks` ranks the stacks; over Q each goes to
     ``rank``.
     """
-    _check_prime(prime)
+    prime = _check_prime(prime)
     if prime is None:
         return [rank(matrix) for matrix in matrices]
     arrays = [_residue_array(matrix, prime) for matrix in matrices]
@@ -470,7 +470,7 @@ def stack_ranks(stacks, prime: int | None = None) -> list:
     Q, in a stack of one or of another dtype, or on the compiled kernel)
     goes to ``rank``.
     """
-    _check_prime(prime)
+    prime = _check_prime(prime)
     out = [None] * sum(len(index) for index, _ in stacks)
     batched = prime is not None and KERNEL == "python"
     for index, stack in stacks:
@@ -486,16 +486,30 @@ def stack_ranks(stacks, prime: int | None = None) -> list:
 
 
 def rank_rows(matrix, prime: int | None = None) -> int:
-    """Row rank by :func:`_echelon` on Python rows; exact for a prime of any size."""
-    _check_prime(prime, word_size=False)
+    """Row rank by :func:`_echelon` on Python rows; exact for a prime of any size.
+
+    A modulus that is not a prime raises ValueError; a numpy integer one is
+    read by ``operator.index``.
+    """
+    if prime is not None:
+        prime = index(prime)
+        if not is_prime(prime):
+            raise ValueError(f"modulus {prime} is not a prime")
     rows, (_, n) = _rows(matrix, prime)
     return len(_echelon(_int_rows(rows, prime), n, prime))
 
 
+def _width(matrix) -> int:
+    """The column count of a 2-d array, or of Python rows (0 when there are none)."""
+    if isinstance(matrix, np.ndarray):
+        return matrix.shape[-1]
+    return len(matrix[0]) if len(matrix) else 0
+
+
 def nullspace_dim(matrix, prime: int | None = None) -> int:
     """Columns minus rank."""
-    r = rank(matrix, prime)
-    return (len(matrix[0]) if len(matrix) else 0) - r
+    r = rank(matrix, prime)  # refuses an array that is not 2-d first
+    return _width(matrix) - r
 
 
 def _back_substitute(rows, pivots, n):
@@ -686,7 +700,7 @@ def _solve(rows, n, prime, square):
 
 def solve_square(matrix, rhs, prime: int | None = None) -> list:
     """Unique solution of a nonsingular square system; SingularSystemError otherwise."""
-    _check_prime(prime)
+    prime = _check_prime(prime)
     rows, n = _augmented(matrix, rhs, prime)
     if len(rows) != n:
         raise ValueError(f"square system expected, got {len(rows)}x{n}")
@@ -702,6 +716,6 @@ def solve_any(matrix, rhs, prime: int | None = None) -> list:
 
     Raises InconsistentSystemError when no solution exists.
     """
-    _check_prime(prime)
+    prime = _check_prime(prime)
     rows, n = _augmented(matrix, rhs, prime)
     return _solve(rows, n, prime, square=False)

@@ -6,9 +6,11 @@ settings feed it:
 
 * the projective Monte Carlo verification problems, where a component is
   either freely supported (one evaluation row plus random combinations of
-  the jacobian rows, or the full jacobian for a double point) or supported
-  on a coordinate subspace with a prescribed residual r (r random jacobian
-  combinations against a basis of forms vanishing on the subspace);
+  the jacobian rows, or the full jacobian for a double point, whose value
+  row is dropped exactly when p does not divide d, as Euler's relation then
+  puts it in the jacobian's span) or supported on a coordinate subspace
+  with a prescribed residual r (r random jacobian combinations against a
+  basis of forms vanishing on the subspace);
 
 * the affine interpolation problem (points in K^n, per-point direction sets,
   optional assigned values), read as the paper reads it: a point x with a
@@ -18,11 +20,13 @@ settings feed it:
 
 A trial round's projective draws are drawn and built together, straight
 into one int64 stack per matrix shape (:func:`condition_stacks`), which the
-rank layer takes as it is.  The builders refuse a modulus that is not a
-prime.  Random instances are drawn from one seed; replaying (seed, prime, specs)
-reproduces the instance bit for bit.  Degenerate draws (coincident points,
-dependent direction sets) are resampled a bounded number of times: each has
-probability about 1/p, so a handful of retries is already overkill.
+rank layer takes as it is.  The builders and draws refuse a modulus that is
+not a prime below 2**26 before any work, by ``gf._check_prime``, the gate
+of the rank kernels.  Random instances are drawn from one seed; replaying
+(seed, prime, specs) reproduces the instance bit for bit.  Degenerate draws
+(coincident points, dependent direction sets) are resampled a bounded
+number of times: each has probability about 1/p, so a handful of retries is
+already overkill.
 """
 
 from __future__ import annotations
@@ -267,15 +271,14 @@ def _check_subspaces(n, subspaces) -> None:
             raise ValueError(f"subspace {sorted(sub.zeroed)} has no points in P^{n}")
 
 
-def _check_basis(basis, n, prime, subspaces, used) -> None:
+def _check_basis(basis, n, subspaces, used) -> None:
     """Refuse a basis that is not of degree-d forms on P^n or does not vanish where it must.
 
     ``used`` holds the indices of the ``subspaces`` a scheme's components
-    sit on; a modulus that is not a prime is refused here too.
+    sit on.
     """
     if basis.mode != HOMOGENEOUS or basis.n != n:
         raise ValueError("basis/scheme mismatch")
-    _check_prime(prime, word_size=False)
     for i in sorted(used):
         if not _vanishes(basis, subspaces[i]):
             raise ValueError(
@@ -297,13 +300,15 @@ def random_instance(n, specs, subspaces=(), prime=DEFAULT_PRIME, seed=0) -> Sche
     Support points on a subspace have its zeroed coordinates pinned to 0.
     Residual-r components must meet the subspace transversally in exactly r
     directions, which is enforced on the combination rows restricted to the
-    zeroed coordinates.  A modulus that is not a prime raises ValueError.
+    zeroed coordinates.  A modulus that is not a prime below 2**26 raises
+    ValueError before anything is drawn.
     """
     subspaces = tuple(subspaces)
     _check_subspaces(n, subspaces)
     specs = tuple(specs)
     for s in specs:
         s.validate(n, len(subspaces))
+    prime = _check_prime(prime)
     rng = random.Random(seed)
     instances = []
     seen_points = set()
@@ -342,35 +347,38 @@ def random_instance(n, specs, subspaces=(), prime=DEFAULT_PRIME, seed=0) -> Sche
                     f"could not draw independent directions over GF({prime})"
                 )
         instances.append(ComponentInstance(s, point, combo))
-    _check_prime(prime, word_size=False)  # after the draw, which gives up on GF(1) first
     return SchemeInstance(n, prime, seed, subspaces, tuple(instances))
 
 
 def condition_matrix_projective(instance: SchemeInstance, basis: MonomialBasis):
     """Stack every component's condition rows against the given form basis.
 
-    A free component of length l contributes l rows (the full jacobian when
-    l = n+1, since the value row is a combination of it); a component on a
+    A free component of length l contributes its value row and l - 1 rows
+    of jacobian combinations; a double point (l = n+1) contributes the full
+    jacobian, and its value row only when p divides the degree d.  By
+    Euler's relation d*F = sum x_i dF/dx_i the value row is a combination of
+    the jacobian rows exactly when d is a unit mod p.  A component on a
     subspace contributes its residual many rows.
     """
     comps = instance.components
-    _check_basis(basis, instance.n, instance.prime, instance.subspaces,
+    prime = _check_prime(instance.prime)
+    _check_basis(basis, instance.n, instance.subspaces,
                  {c.spec.support for c in comps} - {GENERAL})
     nv = basis.nvars
+    euler = basis.d % prime != 0
     full = np.eye(nv, dtype=np.int64).tolist()
     with_value, coeffs, per_point = [], [], []
     for c in comps:
         free = c.spec.support == GENERAL
         whole = free and c.spec.length == nv
-        with_value.append(free and not whole)
+        with_value.append(free and not (whole and euler))
         rows = full if whole else c.combo or ()
         coeffs += rows
         per_point.append(len(rows))
     points = np.array([c.point for c in comps], dtype=np.int64).reshape(-1, nv)
     owner = np.repeat(np.arange(len(comps)), per_point)
     return _projective_rows(_slot_layout(basis), points, np.array(with_value, dtype=bool),
-                            np.array(coeffs, dtype=np.int64).reshape(-1, nv), owner,
-                            instance.prime)
+                            np.array(coeffs, dtype=np.int64).reshape(-1, nv), owner, prime)
 
 
 def _vanishes(basis: MonomialBasis, sub) -> bool:
@@ -459,25 +467,24 @@ def condition_stacks(draws) -> list:
     columns) and built in chunks of about ``_BUILD_CELLS`` cells, each
     chunk's rows written straight into the stacks.  Three kinds of draw are
     built by calling their builder, in input order, and copied into their
-    stack: any other builder; a draw whose prime the batch cannot read (not
-    a prime below MAX_PRIME, or a Python whose ``randrange`` stream
-    :func:`_randbelow_stream` does not replay); and a draw that fails a
-    check, as only this sequential path redraws.  A batch first checks its
-    subspaces, specs and basis as the sequential path does, so an invalid
-    draw raises that path's error before any matrix is built.
+    stack: any other builder; every draw on a Python whose ``randrange``
+    stream :func:`_randbelow_stream` does not replay; and a draw that fails
+    a check, as only this sequential path redraws.  A batch first checks its
+    subspaces, specs, prime and basis as the sequential path does, so an
+    invalid draw raises that path's error before any matrix is built.
     """
     draws = list(draws)
     groups = defaultdict(list)
+    batched = _stream_is_randrange()
     for i, (build, _) in enumerate(draws):
-        if isinstance(build, ProjectiveDraw):
+        if batched and isinstance(build, ProjectiveDraw):
             groups[build.n, build.subspaces, build.basis, build.prime].append(i)
     batches, shape, redo = [], {}, set()  # shape: draw -> (m, M) of its int64 matrix
     for (n, subspaces, basis, prime), members in groups.items():
-        if not _batch_reads(prime):
-            continue
-        table, counts = _component_table(n, subspaces, basis, prime,
-                                          [draws[i][0].specs for i in members])
-        layout = _draw_layout(n, subspaces, table, counts, [draws[i][1] for i in members], prime)
+        table, counts, prime = _component_table(n, subspaces, basis, prime,
+                                                 [draws[i][0].specs for i in members])
+        layout = _draw_layout(n, subspaces, basis.d, table, counts,
+                              [draws[i][1] for i in members], prime)
         draw, _, with_value, owner, *_, ok = layout
         rows = np.bincount(draw, weights=with_value, minlength=len(members)).astype(np.int64)
         rows += np.bincount(draw[owner], minlength=len(members))
@@ -528,24 +535,12 @@ def condition_matrices(draws) -> list:
     return out
 
 
-def _batch_reads(prime) -> bool:
-    """Whether the batched draw reads ``prime``: an int that passes the word-size gate.
-
-    It also needs :func:`_randbelow_stream` to replay ``randrange``.
-    """
-    try:
-        _check_prime(prime)
-    except (TypeError, ValueError):  # TypeError: a prime that is not even a number
-        return False
-    return isinstance(prime, int) and _stream_is_randrange()
-
-
 def _component_table(n, subspaces, basis, prime, draw_specs):
-    """A batch's components as a table, and each draw's component count.
+    """A batch's components as a table, each draw's component count, and the prime as an int.
 
-    ``draw_specs`` holds each draw's specs.  The subspaces, then each spec
-    and then the basis are checked by the sequential path's own checks, so
-    an invalid draw raises its error.  A table row is (length, support,
+    ``draw_specs`` holds each draw's specs.  The subspaces, then each spec,
+    the prime and the basis are checked by the sequential path's own checks,
+    so an invalid draw raises its error.  A table row is (length, support,
     residual) with support -1 for a free component and residual 0 where
     there is none; rows follow the draws' components in order.  Specs are
     keyed by identity, so each spec object is validated once a call; the
@@ -561,24 +556,27 @@ def _component_table(n, subspaces, basis, prime, draw_specs):
                 code[id(s)] = len(kinds)
                 free = s.support == GENERAL
                 kinds.append((s.length, -1, 0) if free else (s.length, s.support, s.residual))
+    prime = _check_prime(prime)
     kinds = np.array(kinds, dtype=np.int64).reshape(-1, 3)
-    _check_basis(basis, n, prime, subspaces, set(kinds[:, 1].tolist()) - {-1})
+    _check_basis(basis, n, subspaces, set(kinds[:, 1].tolist()) - {-1})
     codes = np.array([code[id(s)] for specs in draw_specs for s in specs], dtype=np.int64)
-    return kinds[codes], np.array([len(specs) for specs in draw_specs], dtype=np.int64)
+    return kinds[codes], np.array([len(specs) for specs in draw_specs], dtype=np.int64), prime
 
 
-def _draw_layout(n, subspaces, table, counts, seeds, p):
+def _draw_layout(n, subspaces, d, table, counts, seeds, p):
     """Draw the components of ``table`` from each seed's stream and check them together.
 
     A draw's components take, one after the other, their point's coordinates
     off its subspace and then their combination rows of n+1 entries each:
     the values :func:`random_instance` reads when it redraws nothing.  The
     rows of a double point are the unit vectors, read from the identity
-    block appended to the values.  Returns, in draw order, ``draw`` (C,):
-    the draw of each component; ``points`` (C, nv); ``with_value`` (C,);
-    ``owner`` (R,): the component of each combination row, nondecreasing;
-    ``start`` (R,): where each row's nv coefficients start in ``values``;
-    ``values``; and ``ok`` (B,): whether each draw passed every check.
+    block appended to the values; it has a value row as well only when p
+    divides the degree ``d``, as in :func:`condition_matrix_projective`.
+    Returns, in draw order, ``draw`` (C,): the draw of each component;
+    ``points`` (C, nv); ``with_value`` (C,); ``owner`` (R,): the component
+    of each combination row, nondecreasing; ``start`` (R,): where each row's
+    nv coefficients start in ``values``; ``values``; and ``ok`` (B,):
+    whether each draw passed every check.
     """
     nv = n + 1
     length, sup, residual = table.T
@@ -617,7 +615,8 @@ def _draw_layout(n, subspaces, table, counts, seeds, p):
         cols = np.arange(nv) if s == 0 else np.array(sorted(subspaces[s - 1].zeroed))
         stack = values[(off + own)[g, None, None] + np.arange(r)[:, None] * nv + cols]
         bad[draw[g[rank_mod(stack, p) < r]]] = True
-    return draw, points, free & ~whole, owner, start, values, ~bad
+    with_value = free & ~whole if d % p else free
+    return draw, points, with_value, owner, start, values, ~bad
 
 
 def _build_chunks(layout, p, counts, drawn, rows, out, at) -> None:
@@ -729,9 +728,7 @@ def condition_matrix_affine(prob: InterpolationProblem, basis: MonomialBasis | N
         basis = build_basis(AFFINE, prob.n, prob.d)
     if basis.mode != AFFINE or basis.n != prob.n or basis.d != prob.d:
         raise ValueError("basis/problem mismatch")
-    if prime is None:
-        prime = prob.prime
-    _check_prime(prime, word_size=False)
+    prime = _check_prime(prob.prime if prime is None else prime)
     rows, scales = _affine_rows(prob, basis, prime)
     return [row if s == 1 else [Fraction(a, s) for a in row]
             for row, s in zip(rows.tolist(), scales)]
@@ -804,7 +801,15 @@ def integer_system_affine(prob: InterpolationProblem, basis: MonomialBasis):
 
 
 def random_affine_problem(n, d, a_profile, prime=DEFAULT_PRIME, seed=0) -> InterpolationProblem:
-    """A random affine problem over GF(p) with the given derivative counts."""
+    """A random affine problem over GF(p) with the given derivative counts.
+
+    A count outside [0, n] or a modulus that is not a prime below 2**26
+    raises ValueError before anything is drawn.
+    """
+    for a in a_profile:
+        if not 0 <= a <= n:
+            raise ValueError(f"direction counts must lie in [0, n={n}], got {a}")
+    prime = _check_prime(prime)
     rng = random.Random(seed)
     points = []
     seen = set()
@@ -819,8 +824,6 @@ def random_affine_problem(n, d, a_profile, prime=DEFAULT_PRIME, seed=0) -> Inter
         points.append(list(pt))
     directions = []
     for a in a_profile:
-        if a > n:
-            raise ValueError(f"at most n={n} directions per point")
         for attempt in range(MAX_REDRAWS + 1):
             ds = [[rng.randrange(prime) for _ in range(n)] for _ in range(a)]
             if rank(ds, prime) == a:

@@ -289,6 +289,17 @@ def enumerate_triple_partitions(total: int) -> PartitionFamily:
     return PartitionFamily("tripleLM", total, tuple(rows))
 
 
+def _multiplicities(lengths, total):
+    """Each way to write ``total`` as a sum of ``lengths``, as a count per length, first slowest."""
+    if not lengths:
+        if total == 0:
+            yield ()
+        return
+    for c in range(total // lengths[0] + 1):
+        for rest in _multiplicities(lengths[1:], total - c * lengths[0]):
+            yield (c, *rest)
+
+
 def enumerate_xo_partitions(total: int, n: int, exhaustive: bool = False) -> PartitionFamily:
     """Length partitions for the free-supported part of a cubic verification scheme.
 
@@ -304,42 +315,21 @@ def enumerate_xo_partitions(total: int, n: int, exhaustive: bool = False) -> Par
     if total < 0:
         raise ValueError("total must be >= 0")
     nlen = n + 1
-
-    def vec(counts_by_length, short=None):
-        v = [0] * nlen
-        for length, c in counts_by_length.items():
-            v[nlen - length] = c
-        if short:
-            v[nlen - short] += 1
-        return tuple(v)
-
-    rows = []
-
-    def extend(allowed, remaining, counts, short):
-        if not allowed:
-            if remaining == 0:
-                rows.append(vec(counts, short))
-            return
-        head, rest = allowed[0], allowed[1:]
-        for c in range(remaining // head + 1):
-            extend(rest, remaining - head * c, {**counts, head: c} if c else counts, short)
-
-    # a short part longer than n+1 has no slot in the vector
+    longs = range(nlen, 3, -1)
     if exhaustive:
-        for short in (0, 1, 2, 3):
-            rem = total - short
-            if rem < 0 or short > nlen:
-                continue
-            longs = list(range(nlen, 3, -1))
-            extend(longs, rem, {}, short or None)
+        families = [(short, longs) for short in (0, 1, 2, 3)]
     else:
-        for short in (1, 2, 3):
-            rem = total - short
-            if rem < 0 or short > nlen:
-                continue
-            longs = [l for l in range(nlen, 3, -1) if l > nlen - short]
-            extend(longs, rem, {}, short)
-        longs = [l for l in range(nlen, 3, -1) if l >= max(4, n - 3)]
-        extend(longs, total, {}, None)
+        families = [(short, [l for l in longs if l > nlen - short]) for short in (1, 2, 3)]
+        families.append((0, [l for l in longs if l >= max(4, n - 3)]))
+    rows = []
     # the families never share a row: their parts <= 3 differ (none, or one of length 1, 2 or 3)
+    for short, lengths in families:
+        if short > total or short > nlen:  # a short part above n+1 has no slot in the vector
+            continue
+        # each family's long lengths run down from n+1, so its counts lead the vector
+        for counts in _multiplicities(lengths, total - short):
+            row = [*counts] + [0] * (nlen - len(counts))
+            if short:
+                row[nlen - short] += 1
+            rows.append(tuple(row))
     return PartitionFamily("XO", total, tuple(rows))

@@ -276,6 +276,17 @@ def test_verify_generic_case(capsys):
     assert case["extra"]["prediction"]["exception_id"] == "a"
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_verify_double_points_on_constants(capsys, n, k):
+    # at d = 0 a double point's one condition is its value row: its jacobian
+    # rows vanish, as Euler's relation d*F = sum x_i dF/dx_i gives no span at d = 0
+    lengths = ",".join([str(n + 1)] * k)
+    code, out, _ = run_cli(capsys, "verify", "-n", str(n), "-d", "0", "--lengths", lengths)
+    case = json.loads(out)["cases"][0]
+    assert code == 0 and (case["predicted"], case["measured"]) == (1, [1])
+
+
 def test_verify_suite_selection(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "ah")
     assert code == 0

@@ -149,6 +149,9 @@ def test_nullspace_dim():
     assert nullspace_dim(np.eye(4, dtype=np.int64), P) == 0
     assert nullspace_dim(np.zeros((3, 7), dtype=np.int64), P) == 7
     assert nullspace_dim([[Fraction(1), Fraction(1)]]) == 1
+    # an array with no rows keeps its columns: both fields read the width from its shape
+    for prime in (P, None):
+        assert nullspace_dim(np.zeros((0, 3), dtype=np.int64), prime) == 3
 
 
 def test_solve_any_underdetermined():
@@ -223,6 +226,27 @@ def test_rank_refuses_primes_beyond_word_size():
     for matrix in stack:
         with pytest.raises(ValueError, match="2\\*\\*26"):
             echelon_mod(matrix, 20, big)
+
+
+def test_numpy_integer_primes_are_read_exactly():
+    # the gate reads a numpy prime by operator.index: pow() in is_prime takes no numpy modulus
+    rng = np.random.default_rng(22)
+    stack = rng.integers(0, 67108859, size=(4, 12, 12))
+    stack[:, :, -1] = stack[:, :, 0] + stack[:, :, 1]
+    for p in (P, 67108859):
+        for prime in (np.int64(p), np.uint32(p)):
+            assert rank(np.eye(3, dtype=np.int64), prime) == 3
+            assert rank_rows([[1, 2], [2, 4]], prime) == 1
+            assert rank_mod(stack, prime).tolist() == rank_mod(stack, p).tolist() == [11] * 4
+            assert echelon_mod(stack[0], 12, prime)[0].tolist() == (
+                echelon_mod(stack[0], 12, p)[0].tolist())
+            assert linalg.ranks(list(stack), prime) == [11] * 4
+            assert solve_square([[2, 1], [1, 1]], [1, 2], prime) == solve_square(
+                [[2, 1], [1, 1]], [1, 2], p)
+    assert rank_rows([[1, 2], [2, 4]], np.int64(2**61 - 1)) == 1
+    for bad in (9.0, 31991.0, "31991"):
+        with pytest.raises(TypeError):
+            rank([[1]], bad)
 
 
 @settings(max_examples=40, deadline=None)

@@ -26,10 +26,12 @@ from ppinterp.schemes import (
     _affine_rows,
     _randbelow_stream,
     _stream_is_randrange,
+    ComponentInstance,
     ComponentSpec,
     DegenerateDrawError,
     InterpolationProblem,
     ProjectiveDraw,
+    SchemeInstance,
     condition_matrices,
     condition_matrix_affine,
     condition_matrix_projective,
@@ -147,8 +149,20 @@ def test_degenerate_draws_error_out():
 
 
 def test_random_instance_gives_up_on_zero_points():
-    # GF(1) has only the zero point, which randrange(1) drew forever
+    # a stream that draws only zeros: the point draw gives up after its redraws
+    # (GF(1), whose only point is zero, meets the modulus gate first)
+    class Zeros:
+        calls = 0
+
+        def randrange(self, p):
+            self.calls += 1
+            return 0
+
+    stream = Zeros()
     with pytest.raises(DegenerateDrawError, match="nonzero point"):
+        schemes._draw_point(stream, 1, P, frozenset())
+    assert stream.calls == 2 * (schemes.MAX_REDRAWS + 1)
+    with pytest.raises(ValueError, match="not a prime"):
         random_instance(1, [ComponentSpec(1)], (), 1, 0)
 
 
@@ -160,6 +174,27 @@ def test_double_point_contributes_full_jacobian():
     inst = random_instance(8, [ComponentSpec(9)], (), P, seed=3)
     m = condition_matrix_projective(inst, basis)
     assert m.shape == (9, 165)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_double_point_keeps_its_value_row_where_p_divides_d(n):
+    # Euler's relation d*F = sum x_i dF/dx_i spans the value row only when d
+    # is a unit mod p: at d = 0 the jacobian rows are zero and the value row
+    # is the one condition a double point imposes on the constants
+    inst = random_instance(n, [ComponentSpec(n + 1)], (), P, seed=3)
+    assert condition_matrix_projective(inst, build_basis(HOMOGENEOUS, n, 0)).shape == (n + 2, 1)
+    assert hilbert_function(inst, 0) == 1
+
+
+def test_double_point_at_d_equal_to_p():
+    # at d = p = 3 in P^1 the point (1 : 0) has jacobian rows 3x^2, 2xy, y^2, 0 = 0
+    # and 0, x^2, 2xy, 3y^2 = [0, 1, 0, 0]: the value row [1, 0, 0, 0] is a second condition
+    inst = SchemeInstance(1, 3, 0, (), (ComponentInstance(ComponentSpec(2), (1, 0), None),))
+    assert condition_matrix_projective(inst, build_basis(HOMOGENEOUS, 1, 3)).tolist() == [
+        [1, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0]]
+    assert hilbert_function(inst, 3) == 2
+    # at d = 4, a unit mod 3, the value row is dropped again
+    assert condition_matrix_projective(inst, build_basis(HOMOGENEOUS, 1, 4)).shape == (2, 5)
 
 
 def test_simple_point_contributes_eval_row():
@@ -199,10 +234,14 @@ def exact_projective_rows(inst, basis):
     for comp in inst.components:
         jac = jacobian_block(basis, comp.point, prime=p)
         if comp.spec.support == GENERAL:
-            if comp.spec.length == basis.nvars:
+            double = comp.spec.length == basis.nvars
+            # Euler: d*F = sum x_i dF/dx_i puts a double point's value row in
+            # the span of its jacobian unless p divides d
+            if not double or basis.d % p == 0:
+                rows.append(eval_row(basis, comp.point, prime=p))
+            if double:
                 rows += jac
                 continue
-            rows.append(eval_row(basis, comp.point, prime=p))
         for combo in comp.combo or ():
             rows.append([sum(c * jac[k][j] for k, c in enumerate(combo)) % p
                          for j in range(len(basis))])
@@ -403,7 +442,7 @@ def test_batched_build_raises_what_the_sequential_path_raises():
         (2, (L,), build_basis(HOMOGENEOUS, 2, 3), P, [ComponentSpec(1)]),  # codimension 3 > n
         (8, (L, M), full, P, good),  # basis not vanishing on the subspaces
         (7, (L, M), p8, P, [ComponentSpec(1)]),  # basis of another P^n
-        (8, (L, M), p8, 67108879, good),  # prime above MAX_PRIME: the direction check refuses it
+        (8, (L, M), p8, 67108879, good),  # prime above MAX_PRIME: the modulus gate refuses it
         (1, (), build_basis(HOMOGENEOUS, 1, 3), 3, [ComponentSpec(1)] * 9),  # 8 points in P^1
         (3, (CoordinateSubspace({0}),), vanishing_basis(3, 3, (CoordinateSubspace({0}),)), P,
          [ComponentSpec(3, 0, 2)]),  # two transversal directions to a hyperplane
@@ -418,9 +457,24 @@ def test_batched_build_raises_what_the_sequential_path_raises():
         if n == 4:
             assert sequential == (ValueError, "zeroed coordinates out of range for P^4: "
                                   f"{sorted(subspaces[0].zeroed)}")
-    # above MAX_PRIME the sequential path still builds schemes without directions
+    # one draw with two faults: both paths check its specs before its prime
+    assert assert_batched_equals_sequential(8, (L, M), p8, 9, [([ComponentSpec(10)], 1)]) == (
+        ValueError, "length must lie in [1, 9]: 10")
+    # above MAX_PRIME both paths refuse schemes without directions too
     draws = [([ComponentSpec(9), ComponentSpec(1)], seed) for seed in range(3)]
-    assert isinstance(assert_batched_equals_sequential(8, (), full, 67108879, draws), list)
+    assert assert_batched_equals_sequential(8, (), full, 67108879, draws) == (
+        ValueError, "modulus 67108879 is not a prime below 2**26, as the int64 kernels need")
+
+
+@pytest.mark.parametrize("n, d, prime", [(1, 0, P), (2, 0, 5), (3, 0, 3), (1, 3, 3), (2, 3, 3),
+                                         (2, 5, 5)])
+def test_batched_double_points_where_p_divides_d(n, d, prime):
+    # double points keep their value row in the batch as in the sequential build
+    specs = [ComponentSpec(n + 1), ComponentSpec(1), ComponentSpec(n + 1)]
+    draws = [(specs, seed) for seed in range(8)]
+    basis = build_basis(HOMOGENEOUS, n, d)
+    built = assert_batched_equals_sequential(n, (), basis, prime, draws)
+    assert {shape for _, shape, _ in built} == {(2 * (n + 2) + 1, len(basis))}
 
 
 def _count_paths(monkeypatch):
@@ -511,14 +565,15 @@ def test_condition_matrices_mixed_round_keeps_input_order(monkeypatch):
 def test_condition_stacks_members_equal_their_builds(monkeypatch):
     # A round of batched draws (some fail the batch's checks at p = 3 and are
     # redrawn alone), lone draws, affine builders and a builder of Python
-    # ints beyond int64.  The 6 x 10 matrices of a lone draw and of the
-    # affine builder on P^2 cubics share one stack with batched ones.
+    # ints beyond int64.  The 6 x 10 matrices of the affine builder on P^2
+    # cubics share one stack with batched ones.  At p = d = 3 a double point
+    # keeps its value row: 4 rows.
     from ppinterp.verify import _affine_builder
 
     plane = build_basis(HOMOGENEOUS, 2, 3)
     crowded = ProjectiveDraw(2, (ComponentSpec(1),) * 6 + (ComponentSpec(3),) * 2
                              + (ComponentSpec(2),) * 2, (), plane, 3)
-    pair = crowded._replace(specs=(ComponentSpec(3),) * 2)
+    pair = crowded._replace(specs=(ComponentSpec(3), ComponentSpec(2)))
     lone = crowded._replace(specs=(ComponentSpec(2),), basis=build_basis(HOMOGENEOUS, 2, 2))
     affine = _affine_builder(2, 3, (2, 1, 0), 3)
 
@@ -541,7 +596,7 @@ def test_condition_stacks_members_equal_their_builds(monkeypatch):
             if want.dtype == np.int64:
                 assert member.tobytes() == want.tobytes()
     shapes = [stack.shape[1:] for _, stack in stacks if stack.dtype == np.int64]
-    assert len(shapes) == len(set(shapes)) == 3  # one stack per shape: 16 x 10, 6 x 10, 2 x 6
+    assert len(shapes) == len(set(shapes)) == 3  # one stack per shape: 18 x 10, 6 x 10, 2 x 6
     assert [len(index) for index, stack in stacks if stack.shape[1:] == (6, 10)] == [4]
     assert stack_ranks(stacks, 3) == [rank_rows(np.asarray(m).tolist(), 3) for m in expected]
 
@@ -601,17 +656,50 @@ def test_affine_build_reduces_entries_and_rejects_zero_directions():
         condition_matrix_affine(InterpolationProblem(1, 2, [[Fraction(1, 2)]], [[]]), prime=P)
 
 
-@pytest.mark.parametrize("modulus", [9, 31991 * 3, 2**26 - 1])
-def test_builders_refuse_a_composite_modulus(modulus):
+@pytest.mark.parametrize("modulus", [9, 31991 * 3, 2**26 - 1, 67108879])
+def test_builders_refuse_a_composite_modulus(monkeypatch, modulus):
     # the affine problem was built as [[1, 2, 4], [0, 1, 4]] mod 9 and the points
-    # drawn mod 9, where every GF(p) entry point of linalg refuses the modulus
+    # drawn mod 9, where every GF(p) entry point of linalg refuses the modulus;
+    # 67108879, the first prime above 2**26, is a prime no kernel takes
     with pytest.raises(ValueError, match="not a prime"):
         condition_matrix_affine(InterpolationProblem(1, 2, [[2]], [[[1]]]), prime=modulus)
-    with pytest.raises(ValueError, match="not a prime"):
-        random_instance(2, [ComponentSpec(3), ComponentSpec(1)], (), modulus, 1)
     inst = dataclasses.replace(random_instance(2, [ComponentSpec(3)], (), 7, 1), prime=modulus)
     with pytest.raises(ValueError, match="not a prime"):
         condition_matrix_projective(inst, build_basis(HOMOGENEOUS, 2, 2))
+    # the draws refuse before drawing, whatever components the scheme holds
+    assert _stream_is_randrange()  # cached before random goes: the batch's own probe
+    monkeypatch.setattr(schemes, "random", None)
+    for specs in ([ComponentSpec(3), ComponentSpec(1)], [ComponentSpec(2)]):
+        with pytest.raises(ValueError, match="not a prime"):
+            random_instance(2, specs, (), modulus, 1)
+        draws = [(ProjectiveDraw(2, tuple(specs), (), build_basis(HOMOGENEOUS, 2, 3), modulus), 1)]
+        with pytest.raises(ValueError, match="not a prime"):
+            condition_matrices(draws)
+    with pytest.raises(ValueError, match="not a prime"):
+        random_affine_problem(2, 3, (1, 0), modulus, 1)
+
+
+@pytest.mark.parametrize("a_profile", [(-1,), (1, 3), (2, -2, 0)])
+def test_random_affine_problem_refuses_counts_outside_zero_to_n(monkeypatch, a_profile):
+    # refused before any draw: redrawing could only end in a degenerate-draw error
+    monkeypatch.setattr(schemes, "random", None)
+    with pytest.raises(ValueError, match=r"direction counts must lie in \[0, n=2\]"):
+        random_affine_problem(2, 3, a_profile)
+
+
+def test_numpy_integer_primes_are_read_exactly():
+    # the batch reads the prime's bit length, which a numpy integer does not have
+    specs = (ComponentSpec(3), ComponentSpec(2), ComponentSpec(1))
+    basis = build_basis(HOMOGENEOUS, 2, 3)
+    for prime in (np.int64(P), np.uint32(7)):
+        inst = random_instance(2, specs, (), prime, 5)
+        assert inst == random_instance(2, specs, (), int(prime), 5)
+        assert type(inst.prime) is int
+        built = condition_matrix_projective(inst, basis)
+        [batched] = condition_matrices([(ProjectiveDraw(2, specs, (), basis, prime), 5)])
+        assert batched.tobytes() == built.tobytes()
+        assert random_affine_problem(2, 3, (2, 1), prime, 5) == random_affine_problem(
+            2, 3, (2, 1), int(prime), 5)
 
 
 def test_affine_coordinates_are_read_exactly():
