@@ -10,7 +10,8 @@ settings feed it:
   row is dropped exactly when p does not divide d, as Euler's relation then
   puts it in the jacobian's span) or supported on a coordinate subspace
   with a prescribed residual r (r random jacobian combinations against a
-  basis of forms vanishing on the subspace);
+  basis of forms vanishing on the subspace).  One component plan,
+  :func:`_plan`, gives these rows to the draw, the build and the batch;
 
 * the affine interpolation problem (points in K^n, per-point direction sets,
   optional assigned values), read as the paper reads it: a point x with a
@@ -25,8 +26,8 @@ not a prime below 2**26 before any work, by ``gf._check_prime``, the gate
 of the rank kernels.  Random instances are drawn from one seed; replaying
 (seed, prime, specs) reproduces the instance bit for bit.  Degenerate draws
 (coincident points, dependent direction sets) are resampled a bounded
-number of times: each has probability about 1/p, so a handful of retries is
-already overkill.
+number of times, by :func:`_redraw`: each has probability about 1/p, so a
+handful of retries is already overkill.
 """
 
 from __future__ import annotations
@@ -235,31 +236,17 @@ class SchemeInstance:
     subspaces: tuple
     components: tuple
 
-    @property
-    def degree(self) -> int:
-        return sum(c.spec.length for c in self.components)
 
-
-def scheme_degree(specs) -> int:
-    return sum(s.length for s in specs)
-
-
-def degree_bookkeeping(specs, subspaces, which) -> tuple:
+def degree_bookkeeping(specs, which) -> tuple:
     """(deg X, deg(X cap S), deg(X:S)) for S a subspace index or an iterable of them.
 
     Components on a subspace meet it in length - residual; at general points
     the listed subspaces are pairwise disjoint from each other's supports and
     from free components, so the union rule has no correction terms.
     """
-    if isinstance(which, int):
-        which = (which,)
-    which = set(which)
-    deg = scheme_degree(specs)
-    trace = sum(
-        s.length - s.residual
-        for s in specs
-        if s.support != GENERAL and s.support in which
-    )
+    which = {which} if isinstance(which, int) else set(which)
+    deg = sum(s.length for s in specs)
+    trace = sum(s.length - s.residual for s in specs if s.support in which)
     return deg, trace, deg - trace
 
 
@@ -286,12 +273,39 @@ def _check_basis(basis, n, subspaces, used) -> None:
             )
 
 
+def _plan(spec, n, d, p) -> tuple:
+    """How a component of a scheme in P^n enters the condition matrix of degree-d forms over GF(p).
+
+    Returns (drawn, whole, value).  ``drawn`` counts the random combination
+    rows the component draws: its residual on a subspace, l - 1 for a free
+    component of length l <= n, 0 for a free double point.  ``whole`` says
+    whether its rows are the n+1 unit vectors, the full jacobian of a free
+    double point.  ``value`` says whether it has a value row: a free
+    component has one, but a double point only when p divides d, as by
+    Euler's relation d*F = sum x_i dF/dx_i the value row is otherwise a
+    combination of the jacobian rows.
+    """
+    if spec.support != GENERAL:
+        return spec.residual, False, False
+    whole = spec.length == n + 1
+    return (0 if whole else spec.length - 1), whole, not (whole and d % p)
+
+
+def _redraw(draw, good, what, prime):
+    """``draw()`` until ``good`` holds of what it drew, at most ``MAX_REDRAWS + 1`` times.
+
+    Gives up with DegenerateDrawError: "could not draw {what} over GF(prime)".
+    """
+    for _ in range(MAX_REDRAWS + 1):
+        drawn = draw()
+        if good(drawn):
+            return drawn
+    raise DegenerateDrawError(f"could not draw {what} over GF({prime})")
+
+
 def _draw_point(rng, n, prime, zeroed):
-    for attempt in range(MAX_REDRAWS + 1):
-        pt = [0 if i in zeroed else rng.randrange(prime) for i in range(n + 1)]
-        if any(pt):
-            return tuple(pt)
-    raise DegenerateDrawError(f"could not draw a nonzero point over GF({prime})")
+    return _redraw(lambda: tuple(0 if i in zeroed else rng.randrange(prime) for i in range(n + 1)),
+                   any, "a nonzero point", prime)
 
 
 def random_instance(n, specs, subspaces=(), prime=DEFAULT_PRIME, seed=0) -> SchemeInstance:
@@ -310,42 +324,21 @@ def random_instance(n, specs, subspaces=(), prime=DEFAULT_PRIME, seed=0) -> Sche
         s.validate(n, len(subspaces))
     prime = _check_prime(prime)
     rng = random.Random(seed)
-    instances = []
-    seen_points = set()
+    instances, seen = [], set()
     for s in specs:
         zeroed = subspaces[s.support].zeroed if s.support != GENERAL else frozenset()
-        for attempt in range(MAX_REDRAWS + 1):
-            point = _draw_point(rng, n, prime, zeroed)
-            if point not in seen_points:
-                break
-        else:
-            raise DegenerateDrawError(
-                f"could not draw distinct support points over GF({prime})"
-            )
-        seen_points.add(point)
-
-        if s.support == GENERAL:
-            n_rows = 0 if s.length == n + 1 else s.length - 1
-            check_cols = None
-        else:
-            n_rows = s.residual
-            check_cols = sorted(zeroed)
+        point = _redraw(lambda: _draw_point(rng, n, prime, zeroed), lambda pt: pt not in seen,
+                        "distinct support points", prime)
+        seen.add(point)
+        rows = _plan(s, n, 0, prime)[0]  # the draw needs no degree: it has no value row to draw
+        cols = sorted(zeroed) or range(n + 1)
         combo = None
-        if n_rows:
-            for attempt in range(MAX_REDRAWS + 1):
-                combo = tuple(
-                    tuple(rng.randrange(prime) for _ in range(n + 1))
-                    for _ in range(n_rows)
-                )
-                checked = combo if check_cols is None else [
-                    [r[j] for j in check_cols] for r in combo
-                ]
-                if rank(checked, prime) == n_rows:
-                    break
-            else:
-                raise DegenerateDrawError(
-                    f"could not draw independent directions over GF({prime})"
-                )
+        if rows:
+            combo = _redraw(
+                lambda: tuple(tuple(rng.randrange(prime) for _ in range(n + 1))
+                              for _ in range(rows)),
+                lambda c: rank([[r[j] for j in cols] for r in c], prime) == rows,
+                "independent directions", prime)
         instances.append(ComponentInstance(s, point, combo))
     return SchemeInstance(n, prime, seed, subspaces, tuple(instances))
 
@@ -353,25 +346,20 @@ def random_instance(n, specs, subspaces=(), prime=DEFAULT_PRIME, seed=0) -> Sche
 def condition_matrix_projective(instance: SchemeInstance, basis: MonomialBasis):
     """Stack every component's condition rows against the given form basis.
 
-    A free component of length l contributes its value row and l - 1 rows
-    of jacobian combinations; a double point (l = n+1) contributes the full
-    jacobian, and its value row only when p divides the degree d.  By
-    Euler's relation d*F = sum x_i dF/dx_i the value row is a combination of
-    the jacobian rows exactly when d is a unit mod p.  A component on a
-    subspace contributes its residual many rows.
+    Each component gives the rows of its :func:`_plan`: its value row if it
+    has one, then its drawn combinations of the jacobian rows, or the full
+    jacobian for a free double point.
     """
     comps = instance.components
     prime = _check_prime(instance.prime)
     _check_basis(basis, instance.n, instance.subspaces,
                  {c.spec.support for c in comps} - {GENERAL})
     nv = basis.nvars
-    euler = basis.d % prime != 0
     full = np.eye(nv, dtype=np.int64).tolist()
     with_value, coeffs, per_point = [], [], []
     for c in comps:
-        free = c.spec.support == GENERAL
-        whole = free and c.spec.length == nv
-        with_value.append(free and not (whole and euler))
+        _, whole, value = _plan(c.spec, instance.n, basis.d, prime)
+        with_value.append(value)
         rows = full if whole else c.combo or ()
         coeffs += rows
         per_point.append(len(rows))
@@ -460,42 +448,47 @@ def condition_stacks(draws) -> list:
     dtype, shape and bytes.  The int64 matrices of one shape share one
     stack; any other matrix is a stack of one.  The :class:`ProjectiveDraw`
     builders that share ``(n, subspaces, basis, prime)`` are drawn and built
-    as one batch, a key with one draw as a batch of one.  Each seed's stream
-    is read in one bulk call and laid out as :func:`random_instance` uses it
-    when it redraws nothing; the batch's draws are then checked together
-    (nonzero and distinct points, combinations independent on their checked
-    columns) and built in chunks of about ``_BUILD_CELLS`` cells, each
-    chunk's rows written straight into the stacks.  Three kinds of draw are
-    built by calling their builder, in input order, and copied into their
-    stack: any other builder; every draw on a Python whose ``randrange``
-    stream :func:`_randbelow_stream` does not replay; and a draw that fails
-    a check, as only this sequential path redraws.  A batch first checks its
-    subspaces, specs, prime and basis as the sequential path does, so an
-    invalid draw raises that path's error before any matrix is built.
+    as one batch, a key with one draw as a batch of one.  The round's draws
+    are taken in input order in one pass, which calls every other builder
+    and checks each :class:`ProjectiveDraw` as the sequential path does
+    (:func:`_admit`), so the round raises the first error that path raises
+    before any batch is drawn.  Each batch component takes the rows of its
+    spec's :func:`_plan`.  Each seed's stream is read in one bulk call and
+    laid out as :func:`random_instance` uses it when it redraws nothing; the
+    batch's draws are then checked together (nonzero and distinct points,
+    combinations independent on their checked columns) and built in chunks
+    of about ``_BUILD_CELLS`` cells, each chunk's rows written straight into
+    the stacks.  Three kinds of draw are built by calling their builder and
+    copied into their stack: any other builder; every draw on a Python whose
+    ``randrange`` stream :func:`_randbelow_stream` does not replay; and,
+    after the pass and in input order, a draw that fails a check, as only
+    this sequential path redraws.
     """
     draws = list(draws)
-    groups = defaultdict(list)
     batched = _stream_is_randrange()
-    for i, (build, _) in enumerate(draws):
+    keys, alone = {}, {}  # keys: (n, subspaces, basis, prime) -> its _Batch
+    batches, shape, redo = [], {}, []  # shape: draw -> (m, M) of its int64 matrix
+    for i, (build, seed) in enumerate(draws):
         if batched and isinstance(build, ProjectiveDraw):
-            groups[build.n, build.subspaces, build.basis, build.prime].append(i)
-    batches, shape, redo = [], {}, set()  # shape: draw -> (m, M) of its int64 matrix
-    for (n, subspaces, basis, prime), members in groups.items():
-        table, counts, prime = _component_table(n, subspaces, basis, prime,
-                                                 [draws[i][0].specs for i in members])
-        layout = _draw_layout(n, subspaces, basis.d, table, counts,
-                              [draws[i][1] for i in members], prime)
+            _admit(keys, build, i)
+            continue
+        alone[i] = matrix = np.asarray(build(seed))
+        if matrix.dtype == np.int64 and matrix.ndim == 2:
+            shape[i] = matrix.shape
+    for (n, subspaces, basis, prime), batch in keys.items():
+        members, prime = batch.members, _check_prime(prime)  # checked in the pass, read as an int
+        counts = np.array([len(draws[i][0].specs) for i in members], dtype=np.int64)
+        table = _component_table(n, basis.d, prime, batch.specs, batch.codes)
+        layout = _draw_layout(n, subspaces, table, counts, [draws[i][1] for i in members], prime)
         draw, _, with_value, owner, *_, ok = layout
         rows = np.bincount(draw, weights=with_value, minlength=len(members)).astype(np.int64)
         rows += np.bincount(draw[owner], minlength=len(members))
         shape.update((i, (m, len(basis))) for i, m in zip(members, rows.tolist()))
         batches.append((basis, prime, counts, layout, members, rows))
-        redo.update(i for i, good in zip(members, ok) if not good)
-    alone = {i: np.asarray(build(seed)) for i, (build, seed) in enumerate(draws)
-             if i not in shape or i in redo}
-    for i, matrix in alone.items():
-        if i not in shape and matrix.dtype == np.int64 and matrix.ndim == 2:
-            shape[i] = matrix.shape
+        redo += (i for i, good in zip(members, ok) if not good)
+    for i in sorted(redo):
+        build, seed = draws[i]
+        alone[i] = np.asarray(build(seed))
     # the stacks of one width M are consecutive rows of one int64 buffer, so a
     # chunk of a batch writes its rows with one scatter; at[i] is draw i's first row
     by_width = defaultdict(lambda: defaultdict(list))
@@ -535,58 +528,80 @@ def condition_matrices(draws) -> list:
     return out
 
 
-def _component_table(n, subspaces, basis, prime, draw_specs):
-    """A batch's components as a table, each draw's component count, and the prime as an int.
+class _Batch(NamedTuple):
+    """The draws of one batch key, as :func:`_admit` takes them in a round."""
 
-    ``draw_specs`` holds each draw's specs.  The subspaces, then each spec,
-    the prime and the basis are checked by the sequential path's own checks,
-    so an invalid draw raises its error.  A table row is (length, support,
-    residual) with support -1 for a free component and residual 0 where
-    there is none; rows follow the draws' components in order.  Specs are
-    keyed by identity, so each spec object is validated once a call; the
+    members: list  # each draw's index in the round
+    specs: list  # the distinct specs, in order of first use
+    code: dict  # id(spec) -> its index in specs
+    codes: list  # each component's index in specs, draw by draw
+
+
+def _admit(keys, build, i) -> None:
+    """Check draw ``i``'s builder as the sequential path does and add the draw to its batch.
+
+    ``keys`` maps each ``(n, subspaces, basis, prime)`` to its
+    :class:`_Batch`.  A draw's checks run in the sequential path's order,
+    each once per key: the key's subspaces, the first time the key is seen;
+    the draw's specs new to the key; the key's prime, the first time; and
+    the basis, the first time and on the subspaces of the new specs.  Specs
+    are keyed by identity, so each spec object is validated once a key; the
     job builders of ``verify`` make one object per distinct spec, so a trial
     round validates each distinct spec once, not once per component.
     """
-    _check_subspaces(n, subspaces)
-    kinds, code = [], {}  # id(spec) -> index of its row in kinds
-    for specs in draw_specs:
-        for s in specs:
-            if id(s) not in code:
-                s.validate(n, len(subspaces))
-                code[id(s)] = len(kinds)
-                free = s.support == GENERAL
-                kinds.append((s.length, -1, 0) if free else (s.length, s.support, s.residual))
-    prime = _check_prime(prime)
-    kinds = np.array(kinds, dtype=np.int64).reshape(-1, 3)
-    _check_basis(basis, n, subspaces, set(kinds[:, 1].tolist()) - {-1})
-    codes = np.array([code[id(s)] for specs in draw_specs for s in specs], dtype=np.int64)
-    return kinds[codes], np.array([len(specs) for specs in draw_specs], dtype=np.int64), prime
+    n, specs, subspaces, basis, prime = build
+    batch = keys.get((n, subspaces, basis, prime))
+    fresh = batch is None
+    if fresh:
+        _check_subspaces(n, subspaces)
+        batch = keys[n, subspaces, basis, prime] = _Batch([], [], {}, [])
+    kinds, code, codes = batch.specs, batch.code, batch.codes
+    known = len(kinds)
+    for s in specs:
+        c = code.get(id(s))
+        if c is None:
+            s.validate(n, len(subspaces))
+            c = code[id(s)] = len(kinds)
+            kinds.append(s)
+        codes.append(c)
+    if fresh:
+        _check_prime(prime)
+    if fresh or len(kinds) > known:
+        _check_basis(basis, n, subspaces, {s.support for s in kinds[known:]} - {GENERAL})
+    batch.members.append(i)
 
 
-def _draw_layout(n, subspaces, d, table, counts, seeds, p):
+def _component_table(n, d, p, specs, codes):
+    """Each component's row (support, drawn, whole, value): the :func:`_plan` of ``specs[code]``.
+
+    The plan is taken once per spec; the support of a free component is -1.
+    """
+    kinds = np.array([(-1 if s.support == GENERAL else s.support, *_plan(s, n, d, p))
+                      for s in specs], dtype=np.int64).reshape(-1, 4)
+    return kinds[np.array(codes, dtype=np.int64)]
+
+
+def _draw_layout(n, subspaces, table, counts, seeds, p):
     """Draw the components of ``table`` from each seed's stream and check them together.
 
-    A draw's components take, one after the other, their point's coordinates
-    off its subspace and then their combination rows of n+1 entries each:
-    the values :func:`random_instance` reads when it redraws nothing.  The
-    rows of a double point are the unit vectors, read from the identity
-    block appended to the values; it has a value row as well only when p
-    divides the degree ``d``, as in :func:`condition_matrix_projective`.
+    ``table`` holds each component's :func:`_component_table` row, draw by
+    draw.  A draw's components take, one after the other, their point's
+    coordinates off its subspace and then their combination rows of n+1
+    entries each: the values :func:`random_instance` reads when it redraws
+    nothing.  The rows of a double point are the unit vectors, read from the
+    identity block appended to the values.
     Returns, in draw order, ``draw`` (C,): the draw of each component;
-    ``points`` (C, nv); ``with_value`` (C,); ``owner`` (R,): the component
-    of each combination row, nondecreasing; ``start`` (R,): where each row's
-    nv coefficients start in ``values``; ``values``; and ``ok`` (B,):
-    whether each draw passed every check.
+    ``points`` (C, nv); ``with_value`` (C,): 1 for a value row, else 0;
+    ``owner`` (R,): the component of each combination row, nondecreasing;
+    ``start`` (R,): where each row's nv coefficients start in ``values``;
+    ``values``; and ``ok`` (B,): whether each draw passed every check.
     """
     nv = n + 1
-    length, sup, residual = table.T
+    sup, n_rows, whole, with_value = table.T
     zmask = np.zeros((len(subspaces) + 1, nv), dtype=bool)  # row -1: free components
     for i, sub in enumerate(subspaces):
         zmask[i, sorted(sub.zeroed)] = True
     zero = zmask[sup]
-    free = sup < 0
-    whole = free & (length == nv)
-    n_rows = np.where(free, np.where(whole, 0, length - 1), residual)
     own = nv - zero.sum(axis=1)  # coordinates the point draws
     block = own + n_rows * nv
     draw = np.repeat(np.arange(len(seeds)), counts)
@@ -615,7 +630,6 @@ def _draw_layout(n, subspaces, d, table, counts, seeds, p):
         cols = np.arange(nv) if s == 0 else np.array(sorted(subspaces[s - 1].zeroed))
         stack = values[(off + own)[g, None, None] + np.arange(r)[:, None] * nv + cols]
         bad[draw[g[rank_mod(stack, p) < r]]] = True
-    with_value = free & ~whole if d % p else free
     return draw, points, with_value, owner, start, values, ~bad
 
 
@@ -646,12 +660,6 @@ def _build_chunks(layout, p, counts, drawn, rows, out, at) -> None:
                          values[start[ra:rb, None] + np.arange(nv)], owner[ra:rb] - ca, p,
                          out, first[ca:cb])
         lo = hi
-
-
-def expected_row_count(specs) -> int:
-    return sum(
-        s.length if s.support == GENERAL else s.residual for s in specs
-    )
 
 
 def hilbert_function(instance: SchemeInstance, d: int, subspaces=None) -> int:
@@ -811,26 +819,13 @@ def random_affine_problem(n, d, a_profile, prime=DEFAULT_PRIME, seed=0) -> Inter
             raise ValueError(f"direction counts must lie in [0, n={n}], got {a}")
     prime = _check_prime(prime)
     rng = random.Random(seed)
-    points = []
-    seen = set()
+    points, seen = [], set()
     for _ in a_profile:
-        for attempt in range(MAX_REDRAWS + 1):
-            pt = tuple(rng.randrange(prime) for _ in range(n))
-            if pt not in seen:
-                break
-        else:
-            raise DegenerateDrawError(f"could not draw distinct points over GF({prime})")
+        pt = _redraw(lambda: tuple(rng.randrange(prime) for _ in range(n)),
+                     lambda pt: pt not in seen, "distinct points", prime)
         seen.add(pt)
         points.append(list(pt))
-    directions = []
-    for a in a_profile:
-        for attempt in range(MAX_REDRAWS + 1):
-            ds = [[rng.randrange(prime) for _ in range(n)] for _ in range(a)]
-            if rank(ds, prime) == a:
-                break
-        else:
-            raise DegenerateDrawError(
-                f"could not draw independent directions over GF({prime})"
-            )
-        directions.append(ds)
+    directions = [_redraw(lambda: [[rng.randrange(prime) for _ in range(n)] for _ in range(a)],
+                          lambda ds: rank(ds, prime) == a, "independent directions", prime)
+                  for a in a_profile]
     return InterpolationProblem(n, d, points, directions, prime=prime)

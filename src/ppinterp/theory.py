@@ -71,13 +71,10 @@ def delta_affine(n: int, a, i: int) -> int:
     """Delta value of a derivative-count profile at index i (1-based).
 
     The profile is padded with -1 past its end; entry j is compared against
-    the budget n+1-j.
+    the budget n+1-j.  That is :func:`delta_scheme` of the lengths a_j + 1.
     """
     _check_sorted(a, "a-profile")
-    if not 1 <= i <= n:
-        raise ValueError(f"need 1 <= i <= n, got i={i}")
-    padded = [a[j] if j < len(a) else -1 for j in range(i)]
-    return max(0, sum(padded) - sum(n + 1 - j for j in range(1, i + 1)))
+    return delta_scheme(n, [x + 1 for x in a], i)
 
 
 def delta_scheme(n: int, lengths, i: int) -> int:
@@ -300,27 +297,23 @@ def _multiplicities(lengths, total):
             yield (c, *rest)
 
 
-def enumerate_xo_partitions(total: int, n: int, exhaustive: bool = False) -> PartitionFamily:
+def enumerate_xo_partitions(total: int, n: int) -> PartitionFamily:
     """Length partitions for the free-supported part of a cubic verification scheme.
 
-    Rows are multiplicity vectors over lengths (n+1, n, ..., 1).  The default
+    Rows are multiplicity vectors over lengths (n+1, n, ..., 1).  The
     enumeration keeps only configurations that cannot be reached by letting
     two components collide (two parts may merge when their sum still fits in
     a double point, i.e. is <= n+1): at most one part is <= 3, a lone short
     part of length h forces the long parts to exceed n+1-h, and with no
     short part the long parts run from max(4, n-3) to n+1.  For n = 8 this
-    reproduces the classic four-family loop exactly.  ``exhaustive`` widens
-    the list to every partition with parts <= n+1 and at most one part <= 3.
+    reproduces the classic four-family loop exactly.
     """
     if total < 0:
         raise ValueError("total must be >= 0")
     nlen = n + 1
     longs = range(nlen, 3, -1)
-    if exhaustive:
-        families = [(short, longs) for short in (0, 1, 2, 3)]
-    else:
-        families = [(short, [l for l in longs if l > nlen - short]) for short in (1, 2, 3)]
-        families.append((0, [l for l in longs if l >= max(4, n - 3)]))
+    families = [(short, [l for l in longs if l > nlen - short]) for short in (1, 2, 3)]
+    families.append((0, [l for l in longs if l >= max(4, n - 3)]))
     rows = []
     # the families never share a row: their parts <= 3 differ (none, or one of length 1, 2 or 3)
     for short, lengths in families:

@@ -38,7 +38,6 @@ from ppinterp.schemes import (
     condition_rhs,
     degree_bookkeeping,
     integer_system_affine,
-    expected_row_count,
     hilbert_function,
     random_affine_problem,
     random_instance,
@@ -224,7 +223,7 @@ def test_row_count_accounting_random_specs():
         absorbed = sum(
             s.length - s.residual for s in specs if s.support != GENERAL
         )
-        assert m.shape[0] == expected_row_count(specs) == deg - absorbed
+        assert m.shape[0] == deg - absorbed
 
 
 def exact_projective_rows(inst, basis):
@@ -464,6 +463,18 @@ def test_batched_build_raises_what_the_sequential_path_raises():
     draws = [([ComponentSpec(9), ComponentSpec(1)], seed) for seed in range(3)]
     assert assert_batched_equals_sequential(8, (), full, 67108879, draws) == (
         ValueError, "modulus 67108879 is not a prime below 2**26, as the int64 kernels need")
+    # two faulty draws of one key: both paths raise the first draw's fault,
+    # though the second draw's spec fault comes before a prime fault in a draw
+    cubics, quadrics = build_basis(HOMOGENEOUS, 2, 3), build_basis(HOMOGENEOUS, 2, 2)
+    assert assert_batched_equals_sequential(
+        2, (), cubics, 9, [([ComponentSpec(1)], 1), ([ComponentSpec(7)], 2)]) == (
+        ValueError, "modulus 9 is not a prime below 2**26, as the int64 kernels need")
+    # faulty draws of two keys: both paths raise the fault of the first in input order
+    round_ = [(ProjectiveDraw(2, (ComponentSpec(length),), (), basis, P), seed)
+              for seed, (length, basis) in enumerate([(1, cubics), (5, quadrics), (7, cubics)])]
+    sequential = _outcome(lambda: [build(seed) for build, seed in round_])
+    assert _outcome(lambda: condition_matrices(round_)) == sequential == (
+        ValueError, "length must lie in [1, 3]: 5")
 
 
 @pytest.mark.parametrize("n, d, prime", [(1, 0, P), (2, 0, 5), (3, 0, 3), (1, 3, 3), (2, 3, 3),
@@ -774,6 +785,40 @@ def test_random_instance_draw_stream_is_pinned():
     )
 
 
+def test_draw_stream_is_pinned_where_it_redraws(monkeypatch):
+    # digest of these draws at primes 5 and 7, where points coincide and
+    # direction sets are dependent often enough that every kind of redraw
+    # happens: a redraw must read the random stream as it always has
+    calls = {"point": 0, "rank": 0}
+    point, rank_ = schemes._draw_point, schemes.rank
+
+    def counted(name, f):
+        return lambda *args: calls.__setitem__(name, calls[name] + 1) or f(*args)
+
+    monkeypatch.setattr(schemes, "_draw_point", counted("point", point))
+    monkeypatch.setattr(schemes, "rank", counted("rank", rank_))
+    crowded = [ComponentSpec(1)] * 6 + [ComponentSpec(3)] * 2 + [ComponentSpec(2)] * 2
+    on_line = [ComponentSpec(3, 0, 2)] * 2 + [ComponentSpec(3)] * 2 + [ComponentSpec(1)] * 4
+    seeds = [(prime, seed) for prime in (5, 7) for seed in range(10)]
+    insts = [random_instance(2, crowded, (), p, seed) for p, seed in seeds]
+    assert calls == {"point": 207, "rank": 40}  # 200 and 40 without a redraw
+    insts += [random_instance(3, on_line, (CoordinateSubspace({0, 1}),), p, seed)
+              for p, seed in seeds]
+    assert calls == {"point": 368, "rank": 131}  # 160 and 80 more without a redraw
+    profile = (2, 2, 1, 1, 0, 2, 1, 2)
+    probs = [random_affine_problem(2, 3, profile, p, seed) for p, seed in seeds]
+    assert calls["rank"] == 131 + 184  # 160 without a redraw
+    # the first eight points of the stream, drawn with no redraw
+    first = [[[rng.randrange(p) for _ in range(2)] for _ in profile]
+             for p, rng in ((p, random.Random(seed)) for p, seed in seeds)]
+    assert sum(f != q.points for f, q in zip(first, probs)) == 13
+    blob = repr([[(c.point, c.combo) for c in i.components] for i in insts]
+                + [(q.points, q.directions) for q in probs])
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "32d9f13c74d95164dc29d62a9b52fc93e048c4bd9dc985799c9462dd0e500bfc"
+    )
+
+
 def test_on_subspace_requires_vanishing_basis():
     basis = build_basis(HOMOGENEOUS, 8, 3)
     inst = random_instance(8, [ComponentSpec(9, 0, 3)], (L,), P, seed=2)
@@ -796,12 +841,12 @@ def test_remark_boundary_configuration():
 
 def test_degree_bookkeeping_double_point_on_subspace():
     specs = [ComponentSpec(9, 0, 3)]
-    assert degree_bookkeeping(specs, (L,), 0) == (9, 6, 3)
+    assert degree_bookkeeping(specs, 0) == (9, 6, 3)
 
 
 def test_degree_bookkeeping_general():
     specs = [ComponentSpec(9), ComponentSpec(4)]
-    deg, trace, resid = degree_bookkeeping(specs, (L,), 0)
+    deg, trace, resid = degree_bookkeeping(specs, 0)
     assert (deg, trace, resid) == (13, 0, 13)
 
 
@@ -815,11 +860,11 @@ def test_degree_bookkeeping_union():
         specs = []
         for idx, part in enumerate(parts):
             specs += specs_on_subspace(8, idx, part)
-        deg, trace, resid = degree_bookkeeping(specs, (L, M, N), (0, 1, 2))
+        deg, trace, resid = degree_bookkeeping(specs, (0, 1, 2))
         assert resid == 27
         assert resid == deg - trace
         # the union trace is the sum of the pairwise-disjoint per-subspace traces
-        assert trace == sum(degree_bookkeeping(specs, (L, M, N), i)[1] for i in range(3))
+        assert trace == sum(degree_bookkeeping(specs, i)[1] for i in range(3))
 
 
 def test_hilbert_function_simple_point():

@@ -257,13 +257,12 @@ def test_xo_partition_sums():
                 assert sum(c * (n + 1 - j) for j, c in enumerate(row)) == total
 
 
-@pytest.mark.parametrize("exhaustive", [False, True])
-def test_xo_rows_have_the_total_degree_in_small_spaces(exhaustive):
+def test_xo_rows_have_the_total_degree_in_small_spaces():
     # a short part longer than n+1 used to wrap to slot -1: at n = 1, total 3
     # gave the row (0, 1), one component of length 1
     for n in range(1, 5):
         for total in range(12):
-            for row in enumerate_xo_partitions(total, n, exhaustive).parts:
+            for row in enumerate_xo_partitions(total, n).parts:
                 assert len(row) == n + 1
                 assert sum(c * (n + 1 - j) for j, c in enumerate(row)) == total, (n, total, row)
 
@@ -293,10 +292,8 @@ def all_partitions_oracle(total, n):
 
 def test_xo_partitions_exhaustive_mode():
     for n, total in ((5, 18), (8, 20)):
-        got = set(enumerate_xo_partitions(total, n, exhaustive=True).parts)
-        assert got == all_partitions_oracle(total, n)
-        # script-faithful mode is a subset of the exhaustive enumeration
-        assert set(enumerate_xo_partitions(total, n).parts) <= got
+        # the rows are a subset of the exhaustive enumeration
+        assert set(enumerate_xo_partitions(total, n).parts) <= all_partitions_oracle(total, n)
 
 
 def test_cone_lower_bound_values():
