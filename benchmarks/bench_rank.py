@@ -212,7 +212,7 @@ def _jacobian_rule(draws):
     slot_rule = schemes._slot_rule
     schemes._slot_rule = lambda *args: False
     try:
-        return condition_matrices(draws)
+        return condition_matrices(draws, DEFAULT_PRIME)
     finally:
         schemes._slot_rule = slot_rule
 
@@ -231,14 +231,13 @@ def bench_draw_build(rng, args):
             parts = [rng.choice(family_parts) for _, family_parts, _ in families]
             specs = tuple(s for (_, _, specs_of), part in zip(families, parts)
                           for s in specs_of(part))
-            draws.append((ProjectiveDraw(n, specs, subspaces, basis, DEFAULT_PRIME),
-                          rng.randrange(2**64)))
+            draws.append((ProjectiveDraw(specs, subspaces, basis), rng.randrange(2**64)))
 
         def alone():
-            return [build(seed) for build, seed in draws]
+            return [build(seed, DEFAULT_PRIME) for build, seed in draws]
 
         def batched():
-            return condition_matrices(draws)
+            return condition_matrices(draws, DEFAULT_PRIME)
 
         t_alone, expected = _best(alone, args.repeats)
         t_batched, got = _best(batched, args.repeats)

@@ -16,11 +16,10 @@ from math import comb
 
 from . import linalg, theory
 from .gf import as_fraction, check_modulus, inv_mod, scalar_to_json
-from .monomials import AFFINE, build_basis
+from .monomials import AFFINE, build_basis, derivative_row, eval_row
 from .schemes import (
     InterpolationProblem,
     _affine_rows,
-    condition_matrix_affine,
     condition_rhs,
     integer_system_affine,
 )
@@ -55,13 +54,7 @@ class Interpolant:
 
     def evaluate(self, point):
         """The exact value at ``point``, read as ``solve`` reads problem scalars."""
-        from .monomials import eval_row
-
-        if self.prime is None:
-            point = [as_fraction(x) for x in point]
-        else:
-            point = [_residue(x, self.prime) for x in point]
-        row = eval_row(self.basis(), point, self.prime)
+        row = eval_row(self.basis(), [_residue(x, self.prime) for x in point], self.prime)
         total = sum(c * r for c, r in zip(self.coefficients, row))
         return total % self.prime if self.prime is not None else total
 
@@ -76,15 +69,18 @@ class Interpolant:
         }
 
 
-def _residue(v, p: int) -> int:
-    # rationals embed in GF(p) as num * den^-1 when p does not divide den
+def _residue(v, p: int | None):
+    # rationals embed in GF(p) as num * den^-1 when p does not divide den;
+    # over Q (p None) the scalar is read exactly
     f = as_fraction(v)
+    if p is None:
+        return f
     if f.denominator % p == 0:
         raise NoResidueError(f"{f} has no residue mod {p}")
     return f.numerator * inv_mod(f.denominator, p) % p
 
 
-def _reduce_problem(prob: InterpolationProblem, p: int) -> InterpolationProblem:
+def _reduce_problem(prob: InterpolationProblem, p: int | None) -> InterpolationProblem:
     return InterpolationProblem(
         prob.n, prob.d,
         [[_residue(x, p) for x in pt] for pt in prob.points],
@@ -178,15 +174,23 @@ def predict_then_solve(prob: InterpolationProblem, prime: int | None = None) -> 
 
 
 def residuals(prob: InterpolationProblem, f: Interpolant) -> list:
-    """Exact residuals of every assigned condition against the interpolant."""
-    if f.prime is not None:
-        prob = _reduce_problem(prob, f.prime)
-    matrix = condition_matrix_affine(prob, f.basis(), f.prime)
-    rhs = condition_rhs(prob)
-    out = []
-    for row, b in zip(matrix, rhs):
+    """Exact residuals of every assigned condition against the interpolant.
+
+    Each condition is evaluated by the reference rows of ``monomials``
+    (``eval_row``, ``derivative_row``) on the problem read as ``solve``
+    reads it, so the check does not share the evaluator of the matrix the
+    solver eliminated.
+    """
+    if (prob.n, prob.d) != (f.n, f.d):
+        raise ValueError("basis/problem mismatch")
+    condition_rhs(prob)  # a problem without values is refused first
+    prob, basis, p = _reduce_problem(prob, f.prime), f.basis(), f.prime
+    rows, out = [], []
+    for pt, ds in zip(prob.points, prob.directions):
+        rows += [eval_row(basis, pt, p)] + [derivative_row(basis, pt, v, p) for v in ds]
+    for row, b in zip(rows, condition_rhs(prob)):
         r = sum(c * v for c, v in zip(f.coefficients, row)) - b
-        out.append(r % f.prime if f.prime is not None else r)
+        out.append(r % p if p is not None else r)
     return out
 
 

@@ -422,61 +422,69 @@ _BUILD_CELLS = 1 << 15
 
 
 class ProjectiveDraw(NamedTuple):
-    """The builder of a random scheme's condition matrices, one per seed.
+    """The builder of a random scheme's condition matrices, one per seed and prime.
 
-    Calling it draws and builds one instance; :func:`condition_matrices`
-    builds a round's draws that share ``(n, subspaces, basis, prime)``
-    together and gives the same matrices.
+    Calling it as ``build(seed, prime)`` draws one instance in P^n, n being
+    ``basis.n``, and builds its matrix; :func:`condition_matrices` builds a
+    round's draws that share ``(subspaces, basis)`` together and gives the
+    same matrices.  It holds no prime: a trial round has one, and hands it
+    to every builder.
     """
 
-    n: int
     specs: tuple
     subspaces: tuple
     basis: MonomialBasis
-    prime: int
 
-    def __call__(self, seed):
-        inst = random_instance(self.n, self.specs, self.subspaces, self.prime, seed)
+    def __call__(self, seed, prime):
+        inst = random_instance(self.basis.n, self.specs, self.subspaces, prime, seed)
         return condition_matrix_projective(inst, self.basis)
 
 
-def condition_stacks(draws) -> list:
-    """The matrices ``build(seed)`` gives for the ``(build, seed)`` draws, one stack per shape.
+def condition_stacks(draws, prime) -> list:
+    """The matrices ``build(seed, prime)`` gives for ``(build, seed)`` draws, one stack per shape.
 
     Returns ``(index, stack)`` pairs: ``stack`` is a (B, m, M) array whose
-    member k is draw ``index[k]``'s matrix, equal to ``build(seed)`` in
-    dtype, shape and bytes.  The int64 matrices of one shape share one
+    member k is draw ``index[k]``'s matrix, equal to ``build(seed, prime)``
+    in dtype, shape and bytes.  The int64 matrices of one shape share one
     stack; any other matrix is a stack of one.  The :class:`ProjectiveDraw`
-    builders that share ``(n, subspaces, basis, prime)`` are drawn and built
-    as one batch, a key with one draw as a batch of one.  The round's draws
-    are taken in input order in one pass, which calls every other builder
-    and checks each :class:`ProjectiveDraw` as the sequential path does
-    (:func:`_admit`), so the round raises the first error that path raises
-    before any batch is drawn.  Each batch component takes the rows of its
-    spec's :func:`_plan`.  Each seed's stream is read in one bulk call and
-    laid out as :func:`random_instance` uses it when it redraws nothing; the
-    batch's draws are then checked together (nonzero and distinct points,
-    combinations independent on their checked columns) and built in chunks
-    of about ``_BUILD_CELLS`` cells, each chunk's rows written straight into
-    the stacks.  Three kinds of draw are built by calling their builder and
-    copied into their stack: any other builder; every draw on a Python whose
-    ``randrange`` stream :func:`_randbelow_stream` does not replay; and,
-    after the pass and in input order, a draw that fails a check, as only
-    this sequential path redraws.
+    builders that share ``(subspaces, basis)`` are drawn and built as one
+    batch, a key with one draw as a batch of one.  The round's draws are
+    taken in input order in one pass, which calls every other builder and
+    checks each :class:`ProjectiveDraw` (:func:`_admit`) before any batch is
+    drawn.  A round raises the sequential path's error: on an error at draw
+    i it builds ``draws[:i]``, as that path would first, and then calls
+    draw i's own builder, which raises what that path raises for it.  Each
+    batch component takes the rows of its spec's :func:`_plan`.  Each seed's
+    stream is read in one bulk call and laid out as :func:`random_instance`
+    uses it when it redraws nothing; the batch's draws are then checked
+    together (nonzero and distinct points, combinations independent on their
+    checked columns) and built in chunks of about ``_BUILD_CELLS`` cells,
+    each chunk's rows written straight into the stacks.  Three kinds of draw
+    are built by calling their builder and copied into their stack: any
+    other builder; every draw on a Python whose ``randrange`` stream
+    :func:`_randbelow_stream` does not replay; and, after the pass and in
+    input order, a draw that fails a check, as only this sequential path
+    redraws.
     """
     draws = list(draws)
     batched = _stream_is_randrange()
-    keys, alone = {}, {}  # keys: (n, subspaces, basis, prime) -> its _Batch
+    keys, alone = {}, {}  # keys: (subspaces, basis) -> its _Batch
     batches, shape, redo = [], {}, []  # shape: draw -> (m, M) of its int64 matrix
     for i, (build, seed) in enumerate(draws):
-        if batched and isinstance(build, ProjectiveDraw):
-            _admit(keys, build, i)
-            continue
-        alone[i] = matrix = np.asarray(build(seed))
+        try:
+            if batched and isinstance(build, ProjectiveDraw):
+                _admit(keys, build, i, prime)
+                continue
+            alone[i] = matrix = np.asarray(build(seed, prime))
+        except Exception:
+            condition_stacks(draws[:i], prime)
+            build(seed, prime)
+            raise
         if matrix.dtype == np.int64 and matrix.ndim == 2:
             shape[i] = matrix.shape
-    for (n, subspaces, basis, prime), batch in keys.items():
-        members, prime = batch.members, _check_prime(prime)  # checked in the pass, read as an int
+    for (subspaces, basis), batch in keys.items():
+        members, n = batch.members, basis.n
+        prime = _check_prime(prime)  # checked in the pass, read as an int
         counts = np.array([len(draws[i][0].specs) for i in members], dtype=np.int64)
         table = _component_table(n, basis.d, prime, batch.specs, batch.codes)
         layout = _draw_layout(n, subspaces, table, counts, [draws[i][1] for i in members], prime)
@@ -484,11 +492,11 @@ def condition_stacks(draws) -> list:
         rows = np.bincount(draw, weights=with_value, minlength=len(members)).astype(np.int64)
         rows += np.bincount(draw[owner], minlength=len(members))
         shape.update((i, (m, len(basis))) for i, m in zip(members, rows.tolist()))
-        batches.append((basis, prime, counts, layout, members, rows))
+        batches.append((basis, counts, layout, members, rows))
         redo += (i for i, good in zip(members, ok) if not good)
     for i in sorted(redo):
         build, seed = draws[i]
-        alone[i] = np.asarray(build(seed))
+        alone[i] = np.asarray(build(seed, prime))
     # the stacks of one width M are consecutive rows of one int64 buffer, so a
     # chunk of a batch writes its rows with one scatter; at[i] is draw i's first row
     by_width = defaultdict(lambda: defaultdict(list))
@@ -505,7 +513,7 @@ def condition_stacks(draws) -> list:
                            .reshape(len(index), m, width)))
             at.update((i, lo + m * k) for k, i in enumerate(index))
             lo += m * len(index)
-    for basis, prime, counts, layout, take, rows in batches:
+    for basis, counts, layout, take, rows in batches:
         _build_chunks(_slot_layout(basis), prime, counts, layout, rows,
                       buffers[len(basis)], np.array([at[i] for i in take], dtype=np.int64))
     for index, stack in stacks:
@@ -515,14 +523,14 @@ def condition_stacks(draws) -> list:
     return stacks + [([i], matrix[None]) for i, matrix in alone.items()]
 
 
-def condition_matrices(draws) -> list:
-    """The matrix ``build(seed)`` gives for each ``(build, seed)`` draw, in input order.
+def condition_matrices(draws, prime) -> list:
+    """The matrix ``build(seed, prime)`` gives for each ``(build, seed)`` draw, in input order.
 
     The members of :func:`condition_stacks`' stacks, listed by draw.
     """
     draws = list(draws)
     out = [None] * len(draws)
-    for index, stack in condition_stacks(draws):
+    for index, stack in condition_stacks(draws, prime):
         for i, matrix in zip(index, stack):
             out[i] = matrix
     return out
@@ -537,24 +545,25 @@ class _Batch(NamedTuple):
     codes: list  # each component's index in specs, draw by draw
 
 
-def _admit(keys, build, i) -> None:
+def _admit(keys, build, i, prime) -> None:
     """Check draw ``i``'s builder as the sequential path does and add the draw to its batch.
 
-    ``keys`` maps each ``(n, subspaces, basis, prime)`` to its
-    :class:`_Batch`.  A draw's checks run in the sequential path's order,
-    each once per key: the key's subspaces, the first time the key is seen;
-    the draw's specs new to the key; the key's prime, the first time; and
-    the basis, the first time and on the subspaces of the new specs.  Specs
-    are keyed by identity, so each spec object is validated once a key; the
-    job builders of ``verify`` make one object per distinct spec, so a trial
-    round validates each distinct spec once, not once per component.
+    ``keys`` maps each ``(subspaces, basis)`` to its :class:`_Batch`.  A
+    draw's checks run in the sequential path's order, each once per key: the
+    key's subspaces, the first time the key is seen; the draw's specs new to
+    the key; the round's ``prime``, the first time; and the basis, the first
+    time and on the subspaces of the new specs.  Specs are keyed by
+    identity, so each spec object is validated once a key; the job builders
+    of ``verify`` make one object per distinct spec, so a trial round
+    validates each distinct spec once, not once per component.
     """
-    n, specs, subspaces, basis, prime = build
-    batch = keys.get((n, subspaces, basis, prime))
+    specs, subspaces, basis = build
+    n = basis.n
+    batch = keys.get((subspaces, basis))
     fresh = batch is None
     if fresh:
         _check_subspaces(n, subspaces)
-        batch = keys[n, subspaces, basis, prime] = _Batch([], [], {}, [])
+        batch = keys[subspaces, basis] = _Batch([], [], {}, [])
     kinds, code, codes = batch.specs, batch.code, batch.codes
     known = len(kinds)
     for s in specs:

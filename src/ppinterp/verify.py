@@ -19,19 +19,25 @@ of all its triples (and the ``p8`` and ``base`` suites those of all their
 propositions), so a round can span triples and fills up.  Each round makes one
 ``schemes.condition_stacks`` call, which draws and builds the round's scheme
 instances together into one stack per matrix shape, and one
-``linalg.stack_ranks`` call, which gives every matrix its exact rank.
+``linalg.stack_ranks`` call, which gives every matrix its exact rank.  A
+round has one prime, the policy's: a job's builder holds only its scheme
+and is called as ``build(seed, prime)``.  So a round depends only on the
+policy and its jobs.
 
 Jobs run in batches of ``ROUND_CASES``.  A stream of two batches or more
 runs on every CPU the process may use: forked workers iterate the same
 stream, process k mod W runs batch k, and only each batch's ranks travel
 back, so the batches overlap and the cases are those of one process
-(``taskset -c 0`` runs serially).  A case's ``millis`` is an equal share of
+(``taskset -c 0`` runs serially).  A batch no worker delivered, because it
+raised there or the worker died, is run by the parent itself, which raises
+what the serial path raises.  A case's ``millis`` is an equal share of
 each of its rounds' build-and-rank time in the process that ran its batch;
 for a command of one case that is its own time.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import os
@@ -140,21 +146,24 @@ def _process_count() -> int:
 def _round(policy: TrialPolicy, batch):
     """Each job's measured ranks and seconds over the trial rounds of one batch.
 
-    Trial t of a job ranks ``build(child_seed(seed, label, t))``, and the job
-    ends after a rank equal to its ``stop`` (None: it runs every trial).  Each
-    trial round builds the running jobs' matrices in one
+    Trial t of a job ranks ``build(child_seed(seed, label, t), prime)`` at
+    the policy's prime, the one prime of every round: no builder holds one.
+    The job ends after a rank equal to its ``stop`` (None: it runs every
+    trial).  Each trial round builds the running jobs' matrices in one
     ``schemes.condition_stacks`` call, as one stack per shape, and ranks the
     stacks in one ``linalg.stack_ranks`` call; a job's seconds are an equal
-    share of each of its trial rounds' build-and-rank time.
+    share of each of its trial rounds' build-and-rank time.  The result
+    depends only on the policy and the batch.
     """
     measured = [[] for _ in batch]
     seconds = [0.0] * len(batch)
     running = range(len(batch))
+    prime = policy.prime
     for t in range(policy.trials):
         t0 = time.perf_counter()
         values = stack_ranks(condition_stacks(
-            [(batch[i][1], child_seed(policy.seed, batch[i][0], t)) for i in running]),
-            policy.prime)
+            [(batch[i][1], child_seed(policy.seed, batch[i][0], t)) for i in running], prime),
+            prime)
         share = (time.perf_counter() - t0) / len(running)
         for i, r in zip(running, values):
             stop = batch[i][2]
@@ -171,26 +180,19 @@ def _round(policy: TrialPolicy, batch):
 def _worker(policy: TrialPolicy, batches, rank: int, procs: int, fd: int):
     """A forked process's whole life: run batches ``rank``, ``rank + procs``, ...
 
-    Each batch's ``(measured, seconds)``, or the exception it raised (the
-    last thing sent), is pickled to the pipe ``fd``.  It never returns into
-    its caller and writes nothing to stdout or stderr; a broken pipe ends it.
+    Each batch's ``(measured, seconds)`` is pickled to the pipe ``fd``.  A
+    batch that raises ends the worker, as does a broken pipe: the parent
+    runs every batch a worker did not deliver.  It never returns into its
+    caller and writes nothing to stdout or stderr.
     """
-    status = 1
     try:
         with os.fdopen(fd, "wb") as out:
             for k, batch in enumerate(batches):
                 if k % procs == rank:
-                    try:
-                        result = _round(policy, batch)
-                    except Exception as err:
-                        result = err
-                    out.write(pickle.dumps(result))
+                    out.write(pickle.dumps(_round(policy, batch)))
                     out.flush()
-                    if isinstance(result, Exception):
-                        break
-        status = 0
     finally:
-        os._exit(status)
+        os._exit(0)
 
 
 def _fork_workers(policy: TrialPolicy, batches, procs: int, workers: list) -> None:
@@ -231,10 +233,14 @@ def _trials(policy: TrialPolicy, jobs):
     W - 1 workers, every process iterates the same stream, and process
     k mod W runs batch k, so batches overlap.  Only each batch's ranks and
     seconds travel back, through a pipe, and the parent yields them in
-    order; a worker's exception is raised at its batch's position.  Seeds
-    depend only on the root seed, the label and the trial, so the cases are
-    those of the serial path (``taskset -c 0``).  Every worker is reaped
-    before the last job is yielded, and killed on any early exit.
+    order.  A round depends only on the policy and its batch, so where a
+    worker's pipe ends, or holds a truncated result, the parent runs that
+    batch (and so each later batch of that worker) itself: a batch that
+    raised in the worker raises the serial error at its position, and a
+    worker killed from outside costs only time.  Seeds depend only on the
+    root seed, the label and the trial, so the cases are those of the
+    serial path (``taskset -c 0``).  Every worker is reaped before the last
+    job is yielded, and killed on any early exit.
     """
     global batch_processes
     jobs = iter(jobs)
@@ -250,16 +256,11 @@ def _trials(policy: TrialPolicy, jobs):
         batch = next(batches, None)
         k = 0
         while batch is not None:
-            if k % procs == 0:
-                measured, seconds = _round(policy, batch)
-            else:
-                try:
+            result = None
+            if k % procs:
+                with contextlib.suppress(EOFError, pickle.UnpicklingError):
                     result = pickle.load(pipes[k % procs])
-                except EOFError:
-                    raise RuntimeError(f"a trial worker ended without the result of batch {k}")
-                if isinstance(result, Exception):
-                    raise result
-                measured, seconds = result
+            measured, seconds = result or _round(policy, batch)
             following = next(batches, None)
             if following is None:
                 _reap(workers)
@@ -364,9 +365,9 @@ def specs_free(n: int, xo_vector) -> list:
     return out
 
 
-def _general_scheme(n, lengths, d, prime) -> ProjectiveDraw:
+def _general_scheme(n, lengths, d) -> ProjectiveDraw:
     """Free components of the given lengths in P^n, against every degree-d form."""
-    return ProjectiveDraw(n, tuple(map(_spec, lengths)), (), build_basis(HOMOGENEOUS, n, d), prime)
+    return ProjectiveDraw(tuple(map(_spec, lengths)), (), build_basis(HOMOGENEOUS, n, d))
 
 
 def _on_subspace(tag: str, n: int, idx: int, degree: int):
@@ -380,8 +381,7 @@ def _free_part(n: int, degree: int):
     return "XO", theory.enumerate_xo_partitions(degree, n).parts, lambda xo: specs_free(n, xo)
 
 
-def _partition_jobs(policy: TrialPolicy, n: int, subspaces, basis, prefix: str, families,
-                    sample=None):
+def _partition_jobs(policy: TrialPolicy, subspaces, basis, prefix: str, families, sample=None):
     """One full-rank job per combination of the families' partitions, yielded in order.
 
     ``families`` are (tag, partitions, specs-of) triples, as made by
@@ -409,16 +409,16 @@ def _partition_jobs(policy: TrialPolicy, n: int, subspaces, basis, prefix: str, 
 
     for combo in combos:
         pieces, specs = zip(*(entry(k, part) for k, part in enumerate(combo)))
-        yield (" ".join((prefix, *pieces)),
-               ProjectiveDraw(n, sum(specs, ()), subspaces, basis, policy.prime), len(basis))
+        yield (" ".join((prefix, *pieces)), ProjectiveDraw(sum(specs, ()), subspaces, basis),
+               len(basis))
 
 
 def _prop45_jobs(policy: TrialPolicy):
     basis = vanishing_basis(8, 3, P8_SUBSPACES)
     for triple in P8_TRIPLES:
         families = [_on_subspace(tag, 8, idx, x) for idx, (tag, x) in enumerate(zip("LMN", triple))]
-        yield from _partition_jobs(policy, 8, P8_SUBSPACES, basis,
-                                   "4.5 ({},{},{})".format(*triple), families)
+        yield from _partition_jobs(policy, P8_SUBSPACES, basis, "4.5 ({},{},{})".format(*triple),
+                                   families)
 
 
 def verify_prop45(policy: TrialPolicy) -> list:
@@ -430,10 +430,10 @@ def verify_prop45(policy: TrialPolicy) -> list:
     return _cases(policy, _prop45_jobs(policy))
 
 
-def _remark46_jobs(policy: TrialPolicy) -> list:
+def _remark46_jobs() -> list:
     basis = vanishing_basis(8, 3, P8_SUBSPACES)
     dp = lambda idx, k: (_spec(9, idx, 3),) * k
-    draw = lambda specs: ProjectiveDraw(8, specs, P8_SUBSPACES, basis, policy.prime)
+    draw = lambda specs: ProjectiveDraw(specs, P8_SUBSPACES, basis)
     return [
         ("4.6 (0,0,27)", draw(dp(2, 9)), 27),
         ("4.6 (0,6,21)", draw(dp(1, 2) + dp(2, 7)), None, 2, None, None),
@@ -443,7 +443,7 @@ def _remark46_jobs(policy: TrialPolicy) -> list:
 
 def verify_remark46(policy: TrialPolicy) -> list:
     """The boundary cases around the triple list: (0,0,27) works, (0,6,21) does not."""
-    return _cases(policy, _remark46_jobs(policy))
+    return _cases(policy, _remark46_jobs())
 
 
 def _prop48_jobs(policy: TrialPolicy, sample: int | None):
@@ -454,7 +454,7 @@ def _prop48_jobs(policy: TrialPolicy, sample: int | None):
     subspaces = P8_SUBSPACES[:2]
     basis = vanishing_basis(8, 3, subspaces)
     return (job for l, m, f in P8_LEFTOVER_TRIPLES for job in _partition_jobs(
-        policy, 8, subspaces, basis, f"4.8 ({l},{m},{f})",
+        policy, subspaces, basis, f"4.8 ({l},{m},{f})",
         [_on_subspace("L", 8, 0, l), _on_subspace("M", 8, 1, m), _free_part(8, f)],
         sample=None if sample is None else (sample, f"4.8 sample {(l, m, f)}"),
     ))
@@ -493,7 +493,7 @@ def _base_two_jobs(policy: TrialPolicy, n: int, props=("4.7", "4.8")):
         prop = "4.7" if f <= 3 * n + 6 else "4.8"
         if prop in props:
             families = [_on_subspace("L", n, 0, l), _on_subspace("M", n, 1, m), _free_part(n, f)]
-            yield from _partition_jobs(policy, n, BASE_SUBSPACES, basis,
+            yield from _partition_jobs(policy, BASE_SUBSPACES, basis,
                                        f"{prop} n={n} ({l},{m},{f})", families)
 
 
@@ -512,7 +512,7 @@ def _base_one_jobs(policy: TrialPolicy, n: int):
     for alpha in range(n):
         f = (n + 1) ** 2 + alpha
         families = [_on_subspace("L", n, 0, total - f), _free_part(n, f)]
-        yield from _partition_jobs(policy, n, BASE_SUBSPACES[:1], basis,
+        yield from _partition_jobs(policy, BASE_SUBSPACES[:1], basis,
                                    f"4.13 n={n} alpha={alpha}", families)
 
 
@@ -611,7 +611,7 @@ def verify_tables(policy: TrialPolicy, n: int) -> list:
                 "type_vector": list(row.type_vector),
                 "dim_expected": dim,
             }
-        jobs.append((f"P{n} {','.join(map(str, prof))}", _general_scheme(n, prof, 2, policy.prime),
+        jobs.append((f"P{n} {','.join(map(str, prof))}", _general_scheme(n, prof, 2),
                      None, dim, theory.best_cone_lower_bound(n, prof), extra))
     return reports + _cases(policy, jobs)
 
@@ -628,7 +628,7 @@ AH_EXCEPTION_SCHEMES = {
 def verify_ah_exceptions(policy: TrialPolicy) -> list:
     """Each deficient pattern must measure exactly one missing condition."""
     return _cases(policy, [
-        (f"1.1{tag} n={n} d={d}", _general_scheme(n, lengths, d, policy.prime), None, 1, None, None)
+        (f"1.1{tag} n={n} d={d}", _general_scheme(n, lengths, d), None, 1, None, None)
         for tag, (n, d, lengths) in AH_EXCEPTION_SCHEMES.items()
     ])
 
@@ -636,10 +636,10 @@ def verify_ah_exceptions(policy: TrialPolicy) -> list:
 # ---------------------------------------------------------------------------
 # user-driven generic verification and the random sweep
 
-def _affine_builder(n, d, a, prime):
+def _affine_builder(n, d, a):
     basis = build_basis(AFFINE, n, d)
 
-    def build(seed):
+    def build(seed, prime):
         return _affine_rows(random_affine_problem(n, d, a, prime, seed), basis, prime)[0]
 
     return build
@@ -658,11 +658,11 @@ def verify_generic(policy: TrialPolicy, n: int, d: int, a=None, lengths=None) ->
         lengths = theory.sorted_lengths(n, lengths)
         profile = tuple(l - 1 for l in lengths)
         label = f"generic n={n} d={d} lengths={','.join(map(str, lengths))}"
-        builder = _general_scheme(n, lengths, d, policy.prime)
+        builder = _general_scheme(n, lengths, d)
     else:
         profile = tuple(sorted(a, reverse=True))
         label = f"generic n={n} d={d} a={','.join(map(str, profile))}"
-        builder = _affine_builder(n, d, profile, policy.prime)
+        builder = _affine_builder(n, d, profile)
     prediction = theory.predict_profile(n, d, profile)
     expected = prediction.expected_codim
     if not prediction.exceptional:
@@ -710,7 +710,7 @@ def sweep_nonexceptional(policy: TrialPolicy, count: int = 200) -> list:
         target = sum(x + 1 for x in a)
         label = f"sweep#{idx:03d} n={n} d={d} a={','.join(map(str, a))}"
         idx += 1
-        cases.append((label, _affine_builder(n, d, tuple(a), policy.prime), target))
+        cases.append((label, _affine_builder(n, d, tuple(a)), target))
     return _cases(policy, cases)
 
 
@@ -726,7 +726,7 @@ def quadric_bruteforce(policy: TrialPolicy) -> list:
     ns = QUADRIC_DIMENSIONS
     degrees = {n: comb(n + 2, 2) + QUADRIC_EXTRA_DEGREE for n in ns}
     profiles = {n: theory._profiles_up_to(n, degrees[n]) for n in ns}
-    jobs = ((f"bf P{n} {prof}", _general_scheme(n, prof, 2, policy.prime),
+    jobs = ((f"bf P{n} {prof}", _general_scheme(n, prof, 2),
              min(sum(prof), comb(n + 2, 2)), n, prof) for n in ns for prof in profiles[n])
     mismatches = {n: [] for n in ns}
     millis = dict.fromkeys(ns, 0.0)
@@ -753,7 +753,7 @@ SUITES = {
     "ah": (max(d for _, d, _ in AH_EXCEPTION_SCHEMES.values()),
            lambda policy, deep, sample: verify_ah_exceptions(policy)),
     "p8": (3, lambda policy, deep, sample: _cases(policy, itertools.chain(
-        _prop45_jobs(policy), _remark46_jobs(policy), _prop48_jobs(policy, sample)))),
+        _prop45_jobs(policy), _remark46_jobs(), _prop48_jobs(policy, sample)))),
     "base": (3, lambda policy, deep, sample: _cases(policy, itertools.chain.from_iterable(
         _base_jobs(policy, n) for n in ((5, 6, 7) if deep else (5,))))),
     "sweep": (SWEEP_DEGREES[1], lambda policy, deep, sample: sweep_nonexceptional(policy)),

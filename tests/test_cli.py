@@ -368,12 +368,12 @@ def test_degenerate_draw_in_a_batched_round_is_a_usage_error(monkeypatch, capsys
     draws = []
     real = verify.condition_stacks
 
-    def flaky(batch):
+    def flaky(batch, prime):
         for draw in batch:
             draws.append(draw)
             if len(draws) == 10:
                 raise DegenerateDrawError("could not draw independent directions over GF(31991)")
-        return real(batch)
+        return real(batch, prime)
 
     monkeypatch.setattr(verify, "condition_stacks", flaky)
     code, out, err = run_cli(capsys, "props", "--prop", "4.5")
@@ -387,17 +387,16 @@ def _one_at_a_time(policy, jobs):
         label, build, stop = job[:3]
         measured = []
         for t in range(policy.trials):
-            matrix = build(verify.child_seed(policy.seed, label, t))
+            matrix = build(verify.child_seed(policy.seed, label, t), policy.prime)
             measured.append(linalg.rank(matrix, policy.prime))
             if measured[-1] == stop:
                 break
         yield job, measured, 0.0
 
 
-def _sampled_partition_jobs(policy, n, subspaces, basis, prefix, families, sample=None):
+def _sampled_partition_jobs(policy, subspaces, basis, prefix, families, sample=None):
     # a seeded subset of each family product, so `--prop 4.13` stays cheap
-    return _partition_jobs(policy, n, subspaces, basis, prefix, families,
-                           sample or (12, prefix))
+    return _partition_jobs(policy, subspaces, basis, prefix, families, sample or (12, prefix))
 
 
 @pytest.mark.parametrize("prime", ["31991", "5"])
@@ -430,7 +429,7 @@ def test_sampled_48_triples_share_one_round(monkeypatch, capsys):
     builds, ranked = [], []
     real_build, real_ranks = verify.condition_stacks, verify.stack_ranks
     monkeypatch.setattr(verify, "condition_stacks",
-                        lambda draws: builds.append(len(draws)) or real_build(draws))
+                        lambda draws, p: builds.append(len(draws)) or real_build(draws, p))
     monkeypatch.setattr(verify, "stack_ranks", lambda stacks, p: ranked.append(
         sum(len(index) for index, _ in stacks)) or real_ranks(stacks, p))
     code, out, _ = run_cli(capsys, "props", "--prop", "4.8", "--sample", "10")
@@ -580,9 +579,9 @@ def test_props_47_is_the_base_subset(capsys, monkeypatch):
     # the 4.8 triples are skipped, not run and then filtered out
     prefixes = []
 
-    def spy(policy, n, subspaces, basis, prefix, families, sample=None):
+    def spy(policy, subspaces, basis, prefix, families, sample=None):
         prefixes.append(prefix)
-        return _partition_jobs(policy, n, subspaces, basis, prefix, families, sample)
+        return _partition_jobs(policy, subspaces, basis, prefix, families, sample)
 
     monkeypatch.setattr(verify, "_partition_jobs", spy)
     code, only, _ = run_cli(capsys, "props", "--prop", "4.7")
@@ -622,7 +621,7 @@ def test_round_errors_end_the_command_as_when_serial(monkeypatch, capsys, error,
     real_build, real_ranks = verify.condition_stacks, verify.stack_ranks
     hit = []
 
-    def build(draws):
+    def build(draws, prime):
         draws = list(draws)
         if any(seed == target for _, seed in draws):
             if error == "degenerate":
@@ -630,7 +629,7 @@ def test_round_errors_end_the_command_as_when_serial(monkeypatch, capsys, error,
             if error == "value":
                 raise ValueError("a value error in a round")
             hit.append(True)
-        return real_build(draws)
+        return real_build(draws, prime)
 
     def ranks(stacks, p):
         return [r + 1 if hit else r for r in real_ranks(stacks, p)]
@@ -655,6 +654,32 @@ def test_round_errors_end_the_command_as_when_serial(monkeypatch, capsys, error,
     else:
         code, out, err = outcomes[0]
         assert code == 2 and out == "" and err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_a_killed_worker_is_replaced(monkeypatch, capsys):
+    # props --prop 4.5 in batches of 16 on two processes, where the forked
+    # worker dies on its first batch: the parent runs every batch the worker
+    # did not deliver, and the command gives the cases of the serial run
+    import os
+    import signal
+
+    monkeypatch.setattr(verify, "ROUND_CASES", 16)
+    parent, real = os.getpid(), verify._round
+
+    def round_(policy, batch):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(policy, batch)
+
+    monkeypatch.setattr(verify, "_round", round_)
+    outcomes = []
+    for count in (1, 2):
+        monkeypatch.setattr(verify, "_process_count", lambda: count)
+        code, out, err = run_cli(capsys, "props", "--prop", "4.5")
+        outcomes.append((code, json.loads(out)["cases"], err))
+        _no_child_left()
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 0 and len(outcomes[0][1]) == 222
 
 
 def test_forked_report_says_how_many_processes(monkeypatch, capsys):

@@ -294,3 +294,23 @@ def test_interpolant_evaluate_reads_points_exactly():
             g.evaluate([bad])
     with pytest.raises(NoResidueError):
         g.evaluate([Fraction(1, P)])
+
+
+def test_residuals_do_not_share_the_solvers_evaluator(monkeypatch):
+    # a fault in the one condition-row evaluator (monomial columns 1 and 2
+    # swapped) makes solve return x^2 for the line f(x) = x, over Q and mod p;
+    # the residuals, evaluated by the reference rows, show it
+    from ppinterp import schemes
+
+    real = schemes._projective_rows
+
+    def swapped(*args, **kwargs):
+        rows = real(*args, **kwargs)
+        rows[:, [1, 2]] = rows[:, [2, 1]]
+        return rows
+
+    monkeypatch.setattr(schemes, "_projective_rows", swapped)
+    for prime in (None, P):
+        f = solve(hermite_line_problem(), prime)
+        assert f.coefficients == [0, 0, 1, 0]
+        assert residuals(hermite_line_problem(), f) == [0, -1 if prime is None else P - 1, 0, 1]

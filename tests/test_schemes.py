@@ -359,14 +359,13 @@ def _outcome(build):
         return type(err), str(err)
 
 
-def assert_batched_equals_sequential(n, subspaces, basis, prime, draws):
+def assert_batched_equals_sequential(subspaces, basis, prime, draws):
     sequential = _outcome(lambda: [
-        condition_matrix_projective(random_instance(n, specs, subspaces, prime, seed), basis)
+        condition_matrix_projective(random_instance(basis.n, specs, subspaces, prime, seed), basis)
         for specs, seed in draws
     ])
-    builders = [(ProjectiveDraw(n, tuple(specs), subspaces, basis, prime), seed)
-                for specs, seed in draws]
-    assert _outcome(lambda: condition_matrices(builders)) == sequential
+    builders = [(ProjectiveDraw(tuple(specs), subspaces, basis), seed) for specs, seed in draws]
+    assert _outcome(lambda: condition_matrices(builders, prime)) == sequential
     return sequential
 
 
@@ -411,7 +410,7 @@ def test_batched_projective_build_equals_sequential(case):
         basis = vanishing_basis(n, d, subspaces)
     else:
         basis = build_basis(HOMOGENEOUS, n, d)
-    assert_batched_equals_sequential(n, subspaces, basis, prime, draws)
+    assert_batched_equals_sequential(subspaces, basis, prime, draws)
 
 
 @pytest.mark.parametrize("prime", [3, 5])
@@ -425,7 +424,7 @@ def test_batched_build_redraws_degenerate_draws_sequentially(monkeypatch, prime)
     specs = [ComponentSpec(1)] * 6 + [ComponentSpec(3)] * 2 + [ComponentSpec(2)] * 2
     draws = [(specs, seed) for seed in range(40)]
     basis = build_basis(HOMOGENEOUS, 2, 3)
-    assert isinstance(assert_batched_equals_sequential(2, (), basis, prime, draws), list)
+    assert isinstance(assert_batched_equals_sequential((), basis, prime, draws), list)
     assert 0 < len(redrawn) < len(draws)  # the reference calls random_instance unpatched
 
 
@@ -434,57 +433,74 @@ def test_batched_build_raises_what_the_sequential_path_raises():
     p8 = vanishing_basis(8, 3, (L, M))
     full = build_basis(HOMOGENEOUS, 8, 3)
     cases = [
-        (8, (L, M), p8, P, [ComponentSpec(10)]),  # length above n + 1
-        (8, (L, M), p8, P, [ComponentSpec(9, 0, None)]),  # no residual on a subspace
-        (8, (L, M), p8, P, [ComponentSpec(9, 5, 3)]),  # unknown subspace
-        (8, (L, M), p8, P, [ComponentSpec(3, GENERAL, 1)]),  # residual on a free component
-        (2, (L,), build_basis(HOMOGENEOUS, 2, 3), P, [ComponentSpec(1)]),  # codimension 3 > n
-        (8, (L, M), full, P, good),  # basis not vanishing on the subspaces
-        (7, (L, M), p8, P, [ComponentSpec(1)]),  # basis of another P^n
-        (8, (L, M), p8, 67108879, good),  # prime above MAX_PRIME: the modulus gate refuses it
-        (1, (), build_basis(HOMOGENEOUS, 1, 3), 3, [ComponentSpec(1)] * 9),  # 8 points in P^1
-        (3, (CoordinateSubspace({0}),), vanishing_basis(3, 3, (CoordinateSubspace({0}),)), P,
+        ((L, M), p8, P, [ComponentSpec(10)]),  # length above n + 1
+        ((L, M), p8, P, [ComponentSpec(9, 0, None)]),  # no residual on a subspace
+        ((L, M), p8, P, [ComponentSpec(9, 5, 3)]),  # unknown subspace
+        ((L, M), p8, P, [ComponentSpec(3, GENERAL, 1)]),  # residual on a free component
+        ((L,), build_basis(HOMOGENEOUS, 2, 3), P, [ComponentSpec(1)]),  # codimension 3 > n
+        ((L, M), full, P, good),  # basis not vanishing on the subspaces
+        ((L, M), p8, 67108879, good),  # prime above MAX_PRIME: the modulus gate refuses it
+        ((), build_basis(HOMOGENEOUS, 1, 3), 3, [ComponentSpec(1)] * 9),  # 8 points in P^1
+        ((CoordinateSubspace({0}),), vanishing_basis(3, 3, (CoordinateSubspace({0}),)), P,
          [ComponentSpec(3, 0, 2)]),  # two transversal directions to a hyperplane
         # zeroed sets not in P^4: a coordinate above n, a negative one, none at all
-        *((4, (CoordinateSubspace(zeroed),), build_basis(HOMOGENEOUS, 4, 3), P,
+        *(((CoordinateSubspace(zeroed),), build_basis(HOMOGENEOUS, 4, 3), P,
            [ComponentSpec(2, 0, 1)]) for zeroed in ({7}, {-1}, ())),
     ]
-    for n, subspaces, basis, prime, specs in cases:
+    for subspaces, basis, prime, specs in cases:
         draws = [(good[:1], 1), (specs, 2), (good[:1], 3)]
-        sequential = assert_batched_equals_sequential(n, subspaces, basis, prime, draws)
+        sequential = assert_batched_equals_sequential(subspaces, basis, prime, draws)
         assert isinstance(sequential, tuple), specs
-        if n == 4:
+        if basis.n == 4:
             assert sequential == (ValueError, "zeroed coordinates out of range for P^4: "
                                   f"{sorted(subspaces[0].zeroed)}")
     # one draw with two faults: both paths check its specs before its prime
-    assert assert_batched_equals_sequential(8, (L, M), p8, 9, [([ComponentSpec(10)], 1)]) == (
+    assert assert_batched_equals_sequential((L, M), p8, 9, [([ComponentSpec(10)], 1)]) == (
         ValueError, "length must lie in [1, 9]: 10")
     # above MAX_PRIME both paths refuse schemes without directions too
     draws = [([ComponentSpec(9), ComponentSpec(1)], seed) for seed in range(3)]
-    assert assert_batched_equals_sequential(8, (), full, 67108879, draws) == (
+    assert assert_batched_equals_sequential((), full, 67108879, draws) == (
         ValueError, "modulus 67108879 is not a prime below 2**26, as the int64 kernels need")
     # two faulty draws of one key: both paths raise the first draw's fault,
     # though the second draw's spec fault comes before a prime fault in a draw
     cubics, quadrics = build_basis(HOMOGENEOUS, 2, 3), build_basis(HOMOGENEOUS, 2, 2)
     assert assert_batched_equals_sequential(
-        2, (), cubics, 9, [([ComponentSpec(1)], 1), ([ComponentSpec(7)], 2)]) == (
+        (), cubics, 9, [([ComponentSpec(1)], 1), ([ComponentSpec(7)], 2)]) == (
         ValueError, "modulus 9 is not a prime below 2**26, as the int64 kernels need")
     # faulty draws of two keys: both paths raise the fault of the first in input order
-    round_ = [(ProjectiveDraw(2, (ComponentSpec(length),), (), basis, P), seed)
+    round_ = [(ProjectiveDraw((ComponentSpec(length),), (), basis), seed)
               for seed, (length, basis) in enumerate([(1, cubics), (5, quadrics), (7, cubics)])]
-    sequential = _outcome(lambda: [build(seed) for build, seed in round_])
-    assert _outcome(lambda: condition_matrices(round_)) == sequential == (
+    sequential = _outcome(lambda: [build(seed, P) for build, seed in round_])
+    assert _outcome(lambda: condition_matrices(round_, P)) == sequential == (
         ValueError, "length must lie in [1, 3]: 5")
 
 
-@pytest.mark.parametrize("n, d, prime", [(1, 0, P), (2, 0, 5), (3, 0, 3), (1, 3, 3), (2, 3, 3),
+def test_a_draw_whose_redraws_give_up_raises_before_a_later_fault():
+    # the sequential path draws a round in input order, so a draw whose
+    # redraws give up (nine distinct points of P^1 over GF(3), which has
+    # eight nonzero vectors) raises before the spec fault of a later draw
+    # and before the fault of its own basis, an affine one
+    cubics = build_basis(HOMOGENEOUS, 1, 3)
+    crowded = (ComponentSpec(1),) * 9
+    rounds = [
+        [(ProjectiveDraw(crowded, (), cubics), 1),
+         (ProjectiveDraw((ComponentSpec(5),), (), cubics), 2)],
+        [(ProjectiveDraw(crowded, (), build_basis(AFFINE, 1, 3)), 1)],
+    ]
+    for round_ in rounds:
+        sequential = _outcome(lambda: [build(seed, 3) for build, seed in round_])
+        assert _outcome(lambda: condition_matrices(round_, 3)) == sequential == (
+            DegenerateDrawError, "could not draw distinct support points over GF(3)")
+
+
+@pytest.mark.parametrize("n, d, prime",[(1, 0, P), (2, 0, 5), (3, 0, 3), (1, 3, 3), (2, 3, 3),
                                          (2, 5, 5)])
 def test_batched_double_points_where_p_divides_d(n, d, prime):
     # double points keep their value row in the batch as in the sequential build
     specs = [ComponentSpec(n + 1), ComponentSpec(1), ComponentSpec(n + 1)]
     draws = [(specs, seed) for seed in range(8)]
     basis = build_basis(HOMOGENEOUS, n, d)
-    built = assert_batched_equals_sequential(n, (), basis, prime, draws)
+    built = assert_batched_equals_sequential((), basis, prime, draws)
     assert {shape for _, shape, _ in built} == {(2 * (n + 2) + 1, len(basis))}
 
 
@@ -500,14 +516,16 @@ def _count_paths(monkeypatch):
 
 
 def test_an_invalid_draw_raises_the_sequential_error_from_the_batch(monkeypatch):
-    # a round of valid draws and one invalid one: the batch raises what the
-    # sequential path raises for it, without drawing any instance alone
+    # a round of valid draws and invalid ones: the batch raises what the
+    # sequential path raises for the first invalid draw, after building the
+    # draw before it as a batch of one and then calling the invalid draw's
+    # own builder, which draws it alone
     layouts, alone = _count_paths(monkeypatch)
     p8 = vanishing_basis(8, 3, (L, M))
-    on_p8 = ProjectiveDraw(8, (ComponentSpec(9), ComponentSpec(9, 0, 3)), (L, M), p8, P)
+    on_p8 = ProjectiveDraw((ComponentSpec(9), ComponentSpec(9, 0, 3)), (L, M), p8)
     # free components need no vanishing basis, so the full basis serves them
-    free = ProjectiveDraw(8, (ComponentSpec(9), ComponentSpec(5)), (L, M),
-                          build_basis(HOMOGENEOUS, 8, 3), P)
+    free = ProjectiveDraw((ComponentSpec(9), ComponentSpec(5)), (L, M),
+                          build_basis(HOMOGENEOUS, 8, 3))
     cases = [
         (on_p8, on_p8._replace(specs=(ComponentSpec(5), ComponentSpec(9, 5, 3))),
          "unknown subspace index 5"),
@@ -517,20 +535,21 @@ def test_an_invalid_draw_raises_the_sequential_error_from_the_batch(monkeypatch)
     for valid, invalid, message in cases:
         draws = [(valid, 1), (invalid, 2), (valid, 3), (invalid, 4)]
         with pytest.raises(ValueError) as batched:
-            condition_matrices(draws)
-        assert (layouts, alone) == ([], [])
+            condition_matrices(draws, P)
+        assert (layouts, alone) == ([1], [2])
         with pytest.raises(ValueError) as sequential:
-            invalid(2)
+            invalid(2, P)
         assert str(batched.value) == str(sequential.value) == message
+        layouts.clear()
         alone.clear()
 
 
 def test_condition_matrices_batches_a_key_of_two_or_more(monkeypatch):
     layouts, alone = _count_paths(monkeypatch)
     plane = build_basis(HOMOGENEOUS, 2, 3)
-    first = ProjectiveDraw(2, (ComponentSpec(3), ComponentSpec(2)), (), plane, P)
+    first = ProjectiveDraw((ComponentSpec(3), ComponentSpec(2)), (), plane)
     second = first._replace(specs=(ComponentSpec(1),) * 4)
-    condition_matrices([(first, 1), (second, 2), (first, 3)])
+    condition_matrices([(first, 1), (second, 2), (first, 3)], P)
     assert (layouts, alone) == ([3], [])
 
 
@@ -538,36 +557,36 @@ def test_condition_matrices_builds_lone_draws_and_other_builders_alone(monkeypat
     layouts, alone = _count_paths(monkeypatch)
     called = []
 
-    def affine(seed):
+    def affine(seed, prime):
         called.append(seed)
         return np.eye(3, dtype=np.int64)
 
     plane = build_basis(HOMOGENEOUS, 2, 3)
-    lone = ProjectiveDraw(2, (ComponentSpec(3),), (), plane, P)
+    lone = ProjectiveDraw((ComponentSpec(3),), (), plane)
     other = lone._replace(basis=build_basis(HOMOGENEOUS, 2, 2))  # another key
-    got = condition_matrices([(affine, 1), (lone, 2), (affine, 3), (other, 4)])
+    got = condition_matrices([(affine, 1), (lone, 2), (affine, 3), (other, 4)], P)
     # a key with one draw is a batch of one; other builders are called alone
     assert (layouts, alone, called) == ([1, 1], [], [1, 3])
     assert [m.tobytes() for m in got] == [m.tobytes() for m in (
-        np.eye(3, dtype=np.int64), lone(2), np.eye(3, dtype=np.int64), other(4))]
+        np.eye(3, dtype=np.int64), lone(2, P), np.eye(3, dtype=np.int64), other(4, P))]
 
 
 def test_condition_matrices_mixed_round_keeps_input_order(monkeypatch):
     from ppinterp.verify import _affine_builder, specs_on_subspace
 
     p8 = vanishing_basis(8, 3, (L, M))
-    on_p8 = [ProjectiveDraw(8, tuple(specs_on_subspace(8, 0, tdu) + specs_on_subspace(8, 1, tdu)),
-                            (L, M), p8, P) for tdu in ((1, 1, 1), (2, 0, 1), (0, 3, 0))]
+    on_p8 = [ProjectiveDraw(tuple(specs_on_subspace(8, 0, tdu) + specs_on_subspace(8, 1, tdu)),
+                            (L, M), p8) for tdu in ((1, 1, 1), (2, 0, 1), (0, 3, 0))]
     space = build_basis(HOMOGENEOUS, 3, 3)
-    free = [ProjectiveDraw(3, tuple(ComponentSpec(l) for l in lengths), (), space, P)
+    free = [ProjectiveDraw(tuple(ComponentSpec(l) for l in lengths), (), space)
             for lengths in ((4, 4, 2), (3, 3, 3, 1))]
-    lone = ProjectiveDraw(3, (ComponentSpec(4),) * 3, (), build_basis(HOMOGENEOUS, 3, 2), P)
-    affine = [_affine_builder(2, 3, (2, 1, 0), P), _affine_builder(3, 5, (3, 3), P)]
+    lone = ProjectiveDraw((ComponentSpec(4),) * 3, (), build_basis(HOMOGENEOUS, 3, 2))
+    affine = [_affine_builder(2, 3, (2, 1, 0)), _affine_builder(3, 5, (3, 3))]
     builders = [affine[0], on_p8[0], free[0], lone, on_p8[1], affine[1], free[1], on_p8[2]]
     draws = [(build, 1000 + i) for i, build in enumerate(builders)]
-    expected = [build(seed) for build, seed in draws]
+    expected = [build(seed, P) for build, seed in draws]
     layouts, alone = _count_paths(monkeypatch)
-    got = condition_matrices(draws)
+    got = condition_matrices(draws, P)
     assert [(m.dtype, m.shape, m.tobytes()) for m in got] == [
         (m.dtype, m.shape, m.tobytes()) for m in expected]
     assert (layouts, alone) == ([3, 2, 1], [])
@@ -582,20 +601,20 @@ def test_condition_stacks_members_equal_their_builds(monkeypatch):
     from ppinterp.verify import _affine_builder
 
     plane = build_basis(HOMOGENEOUS, 2, 3)
-    crowded = ProjectiveDraw(2, (ComponentSpec(1),) * 6 + (ComponentSpec(3),) * 2
-                             + (ComponentSpec(2),) * 2, (), plane, 3)
+    crowded = ProjectiveDraw((ComponentSpec(1),) * 6 + (ComponentSpec(3),) * 2
+                             + (ComponentSpec(2),) * 2, (), plane)
     pair = crowded._replace(specs=(ComponentSpec(3), ComponentSpec(2)))
     lone = crowded._replace(specs=(ComponentSpec(2),), basis=build_basis(HOMOGENEOUS, 2, 2))
-    affine = _affine_builder(2, 3, (2, 1, 0), 3)
+    affine = _affine_builder(2, 3, (2, 1, 0))
 
-    def wide(seed):
+    def wide(seed, prime):
         return np.array([[2**70 + seed, 1], [3, 4]], dtype=object)
 
     builders = [crowded, affine, pair, wide, crowded, lone, pair, affine] + [crowded] * 8
     draws = [(build, 100 + i) for i, build in enumerate(builders)]
-    expected = [build(seed) for build, seed in draws]
+    expected = [build(seed, 3) for build, seed in draws]
     layouts, alone = _count_paths(monkeypatch)
-    stacks = schemes.condition_stacks(draws)
+    stacks = schemes.condition_stacks(draws, 3)
     assert layouts == [12, 1] and len(alone) > 0  # some crowded draws were redrawn alone
     assert sorted(i for index, _ in stacks for i in index) == list(range(len(draws)))
     for index, stack in stacks:
@@ -611,11 +630,11 @@ def test_condition_stacks_members_equal_their_builds(monkeypatch):
     assert [len(index) for index, stack in stacks if stack.shape[1:] == (6, 10)] == [4]
     assert stack_ranks(stacks, 3) == [rank_rows(np.asarray(m).tolist(), 3) for m in expected]
 
-    def failing(seed):
+    def failing(seed, prime):
         raise DegenerateDrawError("could not draw distinct points over GF(3)")
 
     with pytest.raises(DegenerateDrawError):
-        schemes.condition_stacks(draws[:3] + [(failing, 1)] + draws[3:])
+        schemes.condition_stacks(draws[:3] + [(failing, 1)] + draws[3:], 3)
 
 
 @pytest.mark.parametrize("prime", BATCH_PRIMES)
@@ -683,9 +702,9 @@ def test_builders_refuse_a_composite_modulus(monkeypatch, modulus):
     for specs in ([ComponentSpec(3), ComponentSpec(1)], [ComponentSpec(2)]):
         with pytest.raises(ValueError, match="not a prime"):
             random_instance(2, specs, (), modulus, 1)
-        draws = [(ProjectiveDraw(2, tuple(specs), (), build_basis(HOMOGENEOUS, 2, 3), modulus), 1)]
+        draws = [(ProjectiveDraw(tuple(specs), (), build_basis(HOMOGENEOUS, 2, 3)), 1)]
         with pytest.raises(ValueError, match="not a prime"):
-            condition_matrices(draws)
+            condition_matrices(draws, modulus)
     with pytest.raises(ValueError, match="not a prime"):
         random_affine_problem(2, 3, (1, 0), modulus, 1)
 
@@ -707,7 +726,7 @@ def test_numpy_integer_primes_are_read_exactly():
         assert inst == random_instance(2, specs, (), int(prime), 5)
         assert type(inst.prime) is int
         built = condition_matrix_projective(inst, basis)
-        [batched] = condition_matrices([(ProjectiveDraw(2, specs, (), basis, prime), 5)])
+        [batched] = condition_matrices([(ProjectiveDraw(specs, (), basis), 5)], prime)
         assert batched.tobytes() == built.tobytes()
         assert random_affine_problem(2, 3, (2, 1), prime, 5) == random_affine_problem(
             2, 3, (2, 1), int(prime), 5)

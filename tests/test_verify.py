@@ -156,10 +156,21 @@ def test_rank_pass_monotone_in_trials():
             assert five.passed
 
 
+def test_a_round_draws_and_ranks_at_the_policy_prime():
+    # a builder holds only its scheme and the round hands it the policy's
+    # prime, so pattern a (five double points in P^2 on quartics, rank 14
+    # of 15) cannot be drawn at one prime, ranked at another and pass
+    from ppinterp.schemes import ProjectiveDraw
+
+    assert ProjectiveDraw._fields == ("specs", "subspaces", "basis")
+    report = run_rank_case(POLICY, "a", 15, verify._general_scheme(2, (3,) * 5, 4))
+    assert report.measured == [14, 14, 14] and not report.passed
+
+
 def test_measured_never_exceeds_target():
     import numpy as np
 
-    def build(seed):
+    def build(seed, prime):
         return np.eye(4, dtype=np.int64)
 
     report = run_rank_case(POLICY, "guard", 4, build)
@@ -180,7 +191,7 @@ def test_rank_guard_holds_under_optimisation():
         "from ppinterp.verify import TrialPolicy, run_rank_case\n"
         "assert False, 'asserts are on'\n"
         "try:\n"
-        "    run_rank_case(TrialPolicy(), 'guard', 3, lambda seed: np.eye(4, dtype=np.int64))\n"
+        "    run_rank_case(TrialPolicy(), 'guard', 3, lambda seed, prime: np.eye(4, dtype=np.int64))\n"
         "except AssertionError as err:\n"
         "    print(err)\n"
     )
@@ -215,7 +226,7 @@ def test_trials_runs_rounds_of_batched_jobs(monkeypatch):
     seeds = []
 
     def build(rank):
-        def make(seed):
+        def make(seed, prime):
             seeds.append(seed)
             return np.diag([1] * rank + [0] * (4 - rank)).astype(np.int64)
         return make
@@ -247,8 +258,8 @@ def test_jobs_share_their_spec_objects(monkeypatch):
     real = ComponentSpec.validate
     monkeypatch.setattr(ComponentSpec, "validate",
                         lambda self, n, k: validated.update([self]) or real(self, n, k))
-    stacks = condition_stacks((build, child_seed(POLICY.seed, label, 0))
-                              for label, build, _ in jobs)
+    stacks = condition_stacks(((build, child_seed(POLICY.seed, label, 0))
+                               for label, build, _ in jobs), POLICY.prime)
     assert sum(len(index) for index, _ in stacks) == len(jobs)
     distinct = {s for _, build, _ in jobs for s in build.specs}
     assert set(validated) == distinct and max(validated.values()) == 1
@@ -281,7 +292,7 @@ def test_forked_trials_give_the_serial_results(monkeypatch, procs):
     monkeypatch.setattr(verify, "ROUND_CASES", 5)
     policy = TrialPolicy(prime=5)
     jobs = lambda: itertools.chain(itertools.islice(verify._prop45_jobs(policy), 18),
-                                   verify._remark46_jobs(policy))
+                                   verify._remark46_jobs())
 
     real = verify._round
 
