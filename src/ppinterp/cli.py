@@ -4,12 +4,18 @@ Exit codes: 0 when everything passes (or a prediction/solution was
 produced), 1 on a mathematical failure (SUSPECT verdict, singular or
 inconsistent system), 2 on usage errors, including a prime too small to
 draw the requested random data and an --out path that cannot be written
-(checked before any work, and again when written).
+(checked before any work, and again when written).  A flag the command
+would not read is a usage error too, refused before any work by one rule
+(``_refuse_unread``): ``props --deep`` outside ``--prop all`` and ``-n 6|7``,
+``solve --prime`` outside ``--field gf``, and the like.
 
-Reports are JSON by default (CSV via --format csv).  Timing lives in a
-separate "timing" section, and the kernel, versions and number of
-processes that produced the report in "config", so that rerunning with the
-same --seed yields a byte-identical "cases" payload.
+Reports are JSON by default.  ``--format csv`` writes one header and one
+row per case, in the order of the JSON ``cases``: the case fields, then the
+profile, degree, max_delta and type_vector of a degree-2 table row (blank
+on other cases).  Timing lives in a separate "timing" section of the
+JSON, and the kernel, versions and number of processes that produced the
+report in "config", so that rerunning with the same --seed yields a
+byte-identical "cases" payload.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ import csv
 import dataclasses
 import errno
 import functools
-import io
 import json
 import os
 import platform
@@ -52,6 +57,14 @@ def _policy(args, max_degree: int) -> TrialPolicy:
     return TrialPolicy(trials=args.trials, prime=args.prime, seed=args.seed)
 
 
+def _refuse_unread(rules) -> None:
+    """Refuse a flag the command would not read: ``(flag, value, read, where)``
+    entries, ``value`` None when the flag is not given."""
+    for flag, value, read, where in rules:
+        if value is not None and not read:
+            raise ValueError(f"{flag} applies only to {where}")
+
+
 def _check_out(path: str) -> None:
     """Refuse an --out path that cannot be written, before any work is done."""
     parent = os.path.dirname(path) or "."
@@ -66,20 +79,15 @@ def _check_out(path: str) -> None:
     raise ValueError(f"cannot write {path}: {reason}")
 
 
-def _write_out(args, write) -> None:
-    """Call ``write`` on the --out file; an OSError is a usage error."""
+def _emit(args, write) -> None:
+    """Call ``write`` on the --out file, or on stdout; an OSError writing the file is a usage error."""
+    if not args.out:
+        return write(sys.stdout)
     try:
         with open(args.out, "w") as fh:
             write(fh)
     except OSError as err:
         raise ValueError(f"cannot write {args.out}: {err.strerror or err}") from None
-
-
-def _emit(args, text: str) -> None:
-    if args.out:
-        _write_out(args, lambda fh: fh.write(text))
-    else:
-        sys.stdout.write(text)
 
 
 def _emit_json(args, doc) -> None:
@@ -88,10 +96,8 @@ def _emit_json(args, doc) -> None:
     ``json.dump`` writes the encoder's chunks as they come, where ``dumps``
     first joins them into one string: a large report never exists whole.
     """
-    if args.out:
-        _write_out(args, lambda fh: json.dump(doc, fh, indent=2, sort_keys=True))
-    else:
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
+    _emit(args, lambda fh: json.dump(doc, fh, indent=2, sort_keys=True))
+    if not args.out:
         sys.stdout.write("\n")
 
 
@@ -115,34 +121,16 @@ def _report_doc(args, reports) -> dict:
     }
 
 
-def _reports_csv(reports) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    if any(r.extra.get("profile") for r in reports):
-        writer.writerow(["profile", "degree", "max_delta", "type_vector",
-                         "dim_measured", "dim_expected", "verdict"])
-        for r in reports:
-            e = r.extra
-            if not e.get("profile"):
-                continue
-            writer.writerow([
-                ",".join(map(str, e["profile"])), e["degree"], e["max_delta"],
-                ",".join(map(str, e["type_vector"])),
-                ";".join(map(str, r.measured)), e["dim_expected"], r.verdict,
-            ])
-    else:
-        writer.writerow(["case", "kind", "predicted", "measured", "verdict",
-                         "seed", "prime"])
-        for r in reports:
-            writer.writerow([r.case, r.kind, r.predicted,
-                             ";".join(map(str, r.measured)), r.verdict,
-                             r.seed, r.prime])
-    return buf.getvalue()
+def _write_csv(reports, fh) -> None:
+    """One header and one row per case: the case fields, then a table row's profile fields."""
+    writer = csv.writer(fh)
+    writer.writerow(verify.CASE_FIELDS + verify.TABLE_FIELDS)
+    writer.writerows(r.csv_row() for r in reports)
 
 
 def _emit_reports(args, reports) -> int:
     if args.format == "csv":
-        _emit(args, _reports_csv(reports))
+        _emit(args, functools.partial(_write_csv, reports))
     else:
         _emit_json(args, _report_doc(args, reports))
     for r in reports:
@@ -190,6 +178,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    _refuse_unread([("--prime", args.prime, args.field == "gf", "--field gf")])
     try:
         prob = interp.load_problem(args.problem)
     except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as err:
@@ -198,7 +187,9 @@ def cmd_solve(args) -> int:
     # the field is chosen here: a file's "prime" applies only to --field auto
     if args.field == "rational":
         prob = dataclasses.replace(prob, prime=None)
-    prime = args.prime if args.field == "gf" else prob.prime
+    prime = prob.prime
+    if args.field == "gf":
+        prime = DEFAULT_PRIME if args.prime is None else args.prime
     try:
         result = interp.predict_then_solve(prob, prime)
     except interp.NoResidueError as err:
@@ -227,11 +218,11 @@ def cmd_tables(args) -> int:
 
 def cmd_props(args) -> int:
     which = args.prop
-    for flag, value, props in (("--sample", args.sample, ("4.8", "all")),
-                               ("-n", args.n, ("4.7", "4.13", "base")),
-                               ("--deep", args.deep, ("4.7", "4.13", "base", "all"))):
-        if value is not None and which not in props:
-            raise ValueError(f"{flag} applies only to --prop {', '.join(props)}")
+    _refuse_unread([
+        ("--sample", args.sample, which in ("4.8", "all"), "--prop 4.8, all"),
+        ("-n", args.n, which in ("4.7", "4.13", "base"), "--prop 4.7, 4.13, base"),
+        ("--deep", args.deep, which == "all" or args.n in (6, 7), "--prop all, or with -n 6, 7"),
+    ])
     policy = _policy(args, 3)
     n = args.n or 5  # given only for the base sweeps, whose larger n is behind --deep
     if n > 5 and not args.deep:
@@ -256,14 +247,15 @@ def cmd_props(args) -> int:
 
 def cmd_verify(args) -> int:
     has_case = args.a is not None or args.lengths is not None
-    for flag in ("--suite", "--deep") if has_case else ("-n", "-d"):
-        if getattr(args, flag.lstrip("-")) is not None:
-            raise ValueError(f"{flag} {'does not apply' if has_case else 'applies only'}"
-                             " to a single case (-a or --lengths)")
+    _refuse_unread([
+        ("--suite", args.suite, not has_case, "a suite run, without -a or --lengths"),
+        ("-n", args.n, has_case, "a single case (-a or --lengths)"),
+        ("-d", args.d, has_case, "a single case (-a or --lengths)"),
+        ("--deep", args.deep, not has_case and args.suite in (None, "all", "base"),
+         "--suite base, all, without -a or --lengths"),
+    ])
     if has_case and (args.n is None or args.d is None):
         raise ValueError("a single case needs -n and -d")
-    if args.deep is not None and args.suite not in (None, "all", "base"):
-        raise ValueError("--deep applies only to --suite base, all")
     if has_case:
         policy = _policy(args, args.d)
         reports = [verify.verify_generic(policy, args.n, args.d,
@@ -295,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem")
     p.add_argument("--field", choices=("auto", "rational", "gf"), default="auto",
                    help="arithmetic domain; 'auto' follows the problem file")
-    p.add_argument("--prime", type=int, default=DEFAULT_PRIME,
-                   help="prime for --field gf (default 31991)")
+    p.add_argument("--prime", type=int,
+                   help="prime for --field gf, read only with it (default 31991)")
     p.add_argument("--out", help="write the result to this path instead of stdout")
     p.set_defaults(func=cmd_solve)
 

@@ -63,8 +63,9 @@ def is_prime(n: int) -> bool:
 def check_modulus(p: int, max_degree: int | None = None) -> int:
     """Validate a working prime: odd, prime, below MAX_PRIME, above any degree in use.
 
-    The degree bound keeps finite-difference style derivative checks exact
-    (distinct interpolation nodes 0..d mod p).
+    The degree bound keeps every exponent 1..d a unit mod p, so a
+    derivative row keeps each of its entries ``e * x**(e - 1)``: at p <= d
+    a derivative of x**p would vanish mod p.
     """
     if p % 2 == 0 or not is_prime(p):
         raise ValueError(f"modulus must be an odd prime, got {p}")

@@ -81,6 +81,10 @@ batch_processes = 1
 PASS = "PASS"
 SUSPECT = "SUSPECT"
 
+# the fields of every case report, and those a degree-2 table row adds in ``extra``
+CASE_FIELDS = ("case", "kind", "predicted", "measured", "verdict", "seed", "prime")
+TABLE_FIELDS = ("profile", "degree", "max_delta", "type_vector")
+
 
 @dataclass(frozen=True)
 class TrialPolicy:
@@ -111,20 +115,25 @@ class CaseReport:
         return self.verdict == PASS
 
     def to_json(self) -> dict:
-        doc = {
-            "case": self.case,
-            "kind": self.kind,
-            "predicted": self.predicted,
-            "measured": list(self.measured),
-            "verdict": self.verdict,
-            "seed": self.seed,
-            "prime": self.prime,
-        }
+        doc = {name: getattr(self, name) for name in CASE_FIELDS}
+        doc["measured"] = list(self.measured)
         if self.note:
             doc["note"] = self.note
         if self.extra:
             doc["extra"] = self.extra
         return doc
+
+    def csv_row(self) -> list:
+        """The CASE_FIELDS, then the TABLE_FIELDS of ``extra``, blank where absent.
+
+        ``measured`` is joined by ';', a profile or type vector by ','.
+        """
+        row = [getattr(self, name) for name in CASE_FIELDS]
+        row[CASE_FIELDS.index("measured")] = ";".join(map(str, self.measured))
+        for name in TABLE_FIELDS:
+            value = self.extra.get(name, "")
+            row.append(",".join(map(str, value)) if isinstance(value, list) else value)
+        return row
 
 
 def child_seed(root_seed: int, label: str, trial: int) -> int:

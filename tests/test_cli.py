@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import functools
 import hashlib
 import io
@@ -221,9 +222,25 @@ def test_tables_p3_csv_mirrors_columns(capsys):
     code, out, _ = run_cli(capsys, "tables", "-n", "3", "--format", "csv")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "profile,degree,max_delta,type_vector,dim_measured,dim_expected,verdict"
-    assert lines[1].startswith('"4,4,4",12,3,"0,0,0,3"')
-    assert len(lines) == 8
+    assert lines[0] == ("case,kind,predicted,measured,verdict,seed,prime,"
+                        "profile,degree,max_delta,type_vector")
+    assert lines[1].startswith("P3 exception enumeration,enumeration,7,7,PASS,")
+    assert lines[1].endswith(",31991,,,,")
+    assert lines[2].endswith(',31991,"4,4,4",12,3,"0,0,0,3"')
+    assert len(lines) == 9
+
+
+@pytest.mark.parametrize("argv", [("tables", "-n", "3"), ("tables", "-n", "4"),
+                                  ("verify", "--suite", "ah"), ("props", "--prop", "4.6")],
+                         ids=" ".join)
+def test_csv_has_one_row_per_case(capsys, argv):
+    # every case of the JSON report is a CSV row, in order, whatever its kind
+    _, out, _ = run_cli(capsys, *argv)
+    cases = json.loads(out)["cases"]
+    _, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(r["case"], r["verdict"], r["measured"]) for r in rows] == [
+        (c["case"], c["verdict"], ";".join(map(str, c["measured"]))) for c in cases]
 
 
 def test_tables_p4_documents_extra_rows(capsys):
@@ -550,9 +567,22 @@ def test_sample_below_one_refused(capsys, sample):
     (("verify", "-n", "2", "-d", "4", "-a", "2,2,2,2,2", "--deep"), "--deep"),
     (("verify", "--suite", "sweep", "--deep", "--trials", "1"), "--deep"),
     (("verify", "--suite", "p8", "--deep"), "--deep"),
+    (("props", "--prop", "base", "--deep"), "--deep"),
+    (("props", "--prop", "4.7", "-n", "5", "--deep"), "--deep"),
+    (("props", "--prop", "4.13", "--deep"), "--deep"),
+    (("solve", "x.json", "--prime", "101"), "--prime"),
+    (("solve", "x.json", "--field", "rational", "--prime", "101"), "--prime"),
 ])
-def test_unread_flags_refused(capsys, argv, flag):
-    # a flag the command would ignore changes nothing, so it is refused, not dropped
+def test_unread_flags_refused(capsys, monkeypatch, argv, flag):
+    # a flag the command would ignore changes nothing, so it is refused, not
+    # dropped, and before any work
+    from ppinterp import interp
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(verify, "_trials", refuse)
+    monkeypatch.setattr(interp, "load_problem", refuse)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and err.count("\n") == 1
     assert err.startswith(f"error: {flag} ")
@@ -639,6 +669,7 @@ def test_round_errors_end_the_command_as_when_serial(monkeypatch, capsys, error,
     outcomes = []
     for count in (1, 2):
         monkeypatch.setattr(verify, "_process_count", lambda: count)
+        hit.clear()
         if error == "rank bound":
             with pytest.raises(AssertionError) as raised:
                 main(["props", "--prop", "4.5"])

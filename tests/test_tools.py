@@ -1,8 +1,11 @@
-"""The scripts under ``benchmarks/`` still import and find every ppinterp name they use.
+"""The scripts under ``benchmarks/`` still import and find every ppinterp name they use,
+and every example command of the README passes the CLI's flag rules.
 
-Nothing else runs them, and ``bench_rank.py`` reads private names
+Nothing else runs the scripts, and ``bench_rank.py`` reads private names
 (``linalg._ROWS_WORK``, ``linalg._echelon_numpy``, ``schemes._slot_rule``,
 ...), so a rename would break them unseen.  Their ``main`` is not called.
+Nothing else runs the README's examples either, so a new flag rule could
+refuse one unseen.
 """
 
 import ast
@@ -44,3 +47,32 @@ def test_bench_rank_reads_only_names_that_exist():
     assert read
     missing = [f"{name}.{attr}" for name, attr in read if not hasattr(modules[name], attr)]
     assert missing == []
+
+
+class _Reached(Exception):
+    """Raised where a command would start its work: every flag rule passed."""
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].split()[1:] for line in block.splitlines()
+            if line.startswith("ppinterp ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_commands_pass_the_flag_rules(monkeypatch, capsys, argv):
+    # each example either exits 0 (it does no trial or solve) or reaches the
+    # work a trial or a solve starts, so no example would be refused
+    from ppinterp import cli, interp, verify
+
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.setattr(verify, "_trials", reached)
+    monkeypatch.setattr(interp, "load_problem", reached)
+    try:
+        code = cli.main(argv)
+    except _Reached:
+        return
+    assert code == 0, capsys.readouterr().err
