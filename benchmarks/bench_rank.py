@@ -41,11 +41,16 @@ Usage: python benchmarks/bench_rank.py [--repeats 20] [--mats 10] [--big]
 
 import argparse
 import random
+import sys
 import time
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import numpy as np
+
+# time this checkout's package, whether or not one is installed
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ppinterp import interp, linalg, schemes
 from ppinterp.gf import DEFAULT_PRIME

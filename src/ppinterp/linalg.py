@@ -24,8 +24,12 @@ elimination mod p of one matrix, with the same pivots as ``_echelon``.  Its
 inner loop is ``echelon_inplace``: the compiled one of the optional
 ``ppinterp._gfcore`` extension (built from the hand-written ``_gfcore.c``)
 when it is built, the numpy loop :func:`_echelon_numpy` otherwise; ``KERNEL``
-says which one ("c" or "python").  Both take the same arguments, pivot by
-the same rule and give the same bytes.  :func:`rank_mod` ranks a stack of
+says which one ("c" or "python").  Both take residues in [0, p), pivot by
+the same rule and give the same bytes.  The numpy loop delays its
+reductions mod p: it subtracts each pivot's update from the int64 trailing
+block unreduced, reduces that block only once (2**63 - 1 - p) // (p - 1)**2 - 1
+updates are pending (at least 2047 below 2**26), and reduces the whole
+array once at the end.  :func:`rank_mod` ranks a stack of
 same-shape matrices at once, in one float64 elimination whose reductions
 mod p are delayed until its integers could pass 2**53.  Entries stay below
 p < MAX_PRIME = 2**26, so products fit comfortably in int64.  Every GF(p)
@@ -71,27 +75,61 @@ import numpy as np
 from .gf import _check_prime, is_prime
 
 
+# The bound on |entry| of _echelon_numpy's int64 block between two reductions.
+_INT64_MAX = 2**63 - 1
+
+
 def _echelon_numpy(arr, ncols: int, p: int):
-    """The numpy loop of :func:`echelon_mod`: eliminates ``arr`` in place, returns the pivots."""
+    """The numpy loop of :func:`echelon_mod`: eliminates ``arr`` in place, returns the pivots.
+
+    ``arr`` holds residues in [0, p).  Reductions mod p are delayed, as in
+    :func:`rank_mod` but in int64: step c reduces column c from the pivot
+    row down (only when updates are pending), scales the pivot row and
+    reduces it, and subtracts ``f * row`` from the trailing block with no
+    ``% p``.  Each update takes at most (p - 1)**2 from an entry, so the
+    whole trailing block is reduced only once ``room`` updates are pending,
+    and |entry| < 2**63 throughout (room >= 2047 for every p < 2**26).  The
+    pivot row is reduced before it is scaled only when its product with an
+    inverse could pass that bound.  One ``% p`` of the whole array ends the
+    loop, which leaves the bytes of a loop that reduces every update.
+    """
+    square = (p - 1) ** 2
+    room = (_INT64_MAX - p) // square - 1
+    pending = 0  # trailing-block updates since its entries were last residues
     pivots = []
     m = arr.shape[0]
     r = 0
     for c in range(ncols):
         if r == m:
             break
-        nz = np.nonzero(arr[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            arr[[r, piv], c:] = arr[[piv, r], c:]
-        inv = pow(int(arr[r, c]), -1, p)
-        arr[r, c:] = arr[r, c:] * inv % p
-        f = arr[r + 1 :, c]
+        col = arr[r:, c]
+        if pending:
+            np.remainder(col, p, out=col)
+        row = arr[r, c:]
+        if not col[0]:
+            nz = np.flatnonzero(col)
+            if nz.size == 0:
+                continue
+            top = arr[r + int(nz[0]), c:]
+            swap = top.copy()
+            top[:] = row
+            row[:] = swap
+        if (p + pending * square) * p > _INT64_MAX:
+            np.remainder(row, p, out=row)
+        row *= pow(int(row[0]), -1, p)
+        np.remainder(row, p, out=row)
+        f = arr[r + 1:, c]
         if f.any():
-            arr[r + 1 :, c:] = (arr[r + 1 :, c:] - f[:, None] * arr[r, c:]) % p
+            block = arr[r + 1:, c:]
+            if pending == room:
+                np.remainder(block, p, out=block)
+                pending = 0
+            block -= np.multiply.outer(f, row)
+            pending += 1
         pivots.append(c)
         r += 1
+    if pending:
+        np.remainder(arr, p, out=arr)
     return pivots
 
 
@@ -106,10 +144,11 @@ except ImportError:  # extension not built, or built from an older source
 
 # Largest work m*n*min(m, n) that rank() eliminates on Python rows rather than
 # by echelon_mod.  Its numpy loop pays a fixed cost per call and per column,
-# and Python rows beat it up to about 10x10; its compiled loop beats them at
-# every order, 7x at 3x4 (benchmarks/bench_rank.py times all three; run
-# recorded in BENCH_9.json).
-_ROWS_WORK = 0 if KERNEL == "c" else 1000
+# and Python rows beat it up to 8x9 (work 576: 55-58 against 59-61 us), not at
+# 9x10 (810: 71-74 against 67-69 us); its compiled loop beats them at every
+# order, 7x at 3x4 (benchmarks/bench_rank.py times all three; runs recorded
+# in BENCH_9.json and BENCH_26.json).
+_ROWS_WORK = 0 if KERNEL == "c" else 700
 
 # Cells m*n*B of one rank_mod call in stack_ranks(): a stack is ranked in
 # even parts of at most this many cells, so the float64 copy and its scratch
@@ -118,6 +157,9 @@ _ROWS_WORK = 0 if KERNEL == "c" else 1000
 # 2.4), stacks of 64 seeded residue matrices of orders 27, 36, 46 and 63: the
 # batched elimination takes 40-48, 70-83, 139-142 and 303-386 us per matrix,
 # echelon_mod's numpy loop alone 322-361, 458-630, 745-802 and 1333-1696.
+# With its reductions delayed (BENCH_26.json, one run) that loop takes 230,
+# 326, 457 and 710 us against rank_mod's 29, 47, 95 and 237, so the numpy
+# kernel still batches.
 # The compiled loop ranks one matrix in 33-37, 73-76, 141-152 and 343-376 us,
 # as fast or a little faster, so on it stack_ranks() calls rank().  On the
 # trial rounds' own stacks (BENCH_16.json, built tree, seed 1, best of 5,

@@ -23,6 +23,8 @@ from ppinterp.linalg import (
     solve_any,
     solve_square,
 )
+from ppinterp.monomials import AFFINE, build_basis
+from ppinterp.schemes import _affine_rows, random_affine_problem
 
 P = DEFAULT_PRIME
 
@@ -1051,6 +1053,79 @@ def test_compiled_loop_matches_the_numpy_loop(compiled, p):
         assert pivots == linalg._echelon_numpy(np_rows, ncols, p)
         assert c_rows.tobytes() == np_rows.tobytes()
         assert len(pivots) == rank_rows(a[:, :ncols].tolist(), p)
+
+
+def _reducing_loop(arr, ncols, p):
+    """echelon_mod's numpy loop as it was before its reductions were delayed: every
+    update reduced mod p.  The byte oracle of the delayed loop."""
+    pivots = []
+    m = arr.shape[0]
+    r = 0
+    for c in range(ncols):
+        if r == m:
+            break
+        nz = np.nonzero(arr[r:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            arr[[r, piv], c:] = arr[[piv, r], c:]
+        inv = pow(int(arr[r, c]), -1, p)
+        arr[r, c:] = arr[r, c:] * inv % p
+        f = arr[r + 1 :, c]
+        if f.any():
+            arr[r + 1 :, c:] = (arr[r + 1 :, c:] - f[:, None] * arr[r, c:]) % p
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+@pytest.fixture(scope="module")
+def condition_rows():
+    """Condition matrices mod P: ``verify -n 4 -d 5`` with 25 full tangents
+    (125x126), n = 3, d = 5 (54x56), and pattern a, five double points on
+    quartics in the plane (15x15, rank 14)."""
+    out = []
+    for n, d, profile in ((4, 5, (4,) * 25), (3, 5, (3,) * 13 + (1,)), (2, 4, (2,) * 5)):
+        prob = random_affine_problem(n, d, profile, prime=P, seed=1)
+        out.append(_affine_rows(prob, build_basis(AFFINE, n, d), P)[0])
+    assert [a.shape for a in out] == [(125, 126), (54, 56), (15, 15)]
+    assert rank_rows(out[2], P) == 14
+    return out
+
+
+def _oracle_cases(condition_rows, p):
+    """The condition matrices read mod p, augmented [A | b] and [A | I] systems,
+    tall, wide, zero-column and empty matrices, each with its ncols."""
+    big, mid, quartic = (a % p for a in condition_rows)
+    rng = np.random.default_rng(p)
+    yield big, 126
+    yield mid, 56
+    yield quartic, 15
+    for a in (big[:, :125], quartic):
+        k = len(a)
+        yield np.hstack([a, rng.integers(0, p, size=(k, 1))]), k
+        yield np.hstack([a, np.eye(k, dtype=np.int64)]), k
+    yield np.ascontiguousarray(big.T), 125
+    yield mid[:20].copy(), 56
+    zeros = mid.copy()
+    zeros[:, [0, 7, 30, 55]] = 0
+    yield zeros, 56
+    for shape in ((0, 0), (0, 7), (7, 0)):
+        yield np.zeros(shape, dtype=np.int64), shape[1]
+
+
+@pytest.mark.parametrize("room", [None, 1, 2])
+@pytest.mark.parametrize("p", [2, 3, 5, 31991, 65521, 67108859])
+def test_numpy_loop_matches_the_reducing_loop(condition_rows, monkeypatch, p, room):
+    # at the real bound the trailing block is reduced only after 2047 or more
+    # updates; a bound with room for 1 or 2 updates reduces it every step or two
+    if room is not None:
+        monkeypatch.setattr(linalg, "_INT64_MAX", p + (room + 1) * (p - 1) ** 2)
+    for a, ncols in _oracle_cases(condition_rows, p):
+        delayed, reduced = a.copy(), a.copy()
+        assert linalg._echelon_numpy(delayed, ncols, p) == _reducing_loop(reduced, ncols, p)
+        assert delayed.tobytes() == reduced.tobytes()
 
 
 def _refuses_bad_ncols():

@@ -3,7 +3,9 @@ and every example command of the README passes the CLI's flag rules.
 
 Nothing else runs the scripts, and ``bench_rank.py`` reads private names
 (``linalg._ROWS_WORK``, ``linalg._echelon_numpy``, ``schemes._slot_rule``,
-...), so a rename would break them unseen.  Their ``main`` is not called.
+...), so a rename would break them unseen.  Their ``main`` is not called;
+``bench_rank.py --help`` runs in a subprocess with no PYTHONPATH, as the
+README runs it, to show that the script finds its checkout's package.
 Nothing else runs the README's examples either, so a new flag rule could
 refuse one unseen.
 """
@@ -11,6 +13,9 @@ refuse one unseen.
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,6 +52,14 @@ def test_bench_rank_reads_only_names_that_exist():
     assert read
     missing = [f"{name}.{attr}" for name, attr in read if not hasattr(modules[name], attr)]
     assert missing == []
+
+
+def test_bench_rank_runs_from_an_uninstalled_checkout(tmp_path):
+    # the README runs the script with no PYTHONPATH; it must find the checkout's src itself
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, str(BENCHMARKS / "bench_rank.py"), "--help"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 class _Reached(Exception):
