@@ -3,12 +3,11 @@
 
 The rank of seeded random matrices over GF(31991) is one of the three
 layers of every verification sweep (with drawing and building the
-matrices).  This script times ``echelon_mod``'s rank on both of its inner
-loops -- numpy's and, when the extension is built, the compiled C loop --
+matrices).  This script times ``echelon_mod``'s rank by its numpy loop
 on the matrix orders the suites produce (27, 36, 63, 126, 165) and on a
 full end-to-end sweep.  At the small orders (k x (k+1) for k = 3..21: the
 draws' direction checks and the smallest condition matrices) it also times
-``linalg.rank_rows`` beside the loops, with the work m*n*min(m, n) that
+``linalg.rank_rows`` beside the loop, with the work m*n*min(m, n) that
 ``linalg._ROWS_WORK`` is set against: ``linalg.rank`` eliminates on Python
 rows up to that work.  On stacks of the sweeps' square orders (27, 36, 46,
 63) it times the batched exact rank ``rank_mod`` and ``linalg.ranks``
@@ -29,12 +28,12 @@ on the ``verify -n N -d D -a ...`` shapes of n = 1-4, d = 3-5 and on the
 square solves of orders 45-126.
 
 The solvers get two tables.  Over GF(p), ``solve_square`` (``echelon_mod``
-and the numpy back-substitution) on random square systems, with the numpy
-loop and with the C loop.  Over Q, Bareiss against Dixon lifting on the
-integer rows of seeded square interpolation problems of orders 4-126
-(small integers and two-digit fractions), which sets ``linalg._DIXON_ORDER``;
-``--big`` adds orders 120-126 with 15-bit integer coordinates.  Both
-paths must return the same solution.
+and the numpy back-substitution) on random square systems.  Over Q,
+Bareiss against Dixon lifting on the integer rows of seeded square
+interpolation problems of orders 4-126 (small integers and two-digit
+fractions), which sets ``linalg._DIXON_ORDER``; ``--big`` adds orders
+120-126 with 15-bit integer coordinates.  Both paths must return the same
+solution.
 
 Usage: python benchmarks/bench_rank.py [--repeats 20] [--mats 10] [--big]
 """
@@ -54,7 +53,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ppinterp import interp, linalg, schemes
 from ppinterp.gf import DEFAULT_PRIME
-from ppinterp.linalg import KERNEL, _ROWS_WORK, _echelon_numpy, rank_mod, rank_rows
+from ppinterp.linalg import _ROWS_WORK, _echelon_numpy, rank_mod, rank_rows
 from ppinterp.monomials import AFFINE, build_basis
 from ppinterp.schemes import (
     InterpolationProblem,
@@ -65,22 +64,10 @@ from ppinterp.schemes import (
     random_affine_problem,
 )
 
-# echelon_mod's active inner loop: the compiled one when the extension is built
-ACTIVE_LOOP = linalg.echelon_inplace
-
-
 def rank_py(a, p):
     """The rank by echelon_mod's numpy loop (on a fresh residue copy, as echelon_mod makes)."""
     return len(_echelon_numpy(a % p, a.shape[1], p))
 
-
-def rank_c(a, p):
-    """The rank by echelon_mod's compiled loop."""
-    return len(ACTIVE_LOOP(a % p, a.shape[1], p))
-
-
-if KERNEL != "c":
-    rank_c = None
 
 SIZES = (27, 36, 63, 126, 165)
 SMALL = (3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 17, 21)
@@ -129,18 +116,13 @@ def bench_kernel(fn, mats, repeats):
 
 
 def bench_small(rng, args):
-    """Python rows against the loops on k x (k+1) matrices; rows get the loops' input."""
+    """Python rows against the numpy loop on k x (k+1) matrices; rows get the loop's input."""
     print(f"\nsmall orders (linalg._ROWS_WORK = {_ROWS_WORK})")
-    header = f"{'shape':>7} {'work':>6} {'rows (us)':>10} {'numpy (us)':>11}"
-    if rank_c is not None:
-        header += f" {'c (us)':>12}"
-    print(header)
+    print(f"{'shape':>7} {'work':>6} {'rows (us)':>10} {'numpy (us)':>11}")
     for k in SMALL:
         mats = [random_matrix(rng, k, k + 1) for _ in range(args.mats)]
-        times = [bench_kernel(fn, mats, args.repeats) * 1e6
-                 for fn in (rank_rows, rank_py, rank_c) if fn is not None]
-        print(f"{f'{k}x{k + 1}':>7} {k * (k + 1) * k:>6} "
-              + " ".join(f"{t:>{w}.1f}" for t, w in zip(times, (10, 11, 12))))
+        t_rows, t_py = (bench_kernel(fn, mats, args.repeats) * 1e6 for fn in (rank_rows, rank_py))
+        print(f"{f'{k}x{k + 1}':>7} {k * (k + 1) * k:>6} {t_rows:>10.1f} {t_py:>11.1f}")
 
 
 def bench_screen(rng, args):
@@ -150,10 +132,7 @@ def bench_screen(rng, args):
     replaced by a combination of two others, at a seeded position.
     """
     print(f"\nbatched rank, stacks of {SCREEN_STACK} (us per matrix)")
-    header = f"{'order':>6} {'rank_mod':>9} {'1 dep':>8} {'ranks':>8} {'numpy':>8}"
-    if rank_c is not None:
-        header += f" {'c':>8}"
-    print(header)
+    print(f"{'order':>6} {'rank_mod':>9} {'1 dep':>8} {'ranks':>8} {'numpy':>8}")
     for order in SCREEN_ORDERS:
         mats = [random_matrix(rng, order) for _ in range(SCREEN_STACK)]
         stack = np.array(mats)
@@ -171,8 +150,8 @@ def bench_screen(rng, args):
                  for a in (stack, deficient)]
         t_ranks, _ = _best(lambda: linalg.ranks(mats, DEFAULT_PRIME), args.repeats)
         times.append(t_ranks / SCREEN_STACK)
-        times += [bench_kernel(fn, mats, args.repeats) for fn in (rank_py, rank_c) if fn]
-        widths = (9, 8, 8, 8, 8)
+        times.append(bench_kernel(rank_py, mats, args.repeats))
+        widths = (9, 8, 8, 8)
         print(f"{order:>6} " + " ".join(f"{t * 1e6:>{w}.0f}" for t, w in zip(times, widths)))
 
 
@@ -314,28 +293,14 @@ def _best(fn, repeats):
     return best, out
 
 
-def _gf_solve(loop, a, rhs):
-    linalg.echelon_inplace = loop
-    try:
-        return linalg.solve_square(a, rhs, DEFAULT_PRIME)
-    finally:
-        linalg.echelon_inplace = ACTIVE_LOOP
-
-
 def bench_solve_gf(rng, args):
-    """solve_square mod p on the numpy loop and on the C loop, random square systems."""
+    """solve_square mod p on random square systems."""
     print("\nGF(p) solve")
-    header = f"{'order':>6} {'work':>8} {'numpy (ms)':>11}"
-    print(header + (f" {'c (ms)':>9}" if rank_c is not None else ""))
+    print(f"{'order':>6} {'work':>8} {'numpy (ms)':>11}")
     for n in GF_SOLVE_ORDERS:
         a, rhs = random_matrix(rng, n), random_matrix(rng, 1, n)[0].tolist()
-        t_np, x_np = _best(lambda: _gf_solve(_echelon_numpy, a, rhs), args.repeats)
-        line = f"{n:>6} {n ** 3:>8} {t_np * 1e3:>11.3f}"
-        if rank_c is not None:
-            t_c, x_c = _best(lambda: _gf_solve(ACTIVE_LOOP, a, rhs), args.repeats)
-            assert x_c == x_np, n
-            line += f" {t_c * 1e3:>9.3f}"
-        print(line)
+        t_np, _ = _best(lambda: linalg.solve_square(a, rhs, DEFAULT_PRIME), args.repeats)
+        print(f"{n:>6} {n ** 3:>8} {t_np * 1e3:>11.3f}")
 
 
 def _scalar(rng, kind):
@@ -406,21 +371,10 @@ def main():
 
     rng = random.Random(1)
     print(f"prime {DEFAULT_PRIME}, {args.mats} matrices/size, best of {args.repeats}")
-    header = f"{'order':>6} {'numpy (ms)':>12}"
-    if rank_c is not None:
-        header += f" {'c (ms)':>12} {'speedup':>8}"
-    print(header)
+    print(f"{'order':>6} {'numpy (ms)':>12}")
     for size in SIZES:
         mats = [random_matrix(rng, size) for _ in range(args.mats)]
-        t_py = bench_kernel(rank_py, mats, args.repeats) * 1000
-        line = f"{size:>6} {t_py:>12.3f}"
-        if rank_c is not None:
-            t_c = bench_kernel(rank_c, mats, args.repeats) * 1000
-            line += f" {t_c:>12.3f} {t_py / t_c:>7.1f}x"
-        print(line)
-    if rank_c is None:
-        print("compiled loop not built; numpy loop only "
-              "(python setup.py build_ext --inplace to build it)")
+        print(f"{size:>6} {bench_kernel(rank_py, mats, args.repeats) * 1000:>12.3f}")
     bench_small(rng, args)
     bench_screen(rng, args)
     bench_stack_sizes(rng, args)
@@ -432,8 +386,7 @@ def main():
     bench_affine_build(rng, args)
 
     cases, dt = bench_suite()
-    print(f"\nend to end: five-triple suite, {cases} cases in {dt:.2f}s "
-          f"(active kernel: {KERNEL})")
+    print(f"\nend to end: five-triple suite, {cases} cases in {dt:.2f}s")
 
 
 if __name__ == "__main__":

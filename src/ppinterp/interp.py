@@ -218,21 +218,6 @@ def problem_from_json(doc) -> InterpolationProblem:
     return InterpolationProblem(n, d, points, directions, values, prime)
 
 
-def problem_to_json(prob: InterpolationProblem) -> dict:
-    doc = {
-        "n": prob.n,
-        "d": prob.d,
-        "mode": AFFINE,
-        "points": [[scalar_to_json(x) for x in p] for p in prob.points],
-        "directions": [[[scalar_to_json(x) for x in v] for v in ds] for ds in prob.directions],
-    }
-    if prob.values is not None:
-        doc["values"] = [[scalar_to_json(x) for x in vs] for vs in prob.values]
-    if prob.prime is not None:
-        doc["prime"] = prob.prime
-    return doc
-
-
 def load_problem(path) -> InterpolationProblem:
     with open(path) as fh:
         return problem_from_json(json.load(fh))

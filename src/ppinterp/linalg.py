@@ -21,18 +21,15 @@ back-substitution makes a ``Fraction``.
 
 Two int64 kernels serve GF(p).  :func:`echelon_mod` is the forward
 elimination mod p of one matrix, with the same pivots as ``_echelon``.  Its
-inner loop is ``echelon_inplace``: the compiled one of the optional
-``ppinterp._gfcore`` extension (built from the hand-written ``_gfcore.c``)
-when it is built, the numpy loop :func:`_echelon_numpy` otherwise; ``KERNEL``
-says which one ("c" or "python").  Both take residues in [0, p), pivot by
-the same rule and give the same bytes.  The numpy loop delays its
+inner loop, :func:`_echelon_numpy`, takes residues in [0, p) and delays its
 reductions mod p: it subtracts each pivot's update from the int64 trailing
 block unreduced, reduces that block only once (2**63 - 1 - p) // (p - 1)**2 - 1
 updates are pending (at least 2047 below 2**26), and reduces the whole
 array once at the end.  :func:`rank_mod` ranks a stack of
 same-shape matrices at once, in one float64 elimination whose reductions
-mod p are delayed until its integers could pass 2**53.  Entries stay below
-p < MAX_PRIME = 2**26, so products fit comfortably in int64.  Every GF(p)
+mod p are delayed until its integers could pass 2**53.  ``KERNEL``, the
+kernel name a report records, is always "python" (numpy).  Entries stay
+below p < MAX_PRIME = 2**26, so products fit comfortably in int64.  Every GF(p)
 entry point, the two kernels included, first reads the modulus through
 ``gf._check_prime``, which refuses one that is not a prime below that bound
 and reads a numpy integer as a Python int, so a composite or too large
@@ -43,10 +40,10 @@ reference, takes a prime of any size.
 work m*n*min(m, n) is at most ``_ROWS_WORK``, it runs :func:`_echelon`;
 larger GF(p) matrices (the condition matrices of the verification sweeps)
 go to ``echelon_mod``.  :func:`stack_ranks` takes a trial round's matrices
-as same-shape stacks: on the numpy kernel it ranks each GF(p) stack of two
-or more matrices together by ``rank_mod``, and sends a stack of one to
-:func:`rank`.  :func:`ranks` takes a list of matrices, stacks them by shape
-and hands them to :func:`stack_ranks`.
+as same-shape stacks: it ranks each GF(p) stack of two or more matrices
+together by ``rank_mod``, and sends a stack of one to :func:`rank`.
+:func:`ranks` takes a list of matrices, stacks them by shape and hands
+them to :func:`stack_ranks`.
 
 The solvers pick theirs by field.  Over GF(p), systems are eliminated by
 ``echelon_mod`` and solved by one numpy back-substitution.  Over Q,
@@ -133,22 +130,16 @@ def _echelon_numpy(arr, ncols: int, p: int):
     return pivots
 
 
-try:
-    from ._gfcore import echelon_inplace
-
-    KERNEL = "c"
-except ImportError:  # extension not built, or built from an older source
-    echelon_inplace = _echelon_numpy
-    KERNEL = "python"
+# The kernel named in every report's config.
+KERNEL = "python"
 
 
 # Largest work m*n*min(m, n) that rank() eliminates on Python rows rather than
 # by echelon_mod.  Its numpy loop pays a fixed cost per call and per column,
 # and Python rows beat it up to 8x9 (work 576: 55-58 against 59-61 us), not at
-# 9x10 (810: 71-74 against 67-69 us); its compiled loop beats them at every
-# order, 7x at 3x4 (benchmarks/bench_rank.py times all three; runs recorded
-# in BENCH_9.json and BENCH_26.json).
-_ROWS_WORK = 0 if KERNEL == "c" else 700
+# 9x10 (810: 71-74 against 67-69 us).  benchmarks/bench_rank.py times both;
+# runs recorded in BENCH_9.json and BENCH_26.json.
+_ROWS_WORK = 700
 
 # Cells m*n*B of one rank_mod call in stack_ranks(): a stack is ranked in
 # even parts of at most this many cells, so the float64 copy and its scratch
@@ -158,18 +149,8 @@ _ROWS_WORK = 0 if KERNEL == "c" else 700
 # batched elimination takes 40-48, 70-83, 139-142 and 303-386 us per matrix,
 # echelon_mod's numpy loop alone 322-361, 458-630, 745-802 and 1333-1696.
 # With its reductions delayed (BENCH_26.json, one run) that loop takes 230,
-# 326, 457 and 710 us against rank_mod's 29, 47, 95 and 237, so the numpy
-# kernel still batches.
-# The compiled loop ranks one matrix in 33-37, 73-76, 141-152 and 343-376 us,
-# as fast or a little faster, so on it stack_ranks() calls rank().  On the
-# trial rounds' own stacks (BENCH_16.json, built tree, seed 1, best of 5,
-# three runs) it is faster still: per matrix of the cubic-sweeps stacks,
-# 38-42 against 49-59 us at order 27, 66-72 against 69-89 at 36, 120-126
-# against 161-188 at 46 and 323-330 against 353-477 at 63 (0.26-0.28 s a
-# pass against 0.29-0.36 s for rank_mod), and 0.044-0.045 s against
-# 0.21-0.22 s on the small-cases stacks of orders 3-70.  With rank_mod's
-# one-cast entry the two are even on the cubic-sweeps stacks (BENCH_17.json:
-# 0.29-0.31 s a pass either way), so the compiled loop keeps them.
+# 326, 457 and 710 us against rank_mod's 29, 47, 95 and 237, so stacks of
+# two or more are still batched.
 _SCREEN_CELLS = 1 << 18
 
 # Smallest order that solve_square over Q lifts p-adically rather than
@@ -277,7 +258,8 @@ def _rows(matrix, prime):
 
     The one gate for a matrix read entry by entry: an array whose dtype
     holds no exact scalars (float, bool, complex, ...) raises TypeError, an
-    array that is not 2-d and ragged rows raise ValueError.
+    array that is not 2-d, rows that are not sequences and ragged rows raise
+    ValueError.
     """
     if isinstance(matrix, np.ndarray):
         if matrix.dtype.kind not in "iuO":
@@ -286,7 +268,10 @@ def _rows(matrix, prime):
         if matrix.ndim != 2:
             raise ValueError("expected a 2-d matrix")
         return matrix.tolist(), matrix.shape
-    rows = [list(r) for r in matrix]
+    try:
+        rows = [list(r) for r in matrix]
+    except TypeError:  # a row that is not a sequence: [1, 2, 3] is 1-d
+        raise ValueError("expected a 2-d matrix") from None
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged matrix")
     return rows, (len(rows), len(rows[0]) if rows else 0)
@@ -324,7 +309,7 @@ def echelon_mod(a, ncols: int, p: int):
         raise ValueError(f"ncols {ncols} is outside [0, {arr.shape[1]}]")
     if arr.size == 0:
         return arr, []
-    return arr, echelon_inplace(arr, ncols, p)
+    return arr, _echelon_numpy(arr, ncols, p)
 
 
 # Primes below this get a table of every inverse mod p, built on the first
@@ -476,7 +461,7 @@ def rank(matrix, prime: int | None = None) -> int:
     field, as a Fraction entry does over GF(p), on every path.
     """
     prime = _check_prime(prime)
-    m, n = len(matrix), _width(matrix)
+    n, m = _width(matrix), len(matrix)  # _width refuses rows that are not sequences
     if prime is None or m * n * min(m, n) <= _ROWS_WORK:
         return rank_rows(matrix, prime)
     if not (isinstance(matrix, np.ndarray) and matrix.dtype.kind in "iu"):
@@ -506,17 +491,15 @@ def stack_ranks(stacks, prime: int | None = None) -> list:
     """The exact rank of each matrix of ``(index, stack)`` pairs, listed by index.
 
     Member k of the (B, m, n) ``stack`` is matrix ``index[k]``; the indices
-    of all the stacks together are 0, 1, ..., N-1.  On the numpy kernel an
-    int64 stack of two or more matrices is ranked mod p by ``rank_mod``, in
-    even parts of at most ``_SCREEN_CELLS`` cells; every other member (over
-    Q, in a stack of one or of another dtype, or on the compiled kernel)
-    goes to ``rank``.
+    of all the stacks together are 0, 1, ..., N-1.  An int64 stack of two or
+    more matrices is ranked mod p by ``rank_mod``, in even parts of at most
+    ``_SCREEN_CELLS`` cells; every other member (over Q, or in a stack of one
+    or of another dtype) goes to ``rank``.
     """
     prime = _check_prime(prime)
     out = [None] * sum(len(index) for index, _ in stacks)
-    batched = prime is not None and KERNEL == "python"
     for index, stack in stacks:
-        if batched and len(index) > 1 and stack.dtype == np.int64:
+        if prime is not None and len(index) > 1 and stack.dtype == np.int64:
             count = max(1, -(-stack.size // _SCREEN_CELLS))
             values = [r for part in np.array_split(stack, count)
                       for r in rank_mod(part, prime).tolist()]
@@ -542,10 +525,18 @@ def rank_rows(matrix, prime: int | None = None) -> int:
 
 
 def _width(matrix) -> int:
-    """The column count of a 2-d array, or of Python rows (0 when there are none)."""
+    """The column count of a 2-d array, or of Python rows (0 when there are none).
+
+    An array that is not 2-d and rows that are not sequences raise ValueError.
+    """
     if isinstance(matrix, np.ndarray):
-        return matrix.shape[-1]
-    return len(matrix[0]) if len(matrix) else 0
+        if matrix.ndim != 2:
+            raise ValueError("expected a 2-d matrix")
+        return matrix.shape[1]
+    try:
+        return len(matrix[0]) if len(matrix) else 0
+    except TypeError:  # matrix[0] is not a sequence
+        raise ValueError("expected a 2-d matrix") from None
 
 
 def nullspace_dim(matrix, prime: int | None = None) -> int:

@@ -237,19 +237,6 @@ class SchemeInstance:
     components: tuple
 
 
-def degree_bookkeeping(specs, which) -> tuple:
-    """(deg X, deg(X cap S), deg(X:S)) for S a subspace index or an iterable of them.
-
-    Components on a subspace meet it in length - residual; at general points
-    the listed subspaces are pairwise disjoint from each other's supports and
-    from free components, so the union rule has no correction terms.
-    """
-    which = {which} if isinstance(which, int) else set(which)
-    deg = sum(s.length for s in specs)
-    trace = sum(s.length - s.residual for s in specs if s.support in which)
-    return deg, trace, deg - trace
-
-
 def _check_subspaces(n, subspaces) -> None:
     """Refuse a subspace whose zeroed set is not in P^n or leaves it no point."""
     for sub in subspaces:

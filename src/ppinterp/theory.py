@@ -90,11 +90,6 @@ def delta_scheme(n: int, lengths, i: int) -> int:
     return max(0, sum(padded) - sum(n + 2 - j for j in range(1, i + 1)))
 
 
-def delta_profile_affine(n: int, a) -> tuple:
-    """The full vector (delta(1), ..., delta(n)) of a derivative-count profile."""
-    return tuple(delta_affine(n, a, i) for i in range(1, n + 1))
-
-
 def delta_profile_scheme(n: int, lengths) -> tuple:
     """The full vector (delta(1), ..., delta(n)) of a length profile."""
     return tuple(delta_scheme(n, lengths, i) for i in range(1, n + 1))
@@ -157,18 +152,6 @@ def predict_quadric_affine(n: int, a) -> QuadricPrediction:
     """Degree-2 predictor for an interpolation profile: lengths are a_i + 1."""
     a = _check_entries(n, a)
     return predict_quadric_scheme(n, tuple(x + 1 for x in a))
-
-
-def unique_quadric_interpolant(n: int, a) -> bool:
-    """True when a square degree-2 problem has exactly one solution.
-
-    Requires the condition count to equal C(n+2,2).  With the degree equal
-    to the dimension, independence needs every delta value to vanish.
-    """
-    q = predict_quadric_affine(n, a)
-    if q.degree != comb(n + 2, 2):
-        raise ValueError("uniqueness needs condition count = dim of the quadric space")
-    return q.independent
 
 
 def predict_profile(n: int, d: int, a) -> Prediction:

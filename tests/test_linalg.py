@@ -61,15 +61,14 @@ def test_rank_transpose():
 
 
 def _loop_ranks(rows, p):
-    """The rank mod p by echelon_mod on the active loop (compiled when built) and on numpy's."""
+    """The rank mod p by echelon_mod and by its numpy loop called directly."""
     a = np.array(rows, dtype=np.int64)
     return [len(echelon_mod(a, a.shape[1], p)[1]),
             len(linalg._echelon_numpy(a % p, a.shape[1], p))]
 
 
 def test_kernel_parity():
-    # the active loop (compiled when built) and the numpy loop, each against
-    # Python-int elimination
+    # echelon_mod and its numpy loop, each against Python-int elimination
     rng = random.Random(23)
     for _ in range(100):
         m = rng.randint(1, 12)
@@ -906,29 +905,24 @@ def test_rank_reads_wide_integers_exactly():
 
 
 def test_ranks_screens_only_numpy_gf_groups(monkeypatch):
-    # the batched rank runs on the numpy kernel only: pinned, so a built checkout tests it too
-    monkeypatch.setattr(linalg, "KERNEL", "python")
     screened = []
     monkeypatch.setattr(linalg, "rank_mod",
                         lambda stack, p: screened.append(stack.shape) or rank_mod(stack, p))
     eye, other = np.eye(4, dtype=np.int64), np.eye(3, 5, dtype=np.int64)
     assert linalg.ranks([eye, other, eye.tolist()], P) == [4, 3, 4]
     assert screened == [(2, 4, 4)]  # the 3x5 is alone in its shape
-    # over Q and on the compiled kernel rank decides; non-integer entries are refused
+    # over Q rank decides; non-integer entries are refused
     screened.clear()
     fractions = [[Fraction(1, 2), 0], [0, 1]]
     assert linalg.ranks([eye.tolist(), eye.tolist()]) == [4, 4]
     with pytest.raises(TypeError):
         linalg.ranks([fractions, fractions], P)
-    monkeypatch.setattr(linalg, "KERNEL", "c")
-    assert linalg.ranks([eye, eye], P) == [4, 4]
     assert screened == []
     with pytest.raises(ValueError, match="2\\*\\*26"):
         linalg.ranks([eye, eye], MAX_PRIME + 1)
 
 
 def test_ranks_chunks_large_groups(monkeypatch):
-    monkeypatch.setattr(linalg, "KERNEL", "python")
     screened = []
     monkeypatch.setattr(linalg, "_SCREEN_CELLS", 100)
     monkeypatch.setattr(linalg, "rank_mod",
@@ -961,12 +955,14 @@ def test_gf_solvers_take_integer_arrays():
 def test_every_entry_refuses_a_matrix_that_is_not_2d():
     # a (1, 2, 2) array gave TypeError from rank, rank_rows and solve_any, and
     # ValueError from ranks and solve_square
-    for bad in (np.arange(4), np.arange(4).reshape(1, 2, 2), np.zeros((12, 12, 12), dtype=np.int32)):
+    # and [1, 2, 3] gave TypeError from every entry but echelon_mod, and a 0-d
+    # array IndexError from rank and nullspace_dim, and from ranks over Q
+    for bad in (np.arange(4), np.arange(4).reshape(1, 2, 2), np.zeros((12, 12, 12), dtype=np.int32),
+                [1, 2, 3], np.array(5)):
         for prime in (None, P):
             calls = [lambda: rank(bad, prime), lambda: linalg.ranks([bad, bad], prime),
                      lambda: rank_rows(bad, prime), lambda: nullspace_dim(bad, prime),
-                     lambda: solve_square(bad, [1] * len(bad), prime),
-                     lambda: solve_any(bad, [1] * len(bad), prime)]
+                     lambda: solve_square(bad, [1], prime), lambda: solve_any(bad, [1], prime)]
             for call in calls:
                 with pytest.raises(ValueError, match="expected a 2-d matrix"):
                     call()
@@ -997,63 +993,7 @@ def test_every_gf_entry_point_refuses_a_non_prime_modulus(modulus):
 
 
 # ---------------------------------------------------------------------------
-# the compiled loop of echelon_mod, built from _gfcore.c for this test
-
-@pytest.fixture(scope="module")
-def compiled(tmp_path_factory):
-    """The extension built from the shipped C source, loaded under a private name."""
-    import importlib.util
-    import shutil
-    import sysconfig
-    from pathlib import Path
-
-    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
-    if shutil.which(cc) is None:
-        pytest.skip(f"no C compiler ({cc}) to build _gfcore.c")
-    from setuptools import Distribution, Extension
-
-    out = tmp_path_factory.mktemp("gfcore")
-    source = Path(linalg.__file__).with_name("_gfcore.c")
-    dist = Distribution({"ext_modules": [Extension("_gfcore", [str(source)])]})
-    build = dist.get_command_obj("build_ext")
-    build.build_lib, build.build_temp = str(out), str(out / "tmp")
-    build.ensure_finalized()
-    build.run()
-    spec = importlib.util.spec_from_file_location("_ppinterp_parity._gfcore",
-                                                  build.get_ext_fullpath("_gfcore"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.echelon_inplace
-
-
-def _matrices(rng, p):
-    """Random, low-rank and structured residue matrices mod p, with their ncols."""
-    for _ in range(60):
-        m, n = rng.randint(0, 11), rng.randint(0, 11)
-        a = np.array([[0 if rng.random() < 0.4 else rng.randrange(p) for _ in range(n)]
-                      for _ in range(m)], dtype=np.int64).reshape(m, n)
-        yield a, rng.randint(0, n)
-        if m and n:
-            k = rng.randint(1, min(m, n))
-            b = np.array([[rng.randrange(p) for _ in range(k)] for _ in range(m)], dtype=object)
-            c = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(k)], dtype=object)
-            yield (b @ c % p).astype(np.int64), n
-    yield np.eye(5, 9, dtype=np.int64), 9
-    yield np.full((6, 4), p - 1, dtype=np.int64), 4
-    yield np.zeros((3, 7), dtype=np.int64), 7
-    yield np.zeros((0, 0), dtype=np.int64), 0
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 65521, 31991, 67108859])
-def test_compiled_loop_matches_the_numpy_loop(compiled, p):
-    rng = random.Random(p)
-    for a, ncols in _matrices(rng, p):
-        c_rows, np_rows = a.copy(), a.copy()
-        pivots = compiled(c_rows, ncols, p)
-        assert pivots == linalg._echelon_numpy(np_rows, ncols, p)
-        assert c_rows.tobytes() == np_rows.tobytes()
-        assert len(pivots) == rank_rows(a[:, :ncols].tolist(), p)
-
+# echelon_mod's numpy loop against the loop that reduces every update
 
 def _reducing_loop(arr, ncols, p):
     """echelon_mod's numpy loop as it was before its reductions were delayed: every
@@ -1078,6 +1018,35 @@ def _reducing_loop(arr, ncols, p):
         pivots.append(c)
         r += 1
     return pivots
+
+
+def _matrices(rng, p):
+    """Random, low-rank and structured residue matrices mod p, with their ncols."""
+    for _ in range(60):
+        m, n = rng.randint(0, 11), rng.randint(0, 11)
+        a = np.array([[0 if rng.random() < 0.4 else rng.randrange(p) for _ in range(n)]
+                      for _ in range(m)], dtype=np.int64).reshape(m, n)
+        yield a, rng.randint(0, n)
+        if m and n:
+            k = rng.randint(1, min(m, n))
+            b = np.array([[rng.randrange(p) for _ in range(k)] for _ in range(m)], dtype=object)
+            c = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(k)], dtype=object)
+            yield (b @ c % p).astype(np.int64), n
+    yield np.eye(5, 9, dtype=np.int64), 9
+    yield np.full((6, 4), p - 1, dtype=np.int64), 4
+    yield np.zeros((3, 7), dtype=np.int64), 7
+    yield np.zeros((0, 0), dtype=np.int64), 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521, 31991, 67108859])
+def test_numpy_loop_matches_the_reducing_loop_on_random_matrices(p):
+    rng = random.Random(p)
+    for a, ncols in _matrices(rng, p):
+        delayed, reduced = a.copy(), a.copy()
+        pivots = linalg._echelon_numpy(delayed, ncols, p)
+        assert pivots == _reducing_loop(reduced, ncols, p)
+        assert delayed.tobytes() == reduced.tobytes()
+        assert len(pivots) == rank_rows(a[:, :ncols].tolist(), p)
 
 
 @pytest.fixture(scope="module")
@@ -1128,68 +1097,9 @@ def test_numpy_loop_matches_the_reducing_loop(condition_rows, monkeypatch, p, ro
         assert delayed.tobytes() == reduced.tobytes()
 
 
-def _refuses_bad_ncols():
+def test_echelon_mod_refuses_ncols_outside_the_columns():
+    # the numpy loop read ncols -1 as no column (rank 0 for the identity) and
+    # raised IndexError past the last column
     for a, ncols in ((np.eye(3, dtype=np.int64), -1), (np.zeros((4, 3), dtype=np.int64), 5)):
         with pytest.raises(ValueError, match=f"ncols {ncols} is outside \\[0, 3\\]"):
             echelon_mod(a, ncols, 7)
-
-
-def test_echelon_mod_refuses_ncols_outside_the_columns(monkeypatch):
-    # the numpy loop read ncols -1 as no column (rank 0 for the identity) and
-    # raised IndexError past the last column; the compiled loop refused both
-    monkeypatch.setattr(linalg, "echelon_inplace", linalg._echelon_numpy)
-    _refuses_bad_ncols()
-
-
-def test_compiled_echelon_mod_refuses_ncols_outside_the_columns(compiled, monkeypatch):
-    monkeypatch.setattr(linalg, "echelon_inplace", compiled)
-    _refuses_bad_ncols()
-
-
-def test_compiled_loop_refuses_bad_buffers(compiled):
-    read_only = np.zeros((3, 3), dtype=np.int64)
-    read_only.flags.writeable = False
-    for bad in (np.zeros(3, dtype=np.int64), np.zeros((3, 6), dtype=np.int64)[:, ::2],
-                np.zeros((3, 3), dtype=np.int64).T[:2], read_only,
-                np.zeros((3, 3), dtype=np.int32), np.zeros((3, 3)), [[1, 0], [0, 1]]):
-        with pytest.raises(ValueError):
-            compiled(bad, 1, 7)
-    square = np.eye(3, dtype=np.int64)
-    for p in (0, 1, -7, 2**26, 2**61 - 1):
-        with pytest.raises(ValueError):
-            compiled(square, 3, p)
-    for ncols in (-1, 4):
-        with pytest.raises(ValueError):
-            compiled(square, ncols, 7)
-    with pytest.raises(ValueError):
-        compiled(square * 7, 3, 7)  # entries must already be residues
-    assert square.tolist() == np.eye(3, dtype=int).tolist()
-
-
-def test_public_entry_points_on_the_compiled_loop(compiled, monkeypatch):
-    rng = np.random.default_rng(9)
-    a = rng.integers(0, P, size=(14, 14))
-    a[13] = (a[0] + 2 * a[1]) % P
-    rhs = (a @ rng.integers(0, P, size=14) % P).tolist()
-    expected = (rank(a, P), linalg.ranks([a, a[:12]], P), solve_square(a[:13, :13], rhs[:13], P),
-                solve_any(a, rhs, P))
-    monkeypatch.setattr(linalg, "echelon_inplace", compiled)
-    monkeypatch.setattr(linalg, "KERNEL", "c")
-    monkeypatch.setattr(linalg, "_ROWS_WORK", 0)
-    assert (rank(a, P), linalg.ranks([a, a[:12]], P), solve_square(a[:13, :13], rhs[:13], P),
-            solve_any(a, rhs, P)) == expected
-    assert expected[0] == rank_rows(a, P) == 13
-
-
-def test_a_stale_extension_falls_back_to_the_numpy_loop():
-    # an extension without echelon_inplace (the old Cython build) must not be used
-    import subprocess
-    import sys
-
-    code = ("import sys, types; sys.modules['ppinterp._gfcore'] = types.ModuleType('stale');"
-            "from ppinterp import linalg;"
-            "assert linalg.KERNEL == 'python';"
-            "assert linalg.echelon_inplace is linalg._echelon_numpy;"
-            "assert linalg.rank([[1, 2, 3]] * 11 + [[0, 0, 1]], 7) == 2")
-    subprocess.run([sys.executable, "-c", code], check=True,
-                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})

@@ -36,7 +36,6 @@ from ppinterp.schemes import (
     condition_matrix_affine,
     condition_matrix_projective,
     condition_rhs,
-    degree_bookkeeping,
     integer_system_affine,
     hilbert_function,
     random_affine_problem,
@@ -856,20 +855,9 @@ def test_remark_boundary_configuration():
 
 
 # ---------------------------------------------------------------------------
-# degree bookkeeping and Hilbert functions
+# residual degrees and Hilbert functions
 
-def test_degree_bookkeeping_double_point_on_subspace():
-    specs = [ComponentSpec(9, 0, 3)]
-    assert degree_bookkeeping(specs, 0) == (9, 6, 3)
-
-
-def test_degree_bookkeeping_general():
-    specs = [ComponentSpec(9), ComponentSpec(4)]
-    deg, trace, resid = degree_bookkeeping(specs, 0)
-    assert (deg, trace, resid) == (13, 0, 13)
-
-
-def test_degree_bookkeeping_union():
+def test_specs_on_subspace_residuals_sum_to_27():
     from ppinterp.theory import enumerate_triple_partitions
     from ppinterp.verify import specs_on_subspace
 
@@ -879,11 +867,8 @@ def test_degree_bookkeeping_union():
         specs = []
         for idx, part in enumerate(parts):
             specs += specs_on_subspace(8, idx, part)
-        deg, trace, resid = degree_bookkeeping(specs, (0, 1, 2))
-        assert resid == 27
-        assert resid == deg - trace
-        # the union trace is the sum of the pairwise-disjoint per-subspace traces
-        assert trace == sum(degree_bookkeeping(specs, i)[1] for i in range(3))
+        assert {s.support for s in specs} <= {0, 1, 2}
+        assert sum(s.residual for s in specs) == 27
 
 
 def test_hilbert_function_simple_point():

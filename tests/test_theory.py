@@ -16,7 +16,6 @@ from ppinterp.theory import (
     predict_profile,
     predict_quadric_affine,
     predict_quadric_scheme,
-    unique_quadric_interpolant,
 )
 from ppinterp.verify import EXPECTED_QUADRIC_EXCEPTIONS
 
@@ -34,13 +33,13 @@ def test_delta_affine_examples():
 
 
 def test_delta_profiles():
-    from ppinterp.theory import delta_profile_affine, delta_profile_scheme
+    from ppinterp.theory import delta_profile_scheme
 
     assert delta_profile_scheme(3, (4, 4, 4)) == (0, 1, 3)
-    # the two-full-tangent-spaces profile peaks at the second index: the
-    # budget shortfall appears once both points are counted, and the -1
+    # two full tangent spaces in P^4 (lengths 5, 5) peak at the second index:
+    # the budget shortfall appears once both points are counted, and the -1
     # padding absorbs it again further out
-    assert delta_profile_affine(4, (4, 4)) == (0, 1, 0, 0)
+    assert delta_profile_scheme(4, (5, 5)) == (0, 1, 0, 0)
 
 
 def test_delta_rejects_unsorted():
@@ -115,19 +114,14 @@ def test_predict_quadric_examples():
 def test_predict_quadric_affine_bridge():
     q = predict_quadric_affine(3, (3, 3, 3))
     assert not q.independent and q.max_delta == 3
-
-
-def test_unique_quadric_interpolant():
     # two full tangent spaces at two points overload the first budget entry
-    assert not unique_quadric_interpolant(2, (2, 2))
-    assert unique_quadric_interpolant(2, (2, 1, 0))
-    with pytest.raises(ValueError):
-        unique_quadric_interpolant(2, (2, 2, 2))
+    assert not predict_quadric_affine(2, (2, 2)).independent
+    assert predict_quadric_affine(2, (2, 1, 0)).independent
     with pytest.raises(ValueError, match="entries"):  # square, but 3 > n
-        unique_quadric_interpolant(2, (3, 1))
+        predict_quadric_affine(2, (3, 1))
 
 
-def test_unique_quadric_interpolant_on_every_square_profile():
+def test_predict_quadric_affine_on_every_square_profile():
     # oracle: every leading partial sum of the sorted profile stays within
     # the budget sum_{j<=i} (n + 1 - j)
     def within_budget(n, a):
@@ -141,8 +135,8 @@ def test_unique_quadric_interpolant_on_every_square_profile():
                   if sum(x + 1 for x in a) == dim]
         assert square
         for a in square:
-            assert unique_quadric_interpolant(n, a) == within_budget(n, a), (n, a)
-            assert unique_quadric_interpolant(n, a[::-1]) == within_budget(n, a), (n, a)
+            assert predict_quadric_affine(n, a).independent == within_budget(n, a), (n, a)
+            assert predict_quadric_affine(n, a[::-1]).independent == within_budget(n, a), (n, a)
 
 
 def test_predict_profile_routes_degree_two():
