@@ -114,9 +114,17 @@ def test_predict_quadric_examples():
 def test_predict_quadric_affine_bridge():
     q = predict_quadric_affine(3, (3, 3, 3))
     assert not q.independent and q.max_delta == 3
-    # two full tangent spaces at two points overload the first budget entry
-    assert not predict_quadric_affine(2, (2, 2)).independent
-    assert predict_quadric_affine(2, (2, 1, 0)).independent
+
+
+def test_unique_quadric_interpolant():
+    # a square problem (condition count C(n+2,2)) has exactly one quadric
+    # interpolant when its affine quadric prediction is independent; two full
+    # tangent spaces at two points overload the first budget entry
+    q = predict_quadric_affine(2, (2, 2))
+    assert q.degree == comb(4, 2) and not q.independent
+    q = predict_quadric_affine(2, (2, 1, 0))
+    assert q.degree == comb(4, 2) and q.independent
+    assert predict_quadric_affine(2, (2, 2, 2)).degree > comb(4, 2)  # not square
     with pytest.raises(ValueError, match="entries"):  # square, but 3 > n
         predict_quadric_affine(2, (3, 1))
 
