@@ -31,9 +31,10 @@ The solvers get two tables.  Over GF(p), ``solve_square`` (``echelon_mod``
 and the numpy back-substitution) on random square systems.  Over Q,
 Bareiss against Dixon lifting on the integer rows of seeded square
 interpolation problems of orders 4-126 (small integers and two-digit
-fractions), which sets ``linalg._DIXON_ORDER``; ``--big`` adds orders
-120-126 with 15-bit integer coordinates.  Both paths must return the same
-solution.
+fractions), which sets ``linalg._DIXON_ORDER``; ``--big`` adds Dixon alone
+at orders 120-126, with 15-bit integer coordinates and with two-digit
+fractions, where rational reconstruction does the most work.  Both paths
+must return the same solution.
 
 Usage: python benchmarks/bench_rank.py [--repeats 20] [--mats 10] [--big]
 """
@@ -366,7 +367,8 @@ def main():
     parser.add_argument("--repeats", type=int, default=20)
     parser.add_argument("--mats", type=int, default=10, help="matrices per size")
     parser.add_argument("--big", action="store_true",
-                        help="add rational solves at orders 120-126 with 15-bit coordinates")
+                        help="add rational solves at orders 120-126, with 15-bit integer"
+                             " coordinates and with two-digit fractions")
     args = parser.parse_args()
 
     rng = random.Random(1)
@@ -382,7 +384,7 @@ def main():
     bench_solve_gf(rng, args)
     bench_solve_q(rng, Q_SHAPES, ("int", "frac"))
     if args.big:
-        bench_solve_q(rng, Q_BIG_SHAPES, ("int15",))
+        bench_solve_q(rng, Q_BIG_SHAPES, ("int15", "frac"))
     bench_affine_build(rng, args)
 
     cases, dt = bench_suite()

@@ -37,6 +37,10 @@ The commands:
   and coincident points), which this script writes there; each with
   ``--field rational``, ``--field gf`` and ``--field gf`` at primes 7 and
   67108859 (176 + 28 commands);
+* ``solve --field rational`` on two fractional problems of orders 120 and
+  126 (``BIG_RATIONAL``), drawn by ``make_problem`` of the first
+  checkout's ``perfbench/workloads.py`` at perfbench seed 1, where rational
+  reconstruction does the most work (2 commands);
 * the moduli the CLI refuses or takes only at the edge, 9, 2, 3, 67108879
   (the first prime above 2**26) and 2**61 - 1, each with ``tables -n 3``,
   ``verify --suite ah``, ``props --prop 4.6`` and ``verify -n 2 -d 4 -a
@@ -44,7 +48,7 @@ The commands:
   diagnosis problem (25 commands), so that a moved modulus check cannot
   change an exit code or a message unseen.
 
-That is 889 commands.  The stdout of ``predict`` and ``solve`` holds no
+That is 891 commands.  The stdout of ``predict`` and ``solve`` holds no
 timing, so all of it is compared.
 
 Commands run two at a time.  Prints one line per mismatch and a summary with
@@ -104,6 +108,8 @@ REFUSED = (
 REFUSED_PRIMES = (9, 2, 3, 67108879, 2**61 - 1)
 SOLVE_WORKLOADS = ("exact-solve-q", "exact-solve-gf")
 SOLVE_SEEDS = (1, 2)
+# (n, d) of the fractional problems solved over Q alone, orders 120 and 126
+BIG_RATIONAL = ((3, 7), (4, 5))
 SOLVE_FIELDS = (
     ["--field", "rational"],
     ["--field", "gf"],
@@ -112,24 +118,31 @@ SOLVE_FIELDS = (
 )
 
 
-def problem_files(checkout: Path, workdir: Path) -> list:
-    """The perfbench problem files of both exact-solve workloads, written by ``checkout``'s code."""
+def problem_files(checkout: Path, workdir: Path) -> tuple:
+    """Problem files written by ``checkout``'s code: those of both exact-solve
+    workloads, and the ``BIG_RATIONAL`` ones."""
     code = (
-        "import json, sys\n"
+        "import json, random, sys\n"
         "from pathlib import Path\n"
         "import workloads\n"
         "out = Path(sys.argv[1])\n"
         "paths = [cmd['problem'] for w in sys.argv[2].split(',') for seed in sys.argv[3].split(',')\n"
         "         for cmd in workloads.plan(w, int(seed), out / f'{w}-{seed}')]\n"
-        "print(json.dumps(paths))\n"
+        "big = []\n"
+        "for n, d in json.loads(sys.argv[4]):\n"
+        "    rng = random.Random(workloads.derive(1, f'big {n} {d}'))\n"
+        "    path = out / f'big-{n}-{d}.json'\n"
+        "    path.write_text(json.dumps(workloads.make_problem(rng, n, d, 'frac')))\n"
+        "    big.append(str(path))\n"
+        "print(json.dumps([paths, big]))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(checkout / "perfbench"), str(checkout / "src")])}
     done = subprocess.run(
         [sys.executable, "-c", code, str(workdir), ",".join(SOLVE_WORKLOADS),
-         ",".join(map(str, SOLVE_SEEDS))],
+         ",".join(map(str, SOLVE_SEEDS)), json.dumps(BIG_RATIONAL)],
         env=env, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout)
+    return tuple(json.loads(done.stdout))
 
 
 def _profile(values) -> str:
@@ -166,7 +179,7 @@ def diagnosis_problems(workdir: Path) -> list:
     return paths
 
 
-def commands(problems, refused_problem) -> list:
+def commands(problems, refused_problem, big_problems) -> list:
     out = [argv + ["--prime", str(p), "--seed", str(s)]
            for argv in REPORTS for p in PRIMES for s in SEEDS]
     out += [argv + ["--prime", str(p), "--seed", str(SEEDS[0])]
@@ -184,7 +197,8 @@ def commands(problems, refused_problem) -> list:
             for n in range(1, 5) for d in PREDICT_DEGREES
             for a in PREDICT_PROFILES if max(a) <= n
             for form in (["-a", _profile(a)], ["--lengths", _profile(x + 1 for x in a)])]
-    return out + [["solve", path, *field] for path in problems for field in SOLVE_FIELDS]
+    out += [["solve", path, *field] for path in problems for field in SOLVE_FIELDS]
+    return out + [["solve", path, "--field", "rational"] for path in big_problems]
 
 
 def run(checkout: Path, argv, workdir: Path, cpus=None):
@@ -213,7 +227,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         diagnosis = diagnosis_problems(workdir)
-        cmds = commands(problem_files(parent, workdir) + diagnosis, diagnosis[0])
+        problems, big = problem_files(parent, workdir)
+        cmds = commands(problems + diagnosis, diagnosis[0], big)
         with ThreadPoolExecutor(max_workers=2) as pool:
             futures = [[pool.submit(run, tree, cmd, workdir, cpus) for cmd in cmds]
                        for tree, cpus, _ in runs]

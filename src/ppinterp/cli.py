@@ -146,6 +146,9 @@ def _fail_line(r) -> str:
     if r.kind != "enumeration":  # trial t of the case drew from child_seed(seed, case, t)
         seeds = [verify.child_seed(r.seed, r.case, t) for t in range(len(r.measured))]
         line += f", child seeds {seeds}"
+    for label, trials in r.jobs:  # an enumeration's disagreeing jobs, each its own label
+        seeds = [verify.child_seed(r.seed, label, t) for t in range(trials)]
+        line += f", job {label!r} child seeds {seeds}"
     return line
 
 

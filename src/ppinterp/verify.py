@@ -109,6 +109,9 @@ class CaseReport:
     millis: float = 0.0
     note: str = ""
     extra: dict = field(default_factory=dict)
+    # (label, trials) of each job an enumeration found disagreeing, for the
+    # FAIL line; outside to_json and csv_row, like millis
+    jobs: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -284,10 +287,11 @@ def _trials(policy: TrialPolicy, jobs):
         _reap(workers)
 
 
-def _report(policy, label, kind, predicted, measured, ok, ms, note="", extra=None) -> CaseReport:
+def _report(policy, label, kind, predicted, measured, ok, ms, note="", extra=None,
+            jobs=()) -> CaseReport:
     return CaseReport(
         label, kind, predicted, measured, PASS if ok else SUSPECT,
-        policy.seed, policy.prime, ms, note=note, extra=extra or {},
+        policy.seed, policy.prime, ms, note=note, extra=extra or {}, jobs=list(jobs),
     )
 
 
@@ -738,15 +742,18 @@ def quadric_bruteforce(policy: TrialPolicy) -> list:
     jobs = ((f"bf P{n} {prof}", _general_scheme(n, prof, 2),
              min(sum(prof), comb(n + 2, 2)), n, prof) for n in ns for prof in profiles[n])
     mismatches = {n: [] for n in ns}
+    replays = {n: [] for n in ns}  # (label, trials) of each disagreeing job
     millis = dict.fromkeys(ns, 0.0)
-    for (_, _, full, n, prof), measured, ms in _trials(policy, jobs):
+    for (label, _, full, n, prof), measured, ms in _trials(policy, jobs):
         millis[n] += ms
         if (measured[-1] == full) != theory.predict_quadric_scheme(n, prof).independent:
             mismatches[n].append(prof)
+            replays[n].append((label, len(measured)))
     return [_report(
         policy, f"quadric brute force P{n} deg<= {degrees[n]}", "enumeration",
         len(profiles[n]), [len(profiles[n]) - len(mismatches[n])], not mismatches[n], millis[n],
         note=f"disagreeing profiles: {mismatches[n][:5]}" if mismatches[n] else "",
+        jobs=replays[n],
     ) for n in ns]
 
 

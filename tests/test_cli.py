@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import functools
 import hashlib
 import io
@@ -489,6 +490,36 @@ def test_fail_lines_say_how_to_replay_each_case(capsys):
     _, _, err = run_cli(capsys, "tables", "-n", "4", "--trials", "1")
     assert err.splitlines()[0].startswith("FAIL P4 exception enumeration:")
     assert err.splitlines()[0].endswith(f"replay: --seed {verify.DEFAULT_SEED} --prime 31991")
+
+
+def test_an_enumeration_fail_line_names_each_disagreeing_job(capsys, monkeypatch):
+    # the brute force's verdict on (3, 3, 2) in the plane is flipped, so its
+    # one job disagrees; the line names the job's label and the child seed
+    # of each trial it ran, which replays it
+    from ppinterp import theory
+    predict = theory.predict_quadric_scheme
+
+    def flipped(n, prof):
+        got = predict(n, prof)
+        if (n, prof) == (2, (3, 3, 2)):
+            return dataclasses.replace(got, independent=not got.independent)
+        return got
+
+    monkeypatch.setattr(theory, "predict_quadric_scheme", flipped)
+    code, out, err = run_cli(capsys, "verify", "--suite", "quadrics", "--seed", "5",
+                             "--trials", "2")
+    [case] = [c for c in json.loads(out)["cases"] if c["verdict"] != "PASS"]
+    label = "bf P2 (3, 3, 2)"
+    replay = verify.run_rank_case(verify.TrialPolicy(trials=2, seed=5), label, 6,
+                                  verify._general_scheme(2, (3, 3, 2), 2))
+    seeds = [verify.child_seed(5, label, t) for t in range(len(replay.measured))]
+    assert code == 1 and case["case"] == "quadric brute force P2 deg<= 9"
+    assert err.splitlines() == [
+        f"FAIL {case['case']}: measured {case['measured']}, predicted {case['predicted']};"
+        f" replay: --seed 5 --prime 31991, job {label!r} child seeds {seeds}"
+    ]
+    # the CaseReport carries the job, but its JSON and CSV forms are unchanged
+    assert set(case) == {*verify.CASE_FIELDS, "note"}
 
 
 def test_report_names_kernel_and_versions(capsys):

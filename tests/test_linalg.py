@@ -531,6 +531,143 @@ def test_a_wrong_reconstruction_is_never_returned(monkeypatch):
     assert solve_square(a, rhs) == expected
 
 
+def _euclid_remainders(u, m):
+    """Every remainder of the plain extended Euclidean algorithm on (m, u), with its cofactor of u."""
+    r0, r1, t0, t1 = m, u, 0, 1
+    out = [(r1, t1)]
+    while r1:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        out.append((r1, t1))
+    return out
+
+
+def _plain_rat_recon(u, m, nbound, dbound):
+    """Reference: plain Euclid, stopped at the first remainder within nbound."""
+    r, t = next((r, t) for r, t in _euclid_remainders(u, m) if r <= nbound)
+    if t < 0:
+        r, t = -r, -t
+    return None if t == 0 or t > dbound else (r, t)
+
+
+def _recon_inputs(rng, bits):
+    """(u, m, nbound, dbound) at m = p**k of about ``bits`` bits: random u and
+    u = a/b mod m, with the balanced bounds, unbalanced bounds with
+    2*N*D < m, and N at, just below and just above remainders of the
+    sequence, so a Lehmer batch can pass the stopping point."""
+    p = linalg._DIXON_PRIMES[0]
+    m = p ** max(1, bits // 26)
+    half = math.isqrt(m >> 1)
+    for _ in range(4):
+        us = [rng.randrange(m)]
+        b = rng.randrange(1, half)
+        us.append(rng.randrange(-half, half) * pow(b, -1, m) % m)
+        for u in us:
+            yield u, m, half, half
+            dbound = rng.randrange(1, half)
+            yield u, m, (m - 1) // (2 * dbound), dbound
+            seq = _euclid_remainders(u, m)
+            for r, _ in rng.sample(seq, min(4, len(seq))):
+                for nbound in (r - 1, r, r + 1):
+                    if nbound > 0:
+                        yield u, m, nbound, max(1, (m - 1) // (2 * nbound))
+
+
+@pytest.mark.parametrize("bits", [40, 300, 900, 1100, 2500, 6000])
+def test_lehmer_steps_match_plain_euclid(monkeypatch, bits):
+    # the real cutoff runs Lehmer's batches only above 1000 bits; a cutoff of
+    # 64 bits runs them on every input long enough to have 62 leading bits,
+    # and batches on 20 leading bits end on the quotient test far more often
+    rng = random.Random(bits)
+    cases = list(_recon_inputs(rng, bits))
+    for cutoff, lead in ((linalg._LEHMER_BITS, linalg._LEHMER_LEAD), (64, 62), (64, 20)):
+        monkeypatch.setattr(linalg, "_LEHMER_BITS", cutoff)
+        monkeypatch.setattr(linalg, "_LEHMER_LEAD", lead)
+        for u, m, nbound, dbound in cases:
+            assert linalg._rat_recon(u, m, nbound, dbound) == _plain_rat_recon(u, m, nbound, dbound)
+
+
+def _old_reconstruct(residues, m):
+    """Reference: every component reconstructed with the balanced bounds sqrt(m/2)."""
+    bound = math.isqrt(m >> 1)
+    den, nums = 1, []
+    for u in residues:
+        v = u * den % m
+        if v > m >> 1:
+            v -= m
+        if abs(v) > bound:
+            got = _plain_rat_recon(v % m, m, bound, bound // den)
+            if got is None:
+                return None
+            v, e = got
+            nums, den = [t * e for t in nums], den * e
+        nums.append(v)
+    return nums, den
+
+
+def _fraction_vectors(rng):
+    """Rational vectors whose components share one denominator, share parts of
+    one (products of subsets of a few primes), or are integers."""
+    shared = rng.randrange(10**20, 10**21)
+    yield [Fraction(rng.randrange(-10**30, 10**30), shared) for _ in range(12)]
+    primes = [3, 7, 11, 101, 65537, 2**31 - 1, 10**9 + 7]
+    yield [Fraction(rng.randrange(-10**25, 10**25),
+                    math.prod(q for q in primes if rng.random() < 0.5)) for _ in range(12)]
+    yield [Fraction(rng.randrange(-10**12, 10**12)) for _ in range(5)] + [
+        Fraction(rng.randrange(-10**12, 10**12), 10**40 + 1)] + [Fraction(1, 3)] * 4
+
+
+def test_reconstruct_returns_the_vector_once_the_modulus_bounds_it():
+    # below that bound the answer is None or another vector of small height
+    # that fits the residues too (the third vector at p**8), which Dixon's
+    # exact check refuses; with every bound at sqrt(m/2) the answer is the same
+    p = linalg._DIXON_PRIMES[0]
+    rng = random.Random(53)
+    for xs in _fraction_vectors(rng):
+        den = lcm(*(x.denominator for x in xs))
+        nums = [int(x * den) for x in xs]
+        height = max(den, *map(abs, nums))
+        below = []
+        for k in range(1, 20):
+            m = p ** k
+            residues = [x.numerator * pow(x.denominator, -1, m) % m for x in xs]
+            got = linalg._reconstruct(residues, m)
+            assert got == _old_reconstruct(residues, m)
+            if math.isqrt(m >> 1) >= height:
+                assert got == (nums, den)
+                continue
+            below.append(got)
+            if got is not None:
+                assert all((v - got[1] * u) % m == 0 for v, u in zip(got[0], residues))
+            if math.isqrt(m >> 1) < den:
+                assert got != (nums, den)
+        assert None in below
+
+
+@pytest.mark.parametrize("room", [None, 1, 2])
+@pytest.mark.parametrize("p", [2, 3, 31991, 67108859])
+def test_back_substitution_matches_the_reducing_reference(monkeypatch, p, room):
+    # at the real bound the rows above a pivot are reduced only at the end; a
+    # bound with room for 1 or 2 updates reduces them every pivot or two
+    if room is not None:
+        monkeypatch.setattr(linalg, "_INT64_MAX", p + (room + 1) * (p - 1) ** 2)
+    rng = np.random.default_rng(p)
+    for n, extra, rank_k in ((1, 1, 1), (12, 1, 12), (12, 12, 12), (30, 3, 30), (20, 2, 14)):
+        a = rng.integers(0, p, size=(n, rank_k)) @ rng.integers(0, p, size=(rank_k, n)) % p
+        b = rng.integers(0, p, size=(n, extra))
+        b[:, 0] = a @ rng.integers(0, p, size=n) % p  # a reachable first column
+        reduced, pivots = echelon_mod(np.hstack([a, b]), n, p)
+        got = linalg._back_substitute_mod(reduced, pivots, n, p)
+        rows = reduced.tolist()
+        for j in range(extra if len(pivots) == n else 1):
+            column = [row[:n] + [row[n + j]] for row in rows]
+            assert got[:, j].tolist() == _back_substitute_rows(column, pivots, n, p)
+    a = rng.integers(0, p, size=(40, 40))
+    inv = linalg._inverse_mod(a, 40, p)
+    if inv is not None:
+        assert (a @ inv % p == np.eye(40, dtype=np.int64)).all()
+
+
 SMALL_P = 7
 
 
