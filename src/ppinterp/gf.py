@@ -105,9 +105,12 @@ def inv_mod(x: int, p: int) -> int:
 
 
 def as_fraction(value) -> Fraction:
-    """Parse an exact scalar from JSON-ish input: integer (numpy's too) or 'num/den' string.
+    """Parse an exact scalar from JSON-ish input: integer (numpy's too) or string.
 
-    Floats are rejected; this package never rounds.
+    A string is an integer, 'num/den' or a plain decimal such as '1.5'.
+    Floats are rejected; this package never rounds.  So is an exponent
+    ('1e3'): ``Fraction`` would build 10**e in full, and the time that
+    takes grows without bound with e.
     """
     if isinstance(value, bool):
         raise TypeError("booleans are not scalars")
@@ -116,6 +119,8 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ValueError(f"exponents are not allowed in scalars, got {value!r}")
         return Fraction(value)
     if isinstance(value, Integral):  # numpy integers; last, as an ABC check is slow
         return Fraction(int(value))

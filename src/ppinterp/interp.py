@@ -199,6 +199,8 @@ def residuals(prob: InterpolationProblem, f: Interpolant) -> list:
 
 def problem_from_json(doc) -> InterpolationProblem:
     """The problem with exact scalars; a ``"prime"`` is recorded, and the solve reduces."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"problem must be a JSON object, got {type(doc).__name__}")
     if doc.get("mode", AFFINE) != AFFINE:
         raise ValueError("only affine problems are solvable")
     n, d = doc["n"], doc["d"]

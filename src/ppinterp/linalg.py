@@ -53,15 +53,19 @@ Dixon's p-adic lifting (Numer. Math. 40, 1982): A is inverted once, by
 ``echelon_mod``, modulo a word-size prime p, each lift solves
 A x = r mod p and divides r - A x by p, and rational reconstruction (von zur
 Gathen and Gerhard, Modern Computer Algebra, ch. 5) turns the p-adic
-approximation into numerators over one common denominator.  The lifts'
-int64 digits join the approximation only when reconstruction is tried, in
-one balanced tree of sums.  Each component's Euclid stops at the numerator
-bound that the denominator found so far leaves (Bright and Storjohann,
-ISSAC 2011, reconstruct a vector the same way), and long remainders go in
-Lehmer's batches.  A candidate is returned only once ``A num == den b``
-holds in Python integers.  Everything
-else over Q -- singular systems, ``solve_any``, small orders, and the rare
-system that is singular modulo both lifting primes -- goes through
+approximation into numerators over one common denominator.  A and b are
+split into signed base-p digits and r is kept as int64 limbs in base p, so a
+lift is a few int64 products and one carry pass and makes no Python integer
+(IML keeps its lift in machine words the same way; Chen and Storjohann,
+ISSAC 2005).  The lifts' int64 digits join the approximation only when
+reconstruction is tried, in one balanced tree of sums.  Each component's
+Euclid stops at the numerator bound that the denominator found so far leaves
+(Bright and Storjohann, ISSAC 2011, reconstruct a vector the same way), and
+long remainders go in Lehmer's batches.  A candidate is returned only once
+``A num == den b`` holds in Python integers.  Everything else over Q --
+singular systems, ``solve_any``, small orders, orders above 2048 (past the
+lift's int64 bound) and the rare system that is singular modulo both
+lifting primes -- goes through
 :func:`_echelon`, which alone decides singularity and consistency there.
 """
 
@@ -168,12 +172,17 @@ _SCREEN_CELLS = 1 << 18
 # 2.1 ms and 13.4 vs 12.4 ms), and Dixon is 9-19x faster at order 66.
 _DIXON_ORDER = 25
 
-# The lifting primes: the two largest primes below 2**26.  Each lift multiplies
-# A, split into signed limbs of _LIMB_BITS bits, and the inverse mod p by a
-# digit vector in int64; both sums of n products stay below 2**63 while
-# n * (2**26 - 1)**2 < 2**63, which covers n * (p - 1)**2 < 2**63.
+# The lifting primes: the two largest primes below 2**26.  A lift keeps its
+# residual as int64 limbs in base p and multiplies in int64 only: the inverse
+# mod p and the digits of A (each of absolute value at most p - 1) times a digit
+# vector in [0, p), n products of at most (p - 1)**2 per entry.  After each
+# carry pass a limb is its residue in [0, p) plus a carry c; if every limb had
+# absolute value at most B = (n + 2) * p before the lift, it had at most
+# B + n * (p - 1)**2 after the subtraction, so |c| <= n + 3 + n * (p - 2) and
+# the limb's stays at most (n + 1) * p + 2 <= B.  So every int64 sum stays
+# exact while n * (p - 1)**2 + (n + 2) * p < 2**63, which at p = 67108859
+# holds up to n = 2048.
 _DIXON_PRIMES = (67108859, 67108837)
-_LIMB_BITS = 26
 
 # Rational reconstruction takes Lehmer's steps on the leading _LEHMER_LEAD
 # bits (Python ints of at most three 30-bit digits) while the remainder is
@@ -616,24 +625,22 @@ def _inverse_mod(a, n, p):
     return _back_substitute_mod(rows, pivots, n, p) if len(pivots) == n else None
 
 
-def _limbs(a, n):
-    """A as a stack of ``(n, n)`` int64 limbs, least significant first: A = sum_j A_j 2**(26 j).
+def _digits(values, p, count=1):
+    """Signed base-p digits of integers, least significant first.
 
-    Limb j of an entry is the sign of the entry times bits 26j..26j+25 of its
-    magnitude, so every limb lies strictly between -2**26 and 2**26.
+    An int64 array of shape ``(k, len(values))``, k >= count, with
+    ``values == sum_j out[j] * p**j``: digit j of v is the sign of v times
+    digit j of |v|, so every digit lies strictly between -p and p.
     """
-    flat = [v for row in a for v in row]
-    width = max(v.bit_length() for v in flat)
-    count = max(1, -(-width // _LIMB_BITS))
-    neg = np.array([v < 0 for v in flat])
-    mags = [abs(v) for v in flat] if neg.any() else flat
-    mask = (1 << _LIMB_BITS) - 1
-    out = np.empty((count, n * n), dtype=np.int64)
-    for j in range(count):
-        shift = j * _LIMB_BITS
-        out[j] = [(v >> shift) & mask for v in mags]
+    neg = np.array([v < 0 for v in values])
+    mags = [abs(v) for v in values] if neg.any() else values
+    out = []
+    while len(out) < count or any(mags):
+        out.append([v % p for v in mags])
+        mags = [v // p for v in mags]
+    out = np.array(out, dtype=np.int64)
     out[:, neg] *= -1
-    return out.reshape(count * n, n), count
+    return out
 
 
 def _rat_recon(u, m, nbound, dbound):
@@ -718,42 +725,52 @@ def _dixon(rows, n):
     """Solution of the integer system ``[A | b]`` by p-adic lifting, or None.
 
     None when A is singular modulo both lifting primes, when n is too large
-    for exact int64 products, or when the lift passes the Hadamard bound
-    without a certified candidate.  Reconstruction is tried each time the
-    modulus p**k grows by a quarter of its bit length, and once more past the
-    bound 2*H**2, where H bounds det A and every Cramer numerator; there a
-    solution is certain to be found if A is nonsingular.
+    for exact int64 lifts (see ``_DIXON_PRIMES``), or when the lift passes
+    the Hadamard bound without a certified candidate.  Reconstruction is
+    tried each time the modulus p**k grows by half its bit length,
+    and once more past the bound 2*H**2, where H bounds det A and every
+    Cramer numerator; there a solution is certain to be found if A is
+    nonsingular.
 
-    The int64 digits of the lifts since the last try are added into the
-    p-adic approximation only at the next try, in a balanced tree of sums:
-    each level adds neighbours in pairs, the upper one times p to the number
-    of digits below it, so most products are of short integers.
+    A lift makes no Python integer.  A and b are split into signed base-p
+    digits, and the residual r = (b - A x) / p**k is kept as an int64 array
+    of base-p limbs, r = sum_j R[j] p**j, whose limbs need not be digits.
+    A lift takes the digit x_k = A^-1 R[0] mod p, subtracts the digits of A
+    times x_k from the low limbs, and divides by p: the low limb is then a
+    multiple of p, so one carry pass (each limb below the top keeps its
+    residue mod p and passes the quotient up) leaves it 0, and the limbs
+    shift down by one.  The int64 digits of the lifts since the last try are
+    added into the p-adic approximation only at the next try, in a balanced
+    tree of sums: each level adds neighbours in pairs, the upper one times p
+    to the number of digits below it, so most products are of short integers.
     """
-    if n * ((1 << _LIMB_BITS) - 1) ** 2 >= 2**63:
+    if n * (_DIXON_PRIMES[0] - 1) ** 2 + (n + 2) * _DIXON_PRIMES[0] > _INT64_MAX:
         return None
     a = [row[:n] for row in rows]
     b = [row[n] for row in rows]
     for p in _DIXON_PRIMES:
-        inv = _inverse_mod(np.array([[v % p for v in row] for row in a], dtype=np.int64), n, p)
+        a_digits = _digits([v for row in a for v in row], p).reshape(-1, n, n)
+        inv = _inverse_mod(a_digits[0] % p, n, p)  # digit 0 is A mod p, up to multiples of p
         if inv is not None:
             break
     else:
         return None
-    limbs, count = _limbs(a, n)
+    count = len(a_digits)
+    residual = _digits(b, p, count + 1)  # a limb above A's digits takes the carries
     h2 = 1
     for row, bi in zip(a, b):
         h2 *= sum(v * v for v in row) + bi * bi
     limit = (2 * h2).bit_length()
-    residual, approx = np.array(b, dtype=object), np.zeros(n, dtype=object)
+    approx = np.zeros(n, dtype=object)
     pk, folded, digits = 1, 1, []  # p**k; p to the digits already in approx
     next_try = p.bit_length()
     while True:
-        digit = inv @ (residual % p).astype(np.int64) % p
-        parts = (limbs @ digit).reshape(count, n).astype(object)
-        product = parts[-1]
-        for part in parts[-2::-1]:
-            product = (product << _LIMB_BITS) + part
-        residual = (residual - product) // p
+        digit = inv @ (residual[0] % p) % p
+        residual[:count] -= a_digits @ digit
+        carry, residual[:-1] = np.divmod(residual[:-1], p)
+        residual[1:] += carry
+        residual[:-1] = residual[1:]
+        residual[-1] = 0
         digits.append(digit)
         pk *= p
         bits = pk.bit_length()
@@ -772,7 +789,11 @@ def _dixon(rows, n):
                 return [Fraction(v, den) for v in nums]
         if bits > limit:
             return None
-        next_try = bits + bits // 4
+        # half rather than a quarter: fewer tries save more than the lifts past
+        # the needed modulus cost.  Dixon on perfbench's systems at seeds 5 and
+        # 11 took 82 and 81 ms against 91 and 90 ms (medians of 60 alternating
+        # runs, one CPU of a 2-vCPU Xeon), and the same at seed 1.
+        next_try = bits + bits // 2
 
 
 def _augmented(matrix, rhs, prime):

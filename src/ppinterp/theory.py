@@ -10,6 +10,7 @@ verification sweeps in P^n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 
 # the five deficient patterns for d != 2, keyed by (n, d, sorted a-profile)
@@ -83,16 +84,19 @@ def delta_scheme(n: int, lengths, i: int) -> int:
     Lengths are padded with 0 past their end; entry j is compared against
     the budget n+2-j.
     """
-    _check_sorted(lengths, "length profile")
     if not 1 <= i <= n:
         raise ValueError(f"need 1 <= i <= n, got i={i}")
-    padded = [lengths[j] if j < len(lengths) else 0 for j in range(i)]
-    return max(0, sum(padded) - sum(n + 2 - j for j in range(1, i + 1)))
+    return delta_profile_scheme(n, lengths)[i - 1]
 
 
 def delta_profile_scheme(n: int, lengths) -> tuple:
-    """The full vector (delta(1), ..., delta(n)) of a length profile."""
-    return tuple(delta_scheme(n, lengths, i) for i in range(1, n + 1))
+    """The full vector (delta(1), ..., delta(n)) of a length profile, in one prefix sum.
+
+    delta(i) = max(0, sum of the first i lengths - sum of the budgets n+2-j, j <= i).
+    """
+    _check_sorted(lengths, "length profile")
+    padded = list(lengths[:n]) + [0] * (n - len(lengths))
+    return tuple(max(0, t) for t in accumulate(l - (n + 1 - j) for j, l in enumerate(padded)))
 
 
 def max_delta_scheme(n: int, lengths) -> int:
@@ -190,12 +194,8 @@ def cone_lower_bound(n: int, lengths, i: int) -> int:
 def best_cone_lower_bound(n: int, lengths) -> int:
     """Largest cone bound over the indices where the delta profile is positive."""
     lengths = tuple(sorted(lengths, reverse=True))
-    bounds = [
-        cone_lower_bound(n, lengths, i)
-        for i in range(1, n + 1)
-        if delta_scheme(n, lengths, i) > 0
-    ]
-    return max(bounds, default=0)
+    deltas = enumerate(delta_profile_scheme(n, lengths), 1)
+    return max((cone_lower_bound(n, lengths, i) for i, delta in deltas if delta > 0), default=0)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,14 @@ import functools
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ppinterp
 from ppinterp import linalg, verify
 from ppinterp.cli import main
 from ppinterp.schemes import DegenerateDrawError
@@ -114,8 +119,9 @@ def test_solve_missing_file(capsys):
     {"d": True},                                    # was solved as d = 1
     {"n": 0, "points": [[], []]},                   # was "max() arg is an empty sequence"
     {"d": -1},
+    {"points": [[0], ["1e100000000"]]},            # was a hang building 10**(10**8)
 ], ids=["float-mod-p", "bool-mod-p", "float-over-q", "no-residue", "string-prime",
-        "float-d", "bool-d", "zero-n", "negative-d"])
+        "float-d", "bool-d", "zero-n", "negative-d", "exponent"])
 def test_problem_file_scalars_are_exact_or_refused(tmp_path, capsys, bad):
     problem = {"n": 1, "d": 1, "mode": "affine", "points": [[0], [1]],
                "directions": [[], []], "values": [[1], [2]], **bad}
@@ -124,6 +130,28 @@ def test_problem_file_scalars_are_exact_or_refused(tmp_path, capsys, bad):
     code, out, err = run_cli(capsys, "solve", str(path))
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error reading problem:")
+
+
+@pytest.mark.parametrize("doc, kind", [([1, 2], "list"), (7, "int"), ("problem", "str")])
+def test_a_problem_that_is_not_a_json_object_exits_two(tmp_path, capsys, doc, kind):
+    # a list was an AttributeError traceback with exit 1
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error reading problem: problem must be a JSON object, got {kind}\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(ppinterp.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-m", "ppinterp", "predict", "-n", "2", "-d", "3",
+                           "-a", "1,1"], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["expected_codim"] == 4
+    # the package import must not run the CLI module
+    probe = "import sys, ppinterp; assert 'ppinterp.__main__' not in sys.modules"
+    subprocess.run([sys.executable, "-c", probe], check=True, env=env, timeout=60)
 
 
 def test_rational_field_ignores_the_file_prime(tmp_path, capsys):

@@ -102,3 +102,16 @@ def test_as_fraction_parsing():
         as_fraction(0.5)
     with pytest.raises(TypeError):
         as_fraction(True)
+
+
+@pytest.mark.parametrize("text, value", [("-7", Fraction(-7)), ("3/4", Fraction(3, 4)),
+                                         ("1.5", Fraction(3, 2)), ("-0.25", Fraction(-1, 4))])
+def test_as_fraction_reads_integer_fraction_and_decimal_strings_exactly(text, value):
+    assert as_fraction(text) == value
+
+
+@pytest.mark.parametrize("text", ["1e3", "1E3", "2.5e-1", "1e100000000", "3/4e2"])
+def test_as_fraction_refuses_an_exponent(text):
+    # Fraction("1e100000000") would build 10**(10**8) in full
+    with pytest.raises(ValueError, match="exponent"):
+        as_fraction(text)

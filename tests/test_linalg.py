@@ -531,6 +531,60 @@ def test_a_wrong_reconstruction_is_never_returned(monkeypatch):
     assert solve_square(a, rhs) == expected
 
 
+_P = 67108859  # linalg._DIXON_PRIMES[0], the prime that lifts every nonsingular system here
+
+
+@pytest.mark.parametrize("value", [
+    0, 1, -1, _P, -_P, _P**2, -_P**3, _P - 1, -(_P - 1), _P**2 - 1, -(_P**4 - 1),
+    2**40 - 1, -(2**40 + 12345), 3**189, -(2**300 - 1),
+])
+def test_signed_base_p_digits_round_trip(value):
+    digits = linalg._digits([value, 0, -value], _P)
+    assert digits.dtype == np.int64
+    assert (np.abs(digits) < _P).all()
+    assert [sum(int(d) * _P**j for j, d in enumerate(col))
+            for col in digits.T] == [value, 0, -value]
+    # each digit carries the sign of its value
+    assert (np.sign(digits[:, 0]) * np.sign(value) >= 0).all()
+    # a longer split pads with zero digits above the value's own
+    padded = linalg._digits([value], _P, len(digits) + 2)
+    assert padded.shape == (len(digits) + 2, 1)
+    assert (padded[:len(digits), 0] == digits[:, 0]).all() and not padded[len(digits):].any()
+
+
+@pytest.mark.parametrize("ka, kb", [(1, 1), (2, 4), (3, 1)])
+def test_dixon_with_every_digit_at_p_minus_one(ka, kb):
+    # entries and right-hand side are +-(p**k - 1): every base-p digit of A and
+    # b is +-(p - 1), the largest a lift multiplies, and b may have more digits
+    # than A
+    n = linalg._DIXON_ORDER
+    rng = random.Random(ka * 10 + kb)
+    a = [[rng.choice((-1, 1)) * (_P**ka - 1) for _ in range(n)] for _ in range(n)]
+    rhs = [rng.choice((-1, 1)) * (_P**kb - 1) for _ in range(n)]
+    assert (np.abs(linalg._digits([v for row in a for v in row], _P)) == _P - 1).all()
+    expected = _bareiss(a, rhs)
+    assert linalg._dixon(_augment(a, rhs), n) == expected
+    assert solve_square(a, rhs) == expected
+
+
+def test_dixon_refuses_the_first_order_past_its_int64_bound():
+    # the lift is exact while n*(p - 1)**2 + (n + 2)*p < 2**63; past that
+    # _dixon returns None before it reads a row, so no matrix is built
+    first = next(n for n in range(1, 5000) if n * (_P - 1)**2 + (n + 2) * _P >= 2**63)
+    assert first == 2049
+
+    class Reached(Exception):
+        pass
+
+    class Rows:
+        def __iter__(self):
+            raise Reached
+
+    assert linalg._dixon(Rows(), first) is None
+    with pytest.raises(Reached):  # one order less passes the bound and reads the rows
+        linalg._dixon(Rows(), first - 1)
+
+
 def _euclid_remainders(u, m):
     """Every remainder of the plain extended Euclidean algorithm on (m, u), with its cofactor of u."""
     r0, r1, t0, t1 = m, u, 0, 1

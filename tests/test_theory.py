@@ -42,6 +42,22 @@ def test_delta_profiles():
     assert delta_profile_scheme(4, (5, 5)) == (0, 1, 0, 0)
 
 
+def test_delta_profile_matches_the_definition_at_each_index():
+    # the one-pass prefix sum against delta(i) written out index by index,
+    # on every sorted length profile with up to n + 2 parts, n = 1..5
+    from ppinterp.theory import delta_profile_scheme
+
+    for n in range(1, 6):
+        for k in range(n + 3):
+            for parts in combinations_with_replacement(range(1, n + 2), k):
+                lengths = tuple(sorted(parts, reverse=True))
+                padded = lengths + (0,) * n
+                expected = tuple(max(0, sum(padded[:i]) - sum(n + 2 - j for j in range(1, i + 1)))
+                                 for i in range(1, n + 1))
+                assert delta_profile_scheme(n, lengths) == expected
+                assert [delta_scheme(n, lengths, i) for i in range(1, n + 1)] == list(expected)
+
+
 def test_delta_rejects_unsorted():
     with pytest.raises(ValueError):
         delta_affine(3, (1, 2), 1)
