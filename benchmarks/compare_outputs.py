@@ -10,7 +10,9 @@ compares, command by command, the exit code, the sha256 of the report's
 stderr.  The second checkout runs each command twice: on every CPU this
 process may use, where a command's trial batches run in several processes,
 and pinned to one CPU, where they run in one; both runs are compared with
-the first checkout's.
+the first checkout's.  Each of those runs must also print its JSON report
+as ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, so the
+bytes outside ``cases`` (timing, config) cannot change form unseen.
 
 The commands:
 
@@ -52,8 +54,8 @@ That is 891 commands.  The stdout of ``predict`` and ``solve`` holds no
 timing, so all of it is compared.
 
 Commands run two at a time.  Prints one line per mismatch and a summary with
-the number of commands run each way, and exits 1 on any mismatch, 0
-otherwise.
+the number of commands run each way and of reports checked for their bytes,
+and exits 1 on any mismatch, 0 otherwise.
 
 Usage: python benchmarks/compare_outputs.py PARENT CHANGE
 """
@@ -202,18 +204,24 @@ def commands(problems, refused_problem, big_problems) -> list:
 
 
 def run(checkout: Path, argv, workdir: Path, cpus=None):
-    """(exit code, sha256 of the cases or of stdout, stderr) of one command in one checkout.
+    """(exit code, sha256 of the cases or of stdout, stderr, canonical) of one command in one checkout.
 
+    ``canonical`` is None when stdout is empty, else whether stdout is
+    ``json.dumps(json.loads(stdout), indent=2, sort_keys=True)`` and a
+    newline: the bytes the CLI promises, timing included.
     ``cpus``: the set of CPUs the command may run on (default: this process's).
     """
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     pin = None if cpus is None else (lambda: os.sched_setaffinity(0, cpus))
     done = subprocess.run([sys.executable, "-m", "ppinterp.cli", *argv], cwd=workdir, env=env,
                           capture_output=True, preexec_fn=pin)
-    payload = done.stdout
-    if argv[0] not in ("predict", "solve") and payload:
-        payload = json.dumps(json.loads(payload)["cases"], sort_keys=True).encode()
-    return done.returncode, hashlib.sha256(payload).hexdigest(), done.stderr
+    payload, canonical = done.stdout, None
+    if payload:
+        doc = json.loads(payload)
+        canonical = payload == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+        if argv[0] not in ("predict", "solve"):
+            payload = json.dumps(doc["cases"], sort_keys=True).encode()
+    return done.returncode, hashlib.sha256(payload).hexdigest(), done.stderr, canonical
 
 
 def main(argv=None) -> int:
@@ -233,15 +241,22 @@ def main(argv=None) -> int:
             futures = [[pool.submit(run, tree, cmd, workdir, cpus) for cmd in cmds]
                        for tree, cpus, _ in runs]
             results = [[f.result() for f in side] for side in futures]
-    mismatches = 0
+    mismatches = reports = 0
     for (_, _, how), side in zip(runs[1:], results[1:]):
         for cmd, before, after in zip(cmds, results[0], side):
             for what, a, b in zip(("exit code", "cases sha256", "stderr"), before, after):
                 if a != b:
                     mismatches += 1
                     print(f"MISMATCH {what}{how}: {' '.join(cmd)}: {a!r} != {b!r}")
-    codes = Counter(code for code, _, _ in results[0])
+            if after[3] is not None:
+                reports += 1
+                if not after[3]:
+                    mismatches += 1
+                    print(f"MISMATCH report bytes{how}: {' '.join(cmd)}: stdout is not"
+                          " json.dumps(doc, indent=2, sort_keys=True) and a newline")
+    codes = Counter(code for code, *_ in results[0])
     print(f"{len(cmds)} commands, each run on {len(os.sched_getaffinity(0))} CPUs and on one;"
+          f" {reports} JSON reports of the change checked for json.dumps' bytes;"
           f" {mismatches} mismatches; parent exit codes "
           + ", ".join(f"{n} x {code}" for code, n in sorted(codes.items())))
     return 1 if mismatches else 0

@@ -25,15 +25,16 @@ import csv
 import dataclasses
 import errno
 import functools
-import json
 import os
 import platform
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import __version__, interp, linalg, theory, verify
-from .gf import DEFAULT_PRIME, check_modulus
+from .gf import DEFAULT_PRIME, check_modulus, int_text
 from .schemes import DegenerateDrawError
 from .verify import DEFAULT_SEED, TrialPolicy
 
@@ -90,13 +91,167 @@ def _emit(args, write) -> None:
         raise ValueError(f"cannot write {args.out}: {err.strerror or err}") from None
 
 
-def _emit_json(args, doc) -> None:
-    """``json.dumps(doc, indent=2, sort_keys=True)`` to the --out file, or to stdout and a newline.
+# pieces joined per write: a report is written in chunks of about this many
+# lines, so its text never exists whole
+_WRITE_PIECES = 512
+_INF = float("inf")
 
-    ``json.dump`` writes the encoder's chunks as they come, where ``dumps``
-    first joins them into one string: a large report never exists whole.
+
+def _float_json(o) -> str:
+    if o != o:
+        return "NaN"
+    if o == _INF:
+        return "Infinity"
+    if o == -_INF:
+        return "-Infinity"
+    return float.__repr__(o)
+
+
+# the JSON text of a scalar of each exact type; a subclass goes through _scalar_json
+_SCALAR_JSON = {
+    str: encode_basestring_ascii,
+    int: int_text,
+    float: _float_json,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda o: "null",
+}
+
+
+def _scalar_json(o):
+    """A scalar's JSON text as ``json.dumps`` writes it, ints of any size; None for anything else."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int_text(o)
+    if isinstance(o, float):
+        return _float_json(o)
+    return None
+
+
+def _scalars_json(items):
+    """Each item's JSON text, or None when one is not a scalar; lists of ints or strs in one pass."""
+    kinds = set(map(type, items))
+    if kinds == {int}:
+        try:
+            return list(map(int.__repr__, items))
+        except ValueError:  # an int past str's digit limit
+            pass
+    elif kinds == {str}:
+        return list(map(encode_basestring_ascii, items))
+    elif kinds & {list, tuple, dict}:
+        return None
+    texts = list(map(_scalar_json, items))
+    return None if None in texts else texts
+
+
+def _list_json(items, nl, rows=True):
+    """The text of a list of scalars at the indent ``nl``, or with ``rows`` of a list of such lists; else None."""
+    if not items:
+        return "[]"
+    inner = nl + "  "
+    texts = _scalars_json(items)
+    if texts is None and rows and set(map(type, items)) <= {list, tuple}:
+        if all(items) and set(map(type, chain.from_iterable(items))) == {int}:
+            deeper = inner + "  "
+            join = ("," + deeper).join
+            try:  # rows of ints, as a solve's monomials are
+                texts = [f"[{deeper}{join(map(int.__repr__, item))}{inner}]" for item in items]
+            except ValueError:  # an int past str's digit limit
+                pass
+        if texts is None:
+            texts = [_list_json(item, inner, False) for item in items]
+            if None in texts:
+                return None
+    return None if texts is None else f"[{inner}{(',' + inner).join(texts)}{nl}]"
+
+
+def _flat_json(o, nl):
+    """The text of ``o`` at the indent ``nl`` if it is a scalar, a list of them or a list of
+    such lists; None for anything else."""
+    scalar = _SCALAR_JSON.get(type(o))
+    if scalar is not None:
+        return scalar(o)
+    if isinstance(o, (list, tuple)):
+        return _list_json(o, nl)
+    return None if isinstance(o, dict) else _scalar_json(o)
+
+
+def _key_json(key) -> str:
+    text = key if isinstance(key, str) else _scalar_json(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    return encode_basestring_ascii(text)
+
+
+def _write_json(doc, fh) -> None:
+    """Write ``json.dumps(doc, indent=2, sort_keys=True)`` to ``fh``, ints of any size.
+
+    The text is built from joined strings: a list of scalars, or of such
+    lists, in one piece, strings by the C ``encode_basestring_ascii``.  It
+    goes out every ``_WRITE_PIECES`` pieces, as ``json.dump`` writes as it
+    goes, so a large report never exists whole.  What ``json`` cannot encode
+    raises its TypeError; a circular reference is not detected.
     """
-    _emit(args, lambda fh: json.dump(doc, fh, indent=2, sort_keys=True))
+    text = _flat_json(doc, "\n")
+    if text is None:
+        out = []
+        _put_json(doc, "\n", out, fh)
+        text = "".join(out)
+    fh.write(text)
+
+
+def _put_json(o, nl, out, fh) -> None:
+    """Append the pieces of a dict, or of a list ``_flat_json`` does not take, to ``out``.
+
+    ``out`` is written to ``fh`` and emptied each time it holds ``_WRITE_PIECES``.
+    """
+    inner = nl + "  "
+    if isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for key, value in sorted(o.items()):
+            name = encode_basestring_ascii(key) if type(key) is str else _key_json(key)
+            scalar = _SCALAR_JSON.get(type(value))
+            text = scalar(value) if scalar is not None else _flat_json(value, inner)
+            if text is None:
+                out.append(f"{sep}{name}: ")
+                _put_json(value, inner, out, fh)
+            else:
+                out.append(f"{sep}{name}: {text}")
+                if len(out) >= _WRITE_PIECES:
+                    fh.write("".join(out))
+                    out.clear()
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        sep = "[" + inner
+        for item in o:
+            text = _flat_json(item, inner)
+            if text is None:
+                out.append(sep)
+                _put_json(item, inner, out, fh)
+            else:
+                out.append(sep + text)
+                if len(out) >= _WRITE_PIECES:
+                    fh.write("".join(out))
+                    out.clear()
+            sep = "," + inner
+        out.append(nl + "]")
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _emit_json(args, doc) -> None:
+    """``json.dumps(doc, indent=2, sort_keys=True)`` to the --out file, or to stdout and a newline."""
+    _emit(args, functools.partial(_write_json, doc))
     if not args.out:
         sys.stdout.write("\n")
 
@@ -182,17 +337,16 @@ def cmd_predict(args) -> int:
 
 def cmd_solve(args) -> int:
     _refuse_unread([("--prime", args.prime, args.field == "gf", "--field gf")])
-    try:
-        prob = interp.load_problem(args.problem)
+    gf_prime = DEFAULT_PRIME if args.prime is None else args.prime
+    try:  # a solve over GF(p) reads 'num/den' scalars straight to their residues
+        prob = interp.load_problem(args.problem, gf_prime if args.field == "gf" else None)
     except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as err:
         print(f"error reading problem: {err}", file=sys.stderr)
         return USAGE_ERROR
     # the field is chosen here: a file's "prime" applies only to --field auto
     if args.field == "rational":
         prob = dataclasses.replace(prob, prime=None)
-    prime = prob.prime
-    if args.field == "gf":
-        prime = DEFAULT_PRIME if args.prime is None else args.prime
+    prime = gf_prime if args.field == "gf" else prob.prime
     try:
         result = interp.predict_then_solve(prob, prime)
     except interp.NoResidueError as err:

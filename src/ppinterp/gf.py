@@ -8,6 +8,7 @@ lowest terms by construction.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Integral
@@ -104,33 +105,69 @@ def inv_mod(x: int, p: int) -> int:
     return pow(x, -1, p)
 
 
-def as_fraction(value) -> Fraction:
-    """Parse an exact scalar from JSON-ish input: integer (numpy's too) or string.
+def as_fraction(value, mod: int | None = None):
+    """Read an exact scalar from JSON-ish input: an int stays an int, anything else a Fraction.
 
-    A string is an integer, 'num/den' or a plain decimal such as '1.5'.
-    Floats are rejected; this package never rounds.  So is an exponent
-    ('1e3'): ``Fraction`` would build 10**e in full, and the time that
-    takes grows without bound with e.
+    Accepted: integers (numpy's too) and strings: an integer, 'num/den' or a
+    plain decimal such as '1.5', in the forms ``Fraction`` reads.  An integer
+    or a 'num/den' string is read by ``int`` of its parts, as ``Fraction``
+    does after its pattern match; a decimal, and every other form, goes to
+    ``Fraction`` itself, so each refusal keeps its exception and message.
+    Floats are refused; this package never rounds.  So is an exponent
+    ('1e3'): ``Fraction`` would build 10**e in full, and the time that takes
+    grows without bound with e.  Digits past ``sys.get_int_max_str_digits()``
+    are refused too (ValueError), by ``int`` as by ``json.load``.  A Python
+    int has ``numerator`` and ``denominator`` like a Fraction.
+
+    With ``mod``, for a solve mod it, a 'num/den' string whose denominator is
+    a unit mod ``mod`` is read as its residue ``num * den**-1 % mod``, and no
+    Fraction is made; every other scalar is read as without it.
     """
-    if isinstance(value, bool):
-        raise TypeError("booleans are not scalars")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Fraction):
+    if type(value) is int:
         return value
     if isinstance(value, str):
         if "e" in value or "E" in value:
             raise ValueError(f"exponents are not allowed in scalars, got {value!r}")
+        num, slash, den = value.partition("/")
+        try:
+            if not slash:
+                return int(value)
+            # Fraction's pattern puts digits on both sides of the slash
+            if num[-1:].isdecimal() and den[:1].isdecimal():
+                num, den = int(num), int(den)
+                # pow refuses a denominator that is not a unit (ValueError)
+                return Fraction(num, den) if mod is None else num * pow(den, -1, mod) % mod
+        except ValueError:
+            pass
         return Fraction(value)
+    if isinstance(value, bool):
+        raise TypeError("booleans are not scalars")
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, Integral):  # numpy integers; last, as an ABC check is slow
-        return Fraction(int(value))
+        return int(value)
     raise TypeError(f"expected an integer or 'num/den' string, got {value!r}")
 
 
+def int_text(value: int) -> str:
+    """The decimal digits of an int of any size.
+
+    ``str`` refuses an int past ``sys.get_int_max_str_digits()`` digits, a
+    guard for parsing untrusted text; an answer is printed whole, by
+    ``Decimal``, which converts exactly without that limit.
+    """
+    try:
+        return int.__repr__(value)
+    except ValueError:
+        return str(Decimal(value))
+
+
 def scalar_to_json(value):
-    """Inverse of as_fraction: ints stay ints, proper fractions become strings."""
+    """Inverse of as_fraction: ints stay ints, proper fractions become 'num/den' strings of any size."""
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return int(value)
-        return f"{value.numerator}/{value.denominator}"
+        return f"{int_text(value.numerator)}/{int_text(value.denominator)}"
     return int(value)

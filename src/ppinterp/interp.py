@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 
 from . import linalg, theory
-from .gf import as_fraction, check_modulus, inv_mod, scalar_to_json
+from .gf import as_fraction, check_modulus, scalar_to_json
 from .monomials import AFFINE, build_basis, derivative_row, eval_row
 from .schemes import (
     InterpolationProblem,
@@ -71,21 +71,30 @@ class Interpolant:
 
 def _residue(v, p: int | None):
     # rationals embed in GF(p) as num * den^-1 when p does not divide den;
-    # over Q (p None) the scalar is read exactly
-    f = as_fraction(v)
+    # over Q (p None) the scalar is read exactly.  A problem read from JSON
+    # holds ints and Fractions already, which are not read again.
+    f = v if type(v) is int or type(v) is Fraction else as_fraction(v)
     if p is None:
         return f
+    if type(f) is int:
+        return f % p
     if f.denominator % p == 0:
         raise NoResidueError(f"{f} has no residue mod {p}")
-    return f.numerator * inv_mod(f.denominator, p) % p
+    return f.numerator * pow(f.denominator, -1, p) % p
+
+
+def _residues(values, p: int | None) -> list:
+    if p is not None and set(map(type, values)) == {int}:
+        return [x % p for x in values]
+    return [_residue(x, p) for x in values]
 
 
 def _reduce_problem(prob: InterpolationProblem, p: int | None) -> InterpolationProblem:
     return InterpolationProblem(
         prob.n, prob.d,
-        [[_residue(x, p) for x in pt] for pt in prob.points],
-        [[[_residue(x, p) for x in v] for v in ds] for ds in prob.directions],
-        [[_residue(x, p) for x in vs] for vs in prob.values],
+        [_residues(pt, p) for pt in prob.points],
+        [[_residues(v, p) for v in ds] for ds in prob.directions],
+        [_residues(vs, p) for vs in prob.values],
         prime=p,
     )
 
@@ -197,8 +206,22 @@ def residuals(prob: InterpolationProblem, f: Interpolant) -> list:
 # ---------------------------------------------------------------------------
 # JSON problem shape: {n, d, mode, points, directions, values, prime?}
 
-def problem_from_json(doc) -> InterpolationProblem:
-    """The problem with exact scalars; a ``"prime"`` is recorded, and the solve reduces."""
+def _read_scalars(values, mod) -> list:
+    # a list of ints, as most are, is read in one pass
+    if set(map(type, values)) == {int}:
+        return list(values)
+    return [as_fraction(x, mod) for x in values]
+
+
+def problem_from_json(doc, mod: int | None = None) -> InterpolationProblem:
+    """The problem with exact scalars; a ``"prime"`` is recorded, and the solve reduces.
+
+    With ``mod``, the problem is read for a solve mod it: each 'num/den'
+    scalar with a residue mod ``mod`` is read as that residue, which the
+    solve reads as it would the Fraction (see ``gf.as_fraction``).  Every
+    other scalar stays exact, so a refusal (a scalar with no residue, a
+    modulus that is not a prime) comes where it comes without ``mod``.
+    """
     if not isinstance(doc, dict):
         raise TypeError(f"problem must be a JSON object, got {type(doc).__name__}")
     if doc.get("mode", AFFINE) != AFFINE:
@@ -209,17 +232,17 @@ def problem_from_json(doc) -> InterpolationProblem:
             raise TypeError(f"{name} must be an integer, got {value!r}")
     if n < 1 or d < 0:
         raise ValueError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
-    points = [[as_fraction(x) for x in p] for p in doc["points"]]
-    directions = [[[as_fraction(x) for x in v] for v in ds] for ds in doc["directions"]]
+    points = [_read_scalars(p, mod) for p in doc["points"]]
+    directions = [[_read_scalars(v, mod) for v in ds] for ds in doc["directions"]]
     values = doc.get("values")
     if values is not None:
-        values = [[as_fraction(x) for x in vs] for vs in values]
+        values = [_read_scalars(vs, mod) for vs in values]
     prime = doc.get("prime")
     if prime is not None and (isinstance(prime, bool) or not isinstance(prime, int)):
         raise TypeError(f"prime must be an integer, got {prime!r}")
     return InterpolationProblem(n, d, points, directions, values, prime)
 
 
-def load_problem(path) -> InterpolationProblem:
+def load_problem(path, mod: int | None = None) -> InterpolationProblem:
     with open(path) as fh:
-        return problem_from_json(json.load(fh))
+        return problem_from_json(json.load(fh), mod)

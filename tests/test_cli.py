@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -10,10 +11,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ppinterp
-from ppinterp import linalg, verify
+from ppinterp import cli, interp, linalg, verify
 from ppinterp.cli import main
 from ppinterp.schemes import DegenerateDrawError
 from ppinterp.verify import _partition_jobs
@@ -499,6 +503,77 @@ def test_json_reports_are_written_as_dumps_would(capsys, tmp_path, argv):
     assert out.endswith("}\n") and not out.endswith("\n\n")
     if argv[0] == "predict":  # no timing section, so the bytes are equal
         assert out == text + "\n"
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.sampled_from([-(10**3999) - 7, 10**3999 + 3]),
+    st.floats(), st.sampled_from([-0.0, 1e300, float("nan"), float("inf"), float("-inf")]),
+    st.text(), st.text(alphabet="\x00\x1f\x7f\"\\\u00e9\u2028\U0001f600 ab"))
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=5), st.tuples(inner, inner),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=5)),
+    max_leaves=30)
+
+
+def write_json(doc) -> str:
+    fh = io.StringIO()
+    cli._write_json(doc, fh)
+    return fh.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_DOCS)
+def test_json_writer_gives_the_bytes_of_dumps(doc):
+    assert write_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    # on stdout, the text and one newline
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit_json(argparse.Namespace(out=None), doc)
+    assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_writer_writes_a_large_report_in_chunks():
+    doc = {"cases": [{"case": f"c{i}", "measured": [i, -i], "rows": [[i], []], "ok": i % 2 == 0}
+                     for i in range(3000)], "timing": {f"c{i}": i / 7 for i in range(3000)}}
+    writes = []
+
+    class Sink:
+        def write(self, text):
+            writes.append(text)
+
+    cli._write_json(doc, Sink())
+    assert "".join(writes) == json.dumps(doc, indent=2, sort_keys=True)
+    assert len(writes) > 10 and max(map(len, writes)) < 64 * 1024
+
+
+@pytest.mark.parametrize("bad", [np.int64(3), {1, 2}, [1, {"a": (2, object())}],
+                                 {(1, 2): 3}, {"a": 1, 2: 3}, {"k": np.float32(1.5)}],
+                         ids=["numpy-int", "set", "nested-object", "tuple-key", "mixed-keys",
+                              "numpy-float32"])
+def test_json_writer_refuses_what_json_refuses(bad):
+    with pytest.raises(TypeError) as want:
+        json.dumps(bad, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as got:
+        write_json(bad)
+    assert str(got.value) == str(want.value)
+
+
+def test_an_answer_past_the_digit_limit_is_printed(tmp_path, capsys):
+    # the slope (a - b)/(a b) has a 7622-digit denominator: str() refuses an int
+    # past 4300 digits, which made this solve exit 2 after it had solved
+    a, b = 3**8000, 7**4500
+    problem = {"n": 1, "d": 1, "mode": "affine", "points": [[0], [1]],
+               "directions": [[], []], "values": [[f"1/{a}"], [f"1/{b}"]]}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    code, out, err = run_cli(capsys, "solve", str(path), "--field", "rational")
+    assert (code, err) == (0, "")
+    high, low = divmod(a * b, 10**4000)  # str() of each piece is below the limit
+    want = [f"1/{a}", f"{a - b}/{high}{str(low).zfill(4000)}"]
+    assert json.loads(out)["interpolant"]["coefficients"] == want
+    prob = interp.problem_from_json(problem)
+    assert interp.residuals(prob, interp.solve(prob)) == [0, 0]
 
 
 def test_fail_lines_say_how_to_replay_each_case(capsys):

@@ -35,6 +35,24 @@ def test_benchmark_script_imports(name):
     assert callable(_load(name).main)
 
 
+def test_compare_outputs_checks_the_report_bytes(tmp_path):
+    # a checkout whose CLI prints its report in another form than
+    # json.dumps(doc, indent=2, sort_keys=True) and a newline is caught,
+    # though its cases are the same
+    compare = _load("compare_outputs")
+    fake = tmp_path / "fake"
+    (fake / "src" / "ppinterp").mkdir(parents=True)
+    (fake / "src" / "ppinterp" / "__init__.py").write_text("")
+    (fake / "src" / "ppinterp" / "cli.py").write_text(
+        'print(\'{"cases": [], "timing": {}}\')\n')
+    real = BENCHMARKS.parent
+    argv = ["verify", "--suite", "ah", "--trials", "1"]
+    code, cases, _, canonical = compare.run(real, argv, tmp_path)
+    assert (code, canonical) == (0, True)
+    assert compare.run(fake, argv, tmp_path)[3] is False
+    assert compare.run(real, ["solve", str(tmp_path / "missing.json")], tmp_path)[3] is None
+
+
 def test_bench_rank_reads_only_names_that_exist():
     # imports inside functions and attributes of the ppinterp modules, which importing skips
     tree = ast.parse((BENCHMARKS / "bench_rank.py").read_text())
